@@ -8,12 +8,6 @@
 namespace chambolle::baseline {
 namespace {
 
-Image normalize(const Image& img) {
-  Image out = img;
-  for (float& v : out) v *= (1.f / 255.f);
-  return out;
-}
-
 // Horn & Schunck's weighted neighborhood average (their Laplacian stencil):
 // 1/6 for the 4-neighbors, 1/12 for the diagonals, clamped at borders.
 float neighborhood_average(const Matrix<float>& f, int r, int c) {
@@ -64,8 +58,8 @@ FlowField horn_schunck_flow(const Image& i0, const Image& i1,
   if (i0.rows() < 2 || i0.cols() < 2)
     throw std::invalid_argument("horn_schunck_flow: frames at least 2x2");
 
-  const tvl1::Pyramid p0(normalize(i0), params.pyramid_levels);
-  const tvl1::Pyramid p1(normalize(i1), params.pyramid_levels);
+  const tvl1::Pyramid p0(tvl1::normalize_frame(i0), params.pyramid_levels);
+  const tvl1::Pyramid p1(tvl1::normalize_frame(i1), params.pyramid_levels);
   const int levels = std::min(p0.levels(), p1.levels());
 
   FlowField u;

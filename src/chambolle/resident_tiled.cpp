@@ -114,6 +114,17 @@ void ResidentAdaptiveOptions::validate() const {
         "ResidentAdaptiveOptions: final_pass_iterations < 0");
 }
 
+ResidentAdaptiveOptions ResidentAdaptiveOptions::resolved(
+    int iterations, int merge_iterations) const {
+  ResidentAdaptiveOptions out = *this;
+  if (out.max_passes > 0) return out;
+  const int merge = std::max(1, merge_iterations);
+  out.max_passes = std::max(1, (iterations + merge - 1) / merge);
+  const int tail = iterations - (out.max_passes - 1) * merge;
+  if (tail > 0 && tail < merge) out.final_pass_iterations = tail;
+  return out;
+}
+
 void ResidentTiledEngine::gather_halos(std::size_t ti, int g) {
   // The incoming rectangles partition the halo exactly, so after this loop
   // the whole buffer holds the neighbors' post-pass-(g-1) state.
@@ -767,18 +778,30 @@ ResidentMultilevelReport ResidentTiledEngine::run_multilevel(
 }
 
 void ResidentTiledEngine::snapshot(DualField& out) const {
-  out.px.resize(plan_.frame_rows, plan_.frame_cols);
-  out.py.resize(plan_.frame_rows, plan_.frame_cols);
-  for (std::size_t i = 0; i < tiles_.size(); ++i) {
-    const TileSpec& t = plan_.tiles[i];
-    const TileBuffers& b = tiles_[i];
-    kernels::copy_rect(b.px, t.prof_row0 - t.buf_row0, t.prof_col0 - t.buf_col0,
-                       out.px, t.prof_row0, t.prof_col0, t.prof_rows,
-                       t.prof_cols);
-    kernels::copy_rect(b.py, t.prof_row0 - t.buf_row0, t.prof_col0 - t.buf_col0,
-                       out.py, t.prof_row0, t.prof_col0, t.prof_rows,
-                       t.prof_cols);
-  }
+  // Every cell is some tile's profitable cell, so the copies overwrite the
+  // whole frame: reshape without clearing when the shape already fits.
+  if (out.px.rows() != plan_.frame_rows || out.px.cols() != plan_.frame_cols)
+    out.px.resize(plan_.frame_rows, plan_.frame_cols);
+  if (out.py.rows() != plan_.frame_rows || out.py.cols() != plan_.frame_cols)
+    out.py.resize(plan_.frame_rows, plan_.frame_cols);
+  // Profitable rectangles partition the frame: each row chunk writes back
+  // the part of every tile that falls in its rows.
+  parallel::parallel_rows(
+      pool(), plan_.frame_rows, plan_.frame_cols,
+      pool().lanes_for(options_.num_threads), parallel::kStreamChunkCells,
+      [&](int begin, int end) {
+        for (std::size_t i = 0; i < tiles_.size(); ++i) {
+          const TileSpec& t = plan_.tiles[i];
+          const int r0 = std::max(begin, t.prof_row0);
+          const int r1 = std::min(end, t.prof_row0 + t.prof_rows);
+          if (r0 >= r1) continue;
+          const TileBuffers& b = tiles_[i];
+          kernels::copy_rect(b.px, r0 - t.buf_row0, t.prof_col0 - t.buf_col0,
+                             out.px, r0, t.prof_col0, r1 - r0, t.prof_cols);
+          kernels::copy_rect(b.py, r0 - t.buf_row0, t.prof_col0 - t.buf_col0,
+                             out.py, r0, t.prof_col0, r1 - r0, t.prof_cols);
+        }
+      });
 }
 
 void ResidentTiledEngine::reset_v(const Matrix<float>& v,
@@ -801,13 +824,32 @@ void ResidentTiledEngine::reset_v(const Matrix<float>& v,
   // parity clock keeps running so the next run() gathers valid halos.
 }
 
+void ResidentTiledEngine::recover_into(const DualField& p,
+                                       Matrix<float>& u) const {
+  const RegionGeometry geom =
+      RegionGeometry::full_frame(plan_.frame_rows, plan_.frame_cols);
+  parallel::parallel_rows(
+      pool(), plan_.frame_rows, plan_.frame_cols,
+      pool().lanes_for(options_.num_threads), parallel::kStreamChunkCells,
+      [&](int begin, int end) {
+        kernels::recover_u_rows(frame_v_, p.px, p.py, geom, params_.theta, u,
+                                begin, end);
+      });
+}
+
 ChambolleResult ResidentTiledEngine::result() const {
   ChambolleResult out;
   snapshot(out.p);
-  const RegionGeometry geom =
-      RegionGeometry::full_frame(plan_.frame_rows, plan_.frame_cols);
-  out.u = recover_u(frame_v_, out.p.px, out.p.py, geom, params_.theta);
+  out.u.resize(plan_.frame_rows, plan_.frame_cols);
+  recover_into(out.p, out.u);
   return out;
+}
+
+void ResidentTiledEngine::result_into(Matrix<float>& u,
+                                      DualField& duals) const {
+  snapshot(duals);
+  if (!u.same_shape(frame_v_)) u.resize(plan_.frame_rows, plan_.frame_cols);
+  recover_into(duals, u);
 }
 
 ChambolleResult solve_resident(const Matrix<float>& v,
@@ -833,17 +875,10 @@ ChambolleResult solve_resident_adaptive(const Matrix<float>& v,
                                         ResidentTiledStats* stats,
                                         const DualField* initial) {
   const telemetry::TraceSpan span("chambolle.solve_resident_adaptive");
-  ResidentAdaptiveOptions opts = adaptive;
-  if (opts.max_passes <= 0) {
-    // Default the cap to the fixed budget: the adaptive solve never does
-    // more work than solve_resident() with the same params.  Mirror run()'s
-    // remainder schedule so a run where nothing retires is bit-exact with
-    // the fixed solve even when iterations % merge != 0.
-    const int merge = std::max(1, options.merge_iterations);
-    opts.max_passes = std::max(1, (params.iterations + merge - 1) / merge);
-    const int tail = params.iterations - (opts.max_passes - 1) * merge;
-    if (tail > 0 && tail < merge) opts.final_pass_iterations = tail;
-  }
+  // Default the cap to the fixed budget: the adaptive solve never does more
+  // work than solve_resident() with the same params.
+  const ResidentAdaptiveOptions opts =
+      adaptive.resolved(params.iterations, options.merge_iterations);
   ResidentTiledEngine engine(v, params, options, initial);
   const ResidentAdaptiveReport rep = engine.run_adaptive(opts);
   static telemetry::Counter& c_solves =
@@ -862,16 +897,8 @@ ChambolleResult solve_resident_multilevel(
     const DualField* initial) {
   const telemetry::TraceSpan span("chambolle.solve_resident_multilevel");
   ResidentMultilevelOptions opts = multilevel;
-  if (opts.adaptive.max_passes <= 0) {
-    // Same fixed-budget sentinel as solve_resident_adaptive(): the cap is
-    // the schedule of solve_resident(params) including its remainder pass.
-    const int merge = std::max(1, options.merge_iterations);
-    opts.adaptive.max_passes =
-        std::max(1, (params.iterations + merge - 1) / merge);
-    const int tail =
-        params.iterations - (opts.adaptive.max_passes - 1) * merge;
-    if (tail > 0 && tail < merge) opts.adaptive.final_pass_iterations = tail;
-  }
+  opts.adaptive =
+      multilevel.adaptive.resolved(params.iterations, options.merge_iterations);
   ResidentTiledEngine engine(v, params, options, initial);
   const ResidentMultilevelReport rep = engine.run_multilevel(opts);
   static telemetry::Counter& c_solves =

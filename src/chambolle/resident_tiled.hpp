@@ -79,6 +79,15 @@ struct ResidentAdaptiveOptions {
   int final_pass_iterations = 0;
 
   void validate() const;
+
+  /// These options with the max_passes <= 0 "fixed budget" sentinel
+  /// resolved against an iteration budget: the cap becomes
+  /// ceil(iterations / merge_iterations) and, when the budget is not a
+  /// multiple of the merge depth, final_pass_iterations the remainder — so
+  /// a run where no tile retires executes run(iterations)'s schedule bit for
+  /// bit.  Options with a positive max_passes come back unchanged.
+  [[nodiscard]] ResidentAdaptiveOptions resolved(int iterations,
+                                                 int merge_iterations) const;
 };
 
 /// Outcome of one run_adaptive(): which tiles converged, how many passes
@@ -221,7 +230,15 @@ class ResidentTiledEngine {
   void reset_duals() { load_duals(nullptr); }
 
   /// snapshot() + primal recovery: the ChambolleResult of the state so far.
+  /// Both steps run row-chunked on the engine's pool.
   [[nodiscard]] ChambolleResult result() const;
+
+  /// u-only result(): writes the primal of the state so far into `u`,
+  /// bit-identical to result().u, with the dual write-back of snapshot()
+  /// landing in `duals`.  Both are resized only on a shape change, so with
+  /// them shaped the recovery allocates nothing — the outer-loop path of
+  /// TV-L1 warps, which hands the same buffers in every warp.
+  void result_into(Matrix<float>& u, DualField& duals) const;
 
   [[nodiscard]] const ResidentTiledStats& stats() const { return stats_; }
   [[nodiscard]] const TilingPlan& plan() const { return plan_; }
@@ -247,6 +264,9 @@ class ResidentTiledEngine {
   void gather_halos(std::size_t ti, int g);
   /// Publishes tile ti's pass-g strips into the parity slot g & 1.
   void publish_strips(std::size_t ti, int g);
+  /// Row-parallel u = v - theta * div p of the whole frame into `u`
+  /// (already shaped) from a full-frame dual snapshot.
+  void recover_into(const DualField& p, Matrix<float>& u) const;
   /// Publishes tile ti's frozen-pass marker (retirement at pass g), ordered
   /// before the terminal epoch store: later gathers read its final strips
   /// at parity g.  The cross-parity mirror is deferred to run_adaptive()'s

@@ -40,11 +40,17 @@ void prolong_bilinear_into(const Matrix<float>& coarse, int rows, int cols,
   if (coarse.rows() < 1 || coarse.cols() < 1)
     throw std::invalid_argument("prolong_bilinear_into: empty source");
   fine.resize(rows, cols);
+  prolong_bilinear_rows(coarse, fine, 0, rows);
+}
+
+void prolong_bilinear_rows(const Matrix<float>& coarse, Matrix<float>& fine,
+                           int row_begin, int row_end) {
+  const int rows = fine.rows(), cols = fine.cols();
   const float sr =
       static_cast<float>(coarse.rows()) / static_cast<float>(rows);
   const float sc =
       static_cast<float>(coarse.cols()) / static_cast<float>(cols);
-  for (int r = 0; r < rows; ++r)
+  for (int r = row_begin; r < row_end; ++r)
     for (int c = 0; c < cols; ++c) {
       // Sample at the source location of this target pixel's center.
       const float fr = (static_cast<float>(r) + 0.5f) * sr - 0.5f;

@@ -62,6 +62,12 @@ void restrict_half(const Matrix<float>& fine, Matrix<float>& coarse);
 void prolong_bilinear_into(const Matrix<float>& coarse, int rows, int cols,
                            Matrix<float>& fine);
 
+/// prolong_bilinear_into restricted to rows [row_begin, row_end) of a `fine`
+/// already shaped to the target extent — the unit of a row-parallel
+/// prolongation.  Same arithmetic, bit for bit.
+void prolong_bilinear_rows(const Matrix<float>& coarse, Matrix<float>& fine,
+                           int row_begin, int row_end);
+
 /// Piecewise-constant 2x injection: fine(r, c) = coarse(r / 2, c / 2).
 /// Requires coarse extents == coarse_extent of the fine extents (throws
 /// otherwise); satisfies restrict_half(prolong_nearest(C)) == C bit-exactly.

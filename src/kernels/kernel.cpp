@@ -288,16 +288,23 @@ void iterate_region_fused(Matrix<float>& px, Matrix<float>& py,
 void recover_u_into(const Matrix<float>& v, const Matrix<float>& px,
                     const Matrix<float>& py, const RegionGeometry& geom,
                     float theta, Matrix<float>& out) {
-  const int rows = v.rows(), cols = v.cols();
-  if (!out.same_shape(v)) out.resize(rows, cols);
-  if (rows == 0 || cols == 0) return;
+  if (!out.same_shape(v)) out.resize(v.rows(), v.cols());
+  recover_u_rows(v, px, py, geom, theta, out, 0, v.rows());
+}
+
+void recover_u_rows(const Matrix<float>& v, const Matrix<float>& px,
+                    const Matrix<float>& py, const RegionGeometry& geom,
+                    float theta, Matrix<float>& out, int row_begin,
+                    int row_end) {
+  const int cols = v.cols();
+  if (row_begin >= row_end || cols == 0) return;
   const KernelOps& k = ops();
   RecoverRowArgs a{};
   a.cols = cols;
   a.theta = theta;
   a.at_left = geom.col0 == 0;
   a.at_right = geom.col0 + cols == geom.frame_cols;
-  for (int r = 0; r < rows; ++r) {
+  for (int r = row_begin; r < row_end; ++r) {
     a.px = &px(r, 0);
     a.py = &py(r, 0);
     a.py_up = r > 0 ? &py(r - 1, 0) : nullptr;

@@ -192,5 +192,13 @@ void recover_u_into(const Matrix<float>& v, const Matrix<float>& px,
                     const Matrix<float>& py, const RegionGeometry& geom,
                     float theta, Matrix<float>& out);
 
+/// recover_u_into restricted to window rows [row_begin, row_end) of an `out`
+/// already shaped like `v` — the unit of a row-parallel recovery (rows are
+/// independent; each reads py one row up).
+void recover_u_rows(const Matrix<float>& v, const Matrix<float>& px,
+                    const Matrix<float>& py, const RegionGeometry& geom,
+                    float theta, Matrix<float>& out, int row_begin,
+                    int row_end);
+
 }  // namespace kernels
 }  // namespace chambolle

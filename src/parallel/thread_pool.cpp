@@ -91,7 +91,10 @@ void ThreadPool::worker_main(std::size_t index, std::uint64_t seen_epoch) {
     if (shutdown_) return;
     seen_epoch = epoch_;
     const int lane = static_cast<int>(index) + 1;
-    if (lane >= job_lanes_) continue;  // spectator for this (narrower) team
+    // Spectator for this (narrower) team, or woken after the caller closed
+    // an elastic region.
+    if (job_ == nullptr || lane >= job_lanes_) continue;
+    if (job_elastic_) ++job_remaining_;
 
     const TeamFn* fn = job_;
     const int lanes = job_lanes_;
@@ -114,6 +117,10 @@ void ThreadPool::worker_main(std::size_t index, std::uint64_t seen_epoch) {
 }
 
 void ThreadPool::run_team(int lanes, const TeamFn& fn) {
+  dispatch(lanes, fn, /*elastic=*/false);
+}
+
+void ThreadPool::dispatch(int lanes, const TeamFn& fn, bool elastic) {
   if (lanes < 1) lanes = 1;
   tasks_.fetch_add(1, std::memory_order_relaxed);
   c_tasks().add(1);
@@ -142,12 +149,17 @@ void ThreadPool::run_team(int lanes, const TeamFn& fn) {
   cv_idle_.wait(lk, [&] { return !busy_; });
   busy_ = true;
   ensure_workers_locked(lanes - 1);
-  if (!barrier_ || barrier_->parties() != lanes)
+  // Elastic bodies never touch the barrier, so any existing one will do:
+  // alternating team widths then do not rebuild it at every region.
+  if (!barrier_ || (!elastic && barrier_->parties() != lanes))
     barrier_ =
         std::make_unique<Barrier>(lanes, &barrier_waits_, &c_barrier_waits());
   job_ = &fn;
   job_lanes_ = lanes;
-  job_remaining_ = lanes - 1;
+  job_elastic_ = elastic;
+  // A full team waits for every lane; an elastic region only for the
+  // workers that joined it (counted up as they enter).
+  job_remaining_ = elastic ? 0 : lanes - 1;
   job_error_ = nullptr;
   ++epoch_;
   Barrier& bar = *barrier_;
@@ -167,6 +179,9 @@ void ThreadPool::run_team(int lanes, const TeamFn& fn) {
   t_in_region = false;
 
   lk.lock();
+  // Closing an elastic job first keeps workers that have not woken yet out
+  // of a region whose work the caller has already drained.
+  if (elastic) job_ = nullptr;
   cv_done_.wait(lk, [&] { return job_remaining_ == 0; });
   job_ = nullptr;
   const std::exception_ptr err = caller_error ? caller_error : job_error_;
@@ -195,14 +210,24 @@ void ThreadPool::parallel_for(std::size_t n, int lanes, const RangeFn& fn,
     return;
   }
 
-  std::atomic<std::size_t> cursor{0};
-  run_team(team, [&](int lane, int, Barrier&) {
-    for (;;) {
-      const std::size_t b = cursor.fetch_add(chunk, std::memory_order_relaxed);
-      if (b >= n) return;
-      fn(b, b + chunk < n ? b + chunk : n, lane);
-    }
-  });
+  // The team body captures one pointer so std::function stores it inline:
+  // a multi-lane dispatch allocates nothing.
+  struct Loop {
+    std::size_t n, chunk;
+    const RangeFn& fn;
+    std::atomic<std::size_t> cursor{0};
+  } loop{n, chunk, fn};
+  dispatch(
+      team,
+      [l = &loop](int lane, int, Barrier&) {
+        for (;;) {
+          const std::size_t b =
+              l->cursor.fetch_add(l->chunk, std::memory_order_relaxed);
+          if (b >= l->n) return;
+          l->fn(b, b + l->chunk < l->n ? b + l->chunk : l->n, lane);
+        }
+      },
+      /*elastic=*/true);
 }
 
 ThreadPool& default_pool() {

@@ -124,7 +124,12 @@ class ThreadPool {
 
   /// Chunked dynamic parallel-for over [0, n): lanes pull `chunk`-sized
   /// index ranges from a shared cursor until exhausted.  Effective lane
-  /// count is capped by the number of chunks.
+  /// count is capped by the number of chunks.  Workers join elastically:
+  /// the caller starts pulling at once and returns when the range is
+  /// drained and the workers that did join are done, without waiting for
+  /// a worker that has not woken yet — on an oversubscribed host a region
+  /// degrades towards the caller running it alone instead of stalling on
+  /// the scheduler.
   void parallel_for(std::size_t n, int lanes, const RangeFn& fn,
                     std::size_t chunk = 1);
 
@@ -146,6 +151,10 @@ class ThreadPool {
 
  private:
   void worker_main(std::size_t index, std::uint64_t seen_epoch);
+  /// The region protocol behind run_team (elastic = false: every lane runs
+  /// fn) and parallel_for (elastic = true: lane 0 runs fn, workers join only
+  /// while the region is open; fn must not use the barrier).
+  void dispatch(int lanes, const TeamFn& fn, bool elastic);
   /// Spawns resident workers until at least `needed` exist.  mu_ held.
   void ensure_workers_locked(int needed);
   /// Joins every resident worker.  mu_ held on entry/exit, pool marked busy.
@@ -162,7 +171,8 @@ class ThreadPool {
   std::uint64_t epoch_ = 0;
   const TeamFn* job_ = nullptr;
   int job_lanes_ = 0;
-  int job_remaining_ = 0;
+  bool job_elastic_ = false;
+  int job_remaining_ = 0;  ///< workers the caller still waits for
   std::exception_ptr job_error_;
   std::unique_ptr<Barrier> barrier_;
 
@@ -170,6 +180,36 @@ class ThreadPool {
   std::atomic<std::uint64_t> threads_created_{0};
   std::atomic<std::uint64_t> barrier_waits_{0};
 };
+
+/// Minimum cells per chunk of parallel_rows(), by the cost of a cell: a
+/// chunk should carry ~64 us of work, well above what waking a worker costs
+/// on a loaded host, and a grid that fits one chunk runs inline on the
+/// caller.  Compute-bound passes (the warp -> threshold sweep, ~16 ns a
+/// cell) chunk at 4096 cells, which keeps the 40 x 32 coarsest level of a
+/// 316 x 252 pyramid inline; streaming passes (copies, gradients,
+/// prolongation, primal recovery, 1-2 ns a cell) at 65536, which keeps
+/// every frame below ~256 x 256 inline.
+inline constexpr int kComputeChunkCells = 4096;
+inline constexpr int kStreamChunkCells = 65536;
+
+/// Row-chunked parallel loop over a rows x cols grid: fn(row_begin, row_end)
+/// runs on disjoint row ranges of at least `min_chunk_cells` cells, pulled
+/// dynamically by `lanes` lanes of `pool`.  The dispatch itself allocates
+/// nothing: the wrapper handed to parallel_for captures one reference, which
+/// std::function stores inline.
+template <typename Fn>
+void parallel_rows(ThreadPool& pool, int rows, int cols, int lanes,
+                   int min_chunk_cells, Fn&& fn) {
+  if (rows <= 0 || cols <= 0) return;
+  const std::size_t chunk =
+      static_cast<std::size_t>((min_chunk_cells + cols - 1) / cols);
+  pool.parallel_for(
+      static_cast<std::size_t>(rows), lanes,
+      [&fn](std::size_t begin, std::size_t end, int) {
+        fn(static_cast<int>(begin), static_cast<int>(end));
+      },
+      chunk);
+}
 
 /// The process-wide pool every solver and pipeline stage shares.  Lazily
 /// constructed; sized from hardware concurrency until set_default_pool_

@@ -369,9 +369,9 @@ void FlowService::process(Slot& slot, SessionState& s, Request& req) {
       // The fixed schedule: bit-exact and lane-count independent, which
       // is what makes the concurrent-sessions oracle possible.
       engine.run(options_.params.chambolle.iterations);
-      engine.snapshot(s.duals);
-      s.has_duals = true;
       ChambolleResult result = engine.result();
+      s.duals = std::move(result.p);
+      s.has_duals = true;
       reply.u = std::move(result.u);
       reply.status = ReplyStatus::kOk;
     } else {

@@ -1,24 +1,13 @@
 #include "tvl1/accel_backend.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
-#include "tvl1/median_filter.hpp"
-#include "tvl1/pyramid.hpp"
-#include "tvl1/threshold.hpp"
-#include "tvl1/warp.hpp"
+#include "tvl1/outer_loop.hpp"
 
 namespace chambolle::tvl1 {
-namespace {
-
-Image normalize(const Image& img) {
-  Image out = img;
-  for (float& v : out) v *= (1.f / 255.f);
-  return out;
-}
-
-}  // namespace
 
 FlowField compute_flow_accelerated(const Image& i0, const Image& i1,
                                    const Tvl1Params& params,
@@ -34,54 +23,18 @@ FlowField compute_flow_accelerated(const Image& i0, const Image& i1,
   std::uint64_t device_cycles = 0;
   int solves = 0;
 
-  const Pyramid p0 = [&] {
-    const telemetry::TraceSpan span("tvl1.pyramid");
-    return Pyramid(normalize(i0), params.pyramid_levels);
-  }();
-  const Pyramid p1 = [&] {
-    const telemetry::TraceSpan span("tvl1.pyramid");
-    return Pyramid(normalize(i1), params.pyramid_levels);
-  }();
-  const int levels = std::min(p0.levels(), p1.levels());
-
-  FlowField u;
-  for (int level = levels - 1; level >= 0; --level) {
-    const telemetry::TraceSpan level_span("tvl1.level");
-    const Image& l0 = p0.level(level);
-    const Image& l1 = p1.level(level);
-    if (level == levels - 1)
-      u = FlowField(l0.rows(), l0.cols());
-    else
-      u = upsample_flow(u, l0.rows(), l0.cols());
-
-    for (int w = 0; w < params.warps; ++w) {
-      const telemetry::TraceSpan warp_span("tvl1.warp");
-      const FlowField u0 = u;
-      const WarpResult wr = [&] {
-        const telemetry::TraceSpan span("tvl1.warp_gradients");
-        return warp_with_gradients(l1, u0);
-      }();
-      const ThresholdInputs in{l0,   wr.warped,     wr.grad, u0,
-                               u,    params.lambda, params.chambolle.theta};
-      const FlowField v = [&] {
-        const telemetry::TraceSpan span("tvl1.threshold");
-        return threshold_step(in);
-      }();
-
-      const auto result = [&] {
-        const telemetry::TraceSpan span("tvl1.chambolle_inner");
-        return accelerator.solve(v, params.chambolle);
-      }();
-      u = result.u;
-      device_cycles += result.stats.total_cycles;
-      ++solves;
-
-      if (params.median_filtering) {
-        const telemetry::TraceSpan span("tvl1.median_filter");
-        u = median_filter_flow(u);
-      }
-    }
-  }
+  const auto [p0, p1] =
+      build_pyramids(i0, i1, params.pyramid_levels, pool_for(params));
+  FlowField u = coarse_to_fine(
+      p0, p1, params, [&](const FlowField& v, int, int, FlowField& flow) {
+        auto result = [&] {
+          const telemetry::TraceSpan span("tvl1.chambolle_inner");
+          return accelerator.solve(v, params.chambolle);
+        }();
+        flow = std::move(result.u);
+        device_cycles += result.stats.total_cycles;
+        ++solves;
+      });
 
   if (stats != nullptr) {
     stats->device_cycles = device_cycles;

@@ -1,8 +1,10 @@
 #include "tvl1/pyramid.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 #include "grid/transfer.hpp"
+#include "parallel/thread_pool.hpp"
 
 namespace chambolle::tvl1 {
 
@@ -21,22 +23,65 @@ Image upsample_to(const Image& img, int rows, int cols) {
   return out;
 }
 
+Image normalize_frame(Image frame) {
+  for (float& v : frame) v *= (1.f / 255.f);
+  return frame;
+}
+
+namespace {
+
+// Rows [row_begin, row_end) of upsample_flow into a shaped `out`.
+void upsample_flow_rows(const FlowField& flow, FlowField& out, int row_begin,
+                        int row_end) {
+  const float scale_c =
+      static_cast<float>(out.cols()) / static_cast<float>(flow.cols());
+  const float scale_r =
+      static_cast<float>(out.rows()) / static_cast<float>(flow.rows());
+  grid::prolong_bilinear_rows(flow.u1, out.u1, row_begin, row_end);
+  grid::prolong_bilinear_rows(flow.u2, out.u2, row_begin, row_end);
+  for (int r = row_begin; r < row_end; ++r) {
+    float* u1 = &out.u1(r, 0);
+    float* u2 = &out.u2(r, 0);
+    for (int c = 0; c < out.cols(); ++c) {
+      u1[c] *= scale_c;
+      u2[c] *= scale_r;
+    }
+  }
+}
+
+void shape_upsample_target(const FlowField& flow, int rows, int cols,
+                           FlowField& out) {
+  if (rows <= 0 || cols <= 0)
+    throw std::invalid_argument("upsample_flow: empty target");
+  if (flow.rows() < 1 || flow.cols() < 1)
+    throw std::invalid_argument("upsample_flow: empty source");
+  if (out.u1.rows() != rows || out.u1.cols() != cols) out.u1.resize(rows, cols);
+  if (out.u2.rows() != rows || out.u2.cols() != cols) out.u2.resize(rows, cols);
+}
+
+}  // namespace
+
 FlowField upsample_flow(const FlowField& flow, int rows, int cols) {
   FlowField out;
-  const float scale_c = static_cast<float>(cols) / static_cast<float>(flow.cols());
-  const float scale_r = static_cast<float>(rows) / static_cast<float>(flow.rows());
-  out.u1 = upsample_to(flow.u1, rows, cols);
-  out.u2 = upsample_to(flow.u2, rows, cols);
-  for (float& v : out.u1) v *= scale_c;
-  for (float& v : out.u2) v *= scale_r;
+  shape_upsample_target(flow, rows, cols, out);
+  upsample_flow_rows(flow, out, 0, rows);
   return out;
 }
 
-Pyramid::Pyramid(const Image& base, int max_levels, int min_dim) {
+void upsample_flow_into(const FlowField& flow, int rows, int cols,
+                        FlowField& out, parallel::ThreadPool& pool, int lanes) {
+  shape_upsample_target(flow, rows, cols, out);
+  parallel::parallel_rows(pool, rows, cols, lanes, parallel::kStreamChunkCells,
+                          [&](int begin, int end) {
+                            upsample_flow_rows(flow, out, begin, end);
+                          });
+}
+
+Pyramid::Pyramid(Image base, int max_levels, int min_dim) {
   if (max_levels < 1) throw std::invalid_argument("Pyramid: max_levels < 1");
   if (base.rows() < 1 || base.cols() < 1)
     throw std::invalid_argument("Pyramid: empty base image");
-  levels_.push_back(base);
+  levels_.push_back(std::move(base));
   while (static_cast<int>(levels_.size()) < max_levels) {
     const Image& prev = levels_.back();
     if (grid::coarse_extent(prev.rows()) < min_dim ||

@@ -20,39 +20,26 @@ Matrix<float> residual(const ThresholdInputs& in) {
   Matrix<float> rho(in.i0.rows(), in.i0.cols());
   for (int r = 0; r < rho.rows(); ++r)
     for (int c = 0; c < rho.cols(); ++c)
-      rho(r, c) = in.i1_warped(r, c) +
-                  in.grad.gx(r, c) * (in.u.u1(r, c) - in.u0.u1(r, c)) +
-                  in.grad.gy(r, c) * (in.u.u2(r, c) - in.u0.u2(r, c)) -
-                  in.i0(r, c);
+      rho(r, c) = linearized_residual(
+          in.i1_warped(r, c), in.grad.gx(r, c), in.grad.gy(r, c),
+          in.u.u1(r, c) - in.u0.u1(r, c), in.u.u2(r, c) - in.u0.u2(r, c),
+          in.i0(r, c));
   return rho;
 }
 
 FlowField threshold_step(const ThresholdInputs& in) {
   check(in);
-  const Matrix<float> rho = residual(in);
   const float lt = in.lambda * in.theta;
   FlowField v(in.i0.rows(), in.i0.cols());
   for (int r = 0; r < v.rows(); ++r)
     for (int c = 0; c < v.cols(); ++c) {
       const float gx = in.grad.gx(r, c), gy = in.grad.gy(r, c);
-      const float g2 = gx * gx + gy * gy;
-      const float rh = rho(r, c);
-      float dx, dy;
-      if (rh < -lt * g2) {
-        dx = lt * gx;
-        dy = lt * gy;
-      } else if (rh > lt * g2) {
-        dx = -lt * gx;
-        dy = -lt * gy;
-      } else if (g2 > 1e-12f) {
-        dx = -rh * gx / g2;
-        dy = -rh * gy / g2;
-      } else {
-        dx = 0.f;  // textureless point: the data term gives no information
-        dy = 0.f;
-      }
-      v.u1(r, c) = in.u.u1(r, c) + dx;
-      v.u2(r, c) = in.u.u2(r, c) + dy;
+      const float rho = linearized_residual(
+          in.i1_warped(r, c), gx, gy, in.u.u1(r, c) - in.u0.u1(r, c),
+          in.u.u2(r, c) - in.u0.u2(r, c), in.i0(r, c));
+      const ThresholdStep d = threshold_split(rho, gx, gy, lt);
+      v.u1(r, c) = in.u.u1(r, c) + d.dx;
+      v.u2(r, c) = in.u.u2(r, c) + d.dy;
     }
   return v;
 }

@@ -25,6 +25,28 @@ struct ThresholdInputs {
   float theta;            ///< coupling
 };
 
+/// rho(u) at one pixel: the linearized residual I1w + <g, u - u0> - I0 with
+/// du = u - u0.  The one definition every thresholding path evaluates.
+inline float linearized_residual(float i1_warped, float gx, float gy,
+                                 float du1, float du2, float i0) {
+  return i1_warped + gx * du1 + gy * du2 - i0;
+}
+
+/// The displacement v - u the thresholding step applies at one pixel.
+struct ThresholdStep {
+  float dx, dy;
+};
+
+/// The three-way split above at one pixel, with lt = lambda * theta; a
+/// textureless pixel (|g|^2 <= 1e-12) inside the dead zone does not move.
+inline ThresholdStep threshold_split(float rho, float gx, float gy, float lt) {
+  const float g2 = gx * gx + gy * gy;
+  if (rho < -lt * g2) return {lt * gx, lt * gy};
+  if (rho > lt * g2) return {-lt * gx, -lt * gy};
+  if (g2 > 1e-12f) return {-rho * gx / g2, -rho * gy / g2};
+  return {0.f, 0.f};  // the data term gives no information
+}
+
 /// Evaluates rho(u) pointwise.
 [[nodiscard]] Matrix<float> residual(const ThresholdInputs& in);
 

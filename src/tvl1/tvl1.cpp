@@ -10,36 +10,19 @@
 #include "chambolle/solver.hpp"
 #include "common/stopwatch.hpp"
 #include "common/validation.hpp"
-#include "parallel/thread_pool.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
-#include "tvl1/median_filter.hpp"
+#include "tvl1/outer_loop.hpp"
 #include "tvl1/pyramid.hpp"
-#include "tvl1/threshold.hpp"
-#include "tvl1/warp.hpp"
 
 namespace chambolle::tvl1 {
 namespace {
 
-Image normalize(const Image& img) {
-  Image out = img;
-  for (float& v : out) v *= (1.f / 255.f);
-  return out;
-}
-
-// Pool the pipeline's parallel regions run on.  The tiled options carry the
-// injection point (TiledSolverOptions::pool) because the inner solves are
-// where almost all the parallel time goes; the pyramid builds ride on the
-// same pool so a serving engine slot never touches the shared default pool.
-parallel::ThreadPool& pool_for(const Tvl1Params& params) {
-  return params.tiled.pool != nullptr ? *params.tiled.pool
-                                      : parallel::default_pool();
-}
-
 // One Chambolle solve of a single component through the selected backend.
 // `out` receives the primal result; `scratch` persists across warps so the
 // reference path reuses its dual-field and output buffers instead of
-// allocating per frame (solve_into + the preallocated recover_u_into path).
+// allocating per frame (solve_into + the preallocated recover_u_into path),
+// and the resident path its dual write-back buffers.
 // `resident` is the component's persistent resident-tile engine (kResident
 // only): tile buffers survive across warps of a level, so the steady state
 // re-streams only v; it is rebuilt when the pyramid level changes shape.
@@ -70,17 +53,8 @@ long long inner_solve(const Matrix<float>& v, const Tvl1Params& params,
       }
       long long iters = params.chambolle.iterations;
       if (params.adaptive_stopping) {
-        ResidentAdaptiveOptions ao = params.adaptive;
-        if (ao.max_passes <= 0) {
-          // Same fixed-budget sentinel resolution as solve_resident_adaptive,
-          // remainder pass included.
-          const int merge = std::max(1, params.tiled.merge_iterations);
-          ao.max_passes =
-              std::max(1, (params.chambolle.iterations + merge - 1) / merge);
-          const int tail =
-              params.chambolle.iterations - (ao.max_passes - 1) * merge;
-          if (tail > 0 && tail < merge) ao.final_pass_iterations = tail;
-        }
+        const ResidentAdaptiveOptions ao = params.adaptive.resolved(
+            params.chambolle.iterations, params.tiled.merge_iterations);
         ResidentAdaptiveReport rep;
         if (params.multilevel.enabled()) {
           ResidentMultilevelOptions mo;
@@ -99,8 +73,8 @@ long long inner_solve(const Matrix<float>& v, const Tvl1Params& params,
       } else {
         resident->run(params.chambolle.iterations);
       }
-      ChambolleResult r = resident->result();
-      std::swap(out, r.u);
+      // The reference path's dual buffers double as the write-back target.
+      resident->result_into(out, scratch.p);
       return iters;
     }
     case InnerSolver::kFixed: {
@@ -124,7 +98,6 @@ FlowField flow_from_pyramids(const Pyramid& p0, const Pyramid& p1,
   double chambolle_seconds = 0.0;
   long long inner_iters = 0;
 
-  FlowField u;
   // Reused across every warp of every level: the reference inner solver's
   // dual state and primal output land in these buffers, so the steady state
   // of the pyramid loop stops allocating fresh frames per warp.
@@ -132,46 +105,18 @@ FlowField flow_from_pyramids(const Pyramid& p0, const Pyramid& p1,
   // kResident: one persistent engine per flow component; tile buffers stay
   // resident across warps (rebuilt only when the level changes shape).
   std::unique_ptr<ResidentTiledEngine> resident_u1, resident_u2;
-  for (int level = levels - 1; level >= 0; --level) {
-    const telemetry::TraceSpan level_span("tvl1.level");
-    const Image& l0 = p0.level(level);
-    const Image& l1 = p1.level(level);
-    if (level == levels - 1) {
-      u = FlowField(l0.rows(), l0.cols());
-    } else {
-      u = upsample_flow(u, l0.rows(), l0.cols());
-    }
-
-    for (int w = 0; w < params.warps; ++w) {
-      const telemetry::TraceSpan warp_span("tvl1.warp");
-      const FlowField u0 = u;
-      const WarpResult wr = [&] {
-        const telemetry::TraceSpan span("tvl1.warp_gradients");
-        return warp_with_gradients(l1, u0);
-      }();
-      const ThresholdInputs in{l0,   wr.warped,     wr.grad, u0,
-                               u,    params.lambda, params.chambolle.theta};
-      const FlowField v = [&] {
-        const telemetry::TraceSpan span("tvl1.threshold");
-        return threshold_step(in);
-      }();
-
-      total_clock.lap();  // exclude warp/threshold time from the inner figure
-      {
-        const telemetry::TraceSpan span("tvl1.chambolle_inner");
-        inner_iters += inner_solve(v.u1, params, u.u1, inner_scratch,
-                                   resident_u1);
-        inner_iters += inner_solve(v.u2, params, u.u2, inner_scratch,
-                                   resident_u2);
-      }
-      chambolle_seconds += total_clock.lap();
-
-      if (params.median_filtering) {
-        const telemetry::TraceSpan span("tvl1.median_filter");
-        u = median_filter_flow(u);
-      }
-    }
-  }
+  FlowField u = coarse_to_fine(
+      p0, p1, params, [&](const FlowField& v, int, int, FlowField& flow) {
+        total_clock.lap();  // the outer-loop stages are not inner time
+        {
+          const telemetry::TraceSpan span("tvl1.chambolle_inner");
+          inner_iters += inner_solve(v.u1, params, flow.u1, inner_scratch,
+                                     resident_u1);
+          inner_iters += inner_solve(v.u2, params, flow.u2, inner_scratch,
+                                     resident_u2);
+        }
+        chambolle_seconds += total_clock.lap();
+      });
 
   if (stats != nullptr) {
     stats->total_seconds = total_clock.seconds();
@@ -210,11 +155,9 @@ void Tvl1Params::validate() const {
     if (solver != InnerSolver::kResident)
       throw std::invalid_argument(
           "Tvl1Params: adaptive_stopping requires the resident solver");
-    // max_passes <= 0 is the "fixed budget" sentinel, resolved per solve;
-    // validate the rest.
-    ResidentAdaptiveOptions check = adaptive;
-    if (check.max_passes <= 0) check.max_passes = 1;
-    check.validate();
+    // max_passes <= 0 is the "fixed budget" sentinel, resolved per solve.
+    adaptive.resolved(chambolle.iterations, tiled.merge_iterations)
+        .validate();
   }
   if (multilevel.enabled()) {
     if (!adaptive_stopping)
@@ -242,19 +185,9 @@ FlowField compute_flow(const Image& i0, const Image& i1,
 
   // The two pyramids are independent; build them concurrently on the
   // session's pool (frame-rate service work, not worth a spawn).
-  std::optional<Pyramid> p0_storage, p1_storage;
-  pool_for(params).parallel_for(
-      2, 2, [&](std::size_t begin, std::size_t end, int) {
-        for (std::size_t i = begin; i < end; ++i) {
-          const telemetry::TraceSpan span("tvl1.pyramid");
-          if (i == 0)
-            p0_storage.emplace(normalize(i0), params.pyramid_levels);
-          else
-            p1_storage.emplace(normalize(i1), params.pyramid_levels);
-        }
-      });
-  return flow_from_pyramids(*p0_storage, *p1_storage, params, stats,
-                            total_clock);
+  const auto [p0, p1] =
+      build_pyramids(i0, i1, params.pyramid_levels, pool_for(params));
+  return flow_from_pyramids(p0, p1, params, stats, total_clock);
 }
 
 FlowField compute_flow(const Pyramid& p0, const Pyramid& p1,
@@ -285,7 +218,7 @@ std::optional<FlowField> FlowSession::push_frame(const Image& frame,
 
   Pyramid pyr = [&] {
     const telemetry::TraceSpan span("tvl1.pyramid");
-    return Pyramid(normalize(frame), params_.pyramid_levels);
+    return Pyramid(normalize_frame(frame), params_.pyramid_levels);
   }();
   if (!prev_.has_value()) {
     prev_.emplace(std::move(pyr));

@@ -1,25 +1,15 @@
 #include "tvl1/video_runner.hpp"
 
-#include <optional>
 #include <stdexcept>
+#include <utility>
 
 #include "common/validation.hpp"
-#include "parallel/thread_pool.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
-#include "tvl1/median_filter.hpp"
-#include "tvl1/pyramid.hpp"
-#include "tvl1/threshold.hpp"
-#include "tvl1/warp.hpp"
+#include "tvl1/outer_loop.hpp"
 
 namespace chambolle::tvl1 {
 namespace {
-
-Image normalize(const Image& img) {
-  Image out = img;
-  for (float& v : out) v *= (1.f / 255.f);
-  return out;
-}
 
 struct DualPair {
   FlowField u1;  ///< (px, py) of component u1
@@ -56,83 +46,38 @@ VideoRunnerResult run_video(const std::vector<Image>& frames,
     const telemetry::TraceSpan pair_span("video.frame_pair");
     // Both pyramids of the pair build concurrently on the resident pool —
     // per-frame host work must not spawn threads at video rate.
-    std::optional<Pyramid> p0_storage, p1_storage;
-    parallel::default_pool().parallel_for(
-        2, 2, [&](std::size_t begin, std::size_t end, int) {
-          for (std::size_t i = begin; i < end; ++i) {
-            const telemetry::TraceSpan span("tvl1.pyramid");
-            if (i == 0)
-              p0_storage.emplace(normalize(frames[pair]),
-                                 options.tvl1.pyramid_levels);
-            else
-              p1_storage.emplace(normalize(frames[pair + 1]),
-                                 options.tvl1.pyramid_levels);
+    const auto [p0, p1] =
+        build_pyramids(frames[pair], frames[pair + 1],
+                       options.tvl1.pyramid_levels, pool_for(options.tvl1));
+    FlowField flow = coarse_to_fine(
+        p0, p1, options.tvl1,
+        [&](const FlowField& v, int level, int w, FlowField& u) {
+          // Warm start: the FIRST finest-level solve of a pair reuses the
+          // PREVIOUS pair's final dual state (temporal coherence); within a
+          // pair the semantics stay identical to the cold pipeline.
+          hw::AcceleratorInitialDual init;
+          if (options.warm_start && level == 0 && w == 0 && carry.valid &&
+              carry.u1.rows() == v.rows() && carry.u1.cols() == v.cols()) {
+            init.u1_px = &carry.u1.u1;
+            init.u1_py = &carry.u1.u2;
+            init.u2_px = &carry.u2.u1;
+            init.u2_py = &carry.u2.u2;
+          }
+          auto solved = [&] {
+            const telemetry::TraceSpan span("tvl1.chambolle_inner");
+            return accel.solve(v, options.tvl1.chambolle, init);
+          }();
+          u = std::move(solved.u);
+          result.device_cycles += solved.stats.total_cycles;
+          ++result.solves;
+
+          if (level == 0 && w == options.tvl1.warps - 1) {
+            carry.u1 = std::move(solved.dual_u1);
+            carry.u2 = std::move(solved.dual_u2);
+            carry.valid = true;
           }
         });
-    const Pyramid& p0 = *p0_storage;
-    const Pyramid& p1 = *p1_storage;
-    const int levels = std::min(p0.levels(), p1.levels());
-
-    FlowField u;
-    for (int level = levels - 1; level >= 0; --level) {
-      const telemetry::TraceSpan level_span("tvl1.level");
-      const Image& l0 = p0.level(level);
-      const Image& l1 = p1.level(level);
-      if (level == levels - 1)
-        u = FlowField(l0.rows(), l0.cols());
-      else
-        u = upsample_flow(u, l0.rows(), l0.cols());
-
-      for (int w = 0; w < options.tvl1.warps; ++w) {
-        const telemetry::TraceSpan warp_span("tvl1.warp");
-        const FlowField u0 = u;
-        const WarpResult wr = [&] {
-          const telemetry::TraceSpan span("tvl1.warp_gradients");
-          return warp_with_gradients(l1, u0);
-        }();
-        const ThresholdInputs in{l0,
-                                 wr.warped,
-                                 wr.grad,
-                                 u0,
-                                 u,
-                                 options.tvl1.lambda,
-                                 options.tvl1.chambolle.theta};
-        const FlowField v = [&] {
-          const telemetry::TraceSpan span("tvl1.threshold");
-          return threshold_step(in);
-        }();
-
-        // Warm start: the FIRST finest-level solve of a pair reuses the
-        // PREVIOUS pair's final dual state (temporal coherence); within a
-        // pair the semantics stay identical to the cold pipeline.
-        hw::AcceleratorInitialDual init;
-        if (options.warm_start && level == 0 && w == 0 && carry.valid &&
-            carry.u1.rows() == l0.rows() && carry.u1.cols() == l0.cols()) {
-          init.u1_px = &carry.u1.u1;
-          init.u1_py = &carry.u1.u2;
-          init.u2_px = &carry.u2.u1;
-          init.u2_py = &carry.u2.u2;
-        }
-        const auto solved = [&] {
-          const telemetry::TraceSpan span("tvl1.chambolle_inner");
-          return accel.solve(v, options.tvl1.chambolle, init);
-        }();
-        u = solved.u;
-        result.device_cycles += solved.stats.total_cycles;
-        ++result.solves;
-
-        if (level == 0 && w == options.tvl1.warps - 1) {
-          carry.u1 = solved.dual_u1;
-          carry.u2 = solved.dual_u2;
-          carry.valid = true;
-        }
-        if (options.tvl1.median_filtering) {
-          const telemetry::TraceSpan span("tvl1.median_filter");
-          u = median_filter_flow(u);
-        }
-      }
-    }
-    result.flows.push_back(std::move(u));
+    result.flows.push_back(std::move(flow));
   }
   static telemetry::Counter& c_pairs =
       telemetry::registry().counter("video.frame_pairs");

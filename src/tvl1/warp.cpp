@@ -1,24 +1,11 @@
 #include "tvl1/warp.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
-namespace chambolle::tvl1 {
+#include "parallel/thread_pool.hpp"
 
-float sample_bilinear(const Image& img, float fr, float fc) {
-  const int r0 = static_cast<int>(std::floor(fr));
-  const int c0 = static_cast<int>(std::floor(fc));
-  const float wr = fr - static_cast<float>(r0);
-  const float wc = fc - static_cast<float>(c0);
-  const auto px = [&](int r, int c) {
-    r = std::clamp(r, 0, img.rows() - 1);
-    c = std::clamp(c, 0, img.cols() - 1);
-    return img(r, c);
-  };
-  return (1.f - wr) * ((1.f - wc) * px(r0, c0) + wc * px(r0, c0 + 1)) +
-         wr * ((1.f - wc) * px(r0 + 1, c0) + wc * px(r0 + 1, c0 + 1));
-}
+namespace chambolle::tvl1 {
 
 Image warp(const Image& img, const FlowField& flow) {
   if (flow.rows() != img.rows() || flow.cols() != img.cols())
@@ -31,11 +18,13 @@ Image warp(const Image& img, const FlowField& flow) {
   return out;
 }
 
-Gradients gradients(const Image& img) {
-  Gradients g{Matrix<float>(img.rows(), img.cols()),
-              Matrix<float>(img.rows(), img.cols())};
+namespace {
+
+// Central differences over rows [row_begin, row_end) of `g` (shaped).
+void gradient_rows(const Image& img, Gradients& g, int row_begin,
+                   int row_end) {
   const int R = img.rows(), C = img.cols();
-  for (int r = 0; r < R; ++r)
+  for (int r = row_begin; r < row_end; ++r)
     for (int c = 0; c < C; ++c) {
       const int cl = std::max(c - 1, 0), cr = std::min(c + 1, C - 1);
       const int ru = std::max(r - 1, 0), rd = std::min(r + 1, R - 1);
@@ -43,7 +32,26 @@ Gradients gradients(const Image& img) {
       g.gx(r, c) = (img(r, cr) - img(r, cl)) / static_cast<float>(cr - cl == 0 ? 1 : cr - cl);
       g.gy(r, c) = (img(rd, c) - img(ru, c)) / static_cast<float>(rd - ru == 0 ? 1 : rd - ru);
     }
+}
+
+}  // namespace
+
+Gradients gradients(const Image& img) {
+  Gradients g{Matrix<float>(img.rows(), img.cols()),
+              Matrix<float>(img.rows(), img.cols())};
+  gradient_rows(img, g, 0, img.rows());
   return g;
+}
+
+void gradients_into(const Image& img, Gradients& out, parallel::ThreadPool& pool,
+                    int lanes) {
+  if (!out.gx.same_shape(img)) out.gx.resize(img.rows(), img.cols());
+  if (!out.gy.same_shape(img)) out.gy.resize(img.rows(), img.cols());
+  parallel::parallel_rows(pool, img.rows(), img.cols(), lanes,
+                          parallel::kStreamChunkCells,
+                          [&](int begin, int end) {
+                            gradient_rows(img, out, begin, end);
+                          });
 }
 
 WarpResult warp_with_gradients(const Image& img, const FlowField& flow) {

@@ -1,0 +1,163 @@
+// Allocation budgets of the TV-L1 outer loop's hot path.  Its own executable
+// because it replaces the global operator new with a counting one: every
+// heap allocation of the process, on any thread, between two reads of the
+// counter is charged to the code run in between.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdlib>
+#include <new>
+#include <optional>
+#include <vector>
+
+#include "chambolle/resident_tiled.hpp"
+#include "common/rng.hpp"
+#include "parallel/thread_pool.hpp"
+#include "tvl1/pyramid.hpp"
+#include "tvl1/sweep.hpp"
+#include "tvl1/tvl1.hpp"
+#include "tvl1/warp.hpp"
+#include "workloads/sequence.hpp"
+
+namespace {
+
+std::atomic<long long> g_allocations{0};
+
+void* counted_alloc(std::size_t n) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+
+void* counted_aligned_alloc(std::size_t n, std::align_val_t al) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  const std::size_t a = static_cast<std::size_t>(al);
+  // aligned_alloc wants a size that is a multiple of the alignment.
+  if (void* p = std::aligned_alloc(a, (n + a - 1) / a * a)) return p;
+  throw std::bad_alloc();
+}
+
+}  // namespace
+
+void* operator new(std::size_t n) { return counted_alloc(n); }
+void* operator new[](std::size_t n) { return counted_alloc(n); }
+void* operator new(std::size_t n, std::align_val_t al) {
+  return counted_aligned_alloc(n, al);
+}
+void* operator new[](std::size_t n, std::align_val_t al) {
+  return counted_aligned_alloc(n, al);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+
+namespace chambolle::tvl1 {
+namespace {
+
+template <typename Fn>
+long long allocations_during(Fn&& fn) {
+  const long long before = g_allocations.load(std::memory_order_relaxed);
+  fn();
+  return g_allocations.load(std::memory_order_relaxed) - before;
+}
+
+TEST(OuterLoopAllocations, SweepAllocatesNothingOnceItsOutputIsShaped) {
+  parallel::ThreadPool pool(3);
+  Rng rng(1);
+  const Image i0 = random_image(rng, 252, 316, 0.f, 1.f);
+  const Image i1 = random_image(rng, 252, 316, 0.f, 1.f);
+  FlowField u(252, 316);
+  for (float& x : u.u1) x = rng.uniform(-2.f, 2.f);
+  Gradients grad;
+  FlowField v, fine;
+  // Shape the outputs and start the pool's workers.
+  gradients_into(i1, grad, pool, 3);
+  warp_threshold_into(i0, i1, grad, u, 25.f, 0.25f, v, pool, 3);
+  const FlowField coarse(126, 158);
+  upsample_flow_into(coarse, 252, 316, fine, pool, 3);
+  for (const int lanes : {1, 3}) {
+    EXPECT_EQ(allocations_during([&] {
+                for (int k = 0; k < 5; ++k)
+                  warp_threshold_into(i0, i1, grad, u, 25.f, 0.25f, v, pool,
+                                      lanes);
+              }),
+              0)
+        << "lanes=" << lanes;
+    EXPECT_EQ(allocations_during([&] { gradients_into(i1, grad, pool, lanes); }),
+              0)
+        << "lanes=" << lanes;
+    EXPECT_EQ(allocations_during([&] {
+                upsample_flow_into(coarse, 252, 316, fine, pool, lanes);
+              }),
+              0)
+        << "lanes=" << lanes;
+  }
+}
+
+TEST(OuterLoopAllocations, ResidentResultIntoAllocatesNothingOnceShaped) {
+  parallel::ThreadPool pool(3);
+  Rng rng(2);
+  const Matrix<float> v = random_image(rng, 252, 316, -1.f, 1.f);
+  TiledSolverOptions opts;
+  opts.tile_rows = 88;
+  opts.tile_cols = 92;
+  opts.merge_iterations = 4;
+  opts.pool = &pool;
+  ResidentTiledEngine engine(v, ChambolleParams{0.25f, 0.0625f, 8}, opts);
+  engine.run(8);
+  Matrix<float> u(252, 316);
+  DualField duals(252, 316);
+  EXPECT_EQ(allocations_during([&] {
+              for (int k = 0; k < 5; ++k) engine.result_into(u, duals);
+            }),
+            0);
+}
+
+// The steady state of the benchmark's single-stream configuration: the
+// paper's 316 x 252 frame, the resident engine with the 88 x 92 window,
+// 4 levels x 5 warps x 30 iterations, three lanes.  Measured: 1578
+// allocations per frame — about 1.1k for the eight per-level engine builds
+// (tile buffers, mailboxes, epoch graph; ~424 for each finest-level engine),
+// 12 per inner solve for the engine's per-run scratch (40 solves), and the
+// new frame's pyramid plus the per-level flow, support-field and gradient
+// buffers.  The outer-loop temporaries and result() write-backs the fused
+// sweep removed cost at least 8 more per warp (160 per frame), which this
+// bound would catch.
+constexpr long long kPushFrameAllocationBound = 1700;
+
+TEST(OuterLoopAllocations, SteadyStateFlowSessionFrameStaysUnderItsBound) {
+  parallel::ThreadPool pool(3);
+  Tvl1Params p;
+  p.solver = InnerSolver::kResident;
+  p.tiled.tile_rows = 88;
+  p.tiled.tile_cols = 92;
+  p.tiled.merge_iterations = 4;
+  p.tiled.pool = &pool;
+  workloads::SequenceParams sp;
+  sp.frames = 4;
+  const workloads::VideoSequence seq = workloads::make_sequence(252, 316, sp);
+  FlowSession session(p);
+  (void)session.push_frame(seq.frames[0]);
+  (void)session.push_frame(seq.frames[1]);  // warm: workers, kernel dispatch
+  for (std::size_t f = 2; f < seq.frames.size(); ++f) {
+    std::optional<FlowField> flow;
+    const long long n =
+        allocations_during([&] { flow = session.push_frame(seq.frames[f]); });
+    ASSERT_TRUE(flow.has_value());
+    EXPECT_LE(n, kPushFrameAllocationBound) << "frame " << f;
+    RecordProperty("allocations_frame_" + std::to_string(f),
+                   static_cast<int>(n));
+  }
+}
+
+}  // namespace
+}  // namespace chambolle::tvl1

@@ -130,6 +130,30 @@ TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {
   }
 }
 
+TEST(ThreadPool, ElasticRegionsInterleaveWithFullTeams) {
+  // parallel_for returns once its range is drained and the workers that
+  // joined are done; a worker waking after that must skip the closed
+  // region and still take its lane in the next full run_team.  Thousands of
+  // tiny regions make late wake-ups common.
+  ThreadPool pool(4);
+  for (int round = 0; round < 2000; ++round) {
+    std::atomic<int> items{0};
+    pool.parallel_for(3, 4, [&](std::size_t begin, std::size_t end, int lane) {
+      EXPECT_LT(lane, 4);
+      items.fetch_add(static_cast<int>(end - begin));
+    });
+    ASSERT_EQ(items.load(), 3);
+    if (round % 10 == 0) {
+      std::atomic<int> lanes_seen{0};
+      pool.run_team(4, [&](int, int, Barrier& barrier) {
+        lanes_seen.fetch_add(1);
+        barrier.arrive_and_wait();
+      });
+      ASSERT_EQ(lanes_seen.load(), 4);
+    }
+  }
+}
+
 TEST(ThreadPool, ParallelForEmptyRangeIsANoOp) {
   ThreadPool pool(2);
   bool called = false;

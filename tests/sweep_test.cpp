@@ -1,0 +1,241 @@
+// The fused warp -> threshold sweep and the row-parallel outer-loop stages
+// around it, each checked bit for bit against its serial reference.
+#include "tvl1/sweep.hpp"
+
+#include <gtest/gtest.h>
+
+#include <cmath>
+#include <cstring>
+#include <string>
+
+#include "chambolle/resident_tiled.hpp"
+#include "chambolle/solver.hpp"
+#include "common/rng.hpp"
+#include "parallel/thread_pool.hpp"
+#include "tvl1/pyramid.hpp"
+#include "tvl1/threshold.hpp"
+#include "tvl1/tvl1.hpp"
+#include "tvl1/warp.hpp"
+
+namespace chambolle::tvl1 {
+namespace {
+
+bool same_bits(const Matrix<float>& a, const Matrix<float>& b) {
+  return a.same_shape(b) &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.size() * sizeof(float)) == 0;
+}
+
+// Log-uniform extent in [2, 512].
+int log_uniform_extent(Rng& rng) {
+  return static_cast<int>(
+      std::lround(std::exp(rng.uniform(std::log(2.f), std::log(512.f)))));
+}
+
+TEST(WarpThresholdSweep, MatchesReferenceStagesOnSeededShapes) {
+  parallel::ThreadPool pool(4);
+  constexpr std::uint64_t kBaseSeed = 0x5eedull;
+  long long textureless = 0, clamped = 0, cells = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    const std::uint64_t seed = kBaseSeed + static_cast<std::uint64_t>(trial);
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    Rng rng(seed);
+    const int rows = log_uniform_extent(rng), cols = log_uniform_extent(rng);
+    const Image i0 = random_image(rng, rows, cols, 0.f, 1.f);
+    Image i1 = random_image(rng, rows, cols, 0.f, 1.f);
+    Image i0p = i0;
+    FlowField u(rows, cols);
+    const float far = 2.f * static_cast<float>(rows + cols);
+    for (int r = 0; r < rows; ++r)
+      for (int c = 0; c < cols; ++c) {
+        // One pixel in ten points far outside the frame (the clamp path).
+        const bool out = rng.uniform(0.f, 1.f) < 0.1f;
+        u.u1(r, c) = out ? rng.uniform(-far, far) : rng.uniform(-3.f, 3.f);
+        u.u2(r, c) = out ? rng.uniform(-far, far) : rng.uniform(-3.f, 3.f);
+      }
+    // A textureless patch: flat (or nearly flat, |g|^2 ~ 1e-14) in both
+    // frames at one level, zero flow inside, so rho == 0 meets g2 <= 1e-12.
+    const int pr = rng.uniform_int(0, rows - 1), pc = rng.uniform_int(0, cols - 1);
+    const int ph = rng.uniform_int(1, rows - pr), pw = rng.uniform_int(1, cols - pc);
+    const float level = rng.uniform(0.f, 1.f);
+    const float ramp = trial % 2 == 0 ? 0.f : 1e-7f;
+    for (int r = pr; r < pr + ph; ++r)
+      for (int c = pc; c < pc + pw; ++c) {
+        i1(r, c) = level + ramp * static_cast<float>(c);
+        i0p(r, c) = level;
+        u.u1(r, c) = 0.f;
+        u.u2(r, c) = 0.f;
+      }
+    const float lambda = rng.uniform(1.f, 50.f);
+    const float theta = rng.uniform(0.05f, 0.5f);
+
+    const WarpResult wr = warp_with_gradients(i1, u);
+    const FlowField want = threshold_step(
+        ThresholdInputs{i0p, wr.warped, wr.grad, u, u, lambda, theta});
+    FlowField got;
+    const int lanes = rng.uniform_int(1, 4);
+    warp_threshold_into(i0p, i1, gradients(i1), u, lambda, theta, got, pool,
+                        lanes);
+    ASSERT_TRUE(same_bits(got.u1, want.u1))
+        << rows << "x" << cols << " lanes=" << lanes;
+    ASSERT_TRUE(same_bits(got.u2, want.u2))
+        << rows << "x" << cols << " lanes=" << lanes;
+
+    for (int r = 0; r < rows; ++r)
+      for (int c = 0; c < cols; ++c) {
+        const float gx = wr.grad.gx(r, c), gy = wr.grad.gy(r, c);
+        if (gx * gx + gy * gy <= 1e-12f) ++textureless;
+        const float fr = static_cast<float>(r) + u.u2(r, c);
+        const float fc = static_cast<float>(c) + u.u1(r, c);
+        if (fr < 0.f || fc < 0.f || fr > static_cast<float>(rows - 1) ||
+            fc > static_cast<float>(cols - 1))
+          ++clamped;
+      }
+    cells += static_cast<long long>(rows) * cols;
+  }
+  // The sweep of paths this property is meant to cover was exercised.
+  EXPECT_GT(textureless, 0);
+  EXPECT_GT(clamped, cells / 20);
+}
+
+TEST(ThresholdSplit, NearTexturelessPointInsideTheDeadZoneDoesNotMove) {
+  // |g|^2 = 1e-14 is below the 1e-12 cut: the middle branch's rho/|g|^2
+  // would otherwise fling the point by 1e-13 per 1e-20 of residual.
+  const ThresholdStep d = threshold_split(1e-20f, 1e-7f, 0.f, 6.25f);
+  EXPECT_EQ(d.dx, 0.f);
+  EXPECT_EQ(d.dy, 0.f);
+  const ThresholdStep m = threshold_split(1e-3f, 0.1f, 0.f, 6.25f);
+  EXPECT_FLOAT_EQ(m.dx, -1e-3f * 0.1f / 0.01f);  // the middle branch
+  const ThresholdStep lo = threshold_split(-1.f, 0.1f, 0.2f, 6.25f);
+  EXPECT_EQ(lo.dx, 6.25f * 0.1f);
+  EXPECT_EQ(lo.dy, 6.25f * 0.2f);
+}
+
+TEST(WarpThresholdSweep, ReusesAShapedOutputAndRejectsBadInputs) {
+  parallel::ThreadPool pool(2);
+  Rng rng(77);
+  const Image i0 = random_image(rng, 40, 30, 0.f, 1.f);
+  const Image i1 = random_image(rng, 40, 30, 0.f, 1.f);
+  const Gradients g = gradients(i1);
+  const FlowField u(40, 30);
+  FlowField v(40, 30);
+  const float* storage = v.u1.data().data();
+  warp_threshold_into(i0, i1, g, u, 25.f, 0.25f, v, pool, 2);
+  EXPECT_EQ(v.u1.data().data(), storage);  // written in place
+
+  EXPECT_THROW(warp_threshold_into(i0, Image(40, 31), g, u, 25.f, 0.25f, v,
+                                   pool, 2),
+               std::invalid_argument);
+  EXPECT_THROW(warp_threshold_into(i0, i1, g, FlowField(39, 30), 25.f, 0.25f,
+                                   v, pool, 2),
+               std::invalid_argument);
+  EXPECT_THROW(warp_threshold_into(i0, i1, g, u, 0.f, 0.25f, v, pool, 2),
+               std::invalid_argument);
+  EXPECT_THROW(warp_threshold_into(i0, i1, g, u, 25.f, -1.f, v, pool, 2),
+               std::invalid_argument);
+}
+
+TEST(OuterLoopStages, GradientsIntoMatchesGradients) {
+  parallel::ThreadPool pool(4);
+  Rng rng(101);
+  for (const auto& [rows, cols] : {std::pair{2, 2}, {1, 7}, {33, 5}, {130, 150},
+                                  {252, 316}}) {
+    const Image img = random_image(rng, rows, cols, 0.f, 1.f);
+    const Gradients want = gradients(img);
+    for (int lanes = 1; lanes <= 4; ++lanes) {
+      Gradients got;
+      gradients_into(img, got, pool, lanes);
+      EXPECT_TRUE(same_bits(got.gx, want.gx)) << rows << "x" << cols;
+      EXPECT_TRUE(same_bits(got.gy, want.gy)) << rows << "x" << cols;
+    }
+  }
+}
+
+TEST(OuterLoopStages, UpsampleFlowIntoMatchesUpsampleFlow) {
+  parallel::ThreadPool pool(4);
+  Rng rng(202);
+  for (const auto& [rows, cols] : {std::pair{3, 2}, {63, 79}, {126, 158},
+                                  {252, 316}}) {
+    FlowField coarse;
+    coarse.u1 = random_image(rng, (rows + 1) / 2, (cols + 1) / 2, -4.f, 4.f);
+    coarse.u2 = random_image(rng, (rows + 1) / 2, (cols + 1) / 2, -4.f, 4.f);
+    const FlowField want = upsample_flow(coarse, rows, cols);
+    for (int lanes = 1; lanes <= 4; ++lanes) {
+      FlowField got;
+      upsample_flow_into(coarse, rows, cols, got, pool, lanes);
+      upsample_flow_into(coarse, rows, cols, got, pool, lanes);  // shaped
+      EXPECT_TRUE(same_bits(got.u1, want.u1)) << rows << "x" << cols;
+      EXPECT_TRUE(same_bits(got.u2, want.u2)) << rows << "x" << cols;
+    }
+  }
+}
+
+TEST(OuterLoopStages, ParallelRecoveryMatchesSerialSnapshotAndRecovery) {
+  parallel::ThreadPool pool(4);
+  Rng rng(303);
+  // Two row chunks of the streaming passes.
+  const Matrix<float> v = random_image(rng, 261, 301, -2.f, 2.f);
+  const ChambolleParams params{0.25f, 0.0625f, 10};
+  for (const auto& [tile_rows, tile_cols] : {std::pair{24, 20}, {40, 44},
+                                             {261, 301}}) {
+    for (int lanes = 1; lanes <= 4; ++lanes) {
+      SCOPED_TRACE(std::to_string(tile_rows) + "x" + std::to_string(tile_cols) +
+                   " lanes=" + std::to_string(lanes));
+      TiledSolverOptions opts;
+      opts.tile_rows = tile_rows;
+      opts.tile_cols = tile_cols;
+      opts.merge_iterations = 4;
+      opts.pool = &pool;
+      opts.num_threads = lanes;
+      ResidentTiledEngine engine(v, params, opts);
+      engine.run(params.iterations);
+
+      // The serial write-back + recovery result() used to run.
+      const ChambolleResult want = solve(v, params);
+      const ChambolleResult full = engine.result();
+      EXPECT_TRUE(same_bits(full.p.px, want.p.px));
+      EXPECT_TRUE(same_bits(full.p.py, want.p.py));
+      EXPECT_TRUE(same_bits(full.u, want.u));
+      Matrix<float> u;
+      DualField duals;
+      engine.result_into(u, duals);
+      EXPECT_TRUE(same_bits(u, want.u));
+      EXPECT_TRUE(same_bits(duals.px, want.p.px));
+      engine.run(2);  // the reused buffers follow the state
+      engine.result_into(u, duals);
+      EXPECT_TRUE(same_bits(u, engine.result().u));
+    }
+  }
+}
+
+TEST(OuterLoopStages, FixedBudgetSentinelResolvesToTheFixedSchedule) {
+  ResidentAdaptiveOptions a;
+  a.max_passes = 0;
+  for (const auto& [iterations, merge] :
+       {std::pair{30, 4}, {28, 4}, {1, 4}, {5, 1}, {7, 0}}) {
+    const ResidentAdaptiveOptions r = a.resolved(iterations, merge);
+    const int m = std::max(1, merge);
+    EXPECT_EQ(r.max_passes, (iterations + m - 1) / m);
+    const int tail = iterations - (r.max_passes - 1) * m;
+    EXPECT_EQ(r.final_pass_iterations, tail < m ? tail : 0)
+        << iterations << "/" << merge;
+    EXPECT_NO_THROW(r.validate());
+  }
+  a.max_passes = 3;
+  a.final_pass_iterations = 1;
+  const ResidentAdaptiveOptions kept = a.resolved(30, 4);
+  EXPECT_EQ(kept.max_passes, 3);
+  EXPECT_EQ(kept.final_pass_iterations, 1);
+}
+
+TEST(OuterLoopStages, PyramidTakesARvalueBaseWithoutACopy) {
+  Image base = normalize_frame(Image(40, 36, 255.f));
+  EXPECT_EQ(base(3, 4), 1.f);
+  const float* storage = base.data().data();
+  const Pyramid pyr(std::move(base), 3);
+  EXPECT_EQ(pyr.level(0).data().data(), storage);
+  EXPECT_EQ(pyr.levels(), 2);  // 40x36 -> 20x18; 10x9 is below min_dim
+}
+
+}  // namespace
+}  // namespace chambolle::tvl1

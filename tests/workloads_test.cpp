@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "tvl1/warp.hpp"
 #include "workloads/metrics.hpp"
 
@@ -36,8 +38,16 @@ TEST(Synthetic, TranslationGroundTruthIsConstant) {
 
 // The fundamental consistency property of every workload: warping frame1 by
 // the ground-truth flow reproduces frame0 (up to interpolation error).
-class WorkloadConsistency
-    : public ::testing::TestWithParam<FlowWorkload (*)(int, int)> {};
+// The parameter prints as its name, so the test names do not depend on where
+// the factory functions land in memory.
+struct WorkloadKind {
+  const char* name;
+  FlowWorkload (*make)(int, int);
+};
+
+void PrintTo(const WorkloadKind& kind, std::ostream* os) { *os << kind.name; }
+
+class WorkloadConsistency : public ::testing::TestWithParam<WorkloadKind> {};
 
 FlowWorkload make_translate(int r, int c) {
   return translating_scene(r, c, 2.2f, -1.3f);
@@ -46,7 +56,7 @@ FlowWorkload make_rotate(int r, int c) { return rotating_scene(r, c, 0.05f); }
 FlowWorkload make_zoom(int r, int c) { return zooming_scene(r, c, 1.04f); }
 
 TEST_P(WorkloadConsistency, WarpByGroundTruthRecoversFrame0) {
-  const FlowWorkload wl = GetParam()(48, 48);
+  const FlowWorkload wl = GetParam().make(48, 48);
   const Image rewarped = tvl1::warp(wl.frame1, wl.ground_truth);
   // Ignore a border band: clamping makes the edges unreliable.
   double max_err = 0.0;
@@ -57,9 +67,11 @@ TEST_P(WorkloadConsistency, WarpByGroundTruthRecoversFrame0) {
   EXPECT_LT(max_err, 1.5);
 }
 
-INSTANTIATE_TEST_SUITE_P(Kinds, WorkloadConsistency,
-                         ::testing::Values(&make_translate, &make_rotate,
-                                           &make_zoom));
+INSTANTIATE_TEST_SUITE_P(
+    Kinds, WorkloadConsistency,
+    ::testing::Values(WorkloadKind{"translate", &make_translate},
+                      WorkloadKind{"rotate", &make_rotate},
+                      WorkloadKind{"zoom", &make_zoom}));
 
 TEST(Synthetic, RotationFlowIsTangential) {
   const FlowWorkload wl = rotating_scene(21, 21, 0.1f);

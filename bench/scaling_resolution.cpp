@@ -109,7 +109,7 @@ RunOutcome run_engine(Mode mode, const Image& v, const ChambolleParams& params,
         ml.adaptive.max_passes = kChunk;
         ml.multilevel.period = 2;
         ml.multilevel.levels = 1;
-        out.coarse_solves += engine.run_multilevel(ml).coarse_solves;
+        out.coarse_solves += engine.run_multilevel(ml).front().coarse_solves;
         break;
       }
     }

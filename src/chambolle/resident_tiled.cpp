@@ -1,8 +1,10 @@
 #include "chambolle/resident_tiled.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "chambolle/multilevel.hpp"
@@ -39,65 +41,125 @@ struct ResidentTiledEngine::Mailbox {
   std::vector<float> slot[2];
 };
 
+/// One node's record over an adaptive or multilevel run.  Only the lane that
+/// claimed the node's current pass touches it, and claims of successive
+/// passes are ordered by the epoch release/acquire chain, so plain fields
+/// are safe even under work stealing; the rendezvous reads them in its
+/// exclusive window.
+struct ResidentTiledEngine::NodeRun {
+  int passes = 0;           ///< passes executed
+  int streak = 0;           ///< consecutive under-tolerance passes
+  int stolen = 0;           ///< passes run off the preferred lane
+  float residual = 0.f;     ///< the last pass's residual
+  bool ran_final = false;   ///< executed the cap's final (truncated) pass
+};
+
+namespace {
+
+// Every cell is some tile's profitable cell, so the write-back and the
+// recovery overwrite their whole output: reshape without clearing when the
+// shape already fits.
+void shape(Matrix<float>& m, int rows, int cols) {
+  if (m.rows() != rows || m.cols() != cols) m.resize(rows, cols);
+}
+
+/// Copies tile `s`'s profitable window of its buffer `buf` into the frame.
+void copy_profitable(const Matrix<float>& buf, const TileSpec& s,
+                     Matrix<float>& frame) {
+  kernels::copy_rect(buf, s.prof_row0 - s.buf_row0, s.prof_col0 - s.buf_col0,
+                     frame, s.prof_row0, s.prof_col0, s.prof_rows, s.prof_cols);
+}
+
+/// The one-element spans of the single-field overloads.
+ResidentTiledEngine::DualFields one_or_none(const DualField* const& initial) {
+  return initial != nullptr ? ResidentTiledEngine::DualFields(&initial, 1)
+                            : ResidentTiledEngine::DualFields();
+}
+
+}  // namespace
+
+ResidentTiledEngine::ResidentTiledEngine(Fields inputs,
+                                         const ChambolleParams& params,
+                                         const TiledSolverOptions& options,
+                                         DualFields initial)
+    : params_(params), options_(options) {
+  params_.validate();
+  options_.validate();
+  if (inputs.empty() || inputs[0] == nullptr)
+    throw std::invalid_argument("ResidentTiledEngine: no input field");
+  plan_ = make_tiling(inputs[0]->rows(), inputs[0]->cols(),
+                      options_.tile_rows, options_.tile_cols,
+                      options_.merge_iterations);
+  fields_ = static_cast<int>(inputs.size());
+  check_inputs(inputs, initial, "ResidentTiledEngine");
+
+  const int k = fields_;
+  const int n = tiles_per_field();
+  // resize() value-initializes: the zero dual start of Algorithm 1, unless
+  // load_inputs() copies `initial` over it.
+  tiles_.resize(static_cast<std::size_t>(n * k));
+  for (int f = 0; f < k; ++f) {
+    for (int t = 0; t < n; ++t) {
+      const TileSpec& s = plan_.tiles[t];
+      TileBuffers& b = tiles_[node_of(f, t)];
+      b.v.resize(s.buf_rows, s.buf_cols);
+      b.px.resize(s.buf_rows, s.buf_cols);
+      b.py.resize(s.buf_rows, s.buf_cols);
+    }
+  }
+  load_inputs(inputs, initial);
+
+  const std::vector<HaloEdge> edges = make_halo_edges(plan_);
+  edges_per_field_ = edges.size();
+  in_edges_.assign(plan_.tiles.size(), {});
+  out_edges_.assign(plan_.tiles.size(), {});
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    out_edges_[edges[i].src].push_back(static_cast<int>(i));
+    in_edges_[edges[i].dst].push_back(static_cast<int>(i));
+  }
+  mail_.reserve(edges.size() * static_cast<std::size_t>(k));
+  for (int f = 0; f < k; ++f) {
+    for (const HaloEdge& e : edges) {
+      Mailbox m;
+      m.edge = e;
+      const TileSpec& s = plan_.tiles[e.src];
+      const TileSpec& d = plan_.tiles[e.dst];
+      m.src_r0 = e.row0 - s.buf_row0;
+      m.src_c0 = e.col0 - s.buf_col0;
+      m.dst_r0 = e.row0 - d.buf_row0;
+      m.dst_c0 = e.col0 - d.buf_col0;
+      m.slot[0].resize(2 * e.elements());
+      m.slot[1].resize(2 * e.elements());
+      mail_.push_back(std::move(m));
+    }
+  }
+  // The halo-edge relation is symmetric (tile_test asserts it), so the
+  // published adjacency doubles as the wait set: a tile waits exactly on
+  // the tiles it exchanges strips with.  Fields exchange nothing, so the
+  // graph is K disjoint copies of the tile graph.
+  std::vector<std::vector<int>> adjacency(tiles_.size());
+  for (int f = 0; f < k; ++f)
+    for (const HaloEdge& e : edges)
+      adjacency[node_of(f, e.src)].push_back(node_of(f, e.dst));
+  graph_ = std::make_unique<parallel::EpochGraph>(std::move(adjacency));
+
+  frozen_pass_ = std::vector<std::atomic<int>>(tiles_.size());
+  clear_frozen();
+
+  stats_.tiles = tiles_.size();
+  stats_.halo_elements_per_pass =
+      halo_exchange_elements(edges) * static_cast<std::size_t>(k);
+  static telemetry::Counter& c_builds =
+      telemetry::registry().counter("tiles.engine_builds");
+  c_builds.add(1);
+}
+
 ResidentTiledEngine::ResidentTiledEngine(const Matrix<float>& v,
                                          const ChambolleParams& params,
                                          const TiledSolverOptions& options,
                                          const DualField* initial)
-    : params_(params), options_(options), frame_v_(v) {
-  params_.validate();
-  options_.validate();
-  if (initial != nullptr &&
-      (!initial->px.same_shape(v) || !initial->py.same_shape(v)))
-    throw std::invalid_argument(
-        "ResidentTiledEngine: initial dual shape mismatch");
-  plan_ = make_tiling(v.rows(), v.cols(), options_.tile_rows,
-                      options_.tile_cols, options_.merge_iterations);
-
-  const int n = static_cast<int>(plan_.tiles.size());
-  tiles_.resize(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    const TileSpec& t = plan_.tiles[i];
-    TileBuffers& b = tiles_[static_cast<std::size_t>(i)];
-    b.v.resize(t.buf_rows, t.buf_cols);
-    kernels::copy_rect(v, t.buf_row0, t.buf_col0, b.v, 0, 0, t.buf_rows,
-                       t.buf_cols);
-  }
-  load_duals(initial);
-
-  const std::vector<HaloEdge> edges = make_halo_edges(plan_);
-  mail_.reserve(edges.size());
-  in_edges_.assign(static_cast<std::size_t>(n), {});
-  out_edges_.assign(static_cast<std::size_t>(n), {});
-  std::vector<std::vector<int>> adjacency(static_cast<std::size_t>(n));
-  for (const HaloEdge& e : edges) {
-    Mailbox m;
-    m.edge = e;
-    const TileSpec& s = plan_.tiles[static_cast<std::size_t>(e.src)];
-    const TileSpec& d = plan_.tiles[static_cast<std::size_t>(e.dst)];
-    m.src_r0 = e.row0 - s.buf_row0;
-    m.src_c0 = e.col0 - s.buf_col0;
-    m.dst_r0 = e.row0 - d.buf_row0;
-    m.dst_c0 = e.col0 - d.buf_col0;
-    m.slot[0].resize(2 * e.elements());
-    m.slot[1].resize(2 * e.elements());
-    const int idx = static_cast<int>(mail_.size());
-    mail_.push_back(std::move(m));
-    out_edges_[static_cast<std::size_t>(e.src)].push_back(idx);
-    in_edges_[static_cast<std::size_t>(e.dst)].push_back(idx);
-    adjacency[static_cast<std::size_t>(e.src)].push_back(e.dst);
-  }
-  // The halo-edge relation is symmetric (tile_test asserts it), so the
-  // published adjacency doubles as the wait set: a tile waits exactly on
-  // the tiles it exchanges strips with.
-  graph_ = std::make_unique<parallel::EpochGraph>(std::move(adjacency));
-
-  frozen_pass_ = std::vector<std::atomic<int>>(static_cast<std::size_t>(n));
-  for (std::atomic<int>& f : frozen_pass_)
-    f.store(-1, std::memory_order_relaxed);
-
-  stats_.tiles = plan_.tiles.size();
-  stats_.halo_elements_per_pass = halo_exchange_elements(edges);
-}
+    : ResidentTiledEngine(Fields(std::array<const Matrix<float>*, 1>{&v}),
+                          params, options, one_or_none(initial)) {}
 
 ResidentTiledEngine::~ResidentTiledEngine() = default;
 
@@ -125,13 +187,15 @@ ResidentAdaptiveOptions ResidentAdaptiveOptions::resolved(
   return out;
 }
 
-void ResidentTiledEngine::gather_halos(std::size_t ti, int g) {
+void ResidentTiledEngine::gather_halos(int node, int g) {
   // The incoming rectangles partition the halo exactly, so after this loop
   // the whole buffer holds the neighbors' post-pass-(g-1) state.
-  TileBuffers& b = tiles_[ti];
+  TileBuffers& b = tiles_[node];
+  const int f = field_of(node);
+  const Mailbox* mail = mailboxes(f);
   const telemetry::ProfScope prof(telemetry::LaneCause::kMailbox);
-  for (const int mi : in_edges_[ti]) {
-    const Mailbox& m = mail_[static_cast<std::size_t>(mi)];
+  for (const int mi : in_edges_[tile_of(node)]) {
+    const Mailbox& m = mail[mi];
     // A live neighbor's post-pass-(g-1) strips sit at parity (g-1).  A
     // neighbor retired at pass f stopped publishing: its final strips sit at
     // parity f, so read that slot once f < g-1.  Visibility: the marker is
@@ -144,9 +208,9 @@ void ResidentTiledEngine::gather_halos(std::size_t ti, int g) {
     // before our pass became ready — so the slot actually read, and hence
     // the numeric result, is schedule-independent.
     int src_pass = g - 1;
-    const int f = frozen_pass_[static_cast<std::size_t>(m.edge.src)].load(
-        std::memory_order_acquire);
-    if (f >= 0) src_pass = std::min(src_pass, f);
+    const int frozen =
+        frozen_pass_[node_of(f, m.edge.src)].load(std::memory_order_acquire);
+    if (frozen >= 0) src_pass = std::min(src_pass, frozen);
     const float* strip = m.slot[src_pass & 1].data();
     kernels::scatter_rect(strip, b.px, m.dst_r0, m.dst_c0, m.edge.rows,
                           m.edge.cols);
@@ -155,13 +219,14 @@ void ResidentTiledEngine::gather_halos(std::size_t ti, int g) {
   }
 }
 
-void ResidentTiledEngine::publish_strips(std::size_t ti, int g) {
+void ResidentTiledEngine::publish_strips(int node, int g) {
   // Profitable cells only, hence exact.  Publishing on the final pass too
   // keeps the mailboxes coherent for a later run() on the resident state.
-  TileBuffers& b = tiles_[ti];
+  const TileBuffers& b = tiles_[node];
+  Mailbox* mail = mailboxes(field_of(node));
   const telemetry::ProfScope prof(telemetry::LaneCause::kMailbox);
-  for (const int mi : out_edges_[ti]) {
-    Mailbox& m = mail_[static_cast<std::size_t>(mi)];
+  for (const int mi : out_edges_[tile_of(node)]) {
+    Mailbox& m = mail[mi];
     float* strip = m.slot[g & 1].data();
     kernels::gather_rect(b.px, m.src_r0, m.src_c0, m.edge.rows, m.edge.cols,
                          strip);
@@ -170,7 +235,30 @@ void ResidentTiledEngine::publish_strips(std::size_t ti, int g) {
   }
 }
 
-void ResidentTiledEngine::mark_frozen(std::size_t ti, int g) {
+void ResidentTiledEngine::kernel_pass(int node, int iterations,
+                                      Matrix<float>& scratch, float* residual) {
+  const int t = tile_of(node);
+  if (fault_hook_) fault_hook_(field_of(node), t);
+  const TileSpec& s = plan_.tiles[t];
+  TileBuffers& b = tiles_[node];
+  const RegionGeometry geom{s.buf_row0, s.buf_col0, plan_.frame_rows,
+                            plan_.frame_cols};
+  // Timed by hand (not ProfScope) because the per-tile attribution needs
+  // the same measurement twice; no clock is read without a session.  Tiles
+  // of every field share their tile's slot.
+  const bool prof = telemetry::profiler_active();
+  const std::uint64_t k0 = prof ? telemetry::detail::trace_now_ns() : 0;
+  kernels::iterate_region_fused(b.px, b.py, b.v, geom, 1.f / params_.theta,
+                                params_.step(), iterations, scratch, residual);
+  if (prof) {
+    const double kernel_seconds =
+        static_cast<double>(telemetry::detail::trace_now_ns() - k0) * 1e-9;
+    telemetry::profiler_add(telemetry::LaneCause::kKernel, kernel_seconds);
+    telemetry::profiler_add_tile(t, kernel_seconds);
+  }
+}
+
+void ResidentTiledEngine::mark_frozen(int node, int g) {
   // A retired tile never publishes again; the marker redirects every later
   // gather to the parity-g slot holding its final strips (see gather_halos).
   // Writing the OTHER parity slot here instead would be a data race: a
@@ -180,30 +268,77 @@ void ResidentTiledEngine::mark_frozen(std::size_t ti, int g) {
   // run pass g, so no release/acquire pair orders such a copy against its
   // gather.  The cross-parity mirror is deferred to run_adaptive()'s
   // epilogue, when every lane has joined and no reader can exist.
-  frozen_pass_[ti].store(g, std::memory_order_release);
+  frozen_pass_[node].store(g, std::memory_order_release);
+}
+
+ResidentTiledEngine::Mailbox* ResidentTiledEngine::mailboxes(int field) {
+  // data() + offset, not &mail_[...]: a one-tile plan has no mailboxes.
+  return mail_.data() + field * edges_per_field_;
 }
 
 parallel::ThreadPool& ResidentTiledEngine::pool() const {
   return options_.pool != nullptr ? *options_.pool : parallel::default_pool();
 }
 
-void ResidentTiledEngine::load_duals(const DualField* initial) {
-  for (std::size_t i = 0; i < tiles_.size(); ++i) {
-    const TileSpec& t = plan_.tiles[i];
-    TileBuffers& b = tiles_[i];
-    if (initial != nullptr) {
-      b.px.resize(t.buf_rows, t.buf_cols);
-      b.py.resize(t.buf_rows, t.buf_cols);
-      kernels::copy_rect(initial->px, t.buf_row0, t.buf_col0, b.px, 0, 0,
-                         t.buf_rows, t.buf_cols);
-      kernels::copy_rect(initial->py, t.buf_row0, t.buf_col0, b.py, 0, 0,
-                         t.buf_rows, t.buf_cols);
-    } else {
-      // resize() value-initializes: the zero dual start of Algorithm 1.
-      b.px.resize(t.buf_rows, t.buf_cols);
-      b.py.resize(t.buf_rows, t.buf_cols);
-    }
-  }
+int ResidentTiledEngine::lanes() const {
+  return pool().lanes_for(options_.num_threads);
+}
+
+void ResidentTiledEngine::check_inputs(Fields inputs, DualFields initial,
+                                       const char* who) const {
+  const auto shape_error = [who](const char* what) {
+    return std::invalid_argument(std::string(who) + ": " + what);
+  };
+  if (inputs.size() != static_cast<std::size_t>(fields_))
+    throw shape_error("field count mismatch");
+  for (const Matrix<float>* v : inputs)
+    if (v == nullptr || v->rows() != plan_.frame_rows ||
+        v->cols() != plan_.frame_cols)
+      throw shape_error("shape mismatch");
+  if (initial.empty()) return;
+  if (initial.size() != static_cast<std::size_t>(fields_))
+    throw shape_error("initial dual count mismatch");
+  for (const DualField* d : initial)
+    if (d == nullptr || !d->px.same_shape(*inputs[0]) ||
+        !d->py.same_shape(*inputs[0]))
+      throw shape_error("initial dual shape mismatch");
+}
+
+template <typename Fn>
+void ResidentTiledEngine::for_each_node(int count, Fn&& fn) const {
+  // parallel_rows with one "row" per node, costed at a tile's share of the
+  // frame: the streaming chunk floor then keeps every level below ~256 x 256
+  // inline, as for the row-chunked passes of the outer loop.
+  const int cells =
+      std::max(1, plan_.frame_rows * plan_.frame_cols / tiles_per_field());
+  parallel::parallel_rows(pool(), count, cells, lanes(),
+                          parallel::kStreamChunkCells,
+                          [&fn](int begin, int end) {
+                            for (int i = begin; i < end; ++i) fn(i);
+                          });
+}
+
+void ResidentTiledEngine::load_inputs(Fields inputs, DualFields initial) {
+  for_each_node(nodes(), [&](int node) {
+    const TileSpec& s = plan_.tiles[tile_of(node)];
+    TileBuffers& b = tiles_[node];
+    const int f = field_of(node);
+    kernels::copy_rect(*inputs[f], s.buf_row0, s.buf_col0, b.v, 0, 0,
+                       s.buf_rows, s.buf_cols);
+    if (initial.empty()) return;
+    kernels::copy_rect(initial[f]->px, s.buf_row0, s.buf_col0, b.px, 0, 0,
+                       s.buf_rows, s.buf_cols);
+    kernels::copy_rect(initial[f]->py, s.buf_row0, s.buf_col0, b.py, 0, 0,
+                       s.buf_rows, s.buf_cols);
+  });
+}
+
+void ResidentTiledEngine::clear_frozen() {
+  for (std::atomic<int>& f : frozen_pass_)
+    f.store(-1, std::memory_order_relaxed);
+}
+
+void ResidentTiledEngine::restart_clock() {
   // A full buffer load (halo included) makes the mailboxes irrelevant until
   // the next publish; restart the pass/parity clock.  Frozen-pass markers
   // must go with it: a completed adaptive run clears them in its epilogue,
@@ -211,11 +346,17 @@ void ResidentTiledEngine::load_duals(const DualField* initial) {
   // surviving into the next solve would redirect gathers to a stale frozen
   // strip of the PREVIOUS stream — the engine-reuse leak a pooled fleet
   // engine must never serve session B from session A's retirement state.
-  // (Empty during construction, where load_duals runs before the marker
-  // vector exists.)
-  for (std::atomic<int>& f : frozen_pass_)
-    f.store(-1, std::memory_order_relaxed);
+  clear_frozen();
   pass_count_ = 0;
+}
+
+void ResidentTiledEngine::reset_duals() {
+  for_each_node(nodes(), [&](int node) {
+    TileBuffers& b = tiles_[node];
+    b.px.fill(0.f);
+    b.py.fill(0.f);
+  });
+  restart_clock();
 }
 
 void ResidentTiledEngine::run(int iterations) {
@@ -230,8 +371,7 @@ void ResidentTiledEngine::run(int iterations) {
   // them set — and a stale marker would redirect this run's gathers to a
   // long-dead frozen slot.  The fixed-budget schedule never freezes, so the
   // markers must be clear here; reset defensively (same as run_adaptive).
-  for (std::atomic<int>& f : frozen_pass_)
-    f.store(-1, std::memory_order_relaxed);
+  clear_frozen();
 
   // Pass schedule: merge_iterations per pass, remainder last.  Every k is
   // <= plan_.halo, which is what keeps profitable cells' dependency cones
@@ -244,51 +384,31 @@ void ResidentTiledEngine::run(int iterations) {
   }
   const int passes = static_cast<int>(pass_iters.size());
   const int base = pass_count_;
-
-  const float inv_theta = 1.f / params_.theta;
-  const float step = params_.step();
-  const int lanes = pool().lanes_for(options_.num_threads);
-  parallel::PerLane<Matrix<float>> scratch(lanes);
+  const int lane_count = lanes();
+  parallel::PerLane<Matrix<float>> scratch(lane_count);
 
   const auto body = [&](int node, int epoch, int lane) {
-    const std::size_t ti = static_cast<std::size_t>(node);
-    const TileSpec& t = plan_.tiles[ti];
-    TileBuffers& b = tiles_[ti];
     const int g = base + epoch;  // global pass index since the last reload
-    if (g > 0) gather_halos(ti, g);
-    const RegionGeometry geom{t.buf_row0, t.buf_col0, plan_.frame_rows,
-                              plan_.frame_cols};
-    {
-      // Timed by hand (not ProfScope) because the per-tile attribution needs
-      // the same measurement twice; no clock is read without a session.
-      const bool prof = telemetry::profiler_active();
-      const std::uint64_t k0 = prof ? telemetry::detail::trace_now_ns() : 0;
-      kernels::iterate_region_fused(b.px, b.py, b.v, geom, inv_theta, step,
-                                    pass_iters[static_cast<std::size_t>(epoch)],
-                                    scratch[lane]);
-      if (prof) {
-        const double kernel_seconds =
-            static_cast<double>(telemetry::detail::trace_now_ns() - k0) * 1e-9;
-        telemetry::profiler_add(telemetry::LaneCause::kKernel, kernel_seconds);
-        telemetry::profiler_add_tile(node, kernel_seconds);
-      }
-    }
-    publish_strips(ti, g);
+    if (g > 0) gather_halos(node, g);
+    kernel_pass(node, pass_iters[epoch], scratch[lane], nullptr);
+    publish_strips(node, g);
   };
 
   const parallel::EpochGraph::RunStats rs =
-      graph_->run(passes, lanes, pool(), body);
+      graph_->run(passes, lane_count, pool(), body);
   pass_count_ += passes;
 
+  const std::uint64_t halo_bytes =
+      static_cast<std::uint64_t>(stats_.halo_elements_per_pass) *
+      sizeof(float) * static_cast<std::uint64_t>(passes);
   stats_.passes += passes;
   stats_.stall_seconds += rs.stall_seconds;
   stats_.stall_spins += rs.stall_spins;
-  stats_.halo_bytes_exchanged +=
-      static_cast<std::uint64_t>(stats_.halo_elements_per_pass) *
-      sizeof(float) * static_cast<std::uint64_t>(passes);
+  stats_.halo_bytes_exchanged += halo_bytes;
   for (const int k : pass_iters)
-    stats_.element_iterations +=
-        plan_.total_buffer_elements() * static_cast<std::size_t>(k);
+    stats_.element_iterations += plan_.total_buffer_elements() *
+                                 static_cast<std::size_t>(fields()) *
+                                 static_cast<std::size_t>(k);
 
   static telemetry::Counter& c_passes =
       telemetry::registry().counter("tiles.passes");
@@ -298,16 +418,17 @@ void ResidentTiledEngine::run(int iterations) {
       telemetry::registry().counter("tiles.stall_micros");
   static telemetry::Counter& c_spins =
       telemetry::registry().counter("tiles.stall_spins");
-  c_passes.add(static_cast<std::uint64_t>(passes));
-  c_halo.add(static_cast<std::uint64_t>(stats_.halo_elements_per_pass) *
-             sizeof(float) * static_cast<std::uint64_t>(passes));
+  // Passes count per field: one pass of a K-field engine is K field passes.
+  c_passes.add(static_cast<std::uint64_t>(passes) *
+               static_cast<std::uint64_t>(fields()));
+  c_halo.add(halo_bytes);
   c_stall.add(static_cast<std::uint64_t>(rs.stall_seconds * 1e6));
   c_spins.add(rs.stall_spins);
   // Per-pass traffic of this engine vs. the reload engine's two full frames
-  // in and out (4 floats/cell): the acceptance-criterion ratio.
+  // in and out (4 floats/cell) per field: the acceptance-criterion ratio.
   const double frame_reload_bytes =
       4.0 * sizeof(float) * static_cast<double>(plan_.frame_rows) *
-      static_cast<double>(plan_.frame_cols);
+      static_cast<double>(plan_.frame_cols) * static_cast<double>(fields());
   telemetry::registry()
       .gauge("tiles.halo_traffic_fraction")
       .set(frame_reload_bytes > 0.0
@@ -316,134 +437,84 @@ void ResidentTiledEngine::run(int iterations) {
                : 0.0);
 }
 
-ResidentAdaptiveReport ResidentTiledEngine::run_adaptive(
-    const ResidentAdaptiveOptions& options) {
-  options.validate();
-  const telemetry::TraceSpan span("chambolle.resident.run_adaptive");
-  telemetry::flight_mark("resident.run_adaptive",
-                         static_cast<double>(options.max_passes));
-
-  if (options.final_pass_iterations > options_.merge_iterations)
-    throw std::invalid_argument(
-        "run_adaptive: final_pass_iterations exceeds the merge depth");
-
-  const std::size_t n = tiles_.size();
-  ResidentAdaptiveReport report;
-  report.pass_cap = options.max_passes;
-  report.tiles = n;
-  report.tile_passes.assign(n, 0);
-  report.tile_residuals.assign(n, 0.f);
-  if (n == 0) return report;
-
-  // Consecutive under-tolerance passes per tile.  Only the claiming lane for
-  // a (tile, pass) touches a tile's entry, and claims of successive passes
-  // are ordered by the epoch release/acquire chain, so plain ints are safe
-  // even under work stealing.
-  std::vector<int> streak(n, 0);
-
-  // Markers are cleared by the previous adaptive run's epilogue; reset
-  // defensively in case that run aborted via a body exception mid-flight.
-  for (std::atomic<int>& f : frozen_pass_)
-    f.store(-1, std::memory_order_relaxed);
-
-  const int base = pass_count_;
-  const float inv_theta = 1.f / params_.theta;
-  const float step = params_.step();
-  const int lanes = pool().lanes_for(options_.num_threads);
-  parallel::PerLane<Matrix<float>> scratch(lanes);
-
-  const auto body = [&](int node, int epoch, int lane) -> bool {
-    const std::size_t ti = static_cast<std::size_t>(node);
-    const TileSpec& t = plan_.tiles[ti];
-    TileBuffers& b = tiles_[ti];
-    const int g = base + epoch;  // global pass index since the last reload
-    if (g > 0) gather_halos(ti, g);
-    const RegionGeometry geom{t.buf_row0, t.buf_col0, plan_.frame_rows,
-                              plan_.frame_cols};
-    // run()'s remainder schedule: the last pass of the cap may be a
-    // truncated burst so the cap lands on an exact iteration budget.
-    const int burst = (epoch == options.max_passes - 1 &&
-                       options.final_pass_iterations > 0)
-                          ? options.final_pass_iterations
-                          : options_.merge_iterations;
-    float residual = 0.f;
-    {
-      // Timed by hand (not ProfScope) because the per-tile attribution needs
-      // the same measurement twice; no clock is read without a session.
-      const bool prof = telemetry::profiler_active();
-      const std::uint64_t k0 = prof ? telemetry::detail::trace_now_ns() : 0;
-      kernels::iterate_region_fused(b.px, b.py, b.v, geom, inv_theta, step,
-                                    burst, scratch[lane], &residual);
-      if (prof) {
-        const double kernel_seconds =
-            static_cast<double>(telemetry::detail::trace_now_ns() - k0) * 1e-9;
-        telemetry::profiler_add(telemetry::LaneCause::kKernel, kernel_seconds);
-        telemetry::profiler_add_tile(node, kernel_seconds);
-      }
+bool ResidentTiledEngine::adaptive_pass(int node, int epoch, int g, int lane,
+                                        const ResidentAdaptiveOptions& options,
+                                        Matrix<float>& scratch, NodeRun& run) {
+  // run()'s remainder schedule: the last pass of the cap may be a truncated
+  // burst so the cap lands on an exact iteration budget.
+  const bool final_pass = epoch == options.max_passes - 1;
+  const int burst = final_pass && options.final_pass_iterations > 0
+                        ? options.final_pass_iterations
+                        : options_.merge_iterations;
+  float residual = 0.f;
+  kernel_pass(node, burst, scratch, &residual);
+  publish_strips(node, g);
+  ++run.passes;
+  run.residual = residual;
+  if (final_pass) run.ran_final = true;
+  if (graph_->owner(node, lanes()) != lane) ++run.stolen;
+  // The residual is the buffer-wide max |dp| of the pass's LAST iteration:
+  // the same single-iteration semantics as solve_adaptive, so the same
+  // tolerance means the same thing regardless of merge depth.  Halo cells
+  // are included — conservative: a tile only retires once its neighborhood
+  // influence has also stilled.
+  if (residual < options.tolerance) {
+    if (++run.streak >= options.patience) {
+      mark_frozen(node, g);
+      return true;  // retire: EpochGraph publishes the terminal epoch
     }
-    publish_strips(ti, g);
-    report.tile_passes[ti] = epoch + 1;
-    report.tile_residuals[ti] = residual;
-    // The residual is the buffer-wide max |dp| of the pass's LAST iteration:
-    // the same single-iteration semantics as solve_adaptive, so the same
-    // tolerance means the same thing regardless of merge depth.  Halo cells
-    // are included — conservative: a tile only retires once its neighborhood
-    // influence has also stilled.
-    if (residual < options.tolerance) {
-      if (++streak[ti] >= options.patience) {
-        mark_frozen(ti, g);
-        return true;  // retire: EpochGraph publishes the terminal epoch
-      }
-    } else {
-      streak[ti] = 0;
-    }
-    return false;
-  };
-
-  const parallel::EpochGraph::RunStats rs =
-      graph_->run_adaptive(options.max_passes, lanes, pool(), body);
-  // Quiescent epilogue (every lane has joined): mirror each retired tile's
-  // final strips into the other parity slot and clear its marker, so later
-  // run()/run_adaptive() calls — whose gathers assume the live parity —
-  // read the frozen state no matter how many passes each tile actually
-  // executed.  This copy is exactly the write that would race a concurrent
-  // gather during the run (see mark_frozen); here no reader exists.
-  for (std::size_t i = 0; i < n; ++i) {
-    const int f = frozen_pass_[i].load(std::memory_order_relaxed);
-    if (f < 0) continue;
-    for (const int mi : out_edges_[i]) {
-      Mailbox& m = mail_[static_cast<std::size_t>(mi)];
-      m.slot[(f + 1) & 1] = m.slot[f & 1];
-    }
-    frozen_pass_[i].store(-1, std::memory_order_relaxed);
+  } else {
+    run.streak = 0;
   }
-  // The parity clock advances by the full cap.
-  pass_count_ += options.max_passes;
+  return false;
+}
 
-  report.tiles_converged = rs.retired_nodes;
-  report.total_tile_passes = rs.executed_passes;
-  report.stolen_passes = rs.stolen_passes;
-
+std::vector<ResidentAdaptiveReport> ResidentTiledEngine::account_adaptive(
+    const std::vector<NodeRun>& runs, const ResidentAdaptiveOptions& options,
+    const parallel::EpochGraph::RunStats& rs) {
+  const int n = tiles_per_field();
+  std::vector<ResidentAdaptiveReport> reports(fields_);
+  for (ResidentAdaptiveReport& r : reports) {
+    r.pass_cap = options.max_passes;
+    r.tiles = n;
+    r.tile_passes.assign(n, 0);
+    r.tile_residuals.assign(n, 0.f);
+  }
+  std::uint64_t halo_floats = 0, converged = 0;
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const int node = static_cast<int>(i);
+    const NodeRun& run = runs[i];
+    const int t = tile_of(node);
+    ResidentAdaptiveReport& r = reports[field_of(node)];
+    r.tile_passes[t] = run.passes;
+    r.tile_residuals[t] = run.residual;
+    r.total_tile_passes += static_cast<std::size_t>(run.passes);
+    r.stolen_passes += static_cast<std::uint64_t>(run.stolen);
+    // Retired tiles still carry their marker: the epilogues clear them after
+    // this accounting.
+    if (frozen_pass_[i].load(std::memory_order_relaxed) >= 0) {
+      ++r.tiles_converged;
+      ++converged;
+    }
+    std::size_t out_elems = 0;
+    for (const int mi : out_edges_[t])
+      out_elems += 2 * mail_[mi].edge.elements();
+    halo_floats += static_cast<std::uint64_t>(out_elems) *
+                   static_cast<std::uint64_t>(run.passes);
+    std::size_t iters = static_cast<std::size_t>(run.passes) *
+                        static_cast<std::size_t>(options_.merge_iterations);
+    // A tile that executed the cap's final pass ran the truncated burst
+    // there (a resurrected tile's pass history is not contiguous, so this
+    // is tracked, not inferred from the pass count).
+    if (options.final_pass_iterations > 0 && run.ran_final)
+      iters -= static_cast<std::size_t>(options_.merge_iterations -
+                                        options.final_pass_iterations);
+    r.total_iterations += iters;
+    stats_.element_iterations += plan_.tiles[t].buffer_elements() * iters;
+  }
   stats_.passes += options.max_passes;
   stats_.stall_seconds += rs.stall_seconds;
   stats_.stall_spins += rs.stall_spins;
-  std::uint64_t halo_floats = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    std::size_t out_elems = 0;
-    for (const int mi : out_edges_[i])
-      out_elems += 2 * mail_[static_cast<std::size_t>(mi)].edge.elements();
-    halo_floats += static_cast<std::uint64_t>(out_elems) *
-                   static_cast<std::uint64_t>(report.tile_passes[i]);
-    std::size_t iters = static_cast<std::size_t>(report.tile_passes[i]) *
-                        static_cast<std::size_t>(options_.merge_iterations);
-    // A tile that reached the cap's final pass ran the truncated burst there.
-    if (options.final_pass_iterations > 0 &&
-        report.tile_passes[i] == options.max_passes)
-      iters -= static_cast<std::size_t>(options_.merge_iterations -
-                                        options.final_pass_iterations);
-    report.total_iterations += iters;
-    stats_.element_iterations += plan_.tiles[i].buffer_elements() * iters;
-  }
   stats_.halo_bytes_exchanged += halo_floats * sizeof(float);
 
   static telemetry::Counter& c_passes =
@@ -464,13 +535,69 @@ ResidentAdaptiveReport ResidentTiledEngine::run_adaptive(
   c_halo.add(halo_floats * sizeof(float));
   c_stall.add(static_cast<std::uint64_t>(rs.stall_seconds * 1e6));
   c_spins.add(rs.stall_spins);
-  c_converged.add(rs.retired_nodes);
+  c_converged.add(converged);
   c_stolen.add(rs.stolen_passes);
-  for (const int p : report.tile_passes) h_passes.observe(p);
+  for (const NodeRun& run : runs) h_passes.observe(run.passes);
+  const double fixed = static_cast<double>(runs.size()) *
+                       static_cast<double>(options.max_passes);
   telemetry::registry()
       .gauge("tiles.adaptive_pass_savings")
-      .set(report.pass_savings());
-  return report;
+      .set(fixed > 0.0
+               ? 1.0 - static_cast<double>(rs.executed_passes) / fixed
+               : 0.0);
+  return reports;
+}
+
+std::vector<ResidentAdaptiveReport> ResidentTiledEngine::run_adaptive(
+    const ResidentAdaptiveOptions& options) {
+  options.validate();
+  const telemetry::TraceSpan span("chambolle.resident.run_adaptive");
+  telemetry::flight_mark("resident.run_adaptive",
+                         static_cast<double>(options.max_passes));
+
+  if (options.final_pass_iterations > options_.merge_iterations)
+    throw std::invalid_argument(
+        "run_adaptive: final_pass_iterations exceeds the merge depth");
+
+  std::vector<NodeRun> runs(tiles_.size());
+
+  // Markers are cleared by the previous adaptive run's epilogue; reset
+  // defensively in case that run aborted via a body exception mid-flight.
+  clear_frozen();
+
+  const int base = pass_count_;
+  const int lane_count = lanes();
+  parallel::PerLane<Matrix<float>> scratch(lane_count);
+
+  const auto body = [&](int node, int epoch, int lane) -> bool {
+    const int g = base + epoch;  // global pass index since the last reload
+    if (g > 0) gather_halos(node, g);
+    return adaptive_pass(node, epoch, g, lane, options, scratch[lane],
+                         runs[node]);
+  };
+
+  const parallel::EpochGraph::RunStats rs =
+      graph_->run_adaptive(options.max_passes, lane_count, pool(), body);
+  std::vector<ResidentAdaptiveReport> reports =
+      account_adaptive(runs, options, rs);
+  // Quiescent epilogue (every lane has joined): mirror each retired tile's
+  // final strips into the other parity slot and clear its marker, so later
+  // run()/run_adaptive() calls — whose gathers assume the live parity —
+  // read the frozen state no matter how many passes each tile actually
+  // executed.  This copy is exactly the write that would race a concurrent
+  // gather during the run (see mark_frozen); here no reader exists.
+  for (std::size_t i = 0; i < tiles_.size(); ++i) {
+    const int f = frozen_pass_[i].load(std::memory_order_relaxed);
+    if (f < 0) continue;
+    const int node = static_cast<int>(i);
+    Mailbox* mail = mailboxes(field_of(node));
+    for (const int mi : out_edges_[tile_of(node)])
+      mail[mi].slot[(f + 1) & 1] = mail[mi].slot[f & 1];
+    frozen_pass_[i].store(-1, std::memory_order_relaxed);
+  }
+  // The parity clock advances by the full cap.
+  pass_count_ += options.max_passes;
+  return reports;
 }
 
 namespace {
@@ -488,10 +615,11 @@ float max_abs_rect(const Matrix<float>& m, int r0, int c0, int rows,
 
 }  // namespace
 
-ResidentMultilevelReport ResidentTiledEngine::run_multilevel(
+std::vector<ResidentMultilevelReport> ResidentTiledEngine::run_multilevel(
     const ResidentMultilevelOptions& options) {
   options.validate();
-  ResidentMultilevelReport report;
+  const int k = fields();
+  std::vector<ResidentMultilevelReport> reports(fields_);
 
   // Disabled / degenerate configurations delegate verbatim — the bit-exact
   // contract of the fixed-budget path rests on this being the SAME code.
@@ -501,8 +629,10 @@ ResidentMultilevelReport ResidentTiledEngine::run_multilevel(
   const int num_firings =
       period > 0 ? (options.adaptive.max_passes - 1) / period : 0;
   if (levels == 0 || num_firings == 0 || tiles_.empty()) {
-    report.adaptive = run_adaptive(options.adaptive);
-    return report;
+    std::vector<ResidentAdaptiveReport> adaptive =
+        run_adaptive(options.adaptive);
+    for (int f = 0; f < k; ++f) reports[f].adaptive = std::move(adaptive[f]);
+    return reports;
   }
 
   const telemetry::TraceSpan span("chambolle.resident.run_multilevel");
@@ -512,49 +642,56 @@ ResidentMultilevelReport ResidentTiledEngine::run_multilevel(
     throw std::invalid_argument(
         "run_multilevel: final_pass_iterations exceeds the merge depth");
 
-  const std::size_t n = tiles_.size();
-  report.adaptive.pass_cap = options.adaptive.max_passes;
-  report.adaptive.tiles = n;
-  report.adaptive.tile_passes.assign(n, 0);
-  report.adaptive.tile_residuals.assign(n, 0.f);
-  report.coarse_levels = levels;
+  const int n = tiles_per_field();
+  std::vector<NodeRun> runs(tiles_.size());
+  clear_frozen();
 
-  std::vector<int> streak(n, 0);
-  // Whether the tile executed the cap's final (possibly truncated) pass —
-  // needed for exact iteration accounting, since a resurrected tile's pass
-  // history is not contiguous.
-  std::vector<char> ran_final(n, 0);
-  for (std::atomic<int>& f : frozen_pass_)
-    f.store(-1, std::memory_order_relaxed);
-
-  CoarseCorrector corrector;
-  corrector.setup(frame_v_, params_, options.multilevel);
+  // Every field is corrected on its own: its own corrector, progress gate
+  // and end rule, so its bits equal a single-field engine's.
+  struct FieldCorrection {
+    CoarseCorrector corrector;
+    // The boundary whose rendezvous actually applied a correction (-1 =
+    // none): written inside the exclusive window before the scheduler's
+    // releasing rv_epoch store, read by boundary-pass bodies after its
+    // acquire — so a plain int is race-free.  Bodies at a boundary whose
+    // firing was declined by the progress gate must NOT fold in the (stale)
+    // delta buffers.
+    int applied_boundary = -1;
+    // The field's end rule fired: every tile finished and its last firing
+    // revived none, which is where a single-field run stops firing.
+    bool done = false;
+  };
+  std::vector<FieldCorrection> fc(fields_);
   DualField snap;
+  {
+    // The correctors keep their own copy of v; assemble each field's from
+    // the tiles' profitable windows.
+    Matrix<float> v(plan_.frame_rows, plan_.frame_cols);
+    for (int f = 0; f < k; ++f) {
+      for (int t = 0; t < n; ++t)
+        copy_profitable(tiles_[node_of(f, t)].v, plan_.tiles[t], v);
+      reports[f].coarse_levels = levels;
+      fc[f].corrector.setup(v, params_, options.multilevel);
+    }
+  }
   const float unretire_tol =
       options.multilevel.unretire_factor * options.adaptive.tolerance;
-  // The boundary whose rendezvous actually applied a correction (-1 = none):
-  // written inside the exclusive window before the scheduler's releasing
-  // rv_epoch store, read by boundary-pass bodies after its acquire — so a
-  // plain int is race-free.  Bodies at a boundary whose firing was declined
-  // by the progress gate must NOT fold in the (stale) delta buffers.
-  int applied_boundary = -1;
 
   const int base = pass_count_;
-  const float inv_theta = 1.f / params_.theta;
-  const float step = params_.step();
-  const int lanes = pool().lanes_for(options_.num_threads);
-  parallel::PerLane<Matrix<float>> scratch(lanes);
+  const int lane_count = lanes();
+  parallel::PerLane<Matrix<float>> scratch(lane_count);
 
-  // Folds the last computed correction into one tile's WHOLE buffer
+  // Folds the field's last computed correction into one tile's WHOLE buffer
   // (profitable + halo): the delta is globally consistent, so overlapping
   // buffer cells of different tiles receive identical values.  No
   // projection here — the corrector's delta is corrected-feasible minus
   // snapshot, so a plain add lands on the projected state.
-  const auto apply_delta = [&](std::size_t ti) {
-    const TileSpec& t = plan_.tiles[ti];
-    TileBuffers& b = tiles_[ti];
-    const Matrix<float>& dx = corrector.delta_px();
-    const Matrix<float>& dy = corrector.delta_py();
+  const auto apply_delta = [&](int node) {
+    const TileSpec& t = plan_.tiles[tile_of(node)];
+    TileBuffers& b = tiles_[node];
+    const CoarseCorrector& c = fc[field_of(node)].corrector;
+    const Matrix<float>& dx = c.delta_px();
+    const Matrix<float>& dy = c.delta_py();
     for (int r = 0; r < t.buf_rows; ++r) {
       const float* sx = &dx(t.buf_row0 + r, t.buf_col0);
       const float* sy = &dy(t.buf_row0 + r, t.buf_col0);
@@ -568,185 +705,138 @@ ResidentMultilevelReport ResidentTiledEngine::run_multilevel(
   };
 
   const auto body = [&](int node, int epoch, int lane) -> bool {
-    const std::size_t ti = static_cast<std::size_t>(node);
-    const TileSpec& t = plan_.tiles[ti];
-    TileBuffers& b = tiles_[ti];
     const int g = base + epoch;
-    if (g > 0) gather_halos(ti, g);
+    if (g > 0) gather_halos(node, g);
     // At a correction boundary, fold the rendezvous delta in AFTER the
     // gather: the gathered strips are pre-correction (live neighbors are
     // parked at the same boundary; a frozen neighbor's strips were re-
     // published from its pre-correction buffer by the rendezvous), so
     // adding the delta over the whole buffer lands every cell — profitable
     // and halo alike — on the corrected state exactly once.
-    if (epoch > 0 && epoch == applied_boundary) apply_delta(ti);
-    const RegionGeometry geom{t.buf_row0, t.buf_col0, plan_.frame_rows,
-                              plan_.frame_cols};
-    const int burst = (epoch == options.adaptive.max_passes - 1 &&
-                       options.adaptive.final_pass_iterations > 0)
-                          ? options.adaptive.final_pass_iterations
-                          : options_.merge_iterations;
-    float residual = 0.f;
-    {
-      const bool prof = telemetry::profiler_active();
-      const std::uint64_t k0 = prof ? telemetry::detail::trace_now_ns() : 0;
-      kernels::iterate_region_fused(b.px, b.py, b.v, geom, inv_theta, step,
-                                    burst, scratch[lane], &residual);
-      if (prof) {
-        const double kernel_seconds =
-            static_cast<double>(telemetry::detail::trace_now_ns() - k0) * 1e-9;
-        telemetry::profiler_add(telemetry::LaneCause::kKernel, kernel_seconds);
-        telemetry::profiler_add_tile(node, kernel_seconds);
-      }
-    }
-    publish_strips(ti, g);
-    ++report.adaptive.tile_passes[ti];
-    report.adaptive.tile_residuals[ti] = residual;
-    if (epoch == options.adaptive.max_passes - 1) ran_final[ti] = 1;
-    if (residual < options.adaptive.tolerance) {
-      if (++streak[ti] >= options.adaptive.patience) {
-        mark_frozen(ti, g);
-        return true;
-      }
-    } else {
-      streak[ti] = 0;
-    }
-    return false;
+    if (epoch > 0 &&
+        epoch == fc[field_of(node)].applied_boundary)
+      apply_delta(node);
+    return adaptive_pass(node, epoch, g, lane, options.adaptive, scratch[lane],
+                         runs[node]);
   };
 
   // The rendezvous body: runs in the scheduler's exclusive window (every
   // live tile parked exactly at the boundary, every other tile retired), so
   // it may touch any tile buffer and any mailbox slot without racing a
-  // reader — see EpochGraph::run_rendezvous.
+  // reader — see EpochGraph::run_rendezvous.  It corrects each field that
+  // has not reached its end rule, one after the other.
   const auto rendezvous = [&](int /*firing*/,
                               parallel::EpochGraph::RendezvousControl& ctl) {
-    const Stopwatch clock;
     const int boundary = ctl.boundary();  // epoch of the next fine pass
     const int gb = base + boundary;       // its global pass index (parity)
-    // Step 0: re-sync each still-frozen tile's published strips from its
-    // buffer (parity = its frozen pass, where its readers look).  Earlier
-    // corrections were absorbed into the buffer but could not be published
-    // mid-run; this bounds a frozen tile's publish drift to at most ONE
-    // correction, never an accumulation.
-    for (std::size_t i = 0; i < n; ++i) {
-      const int f = frozen_pass_[i].load(std::memory_order_relaxed);
-      if (f >= 0) publish_strips(i, f);
-    }
-    // Step 1+2: assemble the fine dual state and run the gated V-cycle.
-    // The gate's residual is the max over tiles of the last pass's
-    // buffer-wide |dp| — every live tile is parked at the boundary, so each
-    // entry is that tile's pass (boundary - 1) value; frozen tiles
-    // contribute their (sub-tolerance) retirement-time residual.
-    float churn = 0.f;
-    for (std::size_t i = 0; i < n; ++i)
-      churn = std::max(churn, report.adaptive.tile_residuals[i]);
-    snapshot(snap);
-    const CoarseCorrector::Result res =
-        corrector.compute(snap.px, snap.py, churn);
-    if (!res.applied) {
-      // Baseline call, gate declined, or the energy safeguard vetoed the
-      // cycle's output: no delta exists, so boundary-pass bodies must not
-      // apply one and frozen tiles stay untouched.
-      applied_boundary = -1;
-      ++report.coarse_gated;
-      report.rendezvous_seconds += clock.seconds();
-      return;
-    }
-    applied_boundary = boundary;
-    ++report.coarse_solves;
-    report.last_correction_max = res.max_delta;
-    // Step 3: retired tiles don't run a boundary pass, so they take the
-    // correction here — in place if it is below the un-retirement bar,
-    // by resurrection otherwise.
-    for (std::size_t i = 0; i < n; ++i) {
-      const int f = frozen_pass_[i].load(std::memory_order_relaxed);
-      if (f < 0) continue;
-      const TileSpec& t = plan_.tiles[i];
-      const float local = std::max(
-          max_abs_rect(corrector.delta_px(), t.prof_row0, t.prof_col0,
-                       t.prof_rows, t.prof_cols),
-          max_abs_rect(corrector.delta_py(), t.prof_row0, t.prof_col0,
-                       t.prof_rows, t.prof_cols));
-      if (local > unretire_tol) {
-        // Resurrect: publish the PRE-correction strips at the live parity
-        // the boundary-pass gathers read, clear the frozen marker, and
-        // rewind the node.  The tile's own boundary pass then applies the
-        // delta exactly like every live tile — no special casing, no
-        // double application.
-        publish_strips(i, gb - 1);
-        frozen_pass_[i].store(-1, std::memory_order_relaxed);
-        streak[i] = 0;
-        ctl.resurrect(static_cast<int>(i));
-        ++report.tiles_unretired;
-      } else {
-        // Stay frozen: fold the correction into the frozen buffer.  Its
-        // published strips intentionally stay pre-correction until the next
-        // step-0 re-sync (or the epilogue): readers between boundaries see
-        // a drift of at most this one delta, itself bounded by
-        // unretire_tol — the same deviation class the adaptive tolerance
-        // mode already admits.
-        apply_delta(i);
+    for (int f = 0; f < k; ++f) {
+      FieldCorrection& field = fc[f];
+      if (field.done) continue;
+      ResidentMultilevelReport& report = reports[f];
+      const Stopwatch clock;
+      // Step 0: re-sync each still-frozen tile's published strips from its
+      // buffer (parity = its frozen pass, where its readers look).  Earlier
+      // corrections were absorbed into the buffer but could not be published
+      // mid-run; this bounds a frozen tile's publish drift to at most ONE
+      // correction, never an accumulation.
+      for (int t = 0; t < n; ++t) {
+        const int node = node_of(f, t);
+        const int fz = frozen_pass_[node].load(std::memory_order_relaxed);
+        if (fz >= 0) publish_strips(node, fz);
       }
+      // Step 1+2: assemble the field's fine dual state and run the gated
+      // V-cycle.  The gate's residual is the max over the field's tiles of
+      // the last pass's buffer-wide |dp| — every live tile is parked at the
+      // boundary, so each entry is that tile's pass (boundary - 1) value;
+      // frozen tiles contribute their (sub-tolerance) retirement-time
+      // residual.
+      float churn = 0.f;
+      for (int t = 0; t < n; ++t)
+        churn = std::max(churn, runs[node_of(f, t)].residual);
+      snapshot(snap, f);
+      const CoarseCorrector::Result res =
+          field.corrector.compute(snap.px, snap.py, churn);
+      bool revived = false, all_frozen = true;
+      if (!res.applied) {
+        // Baseline call, gate declined, or the energy safeguard vetoed the
+        // cycle's output: no delta exists, so boundary-pass bodies must not
+        // apply one and frozen tiles stay untouched.
+        field.applied_boundary = -1;
+        ++report.coarse_gated;
+      } else {
+        field.applied_boundary = boundary;
+        ++report.coarse_solves;
+        report.last_correction_max = res.max_delta;
+      }
+      // Step 3: retired tiles don't run a boundary pass, so they take the
+      // correction here — in place if it is below the un-retirement bar,
+      // by resurrection otherwise.
+      for (int t = 0; t < n; ++t) {
+        const int node = node_of(f, t);
+        std::atomic<int>& frozen = frozen_pass_[node];
+        if (frozen.load(std::memory_order_relaxed) < 0) {
+          all_frozen = false;
+          continue;
+        }
+        if (!res.applied) continue;
+        const TileSpec& s = plan_.tiles[t];
+        const float local = std::max(
+            max_abs_rect(field.corrector.delta_px(), s.prof_row0, s.prof_col0,
+                         s.prof_rows, s.prof_cols),
+            max_abs_rect(field.corrector.delta_py(), s.prof_row0, s.prof_col0,
+                         s.prof_rows, s.prof_cols));
+        if (local > unretire_tol) {
+          // Resurrect: publish the PRE-correction strips at the live parity
+          // the boundary-pass gathers read, clear the frozen marker, and
+          // rewind the node.  The tile's own boundary pass then applies the
+          // delta exactly like every live tile — no special casing, no
+          // double application.
+          publish_strips(node, gb - 1);
+          frozen.store(-1, std::memory_order_relaxed);
+          runs[node].streak = 0;
+          ctl.resurrect(node);
+          ++report.tiles_unretired;
+          revived = true;
+          all_frozen = false;
+        } else {
+          // Stay frozen: fold the correction into the frozen buffer.  Its
+          // published strips intentionally stay pre-correction until the next
+          // step-0 re-sync (or the epilogue): readers between boundaries see
+          // a drift of at most this one delta, itself bounded by
+          // unretire_tol — the same deviation class the adaptive tolerance
+          // mode already admits.
+          apply_delta(node);
+        }
+      }
+      // The field's end rule, the scheduler's own rule applied per field:
+      // with every tile finished (during a firing no tile is at the cap
+      // without having retired) and none revived, a single-field run would
+      // fire no more — so this field takes no later firing either, however
+      // long the other fields keep the rendezvous going.
+      if (all_frozen && !revived) field.done = true;
+      report.rendezvous_seconds += clock.seconds();
     }
-    report.rendezvous_seconds += clock.seconds();
   };
 
   const parallel::EpochGraph::RunStats rs = graph_->run_rendezvous(
-      options.adaptive.max_passes, period, lanes, pool(), body, rendezvous);
+      options.adaptive.max_passes, period, lane_count, pool(), body,
+      rendezvous);
 
+  std::vector<ResidentAdaptiveReport> adaptive =
+      account_adaptive(runs, options.adaptive, rs);
+  for (int f = 0; f < k; ++f) reports[f].adaptive = std::move(adaptive[f]);
   // Quiescent epilogue: frozen buffers may hold corrections absorbed after
   // their last publish, so republish from the buffer into BOTH parity slots
   // (later run()/run_adaptive() gathers assume the live parity) and clear
   // the markers.
-  std::size_t converged = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const int f = frozen_pass_[i].load(std::memory_order_relaxed);
-    if (f < 0) continue;
-    ++converged;
-    publish_strips(i, 0);
-    publish_strips(i, 1);
+  for (std::size_t i = 0; i < tiles_.size(); ++i) {
+    if (frozen_pass_[i].load(std::memory_order_relaxed) < 0) continue;
+    publish_strips(static_cast<int>(i), 0);
+    publish_strips(static_cast<int>(i), 1);
     frozen_pass_[i].store(-1, std::memory_order_relaxed);
   }
   pass_count_ += options.adaptive.max_passes;
 
-  report.adaptive.tiles_converged = converged;
-  report.adaptive.total_tile_passes = rs.executed_passes;
-  report.adaptive.stolen_passes = rs.stolen_passes;
-
-  stats_.passes += options.adaptive.max_passes;
-  stats_.stall_seconds += rs.stall_seconds;
-  stats_.stall_spins += rs.stall_spins;
-  std::uint64_t halo_floats = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    std::size_t out_elems = 0;
-    for (const int mi : out_edges_[i])
-      out_elems += 2 * mail_[static_cast<std::size_t>(mi)].edge.elements();
-    halo_floats +=
-        static_cast<std::uint64_t>(out_elems) *
-        static_cast<std::uint64_t>(report.adaptive.tile_passes[i]);
-    std::size_t iters =
-        static_cast<std::size_t>(report.adaptive.tile_passes[i]) *
-        static_cast<std::size_t>(options_.merge_iterations);
-    if (options.adaptive.final_pass_iterations > 0 && ran_final[i])
-      iters -= static_cast<std::size_t>(options_.merge_iterations -
-                                        options.adaptive.final_pass_iterations);
-    report.adaptive.total_iterations += iters;
-    stats_.element_iterations += plan_.tiles[i].buffer_elements() * iters;
-  }
-  stats_.halo_bytes_exchanged += halo_floats * sizeof(float);
-
-  static telemetry::Counter& c_passes =
-      telemetry::registry().counter("tiles.passes");
-  static telemetry::Counter& c_halo =
-      telemetry::registry().counter("tiles.halo_bytes");
-  static telemetry::Counter& c_stall =
-      telemetry::registry().counter("tiles.stall_micros");
-  static telemetry::Counter& c_spins =
-      telemetry::registry().counter("tiles.stall_spins");
-  static telemetry::Counter& c_converged =
-      telemetry::registry().counter("tiles.converged");
-  static telemetry::Counter& c_stolen =
-      telemetry::registry().counter("tiles.stolen_passes");
   static telemetry::Counter& c_solves =
       telemetry::registry().counter("tiles.coarse_solves");
   static telemetry::Counter& c_gated =
@@ -755,101 +845,109 @@ ResidentMultilevelReport ResidentTiledEngine::run_multilevel(
       telemetry::registry().counter("tiles.coarse_unretired");
   static telemetry::Counter& c_rv_micros =
       telemetry::registry().counter("tiles.coarse_rendezvous_micros");
-  static telemetry::Histogram& h_passes = telemetry::registry().histogram(
-      "tiles.passes_used", {1, 2, 4, 8, 16, 32, 64, 128, 256, 512});
-  c_passes.add(rs.executed_passes);
-  c_halo.add(halo_floats * sizeof(float));
-  c_stall.add(static_cast<std::uint64_t>(rs.stall_seconds * 1e6));
-  c_spins.add(rs.stall_spins);
-  c_converged.add(converged);
-  c_stolen.add(rs.stolen_passes);
-  c_solves.add(report.coarse_solves);
-  c_gated.add(report.coarse_gated);
-  c_unretired.add(report.tiles_unretired);
-  c_rv_micros.add(static_cast<std::uint64_t>(report.rendezvous_seconds * 1e6));
-  for (const int p : report.adaptive.tile_passes) h_passes.observe(p);
+  float correction_max = 0.f;
+  for (const ResidentMultilevelReport& r : reports) {
+    c_solves.add(r.coarse_solves);
+    c_gated.add(r.coarse_gated);
+    c_unretired.add(r.tiles_unretired);
+    c_rv_micros.add(static_cast<std::uint64_t>(r.rendezvous_seconds * 1e6));
+    correction_max = std::max(correction_max, r.last_correction_max);
+  }
   telemetry::registry()
       .gauge("tiles.coarse_correction_norm")
-      .set(static_cast<double>(report.last_correction_max));
-  telemetry::registry()
-      .gauge("tiles.adaptive_pass_savings")
-      .set(report.adaptive.pass_savings());
-  return report;
+      .set(static_cast<double>(correction_max));
+  return reports;
 }
 
-void ResidentTiledEngine::snapshot(DualField& out) const {
-  // Every cell is some tile's profitable cell, so the copies overwrite the
-  // whole frame: reshape without clearing when the shape already fits.
-  if (out.px.rows() != plan_.frame_rows || out.px.cols() != plan_.frame_cols)
-    out.px.resize(plan_.frame_rows, plan_.frame_cols);
-  if (out.py.rows() != plan_.frame_rows || out.py.cols() != plan_.frame_cols)
-    out.py.resize(plan_.frame_rows, plan_.frame_cols);
-  // Profitable rectangles partition the frame: each row chunk writes back
-  // the part of every tile that falls in its rows.
-  parallel::parallel_rows(
-      pool(), plan_.frame_rows, plan_.frame_cols,
-      pool().lanes_for(options_.num_threads), parallel::kStreamChunkCells,
-      [&](int begin, int end) {
-        for (std::size_t i = 0; i < tiles_.size(); ++i) {
-          const TileSpec& t = plan_.tiles[i];
-          const int r0 = std::max(begin, t.prof_row0);
-          const int r1 = std::min(end, t.prof_row0 + t.prof_rows);
-          if (r0 >= r1) continue;
-          const TileBuffers& b = tiles_[i];
-          kernels::copy_rect(b.px, r0 - t.buf_row0, t.prof_col0 - t.buf_col0,
-                             out.px, r0, t.prof_col0, r1 - r0, t.prof_cols);
-          kernels::copy_rect(b.py, r0 - t.buf_row0, t.prof_col0 - t.buf_col0,
-                             out.py, r0, t.prof_col0, r1 - r0, t.prof_cols);
-        }
-      });
+void ResidentTiledEngine::snapshot(DualField& out, int field) const {
+  if (field < 0 || field >= fields_)
+    throw std::invalid_argument("ResidentTiledEngine::snapshot: bad field");
+  shape(out.px, plan_.frame_rows, plan_.frame_cols);
+  shape(out.py, plan_.frame_rows, plan_.frame_cols);
+  for_each_node(tiles_per_field(), [&](int t) {
+    const TileBuffers& b = tiles_[node_of(field, t)];
+    const TileSpec& s = plan_.tiles[t];
+    copy_profitable(b.px, s, out.px);
+    copy_profitable(b.py, s, out.py);
+  });
+}
+
+void ResidentTiledEngine::reset_v(Fields inputs, DualFields initial) {
+  check_inputs(inputs, initial, "ResidentTiledEngine::reset_v");
+  load_inputs(inputs, initial);
+  // Empty `initial`: duals stay resident (warm start); the mailbox parity
+  // clock keeps running so the next run() gathers valid halos.
+  if (!initial.empty()) restart_clock();
 }
 
 void ResidentTiledEngine::reset_v(const Matrix<float>& v,
                                   const DualField* initial) {
-  if (!v.same_shape(frame_v_))
-    throw std::invalid_argument("ResidentTiledEngine::reset_v: shape mismatch");
-  frame_v_ = v;
-  for (std::size_t i = 0; i < tiles_.size(); ++i) {
-    const TileSpec& t = plan_.tiles[i];
-    kernels::copy_rect(v, t.buf_row0, t.buf_col0, tiles_[i].v, 0, 0,
-                       t.buf_rows, t.buf_cols);
-  }
-  if (initial != nullptr) {
-    if (!initial->px.same_shape(v) || !initial->py.same_shape(v))
-      throw std::invalid_argument(
-          "ResidentTiledEngine::reset_v: initial dual shape mismatch");
-    load_duals(initial);
-  }
-  // initial == nullptr: duals stay resident (warm start); the mailbox
-  // parity clock keeps running so the next run() gathers valid halos.
+  const Matrix<float>* const field = &v;
+  reset_v(Fields(&field, 1), one_or_none(initial));
 }
 
-void ResidentTiledEngine::recover_into(const DualField& p,
-                                       Matrix<float>& u) const {
-  const RegionGeometry geom =
-      RegionGeometry::full_frame(plan_.frame_rows, plan_.frame_cols);
-  parallel::parallel_rows(
-      pool(), plan_.frame_rows, plan_.frame_cols,
-      pool().lanes_for(options_.num_threads), parallel::kStreamChunkCells,
-      [&](int begin, int end) {
-        kernels::recover_u_rows(frame_v_, p.px, p.py, geom, params_.theta, u,
-                                begin, end);
-      });
+void ResidentTiledEngine::result_node(int node, DualField* p,
+                                      Matrix<float>& u) {
+  // The primal of a profitable cell reads its west and north neighbors,
+  // which sit in the halo ring — exact only right after a gather.  Refresh
+  // it from the neighbors' last published strips: exactly what the next
+  // pass's gather writes, so the resident state is unchanged.  With the
+  // clock at 0 the whole buffer was just loaded from a frame and is exact.
+  if (pass_count_ > 0) gather_halos(node, pass_count_);
+  const TileSpec& s = plan_.tiles[tile_of(node)];
+  const TileBuffers& b = tiles_[node];
+  if (p != nullptr) {
+    copy_profitable(b.px, s, p->px);
+    copy_profitable(b.py, s, p->py);
+  }
+  kernels::recover_u_rect(
+      b.v, b.px, b.py,
+      RegionGeometry{s.buf_row0, s.buf_col0, plan_.frame_rows,
+                     plan_.frame_cols},
+      params_.theta, s.prof_row0 - s.buf_row0, s.prof_col0 - s.buf_col0,
+      s.prof_rows, s.prof_cols, u, s.prof_row0, s.prof_col0);
 }
 
-ChambolleResult ResidentTiledEngine::result() const {
+ChambolleResult ResidentTiledEngine::result(int field) {
+  if (field < 0 || field >= fields_)
+    throw std::invalid_argument("ResidentTiledEngine::result: bad field");
   ChambolleResult out;
-  snapshot(out.p);
+  out.p = DualField(plan_.frame_rows, plan_.frame_cols);
   out.u.resize(plan_.frame_rows, plan_.frame_cols);
-  recover_into(out.p, out.u);
+  for_each_node(tiles_per_field(), [&](int t) {
+    result_node(node_of(field, t), &out.p, out.u);
+  });
   return out;
 }
 
-void ResidentTiledEngine::result_into(Matrix<float>& u,
-                                      DualField& duals) const {
-  snapshot(duals);
-  if (!u.same_shape(frame_v_)) u.resize(plan_.frame_rows, plan_.frame_cols);
-  recover_into(duals, u);
+void ResidentTiledEngine::result_into(std::span<Matrix<float>* const> u,
+                                      std::span<DualField* const> duals) {
+  const auto k = static_cast<std::size_t>(fields_);
+  if (u.size() != k || (!duals.empty() && duals.size() != k))
+    throw std::invalid_argument(
+        "ResidentTiledEngine::result_into: field count mismatch");
+  const int rows = plan_.frame_rows, cols = plan_.frame_cols;
+  for (std::size_t f = 0; f < k; ++f) {
+    // Distinct outputs: the fields are written concurrently.
+    for (std::size_t g = 0; g < f; ++g)
+      if (u[f] == u[g] || (!duals.empty() && duals[f] == duals[g]))
+        throw std::invalid_argument(
+            "ResidentTiledEngine::result_into: fields share an output");
+    shape(*u[f], rows, cols);
+    if (duals.empty()) continue;
+    shape(duals[f]->px, rows, cols);
+    shape(duals[f]->py, rows, cols);
+  }
+  for_each_node(nodes(), [&](int node) {
+    const int f = field_of(node);
+    result_node(node, duals.empty() ? nullptr : duals[f], *u[f]);
+  });
+}
+
+void ResidentTiledEngine::result_into(Matrix<float>& u, DualField& duals) {
+  Matrix<float>* const us[] = {&u};
+  DualField* const ds[] = {&duals};
+  result_into(us, ds);
 }
 
 ChambolleResult solve_resident(const Matrix<float>& v,
@@ -880,7 +978,7 @@ ChambolleResult solve_resident_adaptive(const Matrix<float>& v,
   const ResidentAdaptiveOptions opts =
       adaptive.resolved(params.iterations, options.merge_iterations);
   ResidentTiledEngine engine(v, params, options, initial);
-  const ResidentAdaptiveReport rep = engine.run_adaptive(opts);
+  const ResidentAdaptiveReport rep = engine.run_adaptive(opts).front();
   static telemetry::Counter& c_solves =
       telemetry::registry().counter("tiles.adaptive_solves");
   c_solves.add(1);
@@ -900,7 +998,7 @@ ChambolleResult solve_resident_multilevel(
   opts.adaptive =
       multilevel.adaptive.resolved(params.iterations, options.merge_iterations);
   ResidentTiledEngine engine(v, params, options, initial);
-  const ResidentMultilevelReport rep = engine.run_multilevel(opts);
+  const ResidentMultilevelReport rep = engine.run_multilevel(opts).front();
   static telemetry::Counter& c_solves =
       telemetry::registry().counter("tiles.multilevel_solves");
   c_solves.add(1);

@@ -30,12 +30,23 @@
 // halo cells by the gather of neighbors' exact profitable strips), and the
 // per-element arithmetic is the shared fused kernel — so the result is
 // BIT-EXACT equal to the sequential reference (tests memcmp it).
+//
+// One engine solves K same-shape FIELDS on one tiling plan — the paper's
+// paired PE arrays, one per flow component, advancing together.  Every
+// graph node is a (field, tile) pair with its own buffers, mailboxes and
+// frozen-pass marker; the EpochGraph is the disjoint union of K copies of
+// the tile graph, so one run advances every field and a lane blocked on
+// one field's neighbor runs another field's tile.  Fields never exchange
+// data, so each field's bits equal a single-field solve; K = 1 is the
+// ordinary single-field engine.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "chambolle/params.hpp"
@@ -90,8 +101,9 @@ struct ResidentAdaptiveOptions {
                                                  int merge_iterations) const;
 };
 
-/// Outcome of one run_adaptive(): which tiles converged, how many passes
-/// each actually ran, and what the fixed budget would have cost.
+/// Outcome of one run_adaptive() for one field: which of its tiles
+/// converged, how many passes each actually ran, and what the fixed budget
+/// would have cost.
 struct ResidentAdaptiveReport {
   int pass_cap = 0;                   ///< the max_passes this run enforced
   std::size_t tiles = 0;
@@ -135,8 +147,8 @@ struct ResidentMultilevelOptions {
   }
 };
 
-/// Outcome of one run_multilevel(): the adaptive accounting plus the
-/// coarse-correction accounting.
+/// Outcome of one run_multilevel() for one field: the adaptive accounting
+/// plus the accounting of that field's own coarse correction.
 struct ResidentMultilevelReport {
   ResidentAdaptiveReport adaptive;
   int coarse_levels = 0;         ///< realized ladder depth (0 = correction off)
@@ -146,17 +158,19 @@ struct ResidentMultilevelReport {
                                        ///< the baseline firing)
   std::uint64_t tiles_unretired = 0;   ///< resurrections forced by corrections
   float last_correction_max = 0.f;     ///< max |delta p| of the final cycle
-  double rendezvous_seconds = 0.0;     ///< wall time inside rendezvous bodies
+  double rendezvous_seconds = 0.0;     ///< wall time of this field's share
+                                       ///< of the rendezvous bodies
 };
 
 /// Work and traffic accounting of a resident solve (cumulative across
 /// run() calls), used by the E6 overhead bench and the acceptance tests.
+/// Counts cover every field of the engine.
 struct ResidentTiledStats {
   int passes = 0;
-  std::size_t tiles = 0;
-  /// Floats exchanged through mailboxes per pass (both dual components);
-  /// the per-pass traffic of the engine, vs. the reload engine's
-  /// ~4 * frame_elements (2 fields loaded + 2 stored).
+  std::size_t tiles = 0;  ///< graph nodes: tiles per field * fields
+  /// Floats exchanged through mailboxes per pass (both dual components, all
+  /// fields); the per-pass traffic of the engine, vs. the reload engine's
+  /// ~4 * frame_elements per field (2 fields loaded + 2 stored).
   std::size_t halo_elements_per_pass = 0;
   /// Total mailbox bytes moved so far (published + gathered).
   std::uint64_t halo_bytes_exchanged = 0;
@@ -172,9 +186,19 @@ struct ResidentTiledStats {
 /// only v.  Use solve_resident() for the one-shot form.
 class ResidentTiledEngine {
  public:
-  /// Tiles `v` with options.{tile_rows, tile_cols, merge_iterations} and
-  /// loads the resident buffers; `initial`, when non-null, warm-starts the
-  /// duals (otherwise zeros).  Validates like solve_tiled.
+  /// The input fields of a K-field engine, one pointer per field.
+  using Fields = std::span<const Matrix<float>* const>;
+  /// Per-field dual states (warm starts), one pointer per field.
+  using DualFields = std::span<const DualField* const>;
+
+  /// Tiles the K same-shape `inputs` with options.{tile_rows, tile_cols,
+  /// merge_iterations} and loads the resident buffers; `initial`, when
+  /// non-empty, holds one warm-start dual state per field (otherwise
+  /// zeros).  Validates like solve_tiled.
+  ResidentTiledEngine(Fields inputs, const ChambolleParams& params,
+                      const TiledSolverOptions& options,
+                      DualFields initial = {});
+  /// The single-field engine (K = 1); `initial` may be null.
   ResidentTiledEngine(const Matrix<float>& v, const ChambolleParams& params,
                       const TiledSolverOptions& options,
                       const DualField* initial = nullptr);
@@ -183,21 +207,23 @@ class ResidentTiledEngine {
   ResidentTiledEngine(const ResidentTiledEngine&) = delete;
   ResidentTiledEngine& operator=(const ResidentTiledEngine&) = delete;
 
-  /// Advances the solve by `iterations` Chambolle iterations (split into
+  /// Advances every field by `iterations` Chambolle iterations (split into
   /// ceil(iterations / merge_iterations) halo-exchange passes).  Composable:
   /// run(a); run(b) is bit-exact equal to run(a + b).
   void run(int iterations);
 
-  /// Advances the solve adaptively: every tile runs passes of
-  /// `merge_iterations` iterations until its per-iteration residual stays
+  /// Advances the solve adaptively: every tile of every field runs passes
+  /// of `merge_iterations` iterations until its per-iteration residual stays
   /// under options.tolerance for options.patience consecutive passes (it
   /// then retires) or it hits options.max_passes (guaranteed termination).
   /// Deliberately NOT bit-exact against the fixed-budget solve — retired
   /// tiles stop refining while neighbors continue against their frozen
   /// halos; the tolerance-mode oracle (src/testing) bounds the deviation.
-  /// The resident state stays coherent for snapshot()/result() and for
-  /// further run()/run_adaptive() calls.
-  ResidentAdaptiveReport run_adaptive(const ResidentAdaptiveOptions& options);
+  /// Each field's bits equal a single-field engine's.  The resident state
+  /// stays coherent for snapshot()/result() and for further run() /
+  /// run_adaptive() calls.  Returns one report per field.
+  std::vector<ResidentAdaptiveReport> run_adaptive(
+      const ResidentAdaptiveOptions& options);
 
   /// run_adaptive() composed with a periodic coarse-grid correction: every
   /// multilevel.period passes the fleet's parked state is snapshotted at an
@@ -207,89 +233,164 @@ class ResidentTiledEngine {
   /// correction into its pinned buffers at its next pass.  Retired tiles
   /// absorb corrections in place; a correction exceeding
   /// multilevel.unretire_factor * adaptive.tolerance inside a retired
-  /// tile's profitable region un-retires it.  Results are schedule-
-  /// independent (same bits for any lane count).  With the correction
-  /// disabled this IS run_adaptive(options.adaptive), bit for bit.
-  ResidentMultilevelReport run_multilevel(
+  /// tile's profitable region un-retires it.  Every field has its own
+  /// corrector, progress gate and end rule, so its bits equal a
+  /// single-field engine's.  Results are schedule-independent (same bits
+  /// for any lane count).  With the correction disabled this IS
+  /// run_adaptive(options.adaptive), bit for bit.  Returns one report per
+  /// field.
+  std::vector<ResidentMultilevelReport> run_multilevel(
       const ResidentMultilevelOptions& options);
 
-  /// On-demand profitable write-back of the CURRENT dual state into `out`
-  /// (resized as needed) — the telemetry-snapshot path; does not disturb the
-  /// resident buffers.
-  void snapshot(DualField& out) const;
+  /// On-demand profitable write-back of field `field`'s CURRENT dual state
+  /// into `out` (resized as needed) — the telemetry-snapshot path; does not
+  /// disturb the resident buffers.
+  void snapshot(DualField& out, int field = 0) const;
 
-  /// Replaces the input field v (same shape) without touching the resident
-  /// duals: the warm-start path of TV-L1 warps, where only v changes between
-  /// inner solves.  When `initial` is non-null the duals are reloaded from
-  /// it instead (cold restart in place).
+  /// Replaces the input fields (same count and shape) without touching the
+  /// resident duals: the warm-start path of TV-L1 warps, where only v
+  /// changes between inner solves.  When `initial` is non-empty (one state
+  /// per field) the duals are reloaded from it instead (cold restart in
+  /// place).  One pool region loads every field; every argument is
+  /// validated before anything changes, so a throwing call leaves the
+  /// engine as it was.
+  void reset_v(Fields inputs, DualFields initial = {});
+  /// reset_v() of a single-field engine; `initial` may be null.
   void reset_v(const Matrix<float>& v, const DualField* initial = nullptr);
 
-  /// Zeroes the resident duals in place (Algorithm 1's cold start) without
-  /// reallocating tile buffers — the default per-warp restart of the TV-L1
-  /// integration, bit-exact equal to constructing a fresh engine.
-  void reset_duals() { load_duals(nullptr); }
+  /// Zeroes the resident duals of every field in place (Algorithm 1's cold
+  /// start) without reallocating tile buffers — the default per-warp
+  /// restart of the TV-L1 integration, bit-exact equal to constructing a
+  /// fresh engine.
+  void reset_duals();
 
-  /// snapshot() + primal recovery: the ChambolleResult of the state so far.
-  /// Both steps run row-chunked on the engine's pool.
-  [[nodiscard]] ChambolleResult result() const;
+  /// snapshot() + primal recovery: field `field`'s ChambolleResult of the
+  /// state so far, in one pool region.  The primal is recovered tile by
+  /// tile from the resident buffers after refreshing each buffer's halo
+  /// ring from the mailboxes — the write the next pass's gather would make,
+  /// so the resident state does not change.
+  [[nodiscard]] ChambolleResult result(int field = 0);
 
-  /// u-only result(): writes the primal of the state so far into `u`,
-  /// bit-identical to result().u, with the dual write-back of snapshot()
-  /// landing in `duals`.  Both are resized only on a shape change, so with
-  /// them shaped the recovery allocates nothing — the outer-loop path of
-  /// TV-L1 warps, which hands the same buffers in every warp.
-  void result_into(Matrix<float>& u, DualField& duals) const;
+  /// result() of every field into caller buffers: field k's primal lands in
+  /// *u[k], bit-identical to result(k).u, and — when `duals` is non-empty —
+  /// its dual write-back in *duals[k].  One pool region does every field.
+  /// Outputs are resized only on a shape change, so with them shaped this
+  /// allocates nothing — the outer-loop path of TV-L1 warps, which hands the
+  /// same buffers in every warp and needs no dual write-back at all.
+  void result_into(std::span<Matrix<float>* const> u,
+                   std::span<DualField* const> duals = {});
+  /// result_into() of a single-field engine.
+  void result_into(Matrix<float>& u, DualField& duals);
 
   [[nodiscard]] const ResidentTiledStats& stats() const { return stats_; }
   [[nodiscard]] const TilingPlan& plan() const { return plan_; }
+  [[nodiscard]] int fields() const { return fields_; }
   [[nodiscard]] int rows() const { return plan_.frame_rows; }
   [[nodiscard]] int cols() const { return plan_.frame_cols; }
 
  private:
   struct TileBuffers;
   struct Mailbox;
+  struct NodeRun;
+  /// Reaches fault_hook_ (tests/resident_fields_test.cpp).
+  friend struct ResidentTiledEngineTestPeer;
 
   /// The pool this engine's parallel regions run on: options.pool when the
   /// caller injected one (the serving fleet gives every engine its own
   /// lane-partitioned pool so concurrent sessions don't serialize on
   /// default_pool()'s region lock), default_pool() otherwise.
   [[nodiscard]] parallel::ThreadPool& pool() const;
-  /// Zeroes or reloads the duals in place AND restarts the pass/parity
-  /// clock and frozen-pass markers — the full state reset that makes a
+  [[nodiscard]] int lanes() const;
+  [[nodiscard]] int tiles_per_field() const {
+    return static_cast<int>(plan_.tiles.size());
+  }
+  [[nodiscard]] int nodes() const { return fields_ * tiles_per_field(); }
+  /// Graph node of (field, tile): field-major, so a lane's contiguous block
+  /// holds whole stretches of one field (EXPERIMENTS.md E15).
+  [[nodiscard]] int node_of(int field, int tile) const {
+    return field * tiles_per_field() + tile;
+  }
+  [[nodiscard]] int field_of(int node) const {
+    return node / tiles_per_field();
+  }
+  [[nodiscard]] int tile_of(int node) const {
+    return node % tiles_per_field();
+  }
+  /// Field `field`'s mailboxes, indexed by halo edge.
+  [[nodiscard]] Mailbox* mailboxes(int field);
+  /// Throws std::invalid_argument unless `inputs` / `initial` match this
+  /// engine's field count and frame shape.
+  void check_inputs(Fields inputs, DualFields initial, const char* who) const;
+  /// Loads every node's input window (and, when `initial` is non-empty, its
+  /// dual windows) in one pool region.
+  void load_inputs(Fields inputs, DualFields initial);
+  /// Runs fn(i) for i in [0, count) on the pool, where every i stands for
+  /// one node's worth of streaming work; a level whose nodes fit one chunk
+  /// runs inline.
+  template <typename Fn>
+  void for_each_node(int count, Fn&& fn) const;
+  /// One node's share of result()/result_into(): refreshes its halo ring,
+  /// writes its profitable duals into `p` (when non-null) and recovers its
+  /// profitable primal into `u`.
+  void result_node(int node, DualField* p, Matrix<float>& u);
+  /// Restarts the pass/parity clock and clears the frozen-pass markers after
+  /// the duals were zeroed or reloaded — the full state reset that makes a
   /// reused engine indistinguishable from a freshly constructed one (the
   /// engine-reuse contract pooled serving fleets rely on; regression-tested
   /// by tests/engine_reuse_test.cpp).
-  void load_duals(const DualField* initial);
-  /// Refreshes tile ti's halo ring from the neighbors' pass-(g-1) strips.
-  void gather_halos(std::size_t ti, int g);
-  /// Publishes tile ti's pass-g strips into the parity slot g & 1.
-  void publish_strips(std::size_t ti, int g);
-  /// Row-parallel u = v - theta * div p of the whole frame into `u`
-  /// (already shaped) from a full-frame dual snapshot.
-  void recover_into(const DualField& p, Matrix<float>& u) const;
-  /// Publishes tile ti's frozen-pass marker (retirement at pass g), ordered
+  void restart_clock();
+  /// Clears every frozen-pass marker.
+  void clear_frozen();
+  /// Refreshes node's halo ring from its neighbors' pass-(g-1) strips.
+  void gather_halos(int node, int g);
+  /// Publishes node's pass-g strips into the parity slot g & 1.
+  void publish_strips(int node, int g);
+  /// One burst of `iterations` fused iterations on node's buffers, timed
+  /// for the profiler; `residual`, when non-null, receives the last
+  /// iteration's max |dp|.
+  void kernel_pass(int node, int iterations, Matrix<float>& scratch,
+                   float* residual);
+  /// The passes of run_adaptive()/run_multilevel() after the gather (and
+  /// any correction): the burst, its publish, the node's record and the
+  /// retirement test.  Returns true when the node retires.
+  bool adaptive_pass(int node, int epoch, int g, int lane,
+                     const ResidentAdaptiveOptions& options,
+                     Matrix<float>& scratch, NodeRun& run);
+  /// Publishes node's frozen-pass marker (retirement at pass g), ordered
   /// before the terminal epoch store: later gathers read its final strips
   /// at parity g.  The cross-parity mirror is deferred to run_adaptive()'s
   /// quiescent epilogue — doing it here would race neighbors concurrently
   /// gathering the same pass (see the comments in resident_tiled.cpp).
-  void mark_frozen(std::size_t ti, int g);
+  void mark_frozen(int node, int g);
+  /// Books one adaptive/multilevel run — the engine stats and the tiles.*
+  /// telemetry — and returns the per-field reports built from the per-node
+  /// records.  Reads the frozen-pass markers, so it runs before the
+  /// epilogue clears them.
+  std::vector<ResidentAdaptiveReport> account_adaptive(
+      const std::vector<NodeRun>& runs, const ResidentAdaptiveOptions& options,
+      const parallel::EpochGraph::RunStats& rs);
 
   ChambolleParams params_;
   TiledSolverOptions options_;
   TilingPlan plan_;
-  Matrix<float> frame_v_;  ///< kept for result()'s primal recovery
-  std::vector<TileBuffers> tiles_;
+  int fields_ = 0;
+  std::vector<TileBuffers> tiles_;  ///< per node
+  /// Per field, then per halo edge: mail_[field * edges + e].
   std::vector<Mailbox> mail_;
-  std::vector<std::vector<int>> in_edges_;   // per tile: indices into mail_
-  std::vector<std::vector<int>> out_edges_;  // per tile: indices into mail_
+  std::size_t edges_per_field_ = 0;
+  std::vector<std::vector<int>> in_edges_;   // per tile: halo-edge indices
+  std::vector<std::vector<int>> out_edges_;  // per tile: halo-edge indices
   std::unique_ptr<parallel::EpochGraph> graph_;
-  /// Per-tile retirement pass, -1 while live.  Set (release) by the retiring
+  /// Per-node retirement pass, -1 while live.  Set (release) by the retiring
   /// body before its terminal epoch publish, read (acquire) by gather_halos
   /// to pick the mailbox parity, cleared in run_adaptive()'s epilogue after
   /// the frozen strips are mirrored into both slots.
   std::vector<std::atomic<int>> frozen_pass_;
   int pass_count_ = 0;  ///< global passes completed; also the mailbox parity
   ResidentTiledStats stats_;
+  /// Test-only fault injection: when set, called as (field, tile) before
+  /// every kernel burst; a throw aborts the run like any body exception.
+  std::function<void(int, int)> fault_hook_;
 };
 
 /// One-shot resident solve of one component; the drop-in counterpart of

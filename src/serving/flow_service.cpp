@@ -159,6 +159,8 @@ struct GlobalMetrics {
       telemetry::registry().counter("serving.shed.queue_full");
   telemetry::Counter& shed_deadline =
       telemetry::registry().counter("serving.shed.deadline");
+  telemetry::Counter& failed =
+      telemetry::registry().counter("serving.failed");
   telemetry::Counter& batches =
       telemetry::registry().counter("serving.batches");
   telemetry::Counter& engine_builds =
@@ -369,10 +371,10 @@ void FlowService::process(Slot& slot, SessionState& s, Request& req) {
       // The fixed schedule: bit-exact and lane-count independent, which
       // is what makes the concurrent-sessions oracle possible.
       engine.run(options_.params.chambolle.iterations);
-      ChambolleResult result = engine.result();
-      s.duals = std::move(result.p);
+      // The tiles already hold s.duals (loaded above), so the session's
+      // buffers take the write-back in place.
+      engine.result_into(reply.u, s.duals);
       s.has_duals = true;
-      reply.u = std::move(result.u);
       reply.status = ReplyStatus::kOk;
     } else {
       s.flow.set_pool(slot.pool.get());
@@ -387,6 +389,8 @@ void FlowService::process(Slot& slot, SessionState& s, Request& req) {
       }
     }
   } catch (...) {
+    failed_.fetch_add(1, std::memory_order_relaxed);
+    global_metrics().failed.add(1);
     req.promise.set_exception(std::current_exception());
     return;
   }
@@ -417,6 +421,7 @@ ServiceStats FlowService::stats() const {
   out.primed = primed_.load(std::memory_order_relaxed);
   out.shed_queue_full = shed_queue_full_.load(std::memory_order_relaxed);
   out.shed_deadline = shed_deadline_.load(std::memory_order_relaxed);
+  out.failed = failed_.load(std::memory_order_relaxed);
   out.batches = batches_.load(std::memory_order_relaxed);
   out.engine_builds = engine_builds_.load(std::memory_order_relaxed);
   {

@@ -149,8 +149,15 @@ struct ServiceStats {
   std::uint64_t primed = 0;
   std::uint64_t shed_queue_full = 0;
   std::uint64_t shed_deadline = 0;
+  /// Admitted requests whose solve threw: the reply future carries the
+  /// exception.  admitted == completed + shed_deadline + failed once every
+  /// admitted request has resolved.
+  std::uint64_t failed = 0;
   std::uint64_t batches = 0;         ///< slot checkouts
-  std::uint64_t engine_builds = 0;   ///< resident engines constructed
+  /// Chambolle-mode slot engines constructed (flow-mode sessions build
+  /// their engines inside tvl1::FlowSession; tiles.engine_builds counts
+  /// every engine).
+  std::uint64_t engine_builds = 0;
   std::size_t queue_depth = 0;       ///< requests currently queued
   double p50_ms = 0.0, p95_ms = 0.0, p99_ms = 0.0;
 };
@@ -205,6 +212,7 @@ class FlowService {
   // Always-on stats (see ServiceStats).
   std::atomic<std::uint64_t> admitted_{0}, completed_{0}, primed_{0};
   std::atomic<std::uint64_t> shed_queue_full_{0}, shed_deadline_{0};
+  std::atomic<std::uint64_t> failed_{0};
   std::atomic<std::uint64_t> batches_{0}, engine_builds_{0};
   LatencyHistogram latency_ms_;
   LatencyHistogram solve_ms_;

@@ -18,20 +18,15 @@
 namespace chambolle::tvl1 {
 namespace {
 
-// One Chambolle solve of a single component through the selected backend.
-// `out` receives the primal result; `scratch` persists across warps so the
-// reference path reuses its dual-field and output buffers instead of
-// allocating per frame (solve_into + the preallocated recover_u_into path),
-// and the resident path its dual write-back buffers.
-// `resident` is the component's persistent resident-tile engine (kResident
-// only): tile buffers survive across warps of a level, so the steady state
-// re-streams only v; it is rebuilt when the pyramid level changes shape.
-// Returns the inner-iteration count this solve contributed to the stats:
-// the fixed budget, or (adaptive resident) the tile-average iterations
-// actually executed.
-long long inner_solve(const Matrix<float>& v, const Tvl1Params& params,
-                      Matrix<float>& out, ChambolleResult& scratch,
-                      std::unique_ptr<ResidentTiledEngine>& resident) {
+// One Chambolle solve of a single component through a per-component
+// backend (every solver but kResident, which solves both components at
+// once: resident_solve).  `out` receives the primal result; `scratch`
+// persists across warps so the reference path reuses its dual-field and
+// output buffers instead of allocating per frame (solve_into + the
+// preallocated recover_u_into path).  Returns the inner-iteration count
+// this solve contributed to the stats.
+long long component_solve(const Matrix<float>& v, const Tvl1Params& params,
+                          Matrix<float>& out, ChambolleResult& scratch) {
   switch (params.solver) {
     case InnerSolver::kReference:
       solve_into(v, params.chambolle, scratch);
@@ -42,49 +37,65 @@ long long inner_solve(const Matrix<float>& v, const Tvl1Params& params,
     case InnerSolver::kTiled:
       out = solve_tiled(v, params.chambolle, params.tiled).u;
       return params.chambolle.iterations;
-    case InnerSolver::kResident: {
-      if (resident == nullptr || resident->rows() != v.rows() ||
-          resident->cols() != v.cols()) {
-        resident = std::make_unique<ResidentTiledEngine>(v, params.chambolle,
-                                                         params.tiled);
-      } else {
-        resident->reset_v(v);
-        if (!params.warm_start_duals) resident->reset_duals();
-      }
-      long long iters = params.chambolle.iterations;
-      if (params.adaptive_stopping) {
-        const ResidentAdaptiveOptions ao = params.adaptive.resolved(
-            params.chambolle.iterations, params.tiled.merge_iterations);
-        ResidentAdaptiveReport rep;
-        if (params.multilevel.enabled()) {
-          ResidentMultilevelOptions mo;
-          mo.adaptive = ao;
-          mo.multilevel = params.multilevel;
-          rep = resident->run_multilevel(mo).adaptive;
-        } else {
-          rep = resident->run_adaptive(ao);
-        }
-        // Tile-average of the iterations actually executed;
-        // rep.total_iterations already discounts cap-truncated final bursts
-        // (final_pass_iterations), unlike passes * merge_iterations.
-        iters = rep.tiles > 0 ? static_cast<long long>(rep.total_iterations) /
-                                    static_cast<long long>(rep.tiles)
-                              : 0;
-      } else {
-        resident->run(params.chambolle.iterations);
-      }
-      // The reference path's dual buffers double as the write-back target.
-      resident->result_into(out, scratch.p);
-      return iters;
-    }
-    case InnerSolver::kFixed: {
+    case InnerSolver::kFixed:
       // The 13-bit Q5.8 v-format spans [-16,16); flow components at any
       // pyramid level stay well inside it for the supported image sizes.
       out = solve_fixed(v, params.chambolle).u;
       return params.chambolle.iterations;
-    }
+    case InnerSolver::kResident:
+      break;
   }
-  throw std::logic_error("inner_solve: unknown solver");
+  throw std::logic_error("component_solve: unknown solver");
+}
+
+// Both components' Chambolle solves through the resident engine: `engine`
+// holds u1 and u2 as two fields of one tile graph, so one run advances both
+// and a lane blocked on one component's neighbor runs the other's tiles.
+// Tile buffers survive across warps of a level, so the steady state
+// re-streams only v; the engine is rebuilt when the pyramid level changes
+// shape.  Returns the inner-iteration count both solves contributed to the
+// stats: the fixed budget, or (adaptive) each component's tile-average of
+// the iterations actually executed.
+long long resident_solve(const FlowField& v, const Tvl1Params& params,
+                         FlowField& flow,
+                         std::unique_ptr<ResidentTiledEngine>& engine) {
+  const Matrix<float>* const fields[] = {&v.u1, &v.u2};
+  if (engine == nullptr || engine->rows() != v.u1.rows() ||
+      engine->cols() != v.u1.cols()) {
+    engine = std::make_unique<ResidentTiledEngine>(fields, params.chambolle,
+                                                   params.tiled);
+  } else {
+    engine->reset_v(fields);
+    if (!params.warm_start_duals) engine->reset_duals();
+  }
+  long long iters = 2LL * params.chambolle.iterations;
+  if (params.adaptive_stopping) {
+    // rep.total_iterations already discounts cap-truncated final bursts
+    // (final_pass_iterations), unlike passes * merge_iterations.
+    const auto tile_average = [](const ResidentAdaptiveReport& rep) {
+      return rep.tiles > 0 ? static_cast<long long>(rep.total_iterations) /
+                                 static_cast<long long>(rep.tiles)
+                           : 0LL;
+    };
+    const ResidentAdaptiveOptions ao = params.adaptive.resolved(
+        params.chambolle.iterations, params.tiled.merge_iterations);
+    iters = 0;
+    if (params.multilevel.enabled()) {
+      ResidentMultilevelOptions mo;
+      mo.adaptive = ao;
+      mo.multilevel = params.multilevel;
+      for (const ResidentMultilevelReport& rep : engine->run_multilevel(mo))
+        iters += tile_average(rep.adaptive);
+    } else {
+      for (const ResidentAdaptiveReport& rep : engine->run_adaptive(ao))
+        iters += tile_average(rep);
+    }
+  } else {
+    engine->run(params.chambolle.iterations);
+  }
+  Matrix<float>* const u[] = {&flow.u1, &flow.u2};
+  engine->result_into(u);
+  return iters;
 }
 
 // The coarse-to-fine loop shared by both compute_flow overloads.  The caller
@@ -102,18 +113,22 @@ FlowField flow_from_pyramids(const Pyramid& p0, const Pyramid& p1,
   // dual state and primal output land in these buffers, so the steady state
   // of the pyramid loop stops allocating fresh frames per warp.
   ChambolleResult inner_scratch;
-  // kResident: one persistent engine per flow component; tile buffers stay
-  // resident across warps (rebuilt only when the level changes shape).
-  std::unique_ptr<ResidentTiledEngine> resident_u1, resident_u2;
+  // kResident: one persistent engine for both flow components; tile buffers
+  // stay resident across warps (rebuilt only when the level changes shape).
+  std::unique_ptr<ResidentTiledEngine> resident;
   FlowField u = coarse_to_fine(
       p0, p1, params, [&](const FlowField& v, int, int, FlowField& flow) {
         total_clock.lap();  // the outer-loop stages are not inner time
         {
           const telemetry::TraceSpan span("tvl1.chambolle_inner");
-          inner_iters += inner_solve(v.u1, params, flow.u1, inner_scratch,
-                                     resident_u1);
-          inner_iters += inner_solve(v.u2, params, flow.u2, inner_scratch,
-                                     resident_u2);
+          if (params.solver == InnerSolver::kResident) {
+            inner_iters += resident_solve(v, params, flow, resident);
+          } else {
+            inner_iters +=
+                component_solve(v.u1, params, flow.u1, inner_scratch);
+            inner_iters +=
+                component_solve(v.u2, params, flow.u2, inner_scratch);
+          }
         }
         chambolle_seconds += total_clock.lap();
       });

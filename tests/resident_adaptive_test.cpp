@@ -337,7 +337,7 @@ TEST(ResidentAdaptive, StaggeredRetirementStressStaysCoherent) {
     adaptive.tolerance = 1e-4f;
     adaptive.patience = 1;
     adaptive.max_passes = 40;
-    const ResidentAdaptiveReport report = engine.run_adaptive(adaptive);
+    const ResidentAdaptiveReport report = engine.run_adaptive(adaptive).front();
     EXPECT_GT(report.tiles_converged, 0u);
     EXPECT_LT(report.total_tile_passes, report.fixed_budget_passes());
     const double e_mid = rof_energy(engine.result().u, v, 0.25f);

@@ -333,7 +333,7 @@ TEST(ResidentMultilevel, StateStaysCoherentForFurtherRuns) {
   ml.adaptive.max_passes = 8;
   ml.multilevel.period = 3;
   ml.multilevel.gate_factor = 0.f;
-  const ResidentMultilevelReport report = engine.run_multilevel(ml);
+  const ResidentMultilevelReport report = engine.run_multilevel(ml).front();
   EXPECT_GE(report.coarse_solves, 1u);
   const double e_mid = rof_energy(engine.result().u, v, params.theta);
   engine.run(40);  // must not throw, deadlock, or corrupt the state

@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <future>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -237,6 +239,32 @@ TEST(ServingAdmission, DrainRejectsNewSubmits) {
   service.drain();
   EXPECT_EQ(session->submit(random_v(16, 16, 9601)).get().status,
             ReplyStatus::kClosed);
+}
+
+// A request whose solve throws (here FlowSession's non-finite-frame check)
+// reaches its client as the future's exception and is booked as failed, so
+// every admitted request stays accounted for.
+TEST(ServingAdmission, FailedRequestIsBookedAndThrowsThroughItsFuture) {
+  FlowServiceOptions opts;
+  opts.params = quick_params();
+  opts.slots = 1;
+  opts.lanes_per_slot = 1;
+  FlowService service(opts);
+  auto session = service.open_session();
+  Rng rng(9700);
+  Image bad = random_image(rng, 28, 24);
+  bad(5, 7) = std::numeric_limits<float>::quiet_NaN();
+  std::future<Reply> failed = session->submit_frame(std::move(bad));
+  EXPECT_THROW((void)failed.get(), std::invalid_argument);
+  // The stream itself is unharmed: the next frame primes it.
+  EXPECT_EQ(session->submit_frame(random_image(rng, 28, 24)).get().status,
+            ReplyStatus::kPrimed);
+  service.drain();
+  const serving::ServiceStats st = service.stats();
+  EXPECT_EQ(st.admitted, 2u);
+  EXPECT_EQ(st.failed, 1u);
+  EXPECT_EQ(st.completed, 1u);
+  EXPECT_EQ(st.admitted, st.completed + st.shed_deadline + st.failed);
 }
 
 // Satellite assertion: more sessions than slots and lanes must make

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/flow_color.hpp"
+#include "telemetry/metrics.hpp"
 #include "workloads/metrics.hpp"
 #include "workloads/synthetic.hpp"
 
@@ -151,6 +152,32 @@ TEST(Tvl1, AdaptiveResidentAccountsExecutedInnerIterations) {
   const FlowField b = compute_flow(wl.frame0, wl.frame1, fixed);
   EXPECT_EQ(a.u1, b.u1);
   EXPECT_EQ(a.u2, b.u2);
+}
+
+TEST(Tvl1, ResidentSolvesBothComponentsOnOneEnginePerLevel) {
+  // u1 and u2 are two fields of one resident engine, built once per pyramid
+  // level; tiles.passes still counts per field (one pass of the two-field
+  // engine is two field passes).
+  const bool was_enabled = telemetry::enabled();
+  telemetry::set_enabled(true);
+  telemetry::Counter& builds =
+      telemetry::registry().counter("tiles.engine_builds");
+  telemetry::Counter& passes = telemetry::registry().counter("tiles.passes");
+  const auto wl = workloads::translating_scene(48, 48, 1.f, 0.5f, 35);
+  Tvl1Params p = fast_params();
+  p.solver = InnerSolver::kResident;
+  p.tiled.tile_rows = 24;
+  p.tiled.tile_cols = 24;
+  p.tiled.merge_iterations = 5;  // 25 iterations = 5 passes per solve
+  const std::uint64_t builds0 = builds.value(), passes0 = passes.value();
+  Tvl1Stats stats;
+  (void)compute_flow(wl.frame0, wl.frame1, p, &stats);
+  EXPECT_EQ(builds.value() - builds0,
+            static_cast<std::uint64_t>(stats.levels_processed));
+  EXPECT_EQ(passes.value() - passes0,
+            static_cast<std::uint64_t>(2 * 5 * p.warps *
+                                       stats.levels_processed));
+  telemetry::set_enabled(was_enabled);
 }
 
 TEST(Tvl1, ResidentWarmStartStaysCloseToReference) {

@@ -1,7 +1,7 @@
 // micro_chambolle — google-benchmark microbenchmarks of the solver backends
 // (experiment E9): sequential float reference, tiled parallel solver at
-// several merge depths and thread counts, the persistent-pool vs
-// spawn-per-pass execution engines, and the fixed-point datapath model.
+// several merge depths and thread counts, the persistent-pool engine
+// scaling, and the fixed-point datapath model.
 // Throughput is reported in pixel-iterations/second.
 #include <benchmark/benchmark.h>
 
@@ -117,13 +117,11 @@ void BM_TiledSolverMergeDepth(benchmark::State& state) {
 }
 BENCHMARK(BM_TiledSolverMergeDepth)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
 
-// Pooled vs spawn-per-pass engine scaling on the Table-2 frame: 20
-// iterations merged 5 at a time, so a solve is 4 passes — exactly the
-// many-small-passes regime where per-pass thread creation dominates.
+// Pooled engine scaling on the Table-2 frame: 20 iterations merged 5 at a
+// time, so a solve is 4 passes — the many-small-passes regime where the
+// resident workers pay off.
 void BM_TiledEngine(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
-  const auto exec = state.range(1) == 0 ? parallel::Execution::kPool
-                                        : parallel::Execution::kSpawn;
   const Matrix<float> v = bench_field2(kTable2Rows, kTable2Cols);
   const ChambolleParams params = bench_params(20);
   TiledSolverOptions opt;
@@ -131,35 +129,24 @@ void BM_TiledEngine(benchmark::State& state) {
   opt.tile_cols = 92;
   opt.merge_iterations = 5;
   opt.num_threads = threads;
-  opt.execution = exec;
   for (auto _ : state)
     benchmark::DoNotOptimize(solve_tiled(v, params, opt).u.data());
   state.SetItemsProcessed(state.iterations() * kTable2Rows * kTable2Cols * 20);
-  state.SetLabel(exec == parallel::Execution::kPool ? "pool" : "spawn");
 }
-BENCHMARK(BM_TiledEngine)
-    ->Args({1, 0})->Args({2, 0})->Args({4, 0})->Args({8, 0})
-    ->Args({1, 1})->Args({2, 1})->Args({4, 1})->Args({8, 1});
+BENCHMARK(BM_TiledEngine)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
-// Same comparison for the barrier-per-iteration schedule, where the spawn
-// engine pays TWO spawn/join rounds per iteration.
+// Same scaling for the barrier-per-iteration schedule.
 void BM_RowParallelEngine(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
-  const auto exec = state.range(1) == 0 ? parallel::Execution::kPool
-                                        : parallel::Execution::kSpawn;
   const Matrix<float> v = bench_field2(kTable2Rows, kTable2Cols);
   const ChambolleParams params = bench_params(20);
   RowParallelOptions opt;
   opt.num_threads = threads;
-  opt.execution = exec;
   for (auto _ : state)
     benchmark::DoNotOptimize(solve_row_parallel(v, params, opt).u.data());
   state.SetItemsProcessed(state.iterations() * kTable2Rows * kTable2Cols * 20);
-  state.SetLabel(exec == parallel::Execution::kPool ? "pool" : "spawn");
 }
-BENCHMARK(BM_RowParallelEngine)
-    ->Args({1, 0})->Args({2, 0})->Args({4, 0})->Args({8, 0})
-    ->Args({2, 1})->Args({4, 1})->Args({8, 1});
+BENCHMARK(BM_RowParallelEngine)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 void BM_FixedSolver(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -313,48 +300,27 @@ telemetry::RepeatStats repeat_ms_of(const SolveFn& fn, int repeats) {
   return telemetry::repeat_stats(std::move(samples));
 }
 
-struct EngineSpeedup {
-  telemetry::RepeatStats pool_ms;
-  telemetry::RepeatStats spawn_ms;
-  [[nodiscard]] double speedup() const {
-    return pool_ms.median > 0.0 ? spawn_ms.median / pool_ms.median : 0.0;
-  }
-};
-
-EngineSpeedup measure_tiled_engines(int threads) {
+telemetry::RepeatStats measure_tiled_engine(int threads) {
   const Matrix<float> v = bench_field2(kTable2Rows, kTable2Cols);
   const ChambolleParams params = bench_params(20);
   TiledSolverOptions opt;
   // Merge depth 1 = halo exchange every iteration, the paper's per-iteration
-  // sliding-window sync regime and the spawn engine's worst case (one thread
-  // team per pass); this is exactly the overhead the resident pool removes.
+  // sliding-window sync regime: one pool region per pass.
   opt.merge_iterations = 1;
   opt.num_threads = threads;
-  EngineSpeedup out;
-  opt.execution = parallel::Execution::kPool;
   (void)solve_tiled(v, params, opt);  // warm up the resident workers
-  out.pool_ms = repeat_ms_of([&] { (void)solve_tiled(v, params, opt); },
-                             kTrajectoryRepeats);
-  opt.execution = parallel::Execution::kSpawn;
-  out.spawn_ms = repeat_ms_of([&] { (void)solve_tiled(v, params, opt); },
-                              kTrajectoryRepeats);
-  return out;
+  return repeat_ms_of([&] { (void)solve_tiled(v, params, opt); },
+                      kTrajectoryRepeats);
 }
 
-EngineSpeedup measure_row_parallel_engines(int threads) {
+telemetry::RepeatStats measure_row_parallel_engine(int threads) {
   const Matrix<float> v = bench_field2(kTable2Rows, kTable2Cols);
   const ChambolleParams params = bench_params(20);
   RowParallelOptions opt;
   opt.num_threads = threads;
-  EngineSpeedup out;
-  opt.execution = parallel::Execution::kPool;
   (void)solve_row_parallel(v, params, opt);
-  out.pool_ms = repeat_ms_of([&] { (void)solve_row_parallel(v, params, opt); },
-                             kTrajectoryRepeats);
-  opt.execution = parallel::Execution::kSpawn;
-  out.spawn_ms = repeat_ms_of(
-      [&] { (void)solve_row_parallel(v, params, opt); }, kTrajectoryRepeats);
-  return out;
+  return repeat_ms_of([&] { (void)solve_row_parallel(v, params, opt); },
+                      kTrajectoryRepeats);
 }
 
 // Kernel trajectory for the BENCH json: seed two-pass vs fused kernel per
@@ -424,7 +390,7 @@ ResidentComparison measure_resident_vs_reload(int threads) {
   out.reload_ms = repeat_ms_of([&] { (void)solve_tiled(v, params, opt); },
                                kTrajectoryRepeats);
   out.one_shot_ms = repeat_ms_of(
-      [&] { (void)solve_resident(v, params, opt, &out.stats); },
+      [&] { (void)solve_resident(v, params, opt, {}, nullptr, &out.stats); },
       kTrajectoryRepeats);
   ResidentTiledEngine engine(v, params, opt);
   engine.run(params.iterations);  // warm the resident buffers
@@ -452,7 +418,7 @@ Matrix<float> half_static_field(int rows, int cols) {
 struct AdaptiveComparison {
   telemetry::RepeatStats fixed_ms;
   telemetry::RepeatStats adaptive_ms;
-  ResidentAdaptiveReport report;  // of the last adaptive solve
+  ResidentRunReport report;  // of the last adaptive solve
   [[nodiscard]] double speedup() const {
     return adaptive_ms.median > 0.0 ? fixed_ms.median / adaptive_ms.median
                                     : 0.0;
@@ -465,15 +431,15 @@ AdaptiveComparison measure_adaptive_vs_fixed(int threads) {
   const ChambolleParams params = bench_params(kIters);
   TiledSolverOptions opt;  // the paper's 88 x 92 window, merge depth 4
   opt.num_threads = threads;
-  ResidentAdaptiveOptions adaptive;  // tol 1e-4, patience 2
-  adaptive.max_passes = 0;           // = the fixed budget
+  ResidentRunPolicy adaptive;
+  adaptive.tolerance = 1e-4f;
   AdaptiveComparison out;
   (void)solve_resident(v, params, opt);  // warm up pool + page in the frame
   out.fixed_ms = repeat_ms_of([&] { (void)solve_resident(v, params, opt); },
                               kTrajectoryRepeats);
   out.adaptive_ms = repeat_ms_of(
       [&] {
-        (void)solve_resident_adaptive(v, params, opt, adaptive, &out.report);
+        (void)solve_resident(v, params, opt, adaptive, &out.report);
       },
       kTrajectoryRepeats);
   return out;
@@ -490,22 +456,21 @@ int main(int argc, char** argv) {
   const chambolle::Stopwatch clock;
   benchmark::RunSpecifiedBenchmarks();
 
-  // Engine trajectory: pooled vs spawn on the Table-2 frame at 8 threads.
+  // Engine trajectory: the pooled engines on the Table-2 frame at 8 threads.
   const auto fmt = [](double x) {
     char buf[32];
     std::snprintf(buf, sizeof buf, "%.3f", x);
     return std::string(buf);
   };
-  const EngineSpeedup tiled = measure_tiled_engines(8);
-  const EngineSpeedup rowp = measure_row_parallel_engines(8);
+  const chambolle::telemetry::RepeatStats tiled_ms = measure_tiled_engine(8);
+  const chambolle::telemetry::RepeatStats rowp_ms =
+      measure_row_parallel_engine(8);
   std::printf(
       "\nengine trajectory (316x252, 20 iterations, 8 threads, median of "
       "%d):\n"
-      "  tiled        : pool %.3f ms, spawn %.3f ms -> %.2fx\n"
-      "  row-parallel : pool %.3f ms, spawn %.3f ms -> %.2fx\n",
-      kTrajectoryRepeats, tiled.pool_ms.median, tiled.spawn_ms.median,
-      tiled.speedup(), rowp.pool_ms.median, rowp.spawn_ms.median,
-      rowp.speedup());
+      "  tiled        : %.3f ms\n"
+      "  row-parallel : %.3f ms\n",
+      kTrajectoryRepeats, tiled_ms.median, rowp_ms.median);
   const auto& pool = chambolle::parallel::default_pool();
   std::printf(
       "  pool lifetime: %llu tasks, %llu threads created, %llu barrier "
@@ -583,24 +548,16 @@ int main(int argc, char** argv) {
       {"engine_frame", "316x252"},
       {"engine_threads", "8"},
       {"trajectory_repeats", std::to_string(kTrajectoryRepeats)},
-      {"tiled_pool_ms", fmt(tiled.pool_ms.median)},
-      {"tiled_spawn_ms", fmt(tiled.spawn_ms.median)},
-      {"tiled_pool_speedup", fmt(tiled.speedup())},
-      {"row_parallel_pool_ms", fmt(rowp.pool_ms.median)},
-      {"row_parallel_spawn_ms", fmt(rowp.spawn_ms.median)},
-      {"row_parallel_pool_speedup", fmt(rowp.speedup())},
+      {"tiled_pool_ms", fmt(tiled_ms.median)},
+      {"row_parallel_pool_ms", fmt(rowp_ms.median)},
       {"pool_threads_created", std::to_string(pool.threads_created())},
       {"kernel_backend_auto",
        chambolle::kernels::backend_name(chambolle::kernels::active_backend())},
       {"kernel_seed_ms", fmt(kt.seed_ms.median)}};
   chambolle::telemetry::append_repeat_stats(report, "tiled_pool_ms",
-                                            tiled.pool_ms);
-  chambolle::telemetry::append_repeat_stats(report, "tiled_spawn_ms",
-                                            tiled.spawn_ms);
+                                            tiled_ms);
   chambolle::telemetry::append_repeat_stats(report, "row_parallel_pool_ms",
-                                            rowp.pool_ms);
-  chambolle::telemetry::append_repeat_stats(report, "row_parallel_spawn_ms",
-                                            rowp.spawn_ms);
+                                            rowp_ms);
   chambolle::telemetry::append_repeat_stats(report, "kernel_seed_ms",
                                             kt.seed_ms);
   for (const auto& [name, ms] : kt.backend_ms) {

@@ -7,8 +7,9 @@
 // across resolutions.  The resident engine propagates information one halo
 // strip per pass, so the pass count to drain GLOBAL low-frequency error
 // grows with frame size; the multi-level coarse-grid correction
-// (run_multilevel) moves that error in one coarse solve, keeping the pass
-// count roughly flat — the sublinear-scaling claim this bench measures.
+// (ResidentRunPolicy::multilevel) moves that error in one coarse solve,
+// keeping the pass count roughly flat — the sublinear-scaling claim this
+// bench measures.
 //
 // Protocol (time-to-quality): every engine runs chunked (32 passes per
 // chunk) on the same stiff smooth workload, probing after each chunk with
@@ -90,29 +91,17 @@ RunOutcome run_engine(Mode mode, const Image& v, const ChambolleParams& params,
   ResidentTiledEngine engine(v, params, opt);
   int passes = 0;
   while (passes < kPassCap) {
-    switch (mode) {
-      case Mode::kFixed:
-        engine.run(kChunk * opt.merge_iterations);
-        break;
-      case Mode::kAdaptive: {
-        ResidentAdaptiveOptions ao;
-        ao.tolerance = 1e-30f;  // probe decides the stop, not retirement
-        ao.patience = 1;
-        ao.max_passes = kChunk;
-        (void)engine.run_adaptive(ao);
-        break;
-      }
-      case Mode::kMultilevel: {
-        ResidentMultilevelOptions ml;
-        ml.adaptive.tolerance = 1e-30f;
-        ml.adaptive.patience = 1;
-        ml.adaptive.max_passes = kChunk;
-        ml.multilevel.period = 2;
-        ml.multilevel.levels = 1;
-        out.coarse_solves += engine.run_multilevel(ml).front().coarse_solves;
-        break;
-      }
+    ResidentRunPolicy policy;
+    if (mode != Mode::kFixed) {
+      policy.tolerance = 1e-30f;  // probe decides the stop, not retirement
+      policy.patience = 1;
     }
+    if (mode == Mode::kMultilevel) {
+      policy.multilevel.period = 2;
+      policy.multilevel.levels = 1;
+    }
+    out.coarse_solves +=
+        engine.run(kChunk * opt.merge_iterations, policy).front().coarse_solves;
     passes += kChunk;
     // Probe: one pure fine pass; its primal movement is the convergence
     // gauge every mode shares (correction-free, so multilevel can't game it).

@@ -116,38 +116,23 @@ int main() {
 
   // Live CPU thread-scaling section (the paper's software point of
   // comparison ran on a multithreaded x86): the tiled solver on the Table-2
-  // software frame (316x252, 50 iterations, merge 5), once per engine.  The
-  // pooled engine reuses resident workers across every pass; the spawn
-  // engine is the legacy thread-per-pass baseline.  The fps ratio is the
-  // perf trajectory the BENCH json tracks.
+  // software frame (316x252, 50 iterations, merge 5) on the resident worker
+  // pool.  The fps per thread count is the perf trajectory the BENCH json
+  // tracks.
   std::printf("\nCPU tiled solver thread scaling (316x252, 50 iterations):\n");
-  TextTable scaling({"Threads", "Engine", "ms/frame", "fps", "pool/spawn"});
+  TextTable scaling({"Threads", "ms/frame", "fps"});
   telemetry::BenchParams scaling_params;
   for (const int threads : {1, 2, 4, 8}) {
     TiledSolverOptions opt;
     opt.merge_iterations = 5;
     opt.num_threads = threads;
-    opt.execution = parallel::Execution::kPool;
     const auto pooled = baseline::measure_tiled_chambolle(252, 316, 50, opt, 3);
-    opt.execution = parallel::Execution::kSpawn;
-    const auto spawn = baseline::measure_tiled_chambolle(252, 316, 50, opt, 3);
-    const double ratio =
-        pooled.seconds_per_frame > 0
-            ? spawn.seconds_per_frame / pooled.seconds_per_frame
-            : 0.0;
-    scaling.add_row({std::to_string(threads), "pool",
+    scaling.add_row({std::to_string(threads),
                      TextTable::num(1e3 * pooled.seconds_per_frame, 2),
-                     TextTable::num(pooled.fps, 1), TextTable::num(ratio, 2)});
-    scaling.add_row({std::to_string(threads), "spawn",
-                     TextTable::num(1e3 * spawn.seconds_per_frame, 2),
-                     TextTable::num(spawn.fps, 1), ""});
-    const std::string t = std::to_string(threads);
-    scaling_params.emplace_back("cpu_tiled_pool_fps_" + t + "t",
+                     TextTable::num(pooled.fps, 1)});
+    scaling_params.emplace_back("cpu_tiled_pool_fps_" + std::to_string(threads) +
+                                    "t",
                                 TextTable::num(pooled.fps, 2));
-    scaling_params.emplace_back("cpu_tiled_spawn_fps_" + t + "t",
-                                TextTable::num(spawn.fps, 2));
-    scaling_params.emplace_back("cpu_tiled_pool_speedup_" + t + "t",
-                                TextTable::num(ratio, 2));
   }
   std::cout << scaling.to_string();
   std::printf("pool lifetime: %llu tasks, %llu threads created\n",

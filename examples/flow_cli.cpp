@@ -140,6 +140,10 @@ int main(int argc, char** argv) {
   params.chambolle.iterations = 50;
   bool use_accel = false;
   bool solver_given = false;
+  // --adaptive turns the resident policy's tolerance on; --tol alone only
+  // sets the value it would use.
+  bool adaptive = false;
+  float tolerance = 1e-4f;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -228,27 +232,28 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--adaptive") {
-      params.adaptive_stopping = true;
+      adaptive = true;
     } else if (arg == "--tol") {
       const char* n = next();
       if (!n) return usage();
-      if (!flag_float("--tol", n, 1e-12f, 1e3f, params.adaptive.tolerance))
-        return 2;
+      if (!flag_float("--tol", n, 1e-12f, 1e3f, tolerance)) return 2;
     } else if (arg == "--patience") {
       const char* n = next();
       if (!n) return usage();
-      if (!flag_int("--patience", n, 1, 1 << 20, params.adaptive.patience))
+      if (!flag_int("--patience", n, 1, 1 << 20, params.resident.patience))
         return 2;
     } else if (arg == "--ml-period") {
       const char* n = next();
       if (!n) return usage();
-      if (!flag_int("--ml-period", n, 1, 1 << 20, params.multilevel.period))
+      if (!flag_int("--ml-period", n, 1, 1 << 20,
+                    params.resident.multilevel.period))
         return 2;
-      params.adaptive_stopping = true;  // run_multilevel rides the adaptive path
+      adaptive = true;  // the correction needs a tolerance
     } else if (arg == "--ml-levels") {
       const char* n = next();
       if (!n) return usage();
-      if (!flag_int("--ml-levels", n, 0, 16, params.multilevel.levels))
+      if (!flag_int("--ml-levels", n, 0, 16,
+                    params.resident.multilevel.levels))
         return 2;
     } else if (arg == "--median") {
       params.median_filtering = true;
@@ -305,6 +310,8 @@ int main(int argc, char** argv) {
   } else {
     return usage();
   }
+
+  if (adaptive) params.resident.tolerance = tolerance;
 
   // Asking for an observability artifact is the opt-in.
   if (!out_trace.empty() || !out_metrics.empty() || !out_prom.empty())

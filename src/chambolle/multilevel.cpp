@@ -176,7 +176,7 @@ CoarseCorrector::Result CoarseCorrector::compute(const Matrix<float>& px,
   }
 
   // Base solve on the coarsest level.
-  solve_level(levels_, options_.coarse_iterations);
+  solve_level(levels_, MultilevelOptions::kCoarseIterations);
 
   // Upward leg through the intermediate levels: lift each level's dual
   // increment one level up, restore feasibility, smooth.
@@ -186,12 +186,11 @@ CoarseCorrector::Result CoarseCorrector::compute(const Matrix<float>& px,
     grid::sub_into(px_[l - 1], p0x_[l - 1], p0x_[l - 1]);
     grid::sub_into(py_[l - 1], p0y_[l - 1], p0y_[l - 1]);
     grid::prolong_bilinear_into(p0x_[l - 1], up_x.rows(), up_x.cols(), lift_);
-    grid::add_scaled(up_x, lift_, options_.prolong_scale);
+    grid::add_scaled(up_x, lift_, MultilevelOptions::kProlongScale);
     grid::prolong_bilinear_into(p0y_[l - 1], up_y.rows(), up_y.cols(), lift_);
-    grid::add_scaled(up_y, lift_, options_.prolong_scale);
+    grid::add_scaled(up_y, lift_, MultilevelOptions::kProlongScale);
     project_unit_ball(up_x, up_y);
-    if (options_.smooth_iterations > 0)
-      solve_level(l - 1, options_.smooth_iterations);
+    solve_level(l - 1, MultilevelOptions::kSmoothIterations);
   }
 
   // Fine-level candidate: the corrected feasible state, assembled in the
@@ -201,10 +200,10 @@ CoarseCorrector::Result CoarseCorrector::compute(const Matrix<float>& px,
   grid::sub_into(py_[0], p0y_[0], p0y_[0]);
   grid::prolong_bilinear_into(p0x_[0], px.rows(), px.cols(), lift_);
   dpx_ = px;
-  grid::add_scaled(dpx_, lift_, options_.prolong_scale);
+  grid::add_scaled(dpx_, lift_, MultilevelOptions::kProlongScale);
   grid::prolong_bilinear_into(p0y_[0], py.rows(), py.cols(), lift_);
   dpy_ = py;
-  grid::add_scaled(dpy_, lift_, options_.prolong_scale);
+  grid::add_scaled(dpy_, lift_, MultilevelOptions::kProlongScale);
   project_unit_ball(dpx_, dpy_);
 
   // Dual-objective safeguard: the candidate is applied only if it strictly

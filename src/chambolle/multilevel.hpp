@@ -36,12 +36,12 @@
 //
 //   down:  p_l = restrict(p_{l-1}),  saved as p0_l; vt_l built as above
 //          (l = 1..L)
-//   base:  run coarse_iterations fused Chambolle iterations on level L
+//   base:  run kCoarseIterations fused Chambolle iterations on level L
 //          with theta_L = theta / 2^L, tau_L = tau / 2^L (the consistent
 //          rediscretization of the same continuum problem)
-//   up:    delta_l = p_l - p0_l; p_{l-1} += prolong_scale *
+//   up:    delta_l = p_l - p0_l; p_{l-1} += kProlongScale *
 //          prolong_bilinear(delta_l); project onto |p| <= 1; run
-//          smooth_iterations fused iterations (intermediate levels only)
+//          kSmoothIterations fused iterations (intermediate levels only)
 //   out:   delta_0 = p_0_corrected - p_0_snapshot, exposed as
 //          delta_px()/delta_py()
 //

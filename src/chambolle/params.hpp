@@ -43,7 +43,7 @@ struct ChambolleParams {
 };
 
 /// Options of the multi-level coarse-grid correction the resident-tile
-/// engine composes with its halo-exchange passes (run_multilevel): every
+/// engine composes with its halo-exchange passes (ResidentRunPolicy): every
 /// `period` fine passes the current dual state is restricted down `levels`
 /// grids, a small Chambolle solve runs on the coarsest level, and the
 /// prolongated dual correction is scattered back into the tile buffers.
@@ -57,12 +57,21 @@ struct ChambolleParams {
 /// unit-spacing discretization this is the consistent rediscretization of
 /// the same continuum ROF problem (theta_d = theta_cont / h), and it makes
 /// a prolongated dual increment carry the right primal magnitude with
-/// prolong_scale = 1 (div of a prolongated field is half as steep per cell,
+/// kProlongScale = 1 (div of a prolongated field is half as steep per cell,
 /// cancelled by the 2x theta ratio between levels).
 struct MultilevelOptions {
+  /// Chambolle iterations of the coarsest-level solve.
+  static constexpr int kCoarseIterations = 64;
+  /// Post-correction smoothing iterations at each intermediate level on the
+  /// way back up (the V-cycle's upward leg).
+  static constexpr int kSmoothIterations = 8;
+  /// Scale applied to the prolongated dual increment before the unit-ball
+  /// projection: the grid-consistent choice (see above).
+  static constexpr float kProlongScale = 1.0f;
+
   /// Fine halo-exchange passes between corrections; <= 0 disables the
-  /// correction entirely (run_multilevel then IS run_adaptive, bit for bit).
-  int period = 8;
+  /// correction entirely (the run is then the plain schedule, bit for bit).
+  int period = 0;
   /// Coarse levels below the fine grid (factor 2^levels per dimension).
   /// 0 = auto: a single coarse level — with the default iteration budgets a
   /// two-level cycle out-corrects deeper ladders, whose under-solved base
@@ -70,18 +79,9 @@ struct MultilevelOptions {
   /// the coarsest extent stays >= 4 cells (frames too small to coarsen run
   /// without correction).
   int levels = 0;
-  /// Chambolle iterations of the coarsest-level solve.
-  int coarse_iterations = 64;
-  /// Post-correction smoothing iterations at each intermediate level on the
-  /// way back up (the V-cycle's upward leg); 0 = pure two-level transfer.
-  int smooth_iterations = 8;
-  /// Scale applied to the prolongated dual increment before the unit-ball
-  /// projection.  1.0 is the grid-consistent choice (see above); kept as a
-  /// knob for damping (< 1) experiments.
-  float prolong_scale = 1.0f;
   /// A RETIRED tile is un-retired (resumes passes) when the correction
   /// magnitude inside its profitable region exceeds
-  /// unretire_factor * ResidentAdaptiveOptions::tolerance; below that the
+  /// unretire_factor * ResidentRunPolicy::tolerance; below that the
   /// correction is applied to its frozen state without resurrecting it.
   float unretire_factor = 1.0f;
   /// Progress gate: a correction fires only when the fine primal's drift
@@ -107,13 +107,6 @@ struct MultilevelOptions {
   void validate() const {
     if (levels < 0)
       throw std::invalid_argument("MultilevelOptions: levels < 0");
-    if (coarse_iterations < 1)
-      throw std::invalid_argument("MultilevelOptions: coarse_iterations < 1");
-    if (smooth_iterations < 0)
-      throw std::invalid_argument("MultilevelOptions: smooth_iterations < 0");
-    if (!std::isfinite(prolong_scale) || prolong_scale <= 0.f)
-      throw std::invalid_argument(
-          "MultilevelOptions: prolong_scale must be finite and > 0");
     if (!std::isfinite(unretire_factor) || unretire_factor < 0.f)
       throw std::invalid_argument(
           "MultilevelOptions: unretire_factor must be finite and >= 0");

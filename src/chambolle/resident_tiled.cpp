@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -32,7 +33,7 @@ struct ResidentTiledEngine::TileBuffers {
 /// then py rows).  Publication/consumption is ordered by the EpochGraph's
 /// release/acquire epoch protocol; the skew bound (neighbors never more
 /// than one pass apart) keeps the two slots from colliding.  A tile retired
-/// by run_adaptive() stops publishing: gathers are redirected to its final
+/// early stops publishing: gathers are redirected to its final
 /// strips by the frozen_pass_ marker (see gather_halos / mark_frozen).
 struct ResidentTiledEngine::Mailbox {
   HaloEdge edge;
@@ -41,17 +42,55 @@ struct ResidentTiledEngine::Mailbox {
   std::vector<float> slot[2];
 };
 
-/// One node's record over an adaptive or multilevel run.  Only the lane that
-/// claimed the node's current pass touches it, and claims of successive
-/// passes are ordered by the epoch release/acquire chain, so plain fields
-/// are safe even under work stealing; the rendezvous reads them in its
-/// exclusive window.
+/// One node's record over a run.  Only the lane that claimed the node's
+/// current pass touches it, and claims of successive passes are ordered by
+/// the epoch release/acquire chain, so plain fields are safe even under work
+/// stealing; the rendezvous reads them in its exclusive window.
 struct ResidentTiledEngine::NodeRun {
   int passes = 0;           ///< passes executed
+  int iterations = 0;       ///< Chambolle iterations executed
   int streak = 0;           ///< consecutive under-tolerance passes
   int stolen = 0;           ///< passes run off the preferred lane
-  float residual = 0.f;     ///< the last pass's residual
-  bool ran_final = false;   ///< executed the cap's final (truncated) pass
+  float residual = 0.f;     ///< the last pass's residual (retiring runs)
+};
+
+/// The coarse-grid correction of one run (policy.multilevel.period > 0).
+/// Every field is corrected on its own — its own corrector, progress gate
+/// and end rule — so its bits equal a single-field engine's.
+struct ResidentTiledEngine::Correction {
+  struct Field {
+    CoarseCorrector corrector;
+    // The boundary whose rendezvous actually applied a correction (-1 =
+    // none): written inside the exclusive window before the scheduler's
+    // releasing rv_epoch store, read by boundary-pass bodies after its
+    // acquire — so a plain int is race-free.  Bodies at a boundary whose
+    // firing was declined by the progress gate must NOT fold in the (stale)
+    // delta buffers.
+    int applied_boundary = -1;
+    // The field's end rule fired: every tile finished and its last firing
+    // revived none, which is where a single-field run stops firing.
+    bool done = false;
+  };
+
+  Correction(ResidentTiledEngine& engine, const ResidentRunPolicy& policy,
+             int levels, int base);
+  /// Folds node's field's last correction into the node's buffer when
+  /// `epoch` is the boundary that correction was computed for.
+  void at_pass(int node, int epoch);
+  /// The rendezvous body.
+  void fire(parallel::EpochGraph::RendezvousControl& ctl);
+  /// Folds the field's last computed correction into one tile's WHOLE
+  /// buffer (profitable + halo): the delta is globally consistent, so
+  /// overlapping buffer cells of different tiles receive identical values.
+  /// No projection here — the corrector's delta is corrected-feasible minus
+  /// snapshot, so a plain add lands on the projected state.
+  void apply_delta(int node);
+
+  ResidentTiledEngine& engine;
+  float unretire_tol;
+  int base;  ///< the engine's pass clock at the start of the run
+  std::vector<Field> fields;
+  DualField snap;
 };
 
 namespace {
@@ -145,6 +184,13 @@ ResidentTiledEngine::ResidentTiledEngine(Fields inputs,
 
   frozen_pass_ = std::vector<std::atomic<int>>(tiles_.size());
   clear_frozen();
+  runs_.resize(tiles_.size());
+  reports_.resize(static_cast<std::size_t>(k));
+  for (ResidentRunReport& r : reports_) {
+    r.tiles = static_cast<std::size_t>(n);
+    r.tile_passes.resize(static_cast<std::size_t>(n));
+    r.tile_residuals.resize(static_cast<std::size_t>(n));
+  }
 
   stats_.tiles = tiles_.size();
   stats_.halo_elements_per_pass =
@@ -163,28 +209,16 @@ ResidentTiledEngine::ResidentTiledEngine(const Matrix<float>& v,
 
 ResidentTiledEngine::~ResidentTiledEngine() = default;
 
-void ResidentAdaptiveOptions::validate() const {
-  if (!(tolerance > 0.f) || !std::isfinite(tolerance))
+void ResidentRunPolicy::validate() const {
+  if (!(tolerance >= 0.f) || !std::isfinite(tolerance))
     throw std::invalid_argument(
-        "ResidentAdaptiveOptions: tolerance must be finite and > 0");
+        "ResidentRunPolicy: tolerance must be finite and >= 0");
   if (patience < 1)
-    throw std::invalid_argument("ResidentAdaptiveOptions: patience < 1");
-  if (max_passes < 1)
-    throw std::invalid_argument("ResidentAdaptiveOptions: max_passes < 1");
-  if (final_pass_iterations < 0)
+    throw std::invalid_argument("ResidentRunPolicy: patience < 1");
+  multilevel.validate();
+  if (multilevel.enabled() && !retiring())
     throw std::invalid_argument(
-        "ResidentAdaptiveOptions: final_pass_iterations < 0");
-}
-
-ResidentAdaptiveOptions ResidentAdaptiveOptions::resolved(
-    int iterations, int merge_iterations) const {
-  ResidentAdaptiveOptions out = *this;
-  if (out.max_passes > 0) return out;
-  const int merge = std::max(1, merge_iterations);
-  out.max_passes = std::max(1, (iterations + merge - 1) / merge);
-  const int tail = iterations - (out.max_passes - 1) * merge;
-  if (tail > 0 && tail < merge) out.final_pass_iterations = tail;
-  return out;
+        "ResidentRunPolicy: a correction period requires tolerance > 0");
 }
 
 void ResidentTiledEngine::gather_halos(int node, int g) {
@@ -266,8 +300,8 @@ void ResidentTiledEngine::mark_frozen(int node, int g) {
   // slot[(g - 1) & 1] == slot[(g + 1) & 1], and the epoch protocol only
   // guarantees that reader our epoch >= g — which already holds while we
   // run pass g, so no release/acquire pair orders such a copy against its
-  // gather.  The cross-parity mirror is deferred to run_adaptive()'s
-  // epilogue, when every lane has joined and no reader can exist.
+  // gather.  The cross-parity mirror is deferred to run()'s epilogue, when
+  // every lane has joined and no reader can exist.
   frozen_pass_[node].store(g, std::memory_order_release);
 }
 
@@ -341,7 +375,7 @@ void ResidentTiledEngine::clear_frozen() {
 void ResidentTiledEngine::restart_clock() {
   // A full buffer load (halo included) makes the mailboxes irrelevant until
   // the next publish; restart the pass/parity clock.  Frozen-pass markers
-  // must go with it: a completed adaptive run clears them in its epilogue,
+  // must go with it: a completed run clears them in its epilogue,
   // but a run aborted by a body exception leaves them set, and a marker
   // surviving into the next solve would redirect gathers to a stale frozen
   // strip of the PREVIOUS stream — the engine-reuse leak a pooled fleet
@@ -359,107 +393,129 @@ void ResidentTiledEngine::reset_duals() {
   restart_clock();
 }
 
-void ResidentTiledEngine::run(int iterations) {
+std::span<const ResidentRunReport> ResidentTiledEngine::run(
+    int iterations, const ResidentRunPolicy& policy) {
   if (iterations < 0)
     throw std::invalid_argument("ResidentTiledEngine::run: iterations < 0");
-  if (iterations == 0) return;
+  policy.validate();
+  // Pass schedule: merge_iterations per pass, remainder last.  Every burst
+  // is <= plan_.halo, which is what keeps profitable cells' dependency
+  // cones inside the buffer.
+  const int merge = options_.merge_iterations;
+  const int passes = (iterations + merge - 1) / merge;
+  const int final_burst = iterations - (passes - 1) * merge;
+  for (NodeRun& r : runs_) r = NodeRun{};
+  for (ResidentRunReport& r : reports_) {
+    r.pass_cap = passes;
+    r.tiles_converged = r.total_tile_passes = r.total_iterations = 0;
+    r.stolen_passes = r.coarse_solves = r.coarse_gated = r.tiles_unretired = 0;
+    r.coarse_levels = 0;
+    r.last_correction_max = 0.f;
+    r.rendezvous_seconds = 0.0;
+    std::fill(r.tile_passes.begin(), r.tile_passes.end(), 0);
+    std::fill(r.tile_residuals.begin(), r.tile_residuals.end(), 0.f);
+  }
+  if (passes == 0) return reports_;
   const telemetry::TraceSpan span("chambolle.resident.run");
   telemetry::flight_mark("resident.run", static_cast<double>(iterations));
 
-  // A completed adaptive run mirrors frozen strips into both parities and
-  // clears the markers in its epilogue, but an exception-aborted one leaves
-  // them set — and a stale marker would redirect this run's gathers to a
-  // long-dead frozen slot.  The fixed-budget schedule never freezes, so the
-  // markers must be clear here; reset defensively (same as run_adaptive).
+  // A completed run mirrors frozen strips into both parities and clears the
+  // markers in its epilogue, but an exception-aborted one leaves them set —
+  // and a stale marker would redirect this run's gathers to a long-dead
+  // frozen slot.  Reset defensively.
   clear_frozen();
 
-  // Pass schedule: merge_iterations per pass, remainder last.  Every k is
-  // <= plan_.halo, which is what keeps profitable cells' dependency cones
-  // inside the buffer.
-  std::vector<int> pass_iters;
-  for (int remaining = iterations; remaining > 0;) {
-    const int k = std::min(remaining, options_.merge_iterations);
-    pass_iters.push_back(k);
-    remaining -= k;
-  }
-  const int passes = static_cast<int>(pass_iters.size());
   const int base = pass_count_;
+  const int levels = CoarseCorrector::resolve_levels(
+      plan_.frame_rows, plan_.frame_cols, policy.multilevel);
+  const int period = policy.multilevel.period;
+  // Disabled / degenerate corrections run the plain schedule — the
+  // bit-exact contract of the fixed budget rests on this being the SAME
+  // code.
+  std::optional<Correction> correction;
+  if (levels > 0 && period > 0 && (passes - 1) / period > 0)
+    correction.emplace(*this, policy, levels, base);
+
   const int lane_count = lanes();
   parallel::PerLane<Matrix<float>> scratch(lane_count);
-
-  const auto body = [&](int node, int epoch, int lane) {
+  const auto body = [&](int node, int epoch, int lane) -> bool {
     const int g = base + epoch;  // global pass index since the last reload
     if (g > 0) gather_halos(node, g);
-    kernel_pass(node, pass_iters[epoch], scratch[lane], nullptr);
-    publish_strips(node, g);
+    if (correction) correction->at_pass(node, epoch);
+    return node_pass(node, g, lane, epoch == passes - 1 ? final_burst : merge,
+                     policy, scratch[lane], runs_[node]);
   };
+  parallel::EpochGraph::RendezvousFn rendezvous;
+  if (correction)
+    rendezvous = [&](int, parallel::EpochGraph::RendezvousControl& ctl) {
+      correction->fire(ctl);
+    };
 
   const parallel::EpochGraph::RunStats rs =
-      graph_->run(passes, lane_count, pool(), body);
+      graph_->run(passes, lane_count, pool(), body, policy.retiring(), period,
+                  rendezvous);
+  account(passes, rs);
+  if (correction) {
+    static telemetry::Counter& c_solves =
+        telemetry::registry().counter("tiles.coarse_solves");
+    static telemetry::Counter& c_gated =
+        telemetry::registry().counter("tiles.coarse_gated");
+    static telemetry::Counter& c_unretired =
+        telemetry::registry().counter("tiles.coarse_unretired");
+    static telemetry::Counter& c_rv_micros =
+        telemetry::registry().counter("tiles.coarse_rendezvous_micros");
+    float correction_max = 0.f;
+    for (const ResidentRunReport& r : reports_) {
+      c_solves.add(r.coarse_solves);
+      c_gated.add(r.coarse_gated);
+      c_unretired.add(r.tiles_unretired);
+      c_rv_micros.add(static_cast<std::uint64_t>(r.rendezvous_seconds * 1e6));
+      correction_max = std::max(correction_max, r.last_correction_max);
+    }
+    telemetry::registry()
+        .gauge("tiles.coarse_correction_norm")
+        .set(static_cast<double>(correction_max));
+  }
+  // Quiescent epilogue (every lane has joined): republish each retired
+  // tile's final strips from its buffer into BOTH parity slots and clear
+  // its marker, so later runs — whose gathers assume the live parity — read
+  // the frozen state no matter how many passes each tile actually executed.
+  // The buffer is what the tile last published, plus any correction it
+  // absorbed in place since.  This write is exactly the one that would race
+  // a concurrent gather during the run (see mark_frozen); here no reader
+  // exists.
+  for (std::size_t i = 0; i < tiles_.size(); ++i) {
+    if (frozen_pass_[i].load(std::memory_order_relaxed) < 0) continue;
+    publish_strips(static_cast<int>(i), 0);
+    publish_strips(static_cast<int>(i), 1);
+    frozen_pass_[i].store(-1, std::memory_order_relaxed);
+  }
+  // The parity clock advances by the full cap.
   pass_count_ += passes;
-
-  const std::uint64_t halo_bytes =
-      static_cast<std::uint64_t>(stats_.halo_elements_per_pass) *
-      sizeof(float) * static_cast<std::uint64_t>(passes);
-  stats_.passes += passes;
-  stats_.stall_seconds += rs.stall_seconds;
-  stats_.stall_spins += rs.stall_spins;
-  stats_.halo_bytes_exchanged += halo_bytes;
-  for (const int k : pass_iters)
-    stats_.element_iterations += plan_.total_buffer_elements() *
-                                 static_cast<std::size_t>(fields()) *
-                                 static_cast<std::size_t>(k);
-
-  static telemetry::Counter& c_passes =
-      telemetry::registry().counter("tiles.passes");
-  static telemetry::Counter& c_halo =
-      telemetry::registry().counter("tiles.halo_bytes");
-  static telemetry::Counter& c_stall =
-      telemetry::registry().counter("tiles.stall_micros");
-  static telemetry::Counter& c_spins =
-      telemetry::registry().counter("tiles.stall_spins");
-  // Passes count per field: one pass of a K-field engine is K field passes.
-  c_passes.add(static_cast<std::uint64_t>(passes) *
-               static_cast<std::uint64_t>(fields()));
-  c_halo.add(halo_bytes);
-  c_stall.add(static_cast<std::uint64_t>(rs.stall_seconds * 1e6));
-  c_spins.add(rs.stall_spins);
-  // Per-pass traffic of this engine vs. the reload engine's two full frames
-  // in and out (4 floats/cell) per field: the acceptance-criterion ratio.
-  const double frame_reload_bytes =
-      4.0 * sizeof(float) * static_cast<double>(plan_.frame_rows) *
-      static_cast<double>(plan_.frame_cols) * static_cast<double>(fields());
-  telemetry::registry()
-      .gauge("tiles.halo_traffic_fraction")
-      .set(frame_reload_bytes > 0.0
-               ? static_cast<double>(stats_.halo_elements_per_pass) *
-                     sizeof(float) / frame_reload_bytes
-               : 0.0);
+  return reports_;
 }
 
-bool ResidentTiledEngine::adaptive_pass(int node, int epoch, int g, int lane,
-                                        const ResidentAdaptiveOptions& options,
-                                        Matrix<float>& scratch, NodeRun& run) {
-  // run()'s remainder schedule: the last pass of the cap may be a truncated
-  // burst so the cap lands on an exact iteration budget.
-  const bool final_pass = epoch == options.max_passes - 1;
-  const int burst = final_pass && options.final_pass_iterations > 0
-                        ? options.final_pass_iterations
-                        : options_.merge_iterations;
+bool ResidentTiledEngine::node_pass(int node, int g, int lane, int burst,
+                                    const ResidentRunPolicy& policy,
+                                    Matrix<float>& scratch, NodeRun& run) {
+  // The fixed budget never reads the residual, so its kernel skips the
+  // reduction.
+  const bool retiring = policy.retiring();
   float residual = 0.f;
-  kernel_pass(node, burst, scratch, &residual);
+  kernel_pass(node, burst, scratch, retiring ? &residual : nullptr);
   publish_strips(node, g);
   ++run.passes;
+  run.iterations += burst;
+  if (!retiring) return false;
   run.residual = residual;
-  if (final_pass) run.ran_final = true;
   if (graph_->owner(node, lanes()) != lane) ++run.stolen;
   // The residual is the buffer-wide max |dp| of the pass's LAST iteration:
   // the same single-iteration semantics as solve_adaptive, so the same
   // tolerance means the same thing regardless of merge depth.  Halo cells
   // are included — conservative: a tile only retires once its neighborhood
   // influence has also stilled.
-  if (residual < options.tolerance) {
-    if (++run.streak >= options.patience) {
+  if (residual < policy.tolerance) {
+    if (++run.streak >= policy.patience) {
       mark_frozen(node, g);
       return true;  // retire: EpochGraph publishes the terminal epoch
     }
@@ -469,29 +525,21 @@ bool ResidentTiledEngine::adaptive_pass(int node, int epoch, int g, int lane,
   return false;
 }
 
-std::vector<ResidentAdaptiveReport> ResidentTiledEngine::account_adaptive(
-    const std::vector<NodeRun>& runs, const ResidentAdaptiveOptions& options,
-    const parallel::EpochGraph::RunStats& rs) {
-  const int n = tiles_per_field();
-  std::vector<ResidentAdaptiveReport> reports(fields_);
-  for (ResidentAdaptiveReport& r : reports) {
-    r.pass_cap = options.max_passes;
-    r.tiles = n;
-    r.tile_passes.assign(n, 0);
-    r.tile_residuals.assign(n, 0.f);
-  }
+void ResidentTiledEngine::account(int passes,
+                                  const parallel::EpochGraph::RunStats& rs) {
   std::uint64_t halo_floats = 0, converged = 0;
-  for (std::size_t i = 0; i < runs.size(); ++i) {
+  for (std::size_t i = 0; i < runs_.size(); ++i) {
     const int node = static_cast<int>(i);
-    const NodeRun& run = runs[i];
+    const NodeRun& run = runs_[i];
     const int t = tile_of(node);
-    ResidentAdaptiveReport& r = reports[field_of(node)];
+    ResidentRunReport& r = reports_[field_of(node)];
     r.tile_passes[t] = run.passes;
     r.tile_residuals[t] = run.residual;
     r.total_tile_passes += static_cast<std::size_t>(run.passes);
+    r.total_iterations += static_cast<std::size_t>(run.iterations);
     r.stolen_passes += static_cast<std::uint64_t>(run.stolen);
-    // Retired tiles still carry their marker: the epilogues clear them after
-    // this accounting.
+    // Retired tiles still carry their marker: the epilogue clears them
+    // after this accounting.
     if (frozen_pass_[i].load(std::memory_order_relaxed) >= 0) {
       ++r.tiles_converged;
       ++converged;
@@ -501,18 +549,10 @@ std::vector<ResidentAdaptiveReport> ResidentTiledEngine::account_adaptive(
       out_elems += 2 * mail_[mi].edge.elements();
     halo_floats += static_cast<std::uint64_t>(out_elems) *
                    static_cast<std::uint64_t>(run.passes);
-    std::size_t iters = static_cast<std::size_t>(run.passes) *
-                        static_cast<std::size_t>(options_.merge_iterations);
-    // A tile that executed the cap's final pass ran the truncated burst
-    // there (a resurrected tile's pass history is not contiguous, so this
-    // is tracked, not inferred from the pass count).
-    if (options.final_pass_iterations > 0 && run.ran_final)
-      iters -= static_cast<std::size_t>(options_.merge_iterations -
-                                        options.final_pass_iterations);
-    r.total_iterations += iters;
-    stats_.element_iterations += plan_.tiles[t].buffer_elements() * iters;
+    stats_.element_iterations += plan_.tiles[t].buffer_elements() *
+                                 static_cast<std::size_t>(run.iterations);
   }
-  stats_.passes += options.max_passes;
+  stats_.passes += passes;
   stats_.stall_seconds += rs.stall_seconds;
   stats_.stall_spins += rs.stall_spins;
   stats_.halo_bytes_exchanged += halo_floats * sizeof(float);
@@ -531,73 +571,35 @@ std::vector<ResidentAdaptiveReport> ResidentTiledEngine::account_adaptive(
       telemetry::registry().counter("tiles.stolen_passes");
   static telemetry::Histogram& h_passes = telemetry::registry().histogram(
       "tiles.passes_used", {1, 2, 4, 8, 16, 32, 64, 128, 256, 512});
-  c_passes.add(rs.executed_passes);
+  // Passes count per field: one pass of a K-field engine is K field passes,
+  // however many of its tiles retired early (executed node passes are the
+  // reports' total_tile_passes and the passes_used histogram).
+  c_passes.add(static_cast<std::uint64_t>(passes) *
+               static_cast<std::uint64_t>(fields()));
   c_halo.add(halo_floats * sizeof(float));
   c_stall.add(static_cast<std::uint64_t>(rs.stall_seconds * 1e6));
   c_spins.add(rs.stall_spins);
   c_converged.add(converged);
   c_stolen.add(rs.stolen_passes);
-  for (const NodeRun& run : runs) h_passes.observe(run.passes);
-  const double fixed = static_cast<double>(runs.size()) *
-                       static_cast<double>(options.max_passes);
+  for (const NodeRun& run : runs_) h_passes.observe(run.passes);
+  const double fixed =
+      static_cast<double>(runs_.size()) * static_cast<double>(passes);
   telemetry::registry()
       .gauge("tiles.adaptive_pass_savings")
       .set(fixed > 0.0
                ? 1.0 - static_cast<double>(rs.executed_passes) / fixed
                : 0.0);
-  return reports;
-}
-
-std::vector<ResidentAdaptiveReport> ResidentTiledEngine::run_adaptive(
-    const ResidentAdaptiveOptions& options) {
-  options.validate();
-  const telemetry::TraceSpan span("chambolle.resident.run_adaptive");
-  telemetry::flight_mark("resident.run_adaptive",
-                         static_cast<double>(options.max_passes));
-
-  if (options.final_pass_iterations > options_.merge_iterations)
-    throw std::invalid_argument(
-        "run_adaptive: final_pass_iterations exceeds the merge depth");
-
-  std::vector<NodeRun> runs(tiles_.size());
-
-  // Markers are cleared by the previous adaptive run's epilogue; reset
-  // defensively in case that run aborted via a body exception mid-flight.
-  clear_frozen();
-
-  const int base = pass_count_;
-  const int lane_count = lanes();
-  parallel::PerLane<Matrix<float>> scratch(lane_count);
-
-  const auto body = [&](int node, int epoch, int lane) -> bool {
-    const int g = base + epoch;  // global pass index since the last reload
-    if (g > 0) gather_halos(node, g);
-    return adaptive_pass(node, epoch, g, lane, options, scratch[lane],
-                         runs[node]);
-  };
-
-  const parallel::EpochGraph::RunStats rs =
-      graph_->run_adaptive(options.max_passes, lane_count, pool(), body);
-  std::vector<ResidentAdaptiveReport> reports =
-      account_adaptive(runs, options, rs);
-  // Quiescent epilogue (every lane has joined): mirror each retired tile's
-  // final strips into the other parity slot and clear its marker, so later
-  // run()/run_adaptive() calls — whose gathers assume the live parity —
-  // read the frozen state no matter how many passes each tile actually
-  // executed.  This copy is exactly the write that would race a concurrent
-  // gather during the run (see mark_frozen); here no reader exists.
-  for (std::size_t i = 0; i < tiles_.size(); ++i) {
-    const int f = frozen_pass_[i].load(std::memory_order_relaxed);
-    if (f < 0) continue;
-    const int node = static_cast<int>(i);
-    Mailbox* mail = mailboxes(field_of(node));
-    for (const int mi : out_edges_[tile_of(node)])
-      mail[mi].slot[(f + 1) & 1] = mail[mi].slot[f & 1];
-    frozen_pass_[i].store(-1, std::memory_order_relaxed);
-  }
-  // The parity clock advances by the full cap.
-  pass_count_ += options.max_passes;
-  return reports;
+  // Per-pass traffic of this engine vs. the reload engine's two full frames
+  // in and out (4 floats/cell) per field: the acceptance-criterion ratio.
+  const double frame_reload_bytes =
+      4.0 * sizeof(float) * static_cast<double>(plan_.frame_rows) *
+      static_cast<double>(plan_.frame_cols) * static_cast<double>(fields());
+  telemetry::registry()
+      .gauge("tiles.halo_traffic_fraction")
+      .set(frame_reload_bytes > 0.0
+               ? static_cast<double>(stats_.halo_elements_per_pass) *
+                     sizeof(float) / frame_reload_bytes
+               : 0.0);
 }
 
 namespace {
@@ -615,248 +617,151 @@ float max_abs_rect(const Matrix<float>& m, int r0, int c0, int rows,
 
 }  // namespace
 
-std::vector<ResidentMultilevelReport> ResidentTiledEngine::run_multilevel(
-    const ResidentMultilevelOptions& options) {
-  options.validate();
-  const int k = fields();
-  std::vector<ResidentMultilevelReport> reports(fields_);
-
-  // Disabled / degenerate configurations delegate verbatim — the bit-exact
-  // contract of the fixed-budget path rests on this being the SAME code.
-  const int levels = CoarseCorrector::resolve_levels(
-      plan_.frame_rows, plan_.frame_cols, options.multilevel);
-  const int period = options.multilevel.period;
-  const int num_firings =
-      period > 0 ? (options.adaptive.max_passes - 1) / period : 0;
-  if (levels == 0 || num_firings == 0 || tiles_.empty()) {
-    std::vector<ResidentAdaptiveReport> adaptive =
-        run_adaptive(options.adaptive);
-    for (int f = 0; f < k; ++f) reports[f].adaptive = std::move(adaptive[f]);
-    return reports;
+ResidentTiledEngine::Correction::Correction(ResidentTiledEngine& engine,
+                                            const ResidentRunPolicy& policy,
+                                            int levels, int base)
+    : engine(engine),
+      unretire_tol(policy.multilevel.unretire_factor * policy.tolerance),
+      base(base),
+      fields(static_cast<std::size_t>(engine.fields_)) {
+  // The correctors keep their own copy of v; assemble each field's from the
+  // tiles' profitable windows.
+  const TilingPlan& plan = engine.plan_;
+  Matrix<float> v(plan.frame_rows, plan.frame_cols);
+  for (int f = 0; f < engine.fields_; ++f) {
+    for (int t = 0; t < engine.tiles_per_field(); ++t)
+      copy_profitable(engine.tiles_[engine.node_of(f, t)].v, plan.tiles[t], v);
+    engine.reports_[f].coarse_levels = levels;
+    fields[f].corrector.setup(v, engine.params_, policy.multilevel);
   }
+}
 
-  const telemetry::TraceSpan span("chambolle.resident.run_multilevel");
-  telemetry::flight_mark("resident.run_multilevel",
-                         static_cast<double>(options.adaptive.max_passes));
-  if (options.adaptive.final_pass_iterations > options_.merge_iterations)
-    throw std::invalid_argument(
-        "run_multilevel: final_pass_iterations exceeds the merge depth");
-
-  const int n = tiles_per_field();
-  std::vector<NodeRun> runs(tiles_.size());
-  clear_frozen();
-
-  // Every field is corrected on its own: its own corrector, progress gate
-  // and end rule, so its bits equal a single-field engine's.
-  struct FieldCorrection {
-    CoarseCorrector corrector;
-    // The boundary whose rendezvous actually applied a correction (-1 =
-    // none): written inside the exclusive window before the scheduler's
-    // releasing rv_epoch store, read by boundary-pass bodies after its
-    // acquire — so a plain int is race-free.  Bodies at a boundary whose
-    // firing was declined by the progress gate must NOT fold in the (stale)
-    // delta buffers.
-    int applied_boundary = -1;
-    // The field's end rule fired: every tile finished and its last firing
-    // revived none, which is where a single-field run stops firing.
-    bool done = false;
-  };
-  std::vector<FieldCorrection> fc(fields_);
-  DualField snap;
-  {
-    // The correctors keep their own copy of v; assemble each field's from
-    // the tiles' profitable windows.
-    Matrix<float> v(plan_.frame_rows, plan_.frame_cols);
-    for (int f = 0; f < k; ++f) {
-      for (int t = 0; t < n; ++t)
-        copy_profitable(tiles_[node_of(f, t)].v, plan_.tiles[t], v);
-      reports[f].coarse_levels = levels;
-      fc[f].corrector.setup(v, params_, options.multilevel);
+void ResidentTiledEngine::Correction::apply_delta(int node) {
+  const TileSpec& t = engine.plan_.tiles[engine.tile_of(node)];
+  TileBuffers& b = engine.tiles_[node];
+  const CoarseCorrector& c = fields[engine.field_of(node)].corrector;
+  const Matrix<float>& dx = c.delta_px();
+  const Matrix<float>& dy = c.delta_py();
+  for (int r = 0; r < t.buf_rows; ++r) {
+    const float* sx = &dx(t.buf_row0 + r, t.buf_col0);
+    const float* sy = &dy(t.buf_row0 + r, t.buf_col0);
+    float* px = &b.px(r, 0);
+    float* py = &b.py(r, 0);
+    for (int c = 0; c < t.buf_cols; ++c) {
+      px[c] += sx[c];
+      py[c] += sy[c];
     }
   }
-  const float unretire_tol =
-      options.multilevel.unretire_factor * options.adaptive.tolerance;
+}
 
-  const int base = pass_count_;
-  const int lane_count = lanes();
-  parallel::PerLane<Matrix<float>> scratch(lane_count);
+void ResidentTiledEngine::Correction::at_pass(int node, int epoch) {
+  // At a correction boundary, fold the rendezvous delta in AFTER the
+  // gather: the gathered strips are pre-correction (live neighbors are
+  // parked at the same boundary; a frozen neighbor's strips were re-
+  // published from its pre-correction buffer by the rendezvous), so adding
+  // the delta over the whole buffer lands every cell — profitable and halo
+  // alike — on the corrected state exactly once.
+  if (epoch > 0 && epoch == fields[engine.field_of(node)].applied_boundary)
+    apply_delta(node);
+}
 
-  // Folds the field's last computed correction into one tile's WHOLE buffer
-  // (profitable + halo): the delta is globally consistent, so overlapping
-  // buffer cells of different tiles receive identical values.  No
-  // projection here — the corrector's delta is corrected-feasible minus
-  // snapshot, so a plain add lands on the projected state.
-  const auto apply_delta = [&](int node) {
-    const TileSpec& t = plan_.tiles[tile_of(node)];
-    TileBuffers& b = tiles_[node];
-    const CoarseCorrector& c = fc[field_of(node)].corrector;
-    const Matrix<float>& dx = c.delta_px();
-    const Matrix<float>& dy = c.delta_py();
-    for (int r = 0; r < t.buf_rows; ++r) {
-      const float* sx = &dx(t.buf_row0 + r, t.buf_col0);
-      const float* sy = &dy(t.buf_row0 + r, t.buf_col0);
-      float* px = &b.px(r, 0);
-      float* py = &b.py(r, 0);
-      for (int c = 0; c < t.buf_cols; ++c) {
-        px[c] += sx[c];
-        py[c] += sy[c];
-      }
+void ResidentTiledEngine::Correction::fire(
+    parallel::EpochGraph::RendezvousControl& ctl) {
+  // Runs in the scheduler's exclusive window (every live tile parked
+  // exactly at the boundary, every other tile retired), so it may touch any
+  // tile buffer and any mailbox slot without racing a reader — see
+  // EpochGraph::run.  It corrects each field that has not reached its end
+  // rule, one after the other.
+  const int n = engine.tiles_per_field();
+  const int boundary = ctl.boundary();  // epoch of the next fine pass
+  const int gb = base + boundary;       // its global pass index (parity)
+  for (int f = 0; f < engine.fields_; ++f) {
+    Field& field = fields[f];
+    if (field.done) continue;
+    ResidentRunReport& report = engine.reports_[f];
+    const Stopwatch clock;
+    // Step 0: re-sync each still-frozen tile's published strips from its
+    // buffer (parity = its frozen pass, where its readers look).  Earlier
+    // corrections were absorbed into the buffer but could not be published
+    // mid-run; this bounds a frozen tile's publish drift to at most ONE
+    // correction, never an accumulation.
+    for (int t = 0; t < n; ++t) {
+      const int node = engine.node_of(f, t);
+      const int fz = engine.frozen_pass_[node].load(std::memory_order_relaxed);
+      if (fz >= 0) engine.publish_strips(node, fz);
     }
-  };
-
-  const auto body = [&](int node, int epoch, int lane) -> bool {
-    const int g = base + epoch;
-    if (g > 0) gather_halos(node, g);
-    // At a correction boundary, fold the rendezvous delta in AFTER the
-    // gather: the gathered strips are pre-correction (live neighbors are
-    // parked at the same boundary; a frozen neighbor's strips were re-
-    // published from its pre-correction buffer by the rendezvous), so
-    // adding the delta over the whole buffer lands every cell — profitable
-    // and halo alike — on the corrected state exactly once.
-    if (epoch > 0 &&
-        epoch == fc[field_of(node)].applied_boundary)
-      apply_delta(node);
-    return adaptive_pass(node, epoch, g, lane, options.adaptive, scratch[lane],
-                         runs[node]);
-  };
-
-  // The rendezvous body: runs in the scheduler's exclusive window (every
-  // live tile parked exactly at the boundary, every other tile retired), so
-  // it may touch any tile buffer and any mailbox slot without racing a
-  // reader — see EpochGraph::run_rendezvous.  It corrects each field that
-  // has not reached its end rule, one after the other.
-  const auto rendezvous = [&](int /*firing*/,
-                              parallel::EpochGraph::RendezvousControl& ctl) {
-    const int boundary = ctl.boundary();  // epoch of the next fine pass
-    const int gb = base + boundary;       // its global pass index (parity)
-    for (int f = 0; f < k; ++f) {
-      FieldCorrection& field = fc[f];
-      if (field.done) continue;
-      ResidentMultilevelReport& report = reports[f];
-      const Stopwatch clock;
-      // Step 0: re-sync each still-frozen tile's published strips from its
-      // buffer (parity = its frozen pass, where its readers look).  Earlier
-      // corrections were absorbed into the buffer but could not be published
-      // mid-run; this bounds a frozen tile's publish drift to at most ONE
-      // correction, never an accumulation.
-      for (int t = 0; t < n; ++t) {
-        const int node = node_of(f, t);
-        const int fz = frozen_pass_[node].load(std::memory_order_relaxed);
-        if (fz >= 0) publish_strips(node, fz);
+    // Step 1+2: assemble the field's fine dual state and run the gated
+    // V-cycle.  The gate's residual is the max over the field's tiles of
+    // the last pass's buffer-wide |dp| — every live tile is parked at the
+    // boundary, so each entry is that tile's pass (boundary - 1) value;
+    // frozen tiles contribute their (sub-tolerance) retirement-time
+    // residual.
+    float churn = 0.f;
+    for (int t = 0; t < n; ++t)
+      churn = std::max(churn, engine.runs_[engine.node_of(f, t)].residual);
+    engine.snapshot(snap, f);
+    const CoarseCorrector::Result res =
+        field.corrector.compute(snap.px, snap.py, churn);
+    bool revived = false, all_frozen = true;
+    if (!res.applied) {
+      // Baseline call, gate declined, or the energy safeguard vetoed the
+      // cycle's output: no delta exists, so boundary-pass bodies must not
+      // apply one and frozen tiles stay untouched.
+      field.applied_boundary = -1;
+      ++report.coarse_gated;
+    } else {
+      field.applied_boundary = boundary;
+      ++report.coarse_solves;
+      report.last_correction_max = res.max_delta;
+    }
+    // Step 3: retired tiles don't run a boundary pass, so they take the
+    // correction here — in place if it is below the un-retirement bar, by
+    // resurrection otherwise.
+    for (int t = 0; t < n; ++t) {
+      const int node = engine.node_of(f, t);
+      std::atomic<int>& frozen = engine.frozen_pass_[node];
+      if (frozen.load(std::memory_order_relaxed) < 0) {
+        all_frozen = false;
+        continue;
       }
-      // Step 1+2: assemble the field's fine dual state and run the gated
-      // V-cycle.  The gate's residual is the max over the field's tiles of
-      // the last pass's buffer-wide |dp| — every live tile is parked at the
-      // boundary, so each entry is that tile's pass (boundary - 1) value;
-      // frozen tiles contribute their (sub-tolerance) retirement-time
-      // residual.
-      float churn = 0.f;
-      for (int t = 0; t < n; ++t)
-        churn = std::max(churn, runs[node_of(f, t)].residual);
-      snapshot(snap, f);
-      const CoarseCorrector::Result res =
-          field.corrector.compute(snap.px, snap.py, churn);
-      bool revived = false, all_frozen = true;
-      if (!res.applied) {
-        // Baseline call, gate declined, or the energy safeguard vetoed the
-        // cycle's output: no delta exists, so boundary-pass bodies must not
-        // apply one and frozen tiles stay untouched.
-        field.applied_boundary = -1;
-        ++report.coarse_gated;
+      if (!res.applied) continue;
+      const TileSpec& s = engine.plan_.tiles[t];
+      const float local = std::max(
+          max_abs_rect(field.corrector.delta_px(), s.prof_row0, s.prof_col0,
+                       s.prof_rows, s.prof_cols),
+          max_abs_rect(field.corrector.delta_py(), s.prof_row0, s.prof_col0,
+                       s.prof_rows, s.prof_cols));
+      if (local > unretire_tol) {
+        // Resurrect: publish the PRE-correction strips at the live parity
+        // the boundary-pass gathers read, clear the frozen marker, and
+        // rewind the node.  The tile's own boundary pass then applies the
+        // delta exactly like every live tile — no special casing, no
+        // double application.
+        engine.publish_strips(node, gb - 1);
+        frozen.store(-1, std::memory_order_relaxed);
+        engine.runs_[node].streak = 0;
+        ctl.resurrect(node);
+        ++report.tiles_unretired;
+        revived = true;
+        all_frozen = false;
       } else {
-        field.applied_boundary = boundary;
-        ++report.coarse_solves;
-        report.last_correction_max = res.max_delta;
+        // Stay frozen: fold the correction into the frozen buffer.  Its
+        // published strips intentionally stay pre-correction until the next
+        // step-0 re-sync (or the epilogue): readers between boundaries see
+        // a drift of at most this one delta, itself bounded by
+        // unretire_tol — the same deviation class the adaptive tolerance
+        // mode already admits.
+        apply_delta(node);
       }
-      // Step 3: retired tiles don't run a boundary pass, so they take the
-      // correction here — in place if it is below the un-retirement bar,
-      // by resurrection otherwise.
-      for (int t = 0; t < n; ++t) {
-        const int node = node_of(f, t);
-        std::atomic<int>& frozen = frozen_pass_[node];
-        if (frozen.load(std::memory_order_relaxed) < 0) {
-          all_frozen = false;
-          continue;
-        }
-        if (!res.applied) continue;
-        const TileSpec& s = plan_.tiles[t];
-        const float local = std::max(
-            max_abs_rect(field.corrector.delta_px(), s.prof_row0, s.prof_col0,
-                         s.prof_rows, s.prof_cols),
-            max_abs_rect(field.corrector.delta_py(), s.prof_row0, s.prof_col0,
-                         s.prof_rows, s.prof_cols));
-        if (local > unretire_tol) {
-          // Resurrect: publish the PRE-correction strips at the live parity
-          // the boundary-pass gathers read, clear the frozen marker, and
-          // rewind the node.  The tile's own boundary pass then applies the
-          // delta exactly like every live tile — no special casing, no
-          // double application.
-          publish_strips(node, gb - 1);
-          frozen.store(-1, std::memory_order_relaxed);
-          runs[node].streak = 0;
-          ctl.resurrect(node);
-          ++report.tiles_unretired;
-          revived = true;
-          all_frozen = false;
-        } else {
-          // Stay frozen: fold the correction into the frozen buffer.  Its
-          // published strips intentionally stay pre-correction until the next
-          // step-0 re-sync (or the epilogue): readers between boundaries see
-          // a drift of at most this one delta, itself bounded by
-          // unretire_tol — the same deviation class the adaptive tolerance
-          // mode already admits.
-          apply_delta(node);
-        }
-      }
-      // The field's end rule, the scheduler's own rule applied per field:
-      // with every tile finished (during a firing no tile is at the cap
-      // without having retired) and none revived, a single-field run would
-      // fire no more — so this field takes no later firing either, however
-      // long the other fields keep the rendezvous going.
-      if (all_frozen && !revived) field.done = true;
-      report.rendezvous_seconds += clock.seconds();
     }
-  };
-
-  const parallel::EpochGraph::RunStats rs = graph_->run_rendezvous(
-      options.adaptive.max_passes, period, lane_count, pool(), body,
-      rendezvous);
-
-  std::vector<ResidentAdaptiveReport> adaptive =
-      account_adaptive(runs, options.adaptive, rs);
-  for (int f = 0; f < k; ++f) reports[f].adaptive = std::move(adaptive[f]);
-  // Quiescent epilogue: frozen buffers may hold corrections absorbed after
-  // their last publish, so republish from the buffer into BOTH parity slots
-  // (later run()/run_adaptive() gathers assume the live parity) and clear
-  // the markers.
-  for (std::size_t i = 0; i < tiles_.size(); ++i) {
-    if (frozen_pass_[i].load(std::memory_order_relaxed) < 0) continue;
-    publish_strips(static_cast<int>(i), 0);
-    publish_strips(static_cast<int>(i), 1);
-    frozen_pass_[i].store(-1, std::memory_order_relaxed);
+    // The field's end rule, the scheduler's own rule applied per field:
+    // with every tile finished (during a firing no tile is at the cap
+    // without having retired) and none revived, a single-field run would
+    // fire no more — so this field takes no later firing either, however
+    // long the other fields keep the rendezvous going.
+    if (all_frozen && !revived) field.done = true;
+    report.rendezvous_seconds += clock.seconds();
   }
-  pass_count_ += options.adaptive.max_passes;
-
-  static telemetry::Counter& c_solves =
-      telemetry::registry().counter("tiles.coarse_solves");
-  static telemetry::Counter& c_gated =
-      telemetry::registry().counter("tiles.coarse_gated");
-  static telemetry::Counter& c_unretired =
-      telemetry::registry().counter("tiles.coarse_unretired");
-  static telemetry::Counter& c_rv_micros =
-      telemetry::registry().counter("tiles.coarse_rendezvous_micros");
-  float correction_max = 0.f;
-  for (const ResidentMultilevelReport& r : reports) {
-    c_solves.add(r.coarse_solves);
-    c_gated.add(r.coarse_gated);
-    c_unretired.add(r.tiles_unretired);
-    c_rv_micros.add(static_cast<std::uint64_t>(r.rendezvous_seconds * 1e6));
-    correction_max = std::max(correction_max, r.last_correction_max);
-  }
-  telemetry::registry()
-      .gauge("tiles.coarse_correction_norm")
-      .set(static_cast<double>(correction_max));
-  return reports;
 }
 
 void ResidentTiledEngine::snapshot(DualField& out, int field) const {
@@ -953,54 +858,15 @@ void ResidentTiledEngine::result_into(Matrix<float>& u, DualField& duals) {
 ChambolleResult solve_resident(const Matrix<float>& v,
                                const ChambolleParams& params,
                                const TiledSolverOptions& options,
+                               const ResidentRunPolicy& policy,
+                               ResidentRunReport* report,
                                ResidentTiledStats* stats,
                                const DualField* initial) {
   const telemetry::TraceSpan span("chambolle.solve_resident");
   ResidentTiledEngine engine(v, params, options, initial);
-  engine.run(params.iterations);
+  const ResidentRunReport& rep = engine.run(params.iterations, policy).front();
   static telemetry::Counter& c_solves =
       telemetry::registry().counter("tiles.resident_solves");
-  c_solves.add(1);
-  if (stats != nullptr) *stats = engine.stats();
-  return engine.result();
-}
-
-ChambolleResult solve_resident_adaptive(const Matrix<float>& v,
-                                        const ChambolleParams& params,
-                                        const TiledSolverOptions& options,
-                                        const ResidentAdaptiveOptions& adaptive,
-                                        ResidentAdaptiveReport* report,
-                                        ResidentTiledStats* stats,
-                                        const DualField* initial) {
-  const telemetry::TraceSpan span("chambolle.solve_resident_adaptive");
-  // Default the cap to the fixed budget: the adaptive solve never does more
-  // work than solve_resident() with the same params.
-  const ResidentAdaptiveOptions opts =
-      adaptive.resolved(params.iterations, options.merge_iterations);
-  ResidentTiledEngine engine(v, params, options, initial);
-  const ResidentAdaptiveReport rep = engine.run_adaptive(opts).front();
-  static telemetry::Counter& c_solves =
-      telemetry::registry().counter("tiles.adaptive_solves");
-  c_solves.add(1);
-  if (report != nullptr) *report = rep;
-  if (stats != nullptr) *stats = engine.stats();
-  return engine.result();
-}
-
-ChambolleResult solve_resident_multilevel(
-    const Matrix<float>& v, const ChambolleParams& params,
-    const TiledSolverOptions& options,
-    const ResidentMultilevelOptions& multilevel,
-    ResidentMultilevelReport* report, ResidentTiledStats* stats,
-    const DualField* initial) {
-  const telemetry::TraceSpan span("chambolle.solve_resident_multilevel");
-  ResidentMultilevelOptions opts = multilevel;
-  opts.adaptive =
-      multilevel.adaptive.resolved(params.iterations, options.merge_iterations);
-  ResidentTiledEngine engine(v, params, options, initial);
-  const ResidentMultilevelReport rep = engine.run_multilevel(opts).front();
-  static telemetry::Counter& c_solves =
-      telemetry::registry().counter("tiles.multilevel_solves");
   c_solves.add(1);
   if (report != nullptr) *report = rep;
   if (stats != nullptr) *stats = engine.stats();

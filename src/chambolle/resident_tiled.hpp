@@ -59,98 +59,64 @@
 
 namespace chambolle {
 
-/// Per-tile adaptive early stopping (ROADMAP item 2, after the local-error
-/// indicators of Alkämper/Hilb/Langer's adaptive primal-dual FEM): each
-/// tile tracks the kernel layer's fused single-iteration dual residual
-/// (max |dp| of the last iteration of each pass — no extra sweep, no state
-/// copies) and RETIRES once the residual stays under `tolerance` for
-/// `patience` consecutive passes.  A retired tile publishes a terminal
-/// epoch so neighbors never wait on it, redirects their gathers to its
-/// final (frozen) halo strips via a frozen-pass marker (mirrored into both
-/// mailbox parities once the run quiesces), and its lane's capacity is
-/// redistributed to still-active tiles by the EpochGraph's adaptive work
-/// queue.
-struct ResidentAdaptiveOptions {
+/// How one ResidentTiledEngine::run() spends its iteration budget.  The
+/// default is the fixed budget: every tile runs every pass, bit-exact to the
+/// sequential reference.  Two optional policies ride on the same schedule:
+///
+///  * Per-tile adaptive early stopping (tolerance > 0; after the local-error
+///    indicators of Alkämper/Hilb/Langer's adaptive primal-dual FEM): each
+///    tile tracks the kernel layer's fused single-iteration dual residual
+///    (max |dp| of the last iteration of each pass — no extra sweep, no
+///    state copies) and RETIRES once the residual stays under `tolerance`
+///    for `patience` consecutive passes.  A retired tile publishes a
+///    terminal epoch so neighbors never wait on it, redirects their gathers
+///    to its final (frozen) halo strips via a frozen-pass marker (mirrored
+///    into both mailbox parities once the run quiesces), and its lane's
+///    capacity is redistributed to still-active tiles by the EpochGraph's
+///    work queue.
+///  * A periodic coarse-grid correction (multilevel.period > 0, requires
+///    tolerance > 0): see ResidentTiledEngine::run().
+///
+/// The pass cap and the truncated final pass are not settings: they always
+/// follow from the run's iteration budget and the merge depth, so a run in
+/// which no tile retires executes exactly the fixed schedule.
+struct ResidentRunPolicy {
   /// Per-iteration residual threshold: a pass counts toward retirement when
   /// the max |dp| of its last iteration falls below this.  Same semantics
   /// as AdaptiveOptions::tolerance (single-iteration, merge-depth
-  /// independent).
-  float tolerance = 1e-4f;
+  /// independent).  0 = no tile ever retires: the fixed budget.
+  float tolerance = 0.f;
   /// Consecutive under-tolerance passes before a tile retires.
   int patience = 2;
-  /// Hard per-tile pass cap — the termination guarantee for tiles that
-  /// never reach tolerance.  One pass is `merge_iterations` iterations.
-  int max_passes = 125;
-  /// Iterations of the FINAL pass (pass max_passes - 1); 0 means a full
-  /// merge_iterations burst.  This is the remainder pass of run()'s
-  /// schedule: with it set to `iterations - (max_passes - 1) * merge`, a
-  /// run where no tile retires executes exactly the fixed schedule of
-  /// run(iterations), bit for bit, even when the iteration budget is not a
-  /// multiple of the merge depth.
-  int final_pass_iterations = 0;
+  /// Coarse-grid correction schedule; period 0 = off.
+  MultilevelOptions multilevel;
 
+  /// Tiles may retire before the pass cap.
+  [[nodiscard]] bool retiring() const { return tolerance > 0.f; }
+
+  /// Throws std::invalid_argument on a negative or non-finite tolerance, a
+  /// patience below 1, invalid multilevel options, or a correction period
+  /// without a tolerance.
   void validate() const;
-
-  /// These options with the max_passes <= 0 "fixed budget" sentinel
-  /// resolved against an iteration budget: the cap becomes
-  /// ceil(iterations / merge_iterations) and, when the budget is not a
-  /// multiple of the merge depth, final_pass_iterations the remainder — so
-  /// a run where no tile retires executes run(iterations)'s schedule bit for
-  /// bit.  Options with a positive max_passes come back unchanged.
-  [[nodiscard]] ResidentAdaptiveOptions resolved(int iterations,
-                                                 int merge_iterations) const;
 };
 
-/// Outcome of one run_adaptive() for one field: which of its tiles
-/// converged, how many passes each actually ran, and what the fixed budget
-/// would have cost.
-struct ResidentAdaptiveReport {
-  int pass_cap = 0;                   ///< the max_passes this run enforced
+/// Outcome of one run() for one field: how many passes each of its tiles
+/// actually ran, which of them converged, what the fixed budget would have
+/// cost, and the accounting of the field's own coarse correction.
+struct ResidentRunReport {
+  int pass_cap = 0;                   ///< passes of the fixed schedule
   std::size_t tiles = 0;
   std::size_t tiles_converged = 0;    ///< retired before the cap
   std::size_t total_tile_passes = 0;  ///< sum over tiles of passes executed
-  /// Sum over tiles of Chambolle iterations actually executed —
-  /// cap-truncated final bursts (final_pass_iterations) included, so this
-  /// is NOT always total_tile_passes * merge_iterations.
+  /// Sum over tiles of Chambolle iterations actually executed — the
+  /// truncated final burst of a budget that is not a multiple of the merge
+  /// depth included, so this is NOT always total_tile_passes * merge.
   std::size_t total_iterations = 0;
   std::uint64_t stolen_passes = 0;    ///< passes run off the preferred lane
   std::vector<int> tile_passes;       ///< per-tile passes executed
-  std::vector<float> tile_residuals;  ///< per-tile final residual
-
-  [[nodiscard]] bool all_converged() const {
-    return tiles_converged == tiles;
-  }
-  /// Passes a fixed budget of pass_cap per tile would have executed.
-  [[nodiscard]] std::size_t fixed_budget_passes() const {
-    return tiles * static_cast<std::size_t>(pass_cap);
-  }
-  /// Fraction of the fixed budget the adaptive run skipped (0 = none).
-  [[nodiscard]] double pass_savings() const {
-    const std::size_t fixed = fixed_budget_passes();
-    return fixed > 0 ? 1.0 - static_cast<double>(total_tile_passes) /
-                                 static_cast<double>(fixed)
-                     : 0.0;
-  }
-};
-
-/// Options of run_multilevel(): the adaptive per-tile stopping policy plus
-/// the coarse-grid correction schedule.  With the correction disabled
-/// (multilevel.period <= 0, or a frame too small to coarsen)
-/// run_multilevel() IS run_adaptive(options.adaptive), bit for bit.
-struct ResidentMultilevelOptions {
-  ResidentAdaptiveOptions adaptive;
-  MultilevelOptions multilevel;
-
-  void validate() const {
-    adaptive.validate();
-    multilevel.validate();
-  }
-};
-
-/// Outcome of one run_multilevel() for one field: the adaptive accounting
-/// plus the accounting of that field's own coarse correction.
-struct ResidentMultilevelReport {
-  ResidentAdaptiveReport adaptive;
+  /// Per-tile residual of the last pass; 0 under the fixed budget, which
+  /// does not measure it.
+  std::vector<float> tile_residuals;
   int coarse_levels = 0;         ///< realized ladder depth (0 = correction off)
   std::uint64_t coarse_solves = 0;     ///< firings whose correction applied
   std::uint64_t coarse_gated = 0;      ///< firings declined by the progress
@@ -160,6 +126,21 @@ struct ResidentMultilevelReport {
   float last_correction_max = 0.f;     ///< max |delta p| of the final cycle
   double rendezvous_seconds = 0.0;     ///< wall time of this field's share
                                        ///< of the rendezvous bodies
+
+  [[nodiscard]] bool all_converged() const {
+    return tiles_converged == tiles;
+  }
+  /// Passes a fixed budget of pass_cap per tile would have executed.
+  [[nodiscard]] std::size_t fixed_budget_passes() const {
+    return tiles * static_cast<std::size_t>(pass_cap);
+  }
+  /// Fraction of the fixed budget the run skipped (0 = none).
+  [[nodiscard]] double pass_savings() const {
+    const std::size_t fixed = fixed_budget_passes();
+    return fixed > 0 ? 1.0 - static_cast<double>(total_tile_passes) /
+                                 static_cast<double>(fixed)
+                     : 0.0;
+  }
 };
 
 /// Work and traffic accounting of a resident solve (cumulative across
@@ -207,40 +188,40 @@ class ResidentTiledEngine {
   ResidentTiledEngine(const ResidentTiledEngine&) = delete;
   ResidentTiledEngine& operator=(const ResidentTiledEngine&) = delete;
 
-  /// Advances every field by `iterations` Chambolle iterations (split into
-  /// ceil(iterations / merge_iterations) halo-exchange passes).  Composable:
+  /// Advances every field by `iterations` Chambolle iterations, split into
+  /// ceil(iterations / merge_iterations) halo-exchange passes with the
+  /// remainder last, under `policy`; returns one report per field.  The
+  /// reports live in the engine and are overwritten by the next run, so a
+  /// run allocates none.
+  ///
+  /// Under the default (fixed) policy every tile runs every pass and the
+  /// result is bit-exact to the sequential reference; runs compose:
   /// run(a); run(b) is bit-exact equal to run(a + b).
-  void run(int iterations);
-
-  /// Advances the solve adaptively: every tile of every field runs passes
-  /// of `merge_iterations` iterations until its per-iteration residual stays
-  /// under options.tolerance for options.patience consecutive passes (it
-  /// then retires) or it hits options.max_passes (guaranteed termination).
-  /// Deliberately NOT bit-exact against the fixed-budget solve — retired
-  /// tiles stop refining while neighbors continue against their frozen
-  /// halos; the tolerance-mode oracle (src/testing) bounds the deviation.
-  /// Each field's bits equal a single-field engine's.  The resident state
-  /// stays coherent for snapshot()/result() and for further run() /
-  /// run_adaptive() calls.  Returns one report per field.
-  std::vector<ResidentAdaptiveReport> run_adaptive(
-      const ResidentAdaptiveOptions& options);
-
-  /// run_adaptive() composed with a periodic coarse-grid correction: every
-  /// multilevel.period passes the fleet's parked state is snapshotted at an
-  /// exclusive EpochGraph rendezvous (no global barrier — the last lane out
-  /// of work runs it), a small V-cycle Chambolle solve computes a fine dual
-  /// correction (chambolle/multilevel.hpp), and every tile folds the
-  /// correction into its pinned buffers at its next pass.  Retired tiles
-  /// absorb corrections in place; a correction exceeding
-  /// multilevel.unretire_factor * adaptive.tolerance inside a retired
-  /// tile's profitable region un-retires it.  Every field has its own
-  /// corrector, progress gate and end rule, so its bits equal a
-  /// single-field engine's.  Results are schedule-independent (same bits
-  /// for any lane count).  With the correction disabled this IS
-  /// run_adaptive(options.adaptive), bit for bit.  Returns one report per
-  /// field.
-  std::vector<ResidentMultilevelReport> run_multilevel(
-      const ResidentMultilevelOptions& options);
+  ///
+  /// With policy.tolerance > 0 a tile retires early once its residual has
+  /// stilled (ResidentRunPolicy).  Deliberately NOT bit-exact against the
+  /// fixed budget — retired tiles stop refining while neighbors continue
+  /// against their frozen halos; the tolerance-mode oracle (src/testing)
+  /// bounds the deviation.  A run in which no tile retires is the fixed
+  /// schedule, bit for bit.
+  ///
+  /// With policy.multilevel.period > 0, every period passes the fleet's
+  /// parked state is snapshotted at an exclusive EpochGraph rendezvous (no
+  /// global barrier — the last lane out of work runs it), a small V-cycle
+  /// Chambolle solve computes a fine dual correction
+  /// (chambolle/multilevel.hpp), and every tile folds the correction into
+  /// its pinned buffers at its next pass.  Retired tiles absorb corrections
+  /// in place; a correction exceeding multilevel.unretire_factor *
+  /// tolerance inside a retired tile's profitable region un-retires it.
+  /// Every field has its own corrector, progress gate and end rule.
+  /// Results are schedule-independent (same bits for any lane count).  A
+  /// frame too small to coarsen runs without correction.
+  ///
+  /// Under every policy each field's bits equal a single-field engine's,
+  /// and the resident state stays coherent for snapshot()/result() and
+  /// further runs.
+  std::span<const ResidentRunReport> run(int iterations,
+                                         const ResidentRunPolicy& policy = {});
 
   /// On-demand profitable write-back of field `field`'s CURRENT dual state
   /// into `out` (resized as needed) — the telemetry-snapshot path; does not
@@ -292,6 +273,7 @@ class ResidentTiledEngine {
   struct TileBuffers;
   struct Mailbox;
   struct NodeRun;
+  struct Correction;
   /// Reaches fault_hook_ (tests/resident_fields_test.cpp).
   friend struct ResidentTiledEngineTestPeer;
 
@@ -350,25 +332,23 @@ class ResidentTiledEngine {
   /// iteration's max |dp|.
   void kernel_pass(int node, int iterations, Matrix<float>& scratch,
                    float* residual);
-  /// The passes of run_adaptive()/run_multilevel() after the gather (and
-  /// any correction): the burst, its publish, the node's record and the
-  /// retirement test.  Returns true when the node retires.
-  bool adaptive_pass(int node, int epoch, int g, int lane,
-                     const ResidentAdaptiveOptions& options,
-                     Matrix<float>& scratch, NodeRun& run);
+  /// One pass of run() after the gather (and any correction): the burst —
+  /// `burst` iterations, measuring the residual only when `policy` retires
+  /// tiles — its publish, the node's record and the retirement test.
+  /// Returns true when the node retires.
+  bool node_pass(int node, int g, int lane, int burst,
+                 const ResidentRunPolicy& policy, Matrix<float>& scratch,
+                 NodeRun& run);
   /// Publishes node's frozen-pass marker (retirement at pass g), ordered
   /// before the terminal epoch store: later gathers read its final strips
-  /// at parity g.  The cross-parity mirror is deferred to run_adaptive()'s
+  /// at parity g.  The cross-parity mirror is deferred to run()'s
   /// quiescent epilogue — doing it here would race neighbors concurrently
   /// gathering the same pass (see the comments in resident_tiled.cpp).
   void mark_frozen(int node, int g);
-  /// Books one adaptive/multilevel run — the engine stats and the tiles.*
-  /// telemetry — and returns the per-field reports built from the per-node
-  /// records.  Reads the frozen-pass markers, so it runs before the
-  /// epilogue clears them.
-  std::vector<ResidentAdaptiveReport> account_adaptive(
-      const std::vector<NodeRun>& runs, const ResidentAdaptiveOptions& options,
-      const parallel::EpochGraph::RunStats& rs);
+  /// Books one run — the engine stats and the tiles.* telemetry — and
+  /// fills the per-field reports from the per-node records.  Reads the
+  /// frozen-pass markers, so it runs before the epilogue clears them.
+  void account(int passes, const parallel::EpochGraph::RunStats& rs);
 
   ChambolleParams params_;
   TiledSolverOptions options_;
@@ -383,44 +363,27 @@ class ResidentTiledEngine {
   std::unique_ptr<parallel::EpochGraph> graph_;
   /// Per-node retirement pass, -1 while live.  Set (release) by the retiring
   /// body before its terminal epoch publish, read (acquire) by gather_halos
-  /// to pick the mailbox parity, cleared in run_adaptive()'s epilogue after
-  /// the frozen strips are mirrored into both slots.
+  /// to pick the mailbox parity, cleared in run()'s epilogue after the
+  /// frozen strips are mirrored into both slots.
   std::vector<std::atomic<int>> frozen_pass_;
   int pass_count_ = 0;  ///< global passes completed; also the mailbox parity
+  std::vector<NodeRun> runs_;                ///< per node, reset every run
+  std::vector<ResidentRunReport> reports_;  ///< per field, reused every run
   ResidentTiledStats stats_;
   /// Test-only fault injection: when set, called as (field, tile) before
   /// every kernel burst; a throw aborts the run like any body exception.
   std::function<void(int, int)> fault_hook_;
 };
 
-/// One-shot resident solve of one component; the drop-in counterpart of
-/// solve_tiled() with the same options (execution is ignored: the engine is
-/// always pool-resident).  Bit-exact equal to the sequential reference.
+/// One-shot resident solve of one component under `policy`; the drop-in
+/// counterpart of solve_tiled() with the same options.  Under the default
+/// (fixed) policy it is bit-exact equal to the sequential reference; under
+/// a retiring policy it never does more work than the fixed budget and
+/// typically does much less on smooth/static content.
 [[nodiscard]] ChambolleResult solve_resident(
     const Matrix<float>& v, const ChambolleParams& params,
-    const TiledSolverOptions& options, ResidentTiledStats* stats = nullptr,
+    const TiledSolverOptions& options, const ResidentRunPolicy& policy = {},
+    ResidentRunReport* report = nullptr, ResidentTiledStats* stats = nullptr,
     const DualField* initial = nullptr);
-
-/// One-shot adaptive resident solve.  When adaptive.max_passes <= 0 the cap
-/// defaults to the fixed budget ceil(params.iterations / merge_iterations),
-/// so the adaptive solve never exceeds the work of solve_resident() with
-/// the same params and typically does much less on smooth/static content.
-[[nodiscard]] ChambolleResult solve_resident_adaptive(
-    const Matrix<float>& v, const ChambolleParams& params,
-    const TiledSolverOptions& options,
-    const ResidentAdaptiveOptions& adaptive,
-    ResidentAdaptiveReport* report = nullptr,
-    ResidentTiledStats* stats = nullptr, const DualField* initial = nullptr);
-
-/// One-shot multilevel resident solve.  The adaptive.max_passes <= 0
-/// sentinel resolves exactly as in solve_resident_adaptive() (fixed budget
-/// with run()'s remainder schedule), so a correction-disabled call is
-/// memcmp-identical to solve_resident() when nothing retires.
-[[nodiscard]] ChambolleResult solve_resident_multilevel(
-    const Matrix<float>& v, const ChambolleParams& params,
-    const TiledSolverOptions& options,
-    const ResidentMultilevelOptions& multilevel,
-    ResidentMultilevelReport* report = nullptr,
-    ResidentTiledStats* stats = nullptr, const DualField* initial = nullptr);
 
 }  // namespace chambolle

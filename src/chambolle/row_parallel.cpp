@@ -1,10 +1,7 @@
 #include "chambolle/row_parallel.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <stdexcept>
-#include <thread>
-#include <vector>
 
 #include "kernels/kernel.hpp"
 #include "parallel/thread_pool.hpp"
@@ -13,33 +10,6 @@
 #include "telemetry/trace.hpp"
 
 namespace chambolle {
-namespace {
-
-// Legacy engine: runs fn(strip_index) for every strip on a freshly spawned
-// team and joins — the join IS the barrier of the schedule, paid twice per
-// iteration.  Retained as the measurable baseline for the pooled engine.
-template <typename Fn>
-void spawn_strips(int num_strips, int threads, Fn&& fn) {
-  if (threads <= 1 || num_strips <= 1) {
-    for (int i = 0; i < num_strips; ++i) fn(i);
-    return;
-  }
-  std::atomic<int> next{0};
-  const auto worker = [&] {
-    for (;;) {
-      const int i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= num_strips) return;
-      fn(i);
-    }
-  };
-  std::vector<std::thread> team;
-  const int n = std::min(threads, num_strips);
-  team.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) team.emplace_back(worker);
-  for (std::thread& t : team) t.join();
-}
-
-}  // namespace
 
 void RowParallelOptions::validate() const {
   if (num_threads < 0)
@@ -113,19 +83,19 @@ ChambolleResult solve_row_parallel(const Matrix<float>& v,
   };
 
   const int lanes = std::min(threads, strips);
-  if (options.execution == parallel::Execution::kSpawn || lanes <= 1) {
-    // Spawn baseline (or degenerate width): a fresh team per phase.
+  if (lanes <= 1) {
+    // Degenerate width: the strips run inline, phase after phase.
     for (int it = 0; it < params.iterations; ++it) {
-      spawn_strips(strips, lanes, phase1_strip);
+      for (int s = 0; s < strips; ++s) phase1_strip(s);
       ++barriers;
-      spawn_strips(strips, lanes, phase2_strip);
+      for (int s = 0; s < strips; ++s) phase2_strip(s);
       ++barriers;
     }
   } else {
-    // Pooled engine: ONE resident team lives across every iteration; the
-    // phase boundaries are barrier rendezvous, never joins.  Strips are
-    // assigned round-robin per lane — any fixed assignment is bit-exact
-    // because the phases are Jacobi sweeps over disjoint write sets.
+    // ONE resident team lives across every iteration; the phase boundaries
+    // are barrier rendezvous, never joins.  Strips are assigned round-robin
+    // per lane — any fixed assignment is bit-exact because the phases are
+    // Jacobi sweeps over disjoint write sets.
     parallel::default_pool().run_team(
         lanes, [&](int lane, int nlanes, parallel::Barrier& barrier) {
           for (int it = 0; it < params.iterations; ++it) {

@@ -24,10 +24,6 @@ struct RowParallelOptions {
   int num_threads = 0;
   /// Rows per work unit handed to a thread.
   int rows_per_strip = 16;
-  /// kPool keeps one resident team alive across ALL iterations of the solve,
-  /// synchronizing the two phases with a reusable barrier; kSpawn is the
-  /// legacy spawn-and-join-per-phase baseline, kept for the benches.
-  parallel::Execution execution = parallel::Execution::kPool;
 
   void validate() const;
 };

@@ -1,9 +1,8 @@
 #include "chambolle/tiled_solver.hpp"
 
-#include <atomic>
+#include <algorithm>
 #include <stdexcept>
-#include <thread>
-#include <vector>
+#include <utility>
 
 #include "parallel/thread_pool.hpp"
 #include "telemetry/metrics.hpp"
@@ -56,32 +55,7 @@ void run_pass(const Matrix<float>& px, const Matrix<float>& py,
               Matrix<float>& px_out, Matrix<float>& py_out,
               const Matrix<float>& v, const TilingPlan& plan,
               const ChambolleParams& params, int iterations_this_pass,
-              int lanes, parallel::Execution execution,
-              parallel::PerLane<Matrix<float>>& scratch) {
-  if (execution == parallel::Execution::kSpawn) {
-    // Legacy engine: one thread team spawned and joined per pass.  Retained
-    // as the measurable baseline of the pooled-vs-spawn benches.
-    std::atomic<std::size_t> next{0};
-    const auto worker = [&] {
-      Matrix<float> local_scratch;
-      for (;;) {
-        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= plan.tiles.size()) return;
-        process_tile(plan.tiles[i], px, py, px_out, py_out, v, plan, params,
-                     iterations_this_pass, local_scratch);
-      }
-    };
-    if (lanes == 1 || plan.tiles.size() <= 1) {
-      worker();
-      return;
-    }
-    std::vector<std::thread> team;
-    team.reserve(static_cast<std::size_t>(lanes));
-    for (int i = 0; i < lanes; ++i) team.emplace_back(worker);
-    for (std::thread& th : team) th.join();
-    return;
-  }
-
+              int lanes, parallel::PerLane<Matrix<float>>& scratch) {
   parallel::default_pool().parallel_for(
       plan.tiles.size(), lanes,
       [&](std::size_t begin, std::size_t end, int lane) {
@@ -108,12 +82,12 @@ void run_tiled_pass(const Matrix<float>& px, const Matrix<float>& py,
                     Matrix<float>& px_out, Matrix<float>& py_out,
                     const Matrix<float>& v, const TilingPlan& plan,
                     const ChambolleParams& params, int iterations_this_pass,
-                    int num_threads, parallel::Execution execution) {
+                    int num_threads) {
   check_pass_args(px, py, px_out, py_out, v, plan, iterations_this_pass);
   const int lanes = parallel::default_pool().lanes_for(num_threads);
   parallel::PerLane<Matrix<float>> scratch(lanes);
   run_pass(px, py, px_out, py_out, v, plan, params, iterations_this_pass,
-           lanes, execution, scratch);
+           lanes, scratch);
 }
 
 ChambolleResult solve_tiled(const Matrix<float>& v,
@@ -140,8 +114,7 @@ ChambolleResult solve_tiled(const Matrix<float>& v,
     const int k = std::min(remaining, options.merge_iterations);
     const telemetry::TraceSpan pass_span("chambolle.tiled.pass");
     check_pass_args(px, py, px_next, py_next, v, plan, k);
-    run_pass(px, py, px_next, py_next, v, plan, params, k, lanes,
-             options.execution, scratch);
+    run_pass(px, py, px_next, py_next, v, plan, params, k, lanes, scratch);
     std::swap(px, px_next);
     std::swap(py, py_next);
     remaining -= k;

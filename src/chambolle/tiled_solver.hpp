@@ -29,10 +29,6 @@ struct TiledSolverOptions {
   int merge_iterations = 4;
   /// Worker threads; 0 means the default pool's configured width.
   int num_threads = 0;
-  /// kPool runs every pass on the resident default pool (zero steady-state
-  /// thread creation); kSpawn is the legacy spawn-per-pass baseline, kept so
-  /// the benches can measure what the pool buys.
-  parallel::Execution execution = parallel::Execution::kPool;
   /// Pool the solve's parallel regions run on; nullptr means the process-wide
   /// default_pool().  A ThreadPool serializes concurrent regions, so N
   /// engines sharing one pool take turns — the serving fleet
@@ -75,7 +71,6 @@ void run_tiled_pass(const Matrix<float>& px, const Matrix<float>& py,
                     Matrix<float>& px_out, Matrix<float>& py_out,
                     const Matrix<float>& v, const TilingPlan& plan,
                     const ChambolleParams& params, int iterations_this_pass,
-                    int num_threads,
-                    parallel::Execution execution = parallel::Execution::kPool);
+                    int num_threads);
 
 }  // namespace chambolle

@@ -38,185 +38,13 @@ int EpochGraph::owner(int node, int lanes) const {
   return 0;
 }
 
-EpochGraph::RunStats EpochGraph::run(int passes, int lanes, ThreadPool& pool,
-                                     const NodeFn& body) {
-  if (passes < 0) throw std::invalid_argument("EpochGraph::run: passes < 0");
-  const int n = nodes();
-  RunStats total;
-  if (n == 0 || passes == 0) return total;
-  for (NodeState& s : state_) s.epoch.store(0, std::memory_order_relaxed);
-
-  const int team = std::max(1, std::min(lanes, n));
-  std::atomic<bool> abort{false};
-  PerLane<RunStats> lane_stats(team);
-
-  pool.run_team(team, [&](int lane, int nlanes, Barrier&) {
-    const int begin = block_begin(n, nlanes, lane);
-    const int end = block_begin(n, nlanes, lane + 1);
-    RunStats& stats = lane_stats[lane];
-    int done = 0;
-    try {
-      while (done < end - begin) {
-        if (abort.load(std::memory_order_relaxed)) return;
-        bool progressed = false;
-        done = 0;
-        for (int node = begin; node < end; ++node) {
-          // Only this lane advances the node, so a relaxed read of our own
-          // epoch is exact.
-          const int e = state_[static_cast<std::size_t>(node)].epoch.load(
-              std::memory_order_relaxed);
-          if (e >= passes) {
-            ++done;
-            continue;
-          }
-          // Ready when every neighbor has completed pass e-1 (epoch >= e).
-          // The acquire pairs with the neighbor's release publish below and
-          // makes its pass-(e-1) mailbox writes visible.
-          bool ready = true;
-          for (const int m : adj_[static_cast<std::size_t>(node)]) {
-            if (m == node) continue;
-            if (state_[static_cast<std::size_t>(m)].epoch.load(
-                    std::memory_order_acquire) < e) {
-              ready = false;
-              break;
-            }
-          }
-          if (!ready) continue;
-          body(node, e, lane);
-          state_[static_cast<std::size_t>(node)].epoch.store(
-              e + 1, std::memory_order_release);
-          progressed = true;
-          if (e + 1 >= passes) ++done;
-        }
-        if (!progressed && done < end - begin) {
-          // Every owned node is blocked on another lane.  The globally
-          // lowest-epoch node is always ready, so some lane can run; yield
-          // the core to it (essential on oversubscribed machines) and count
-          // the stall.
-          ++stats.stall_spins;
-          const Stopwatch stall_clock;
-          std::this_thread::yield();
-          const double stalled = stall_clock.seconds();
-          stats.stall_seconds += stalled;
-          telemetry::profiler_add(telemetry::LaneCause::kEpochWait, stalled);
-        }
-      }
-    } catch (...) {
-      abort.store(true, std::memory_order_relaxed);
-      throw;  // run_team captures and rethrows on the caller
-    }
-  });
-
-  for (int lane = 0; lane < team; ++lane) {
-    total.stall_seconds += lane_stats[lane].stall_seconds;
-    total.stall_spins += lane_stats[lane].stall_spins;
-  }
-  return total;
-}
-
-EpochGraph::RunStats EpochGraph::run_adaptive(int max_passes, int lanes,
-                                              ThreadPool& pool,
-                                              const AdaptiveNodeFn& body) {
-  if (max_passes < 0)
-    throw std::invalid_argument("EpochGraph::run_adaptive: max_passes < 0");
-  const int n = nodes();
-  RunStats total;
-  if (n == 0 || max_passes == 0) return total;
-  for (NodeState& s : state_) {
-    s.epoch.store(0, std::memory_order_relaxed);
-    s.claim.store(0, std::memory_order_relaxed);
-  }
-
-  const int team = std::max(1, std::min(lanes, n));
-  std::atomic<bool> abort{false};
-  // Nodes whose epoch reached the terminal value (retired or capped); the
-  // lanes' sole termination condition, so a retired node can never be
-  // waited on — the no-deadlock guarantee the adaptive engine tests pin.
-  std::atomic<int> finished{0};
-  PerLane<RunStats> lane_stats(team);
-
-  pool.run_team(team, [&](int lane, int nlanes, Barrier&) {
-    const int begin = block_begin(n, nlanes, lane);
-    const int end = block_begin(n, nlanes, lane + 1);
-    RunStats& stats = lane_stats[lane];
-    try {
-      while (finished.load(std::memory_order_relaxed) < n) {
-        if (abort.load(std::memory_order_relaxed)) return;
-        bool progressed = false;
-        // Affinity-preferring sweep: own block first (scan starts at
-        // `begin` and wraps), so a node keeps its preferred lane while that
-        // lane has runnable work, and migrates only when capacity frees up.
-        for (int k = 0; k < n; ++k) {
-          const int node = begin + k < n ? begin + k : begin + k - n;
-          NodeState& s = state_[static_cast<std::size_t>(node)];
-          // Acquire pairs with the release publish of the node's previous
-          // pass — possibly by another lane — making the body's writes for
-          // epochs < e visible before we try to run epoch e.
-          const int e = s.epoch.load(std::memory_order_acquire);
-          if (e >= max_passes) continue;
-          // Cheap pre-check: someone already claimed (is running) epoch e.
-          if (s.claim.load(std::memory_order_relaxed) != e) continue;
-          bool ready = true;
-          for (const int m : adj_[static_cast<std::size_t>(node)]) {
-            if (m == node) continue;
-            if (state_[static_cast<std::size_t>(m)].epoch.load(
-                    std::memory_order_acquire) < e) {
-              ready = false;
-              break;
-            }
-          }
-          if (!ready) continue;
-          int expected = e;
-          if (!s.claim.compare_exchange_strong(expected, e + 1,
-                                               std::memory_order_acq_rel,
-                                               std::memory_order_relaxed))
-            continue;  // another lane won the race for this pass
-          const bool retire = body(node, e, lane);
-          const int next = retire ? max_passes : e + 1;
-          s.epoch.store(next, std::memory_order_release);
-          ++stats.executed_passes;
-          if (node < begin || node >= end) ++stats.stolen_passes;
-          if (retire) ++stats.retired_nodes;
-          if (next >= max_passes)
-            finished.fetch_add(1, std::memory_order_relaxed);
-          progressed = true;
-        }
-        if (!progressed && finished.load(std::memory_order_relaxed) < n) {
-          // Every unfinished node is blocked or claimed elsewhere.  The
-          // globally lowest-epoch unfinished node is always ready (its
-          // neighbors are at its epoch or terminal), so some lane can run;
-          // yield the core to it and count the stall.
-          ++stats.stall_spins;
-          const Stopwatch stall_clock;
-          std::this_thread::yield();
-          const double stalled = stall_clock.seconds();
-          stats.stall_seconds += stalled;
-          telemetry::profiler_add(telemetry::LaneCause::kEpochWait, stalled);
-        }
-      }
-    } catch (...) {
-      abort.store(true, std::memory_order_relaxed);
-      throw;  // run_team captures and rethrows on the caller
-    }
-  });
-
-  for (int lane = 0; lane < team; ++lane) {
-    total.stall_seconds += lane_stats[lane].stall_seconds;
-    total.stall_spins += lane_stats[lane].stall_spins;
-    total.executed_passes += lane_stats[lane].executed_passes;
-    total.stolen_passes += lane_stats[lane].stolen_passes;
-    total.retired_nodes += lane_stats[lane].retired_nodes;
-  }
-  return total;
-}
-
 void EpochGraph::RendezvousControl::resurrect(int node) {
   if (node < 0 || node >= graph_.nodes())
     throw std::invalid_argument("RendezvousControl::resurrect: node out of range");
   NodeState& s = graph_.state_[static_cast<std::size_t>(node)];
   // The body runs in an exclusive window, so this relaxed read is exact:
   // nothing else mutates node state while a firing is live.
-  if (s.epoch.load(std::memory_order_relaxed) != max_passes_) return;
+  if (s.epoch.load(std::memory_order_relaxed) != passes_) return;
   finished_.fetch_sub(1, std::memory_order_relaxed);
   // claim first, then the release epoch store: a lane that acquires
   // epoch == boundary sees the matching claim (and, transitively, every
@@ -226,20 +54,21 @@ void EpochGraph::RendezvousControl::resurrect(int node) {
   resurrected_ = true;
 }
 
-EpochGraph::RunStats EpochGraph::run_rendezvous(int max_passes, int period,
-                                                int lanes, ThreadPool& pool,
-                                                const AdaptiveNodeFn& body,
-                                                const RendezvousFn& rendezvous) {
-  if (max_passes < 0)
-    throw std::invalid_argument("EpochGraph::run_rendezvous: max_passes < 0");
-  // Firings sit at boundaries period, 2*period, ... strictly below the cap
-  // (a firing at the cap would have no subsequent pass to feed).
-  const int num_firings = period > 0 ? (max_passes - 1) / period : 0;
-  if (num_firings == 0) return run_adaptive(max_passes, lanes, pool, body);
-
+EpochGraph::RunStats EpochGraph::run(int passes, int lanes, ThreadPool& pool,
+                                     const NodeFn& body, bool steal,
+                                     int period,
+                                     const RendezvousFn& rendezvous) {
+  if (passes < 0) throw std::invalid_argument("EpochGraph::run: passes < 0");
   const int n = nodes();
   RunStats total;
-  if (n == 0 || max_passes == 0) return total;
+  if (n == 0 || passes == 0) return total;
+  // Firings sit at boundaries period, 2*period, ... strictly below the cap
+  // (a firing at the cap would have no subsequent pass to feed).
+  const int num_firings =
+      rendezvous != nullptr && period > 0 ? (passes - 1) / period : 0;
+  // Pinned lanes sweep only their own block and claim nothing; the work
+  // queue (stealing + CAS claims) is paid only by runs that need it.
+  const bool shared = steal || num_firings > 0;
   for (NodeState& s : state_) {
     s.epoch.store(0, std::memory_order_relaxed);
     s.claim.store(0, std::memory_order_relaxed);
@@ -247,6 +76,9 @@ EpochGraph::RunStats EpochGraph::run_rendezvous(int max_passes, int period,
 
   const int team = std::max(1, std::min(lanes, n));
   std::atomic<bool> abort{false};
+  // Nodes whose epoch reached the terminal value (retired or capped); a
+  // shared run's termination condition, so a retired node can never be
+  // waited on — the no-deadlock guarantee the adaptive engine tests pin.
   std::atomic<int> finished{0};
   // Rendezvous node state: rv_epoch = firings completed (released by the
   // firing lane, acquired by the per-pass gate), rv_claim = firings claimed
@@ -254,13 +86,28 @@ EpochGraph::RunStats EpochGraph::run_rendezvous(int max_passes, int period,
   // firing will run.
   std::atomic<int> rv_epoch{0};
   std::atomic<int> rv_claim{0};
-  std::atomic<bool> rv_done{false};
+  std::atomic<bool> rv_done{num_firings == 0};
   PerLane<RunStats> lane_stats(team);
 
   pool.run_team(team, [&](int lane, int nlanes, Barrier&) {
     const int begin = block_begin(n, nlanes, lane);
     const int end = block_begin(n, nlanes, lane + 1);
+    // A pinned lane scans its own block; a shared one scans the whole graph
+    // starting at its block (wrapping), so a node keeps its preferred lane
+    // while that lane has runnable work and migrates only when capacity
+    // frees up.
+    const int scan = shared ? n : end - begin;
     RunStats& stats = lane_stats[lane];
+    int own_finished = 0;  // pinned: only this lane finishes its nodes
+
+    const auto all_done = [&] {
+      // rv_done first, then finished: a final firing that resurrects
+      // decrements `finished` before its release store of rv_done, so the
+      // acquire here cannot observe rv_done without the decrement.
+      if (!shared) return own_finished == end - begin;
+      return rv_done.load(std::memory_order_acquire) &&
+             finished.load(std::memory_order_relaxed) >= n;
+    };
 
     // Attempts to run the next rendezvous firing; true when this lane ran
     // it.  Called only from the no-progress branch — while any node pass is
@@ -285,7 +132,7 @@ EpochGraph::RunStats EpochGraph::run_rendezvous(int max_passes, int period,
                                             std::memory_order_acq_rel,
                                             std::memory_order_relaxed))
         return false;
-      RendezvousControl ctl(*this, boundary, max_passes, finished);
+      RendezvousControl ctl(*this, boundary, passes, finished);
       rendezvous(m, ctl);
       ++stats.rendezvous_fired;
       // In the exclusive window `finished` only moves by our own resurrects,
@@ -304,28 +151,32 @@ EpochGraph::RunStats EpochGraph::run_rendezvous(int max_passes, int period,
     };
 
     try {
-      while (true) {
-        // rv_done first, then finished: a final firing that resurrects
-        // decrements `finished` before its release store of rv_done, so the
-        // acquire here cannot observe rv_done without the decrement.
-        if (rv_done.load(std::memory_order_acquire) &&
-            finished.load(std::memory_order_relaxed) >= n)
-          break;
+      while (!all_done()) {
         if (abort.load(std::memory_order_relaxed)) return;
         bool progressed = false;
         // One acquire of the firing count per sweep: pairs with the firing
         // lane's release publish, so a pass admitted by the gate below sees
         // all of that firing's writes.  A stale (lower) value only delays.
-        const int fired = rv_epoch.load(std::memory_order_acquire);
-        for (int k = 0; k < n; ++k) {
+        const int fired =
+            num_firings > 0 ? rv_epoch.load(std::memory_order_acquire) : 0;
+        for (int k = 0; k < scan; ++k) {
           const int node = begin + k < n ? begin + k : begin + k - n;
           NodeState& s = state_[static_cast<std::size_t>(node)];
-          const int e = s.epoch.load(std::memory_order_acquire);
-          if (e >= max_passes) continue;
+          // Pinned, only this lane advances the node, so a relaxed read of
+          // its epoch is exact.  Shared, the acquire pairs with the release
+          // publish of the node's previous pass — possibly by another lane —
+          // making the body's writes for epochs < e visible.
+          const int e = s.epoch.load(shared ? std::memory_order_acquire
+                                            : std::memory_order_relaxed);
+          if (e >= passes) continue;
           // The rendezvous gate: pass e runs only after firing e/period
           // (i.e. every boundary <= e) has been published.
-          if (e / period > fired) continue;
-          if (s.claim.load(std::memory_order_relaxed) != e) continue;
+          if (num_firings > 0 && e / period > fired) continue;
+          // Cheap pre-check: someone already claimed (is running) epoch e.
+          if (shared && s.claim.load(std::memory_order_relaxed) != e) continue;
+          // Ready when every neighbor has completed pass e-1 (epoch >= e).
+          // The acquire pairs with the neighbor's release publish below and
+          // makes its pass-(e-1) mailbox writes visible.
           bool ready = true;
           for (const int m : adj_[static_cast<std::size_t>(node)]) {
             if (m == node) continue;
@@ -337,31 +188,37 @@ EpochGraph::RunStats EpochGraph::run_rendezvous(int max_passes, int period,
           }
           if (!ready) continue;
           int expected = e;
-          if (!s.claim.compare_exchange_strong(expected, e + 1,
+          if (shared &&
+              !s.claim.compare_exchange_strong(expected, e + 1,
                                                std::memory_order_acq_rel,
                                                std::memory_order_relaxed))
-            continue;
+            continue;  // another lane won the race for this pass
           const bool retire = body(node, e, lane);
-          const int next = retire ? max_passes : e + 1;
+          const int next = retire ? passes : e + 1;
           s.epoch.store(next, std::memory_order_release);
           ++stats.executed_passes;
           if (node < begin || node >= end) ++stats.stolen_passes;
           if (retire) ++stats.retired_nodes;
-          if (next >= max_passes)
-            finished.fetch_add(1, std::memory_order_relaxed);
+          if (next >= passes) {
+            if (shared)
+              finished.fetch_add(1, std::memory_order_relaxed);
+            else
+              ++own_finished;
+          }
           progressed = true;
         }
         if (!progressed) {
           // No node pass was runnable — either the fleet is parked at a
           // boundary (then the rendezvous is ready: run it) or other lanes
-          // hold the claims (then yield).  The liveness argument of
-          // run_adaptive extends: the lowest-epoch unfinished node is ready
-          // unless gated, and a gated lowest node implies every node is at
-          // or past the next boundary, i.e. the rendezvous is ready.
+          // hold the claims or block our nodes (then yield).  Liveness: the
+          // globally lowest-epoch unfinished node is always ready (its
+          // neighbors are at its epoch or terminal) unless gated, and a
+          // gated lowest node implies every node is at or past the next
+          // boundary, i.e. the rendezvous is ready.  So some lane can run;
+          // yield the core to it (essential on oversubscribed machines) and
+          // count the stall.
           if (try_rendezvous()) continue;
-          if (rv_done.load(std::memory_order_acquire) &&
-              finished.load(std::memory_order_relaxed) >= n)
-            break;
+          if (all_done()) break;
           ++stats.stall_spins;
           const Stopwatch stall_clock;
           std::this_thread::yield();

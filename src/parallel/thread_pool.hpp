@@ -46,13 +46,6 @@
 
 namespace chambolle::parallel {
 
-/// How a parallel solver executes its work-sharing loops.
-enum class Execution {
-  kPool,   ///< resident default-pool workers; zero steady-state thread spawns
-  kSpawn,  ///< legacy spawn-and-join per pass/phase; kept as the measurable
-           ///< baseline for the pooled-vs-spawn benches
-};
-
 /// Thread-count resolution shared by every parallel component: a positive
 /// request wins; 0 (auto) means std::thread::hardware_concurrency(), which
 /// itself may report 0 on exotic platforms and then falls back to 1.

@@ -196,7 +196,8 @@ OracleReport run_oracle(const OracleCase& c, const OracleOptions& options) {
     }
     try {
       compare(report, "resident", ref,
-              solve_resident(c.v, c.params, c.tiled, nullptr, initial),
+              solve_resident(c.v, c.params, c.tiled, {}, nullptr, nullptr,
+                             initial),
               /*exact=*/true);
     } catch (const std::exception& e) {
       record_failure(report, "resident", std::string("threw: ") + e.what());
@@ -206,16 +207,15 @@ OracleReport run_oracle(const OracleCase& c, const OracleOptions& options) {
   if (options.include_adaptive) {
     // Per-tile early stopping never bit-matches the fixed budget; it is
     // scored by what the solution LOST (see kAdaptive* in oracle.hpp), and
-    // its work must never exceed the fixed budget (max_passes defaults to
+    // its work never exceeds the fixed budget (the pass cap is always
     // ceil(iterations / merge)).
     try {
-      chambolle::ResidentAdaptiveOptions ao;
+      chambolle::ResidentRunPolicy ao;
       ao.tolerance = kAdaptiveOracleTolerance;
       ao.patience = kAdaptiveOraclePatience;
-      ao.max_passes = 0;  // solve_resident_adaptive defaults to fixed budget
       compare_quality(report, "resident_adaptive", c.v, c.params.theta, ref,
-                      solve_resident_adaptive(c.v, c.params, c.tiled, ao,
-                                              nullptr, nullptr, initial));
+                      solve_resident(c.v, c.params, c.tiled, ao, nullptr,
+                                     nullptr, initial));
     } catch (const std::exception& e) {
       record_failure(report, "resident_adaptive",
                      std::string("threw: ") + e.what());
@@ -230,31 +230,30 @@ OracleReport run_oracle(const OracleCase& c, const OracleOptions& options) {
       ChambolleParams star_params = c.params;
       star_params.iterations += kMultilevelRefExtraIterations;
       const ChambolleResult star = solve(c.v, star_params, initial);
-      chambolle::ResidentMultilevelOptions mo;
-      mo.adaptive.tolerance = kAdaptiveOracleTolerance;
-      mo.adaptive.patience = kAdaptiveOraclePatience;
-      mo.adaptive.max_passes = 0;  // fixed-budget sentinel
+      chambolle::ResidentRunPolicy mo;
+      mo.tolerance = kAdaptiveOracleTolerance;
+      mo.patience = kAdaptiveOraclePatience;
       mo.multilevel.period = kMultilevelOraclePeriod;
       compare_multilevel(report, "resident_multilevel", c.v, c.params.theta,
                          ref, star,
-                         solve_resident_multilevel(c.v, c.params, c.tiled, mo,
-                                                   nullptr, nullptr, initial));
+                         solve_resident(c.v, c.params, c.tiled, mo, nullptr,
+                                        nullptr, initial));
     } catch (const std::exception& e) {
       record_failure(report, "resident_multilevel",
                      std::string("threw: ") + e.what());
     }
     // The correction-disabled contract: with multilevel off and a tolerance
-    // nothing can beat, the multilevel entry point must reproduce
-    // solve_resident (and hence the sequential reference) bit for bit.
+    // nothing can beat, the work-queue schedule of a retiring policy must
+    // reproduce the fixed budget (and hence the sequential reference) bit
+    // for bit.
     try {
-      chambolle::ResidentMultilevelOptions off;
-      off.adaptive.tolerance = 1e-30f;  // nothing retires
-      off.adaptive.patience = 1;
-      off.adaptive.max_passes = 0;  // fixed-budget sentinel
-      off.multilevel.period = 0;    // correction disabled
+      chambolle::ResidentRunPolicy off;
+      off.tolerance = 1e-30f;  // nothing retires
+      off.patience = 1;
+      off.multilevel.period = 0;  // correction disabled
       compare(report, "resident_multilevel_off", ref,
-              solve_resident_multilevel(c.v, c.params, c.tiled, off, nullptr,
-                                        nullptr, initial),
+              solve_resident(c.v, c.params, c.tiled, off, nullptr, nullptr,
+                             initial),
               /*exact=*/true);
     } catch (const std::exception& e) {
       record_failure(report, "resident_multilevel_off",

@@ -54,8 +54,8 @@ long long component_solve(const Matrix<float>& v, const Tvl1Params& params,
 // Tile buffers survive across warps of a level, so the steady state
 // re-streams only v; the engine is rebuilt when the pyramid level changes
 // shape.  Returns the inner-iteration count both solves contributed to the
-// stats: the fixed budget, or (adaptive) each component's tile-average of
-// the iterations actually executed.
+// stats: each component's tile-average of the iterations actually executed
+// (the fixed budget unless the policy retires tiles).
 long long resident_solve(const FlowField& v, const Tvl1Params& params,
                          FlowField& flow,
                          std::unique_ptr<ResidentTiledEngine>& engine) {
@@ -68,31 +68,11 @@ long long resident_solve(const FlowField& v, const Tvl1Params& params,
     engine->reset_v(fields);
     if (!params.warm_start_duals) engine->reset_duals();
   }
-  long long iters = 2LL * params.chambolle.iterations;
-  if (params.adaptive_stopping) {
-    // rep.total_iterations already discounts cap-truncated final bursts
-    // (final_pass_iterations), unlike passes * merge_iterations.
-    const auto tile_average = [](const ResidentAdaptiveReport& rep) {
-      return rep.tiles > 0 ? static_cast<long long>(rep.total_iterations) /
-                                 static_cast<long long>(rep.tiles)
-                           : 0LL;
-    };
-    const ResidentAdaptiveOptions ao = params.adaptive.resolved(
-        params.chambolle.iterations, params.tiled.merge_iterations);
-    iters = 0;
-    if (params.multilevel.enabled()) {
-      ResidentMultilevelOptions mo;
-      mo.adaptive = ao;
-      mo.multilevel = params.multilevel;
-      for (const ResidentMultilevelReport& rep : engine->run_multilevel(mo))
-        iters += tile_average(rep.adaptive);
-    } else {
-      for (const ResidentAdaptiveReport& rep : engine->run_adaptive(ao))
-        iters += tile_average(rep);
-    }
-  } else {
-    engine->run(params.chambolle.iterations);
-  }
+  long long iters = 0;
+  for (const ResidentRunReport& rep :
+       engine->run(params.chambolle.iterations, params.resident))
+    iters += static_cast<long long>(rep.total_iterations) /
+             static_cast<long long>(rep.tiles);
   Matrix<float>* const u[] = {&flow.u1, &flow.u2};
   engine->result_into(u);
   return iters;
@@ -166,21 +146,10 @@ void Tvl1Params::validate() const {
   chambolle.validate();
   if (solver == InnerSolver::kTiled || solver == InnerSolver::kResident)
     tiled.validate();
-  if (adaptive_stopping) {
-    if (solver != InnerSolver::kResident)
-      throw std::invalid_argument(
-          "Tvl1Params: adaptive_stopping requires the resident solver");
-    // max_passes <= 0 is the "fixed budget" sentinel, resolved per solve.
-    adaptive.resolved(chambolle.iterations, tiled.merge_iterations)
-        .validate();
-  }
-  if (multilevel.enabled()) {
-    if (!adaptive_stopping)
-      throw std::invalid_argument(
-          "Tvl1Params: multilevel correction requires adaptive_stopping "
-          "(the resident solver's run_multilevel path)");
-    multilevel.validate();
-  }
+  resident.validate();  // a correction period needs a tolerance
+  if (resident.retiring() && solver != InnerSolver::kResident)
+    throw std::invalid_argument(
+        "Tvl1Params: a resident run policy requires the resident solver");
 }
 
 FlowField compute_flow(const Image& i0, const Image& i1,

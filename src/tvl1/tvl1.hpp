@@ -44,22 +44,12 @@ struct Tvl1Params {
   /// warm-start each warp from the previous one (often fewer effective
   /// iterations needed, but numerically a different — not wrong — solve).
   bool warm_start_duals = false;
-  /// kResident only: per-tile adaptive early stopping — each inner solve
-  /// runs the engine's run_adaptive() with `adaptive` below instead of the
-  /// fixed chambolle.iterations budget, so tiles whose duals have stilled
-  /// (smooth/static flow regions) stop burning passes.  Off by default so
-  /// the default results are bit-identical to every other inner solver.
-  bool adaptive_stopping = false;
-  /// Adaptive settings (used when adaptive_stopping).  adaptive.max_passes
-  /// <= 0 means "the fixed budget": ceil(chambolle.iterations /
-  /// tiled.merge_iterations), so adaptive never does more work than fixed.
-  ResidentAdaptiveOptions adaptive{1e-4f, 2, 0};
-  /// kResident + adaptive_stopping only: periodic coarse-grid correction
-  /// composed with the adaptive schedule — each inner solve runs the
-  /// engine's run_multilevel() instead of run_adaptive().  Disabled by
-  /// default (period = 0 here, overriding MultilevelOptions' own default),
-  /// which is bit-identical to plain adaptive stopping.
-  MultilevelOptions multilevel{/*period=*/0};
+  /// kResident only: how each inner solve spends its iteration budget
+  /// (ResidentRunPolicy).  The default fixed budget keeps the results
+  /// bit-identical to every other inner solver; a tolerance > 0 retires
+  /// tiles whose duals have stilled (smooth/static flow regions), and a
+  /// multilevel period > 0 adds the coarse-grid correction on top.
+  ResidentRunPolicy resident{};
   /// Median-filter the flow between warps (Wedel et al. 2009 refinement;
   /// false reproduces the paper's pipeline).
   bool median_filtering = false;

@@ -7,7 +7,7 @@
 //
 // The bug class this pins down: adaptive state (frozen_pass_ markers,
 // retirement redirects, mailbox parities) leaking into the next solve.
-// run_adaptive()'s quiescent epilogue normally clears the markers, but an
+// A retiring run's quiescent epilogue normally clears the markers, but an
 // aborted run skips it, and before this fix neither load_duals() nor
 // run() re-cleared them — a later gather could then redirect to a stale
 // frozen halo slot.  No public API aborts a run mid-flight (kernel bodies
@@ -66,15 +66,17 @@ TiledSolverOptions small_tiles() {
   return o;
 }
 
-// An adaptive run whose huge tolerance retires every tile almost
+// An adaptive policy whose huge tolerance retires every tile almost
 // immediately — maximal frozen-marker / terminal-mailbox contamination.
-ResidentAdaptiveOptions retiring_adaptive() {
-  ResidentAdaptiveOptions a;
+ResidentRunPolicy retiring_adaptive() {
+  ResidentRunPolicy a;
   a.tolerance = 10.f;
   a.patience = 1;
-  a.max_passes = 6;
   return a;
 }
+
+// The budget of the retiring runs: 6 passes of small_tiles()' merge 3.
+constexpr int kRetiringIterations = 18;
 
 TEST(EngineReuse, FixedAfterAdaptiveMatchesFreshEngine) {
   const ChambolleParams params = default_params();
@@ -83,7 +85,8 @@ TEST(EngineReuse, FixedAfterAdaptiveMatchesFreshEngine) {
   const Matrix<float> v2 = random_v(37, 41, 71002);
 
   ResidentTiledEngine reused(v1, params, opts);
-  const ResidentAdaptiveReport rep = reused.run_adaptive(retiring_adaptive()).front();
+  const ResidentRunReport& rep =
+      reused.run(kRetiringIterations, retiring_adaptive()).front();
   ASSERT_GT(rep.tiles_converged, 0u)
       << "precondition: the adaptive run must retire tiles (set frozen "
          "markers) for this test to cover the leak class";
@@ -103,10 +106,9 @@ TEST(EngineReuse, FixedAfterMultilevelMatchesFreshEngine) {
   const Matrix<float> v2 = random_v(40, 36, 71012);
 
   ResidentTiledEngine reused(v1, params, opts);
-  ResidentMultilevelOptions mo;
-  mo.adaptive = retiring_adaptive();
+  ResidentRunPolicy mo = retiring_adaptive();
   mo.multilevel.period = 2;
-  (void)reused.run_multilevel(mo);
+  (void)reused.run(kRetiringIterations, mo);
   reused.reset_v(v2);
   reused.reset_duals();
   reused.run(params.iterations);
@@ -129,7 +131,7 @@ TEST(EngineReuse, WarmReloadAfterAdaptiveMatchesFreshWithInitial) {
   producer.snapshot(warm);
 
   ResidentTiledEngine reused(v1, params, opts);
-  (void)reused.run_adaptive(retiring_adaptive());
+  (void)reused.run(kRetiringIterations, retiring_adaptive());
   reused.reset_v(v2, &warm);  // dual reload clears the adaptive residue too
   reused.run(params.iterations);
 
@@ -145,19 +147,19 @@ TEST(EngineReuse, AdaptiveAfterAdaptiveMatchesFreshAdaptive) {
   const Matrix<float> v2 = random_v(44, 38, 71032);
   // Second run with a tight tolerance: frozen markers from the FIRST
   // (everything-retires) run must not redirect this run's gathers.
-  ResidentAdaptiveOptions tight;
+  ResidentRunPolicy tight;
   tight.tolerance = 1e-6f;
   tight.patience = 2;
-  tight.max_passes = 4;
+  const int tight_iterations = 12;  // 4 passes
 
   ResidentTiledEngine reused(v1, params, opts);
-  (void)reused.run_adaptive(retiring_adaptive());
+  (void)reused.run(kRetiringIterations, retiring_adaptive());
   reused.reset_v(v2);
   reused.reset_duals();
-  const ResidentAdaptiveReport got = reused.run_adaptive(tight).front();
+  const ResidentRunReport& got = reused.run(tight_iterations, tight).front();
 
   ResidentTiledEngine fresh(v2, params, opts);
-  const ResidentAdaptiveReport want = fresh.run_adaptive(tight).front();
+  const ResidentRunReport& want = fresh.run(tight_iterations, tight).front();
 
   expect_same_state(reused, fresh, "adaptive solve after adaptive + reset");
   // The schedules must match too, not just the final state.
@@ -176,7 +178,7 @@ TEST(EngineReuse, MixedSolveSequenceMatchesFreshChain) {
   for (int round = 0; round < 3; ++round) {
     const Matrix<float> v = random_v(30, 30, 71050 + round);
     if (round % 2 == 0)
-      (void)reused.run_adaptive(retiring_adaptive());
+      (void)reused.run(kRetiringIterations, retiring_adaptive());
     else
       reused.run(params.iterations);
     reused.reset_v(v);
@@ -216,19 +218,19 @@ TEST(EngineReuse, InjectedPoolMatchesDefaultPoolAdaptive) {
   const ChambolleParams params = default_params();
   TiledSolverOptions opts = small_tiles();
   const Matrix<float> v = random_v(42, 34, 71071);
-  ResidentAdaptiveOptions ao;
+  ResidentRunPolicy ao;
   ao.tolerance = 1e-3f;
   ao.patience = 2;
-  ao.max_passes = 5;
+  const int iterations = 15;  // 5 passes
 
   ResidentTiledEngine on_default(v, params, opts);
-  const ResidentAdaptiveReport want = on_default.run_adaptive(ao).front();
+  const ResidentRunReport& want = on_default.run(iterations, ao).front();
 
   parallel::ThreadPool pool(2);
   TiledSolverOptions with_pool = opts;
   with_pool.pool = &pool;
   ResidentTiledEngine on_private(v, params, with_pool);
-  const ResidentAdaptiveReport got = on_private.run_adaptive(ao).front();
+  const ResidentRunReport& got = on_private.run(iterations, ao).front();
 
   expect_same_state(on_private, on_default, "injected pool, adaptive run");
   EXPECT_EQ(got.tile_passes, want.tile_passes);

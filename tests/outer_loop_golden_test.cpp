@@ -109,25 +109,7 @@ Matrix<float> golden_solve(const Matrix<float>& v, const Tvl1Params& p,
     engine->reset_v(v);
     if (!p.warm_start_duals) engine->reset_duals();
   }
-  if (!p.adaptive_stopping) {
-    engine->run(p.chambolle.iterations);
-    return engine->result().u;
-  }
-  ResidentAdaptiveOptions ao = p.adaptive;
-  if (ao.max_passes <= 0) {
-    const int merge = std::max(1, p.tiled.merge_iterations);
-    ao.max_passes = std::max(1, (p.chambolle.iterations + merge - 1) / merge);
-    const int tail = p.chambolle.iterations - (ao.max_passes - 1) * merge;
-    if (tail > 0 && tail < merge) ao.final_pass_iterations = tail;
-  }
-  if (p.multilevel.enabled()) {
-    ResidentMultilevelOptions mo;
-    mo.adaptive = ao;
-    mo.multilevel = p.multilevel;
-    (void)engine->run_multilevel(mo);
-  } else {
-    (void)engine->run_adaptive(ao);
-  }
+  (void)engine->run(p.chambolle.iterations, p.resident);
   return engine->result().u;
 }
 
@@ -185,10 +167,9 @@ std::vector<Case> cases() {
   p.warm_start_duals = true;
   out.push_back({"resident+warm", p});
   p.warm_start_duals = false;
-  p.adaptive_stopping = true;
-  p.adaptive.tolerance = 2e-3f;  // loose enough that tiles actually retire
+  p.resident.tolerance = 2e-3f;  // loose enough that tiles actually retire
   out.push_back({"resident-adaptive", p});
-  p.multilevel.period = 2;
+  p.resident.multilevel.period = 2;
   out.push_back({"resident-multilevel", p});
   return out;
 }

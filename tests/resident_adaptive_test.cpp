@@ -82,17 +82,16 @@ TEST_P(ResidentAdaptiveQuality, StaysWithinQualityBoundOfFixedBudget) {
   opt.tile_cols = tc.tile_cols;
   opt.merge_iterations = tc.merge;
   opt.num_threads = tc.threads;
-  ResidentAdaptiveOptions adaptive;
+  ResidentRunPolicy adaptive;
   adaptive.tolerance = kTol;
   adaptive.patience = 2;
-  adaptive.max_passes = 0;  // = the fixed budget
-  ResidentAdaptiveReport report;
+  ResidentRunReport report;
   const ChambolleResult res =
-      solve_resident_adaptive(v, params, opt, adaptive, &report);
+      solve_resident(v, params, opt, adaptive, &report);
 
   expect_quality_bounded(v, params.theta, ref, res);
 
-  // Report consistency: the cap defaulted to the fixed budget, every tile
+  // Report consistency: the cap is the fixed budget, every tile
   // ran at least one and at most cap passes, and the totals add up.
   EXPECT_EQ(report.pass_cap, (tc.iterations + tc.merge - 1) / tc.merge);
   ASSERT_EQ(report.tile_passes.size(), report.tiles);
@@ -148,13 +147,12 @@ TEST(ResidentAdaptive, ConstantImageRetiresEveryTileWithinPatiencePasses) {
   opt.tile_cols = 24;
   opt.merge_iterations = 4;
   opt.num_threads = 4;
-  ResidentAdaptiveOptions adaptive;
+  ResidentRunPolicy adaptive;
   adaptive.tolerance = 1e-6f;
   adaptive.patience = 2;
-  adaptive.max_passes = 50;
-  ResidentAdaptiveReport report;
+  ResidentRunReport report;  // a cap of 50 passes
   const ChambolleResult res =
-      solve_resident_adaptive(v, params_with(200), opt, adaptive, &report);
+      solve_resident(v, params_with(200), opt, adaptive, &report);
 
   EXPECT_TRUE(report.all_converged());
   EXPECT_EQ(report.tiles_converged, report.tiles);
@@ -176,13 +174,12 @@ TEST(ResidentAdaptive, UnreachableToleranceRunsToCapWithoutDeadlock) {
   opt.tile_cols = 28;
   opt.merge_iterations = 4;
   opt.num_threads = 4;
-  ResidentAdaptiveOptions adaptive;
+  ResidentRunPolicy adaptive;
   adaptive.tolerance = 1e-30f;
   adaptive.patience = 1;
-  adaptive.max_passes = 5;
-  ResidentAdaptiveReport report;
-  const ChambolleResult res = solve_resident_adaptive(
-      v, params_with(20), opt, adaptive, &report);
+  ResidentRunReport report;  // a cap of 5 passes
+  const ChambolleResult res =
+      solve_resident(v, params_with(20), opt, adaptive, &report);
 
   EXPECT_EQ(report.tiles_converged, 0u);
   EXPECT_FALSE(report.all_converged());
@@ -198,22 +195,22 @@ TEST(ResidentAdaptive, UnreachableToleranceRunsToCapWithoutDeadlock) {
 }
 
 TEST(ResidentAdaptive, FixedBudgetSentinelIsBitExactOnNonMultipleBudget) {
-  // iterations % merge != 0: the sentinel-resolved cap must reproduce
-  // run()'s remainder schedule (here 4+4+4+4+1), not round the budget up to
-  // a whole number of merged passes.
+  // iterations % merge != 0: the cap derived from the budget must reproduce
+  // the fixed schedule's remainder pass (here 4+4+4+4+1) under the
+  // work-queue schedule too, not round the budget up to a whole number of
+  // merged passes.
   const Matrix<float> v = random_v(48, 56, 6006);
   TiledSolverOptions opt;
   opt.tile_rows = 20;
   opt.tile_cols = 24;
   opt.merge_iterations = 4;
   opt.num_threads = 2;
-  ResidentAdaptiveOptions adaptive;
+  ResidentRunPolicy adaptive;
   adaptive.tolerance = 1e-30f;  // nothing retires
   adaptive.patience = 1;
-  adaptive.max_passes = 0;  // fixed-budget sentinel
-  ResidentAdaptiveReport report;
+  ResidentRunReport report;
   const ChambolleResult res =
-      solve_resident_adaptive(v, params_with(17), opt, adaptive, &report);
+      solve_resident(v, params_with(17), opt, adaptive, &report);
   EXPECT_EQ(report.pass_cap, 5);  // ceil(17 / 4)
   // 17 iterations per tile, NOT pass_cap * merge = 20: total_iterations
   // discounts the truncated remainder burst (the tvl1 accounting input).
@@ -236,15 +233,14 @@ TEST(ResidentAdaptive, HalfStaticWorkloadSavesPasses) {
   opt.tile_cols = 24;
   opt.merge_iterations = 4;
   opt.num_threads = 4;
-  ResidentAdaptiveOptions adaptive;
+  ResidentRunPolicy adaptive;
   adaptive.tolerance = kTol;
   adaptive.patience = 2;
-  adaptive.max_passes = 0;
-  ResidentAdaptiveReport report;
+  ResidentRunReport report;
   const ChambolleParams params = params_with(100);
   const ChambolleResult ref = solve(v, params);
   const ChambolleResult res =
-      solve_resident_adaptive(v, params, opt, adaptive, &report);
+      solve_resident(v, params, opt, adaptive, &report);
 
   EXPECT_GT(report.tiles_converged, 0u);
   EXPECT_LT(report.total_tile_passes, report.fixed_budget_passes());
@@ -253,7 +249,7 @@ TEST(ResidentAdaptive, HalfStaticWorkloadSavesPasses) {
 }
 
 TEST(ResidentAdaptive, StateStaysCoherentForFurtherRuns) {
-  // run_adaptive() leaves the resident state and mailbox parity coherent: a
+  // A retiring run leaves the resident state and mailbox parity coherent: a
   // later fixed run() on the same engine must still work and refine the
   // solution (frozen strips are valid at both parities).
   const Matrix<float> v = random_v(64, 64, 6003);
@@ -263,11 +259,10 @@ TEST(ResidentAdaptive, StateStaysCoherentForFurtherRuns) {
   opt.merge_iterations = 4;
   opt.num_threads = 2;
   ResidentTiledEngine engine(v, params_with(40), opt);
-  ResidentAdaptiveOptions adaptive;
+  ResidentRunPolicy adaptive;
   adaptive.tolerance = 1e-3f;
   adaptive.patience = 1;
-  adaptive.max_passes = 5;
-  (void)engine.run_adaptive(adaptive);
+  (void)engine.run(20, adaptive);  // a cap of 5 passes
   const double e_mid = rof_energy(engine.result().u, v, 0.25f);
   engine.run(20);  // must not throw, deadlock, or corrupt the state
   const double e_end = rof_energy(engine.result().u, v, 0.25f);
@@ -292,19 +287,18 @@ TEST(ResidentAdaptive, ResultIsIndependentOfThreadCount) {
   opt.tile_rows = 24;
   opt.tile_cols = 24;
   opt.merge_iterations = 2;
-  ResidentAdaptiveOptions adaptive;
+  ResidentRunPolicy adaptive;
   adaptive.tolerance = 1e-3f;
   adaptive.patience = 1;  // retire at the first quiet pass: maximal stagger
-  adaptive.max_passes = 0;
   const ChambolleParams params = params_with(60);
 
   opt.num_threads = 1;
   const ChambolleResult one_lane =
-      solve_resident_adaptive(v, params, opt, adaptive);
+      solve_resident(v, params, opt, adaptive);
   opt.num_threads = 4;
-  ResidentAdaptiveReport report;
+  ResidentRunReport report;
   const ChambolleResult four_lanes =
-      solve_resident_adaptive(v, params, opt, adaptive, &report);
+      solve_resident(v, params, opt, adaptive, &report);
 
   EXPECT_GT(report.tiles_converged, 0u);  // the race window was exercised
   expect_memcmp_eq(four_lanes.u, one_lane.u, "u");
@@ -333,11 +327,10 @@ TEST(ResidentAdaptive, StaggeredRetirementStressStaysCoherent) {
     opt.merge_iterations = 2;
     opt.num_threads = 4;
     ResidentTiledEngine engine(v, params_with(80), opt);
-    ResidentAdaptiveOptions adaptive;
+    ResidentRunPolicy adaptive;
     adaptive.tolerance = 1e-4f;
     adaptive.patience = 1;
-    adaptive.max_passes = 40;
-    const ResidentAdaptiveReport report = engine.run_adaptive(adaptive).front();
+    const ResidentRunReport& report = engine.run(80, adaptive).front();
     EXPECT_GT(report.tiles_converged, 0u);
     EXPECT_LT(report.total_tile_passes, report.fixed_budget_passes());
     const double e_mid = rof_energy(engine.result().u, v, 0.25f);
@@ -354,38 +347,41 @@ TEST(ResidentAdaptive, ReportsStolenPassesAccounting) {
   opt.tile_cols = 20;
   opt.merge_iterations = 2;
   opt.num_threads = 4;
-  ResidentAdaptiveOptions adaptive;
+  ResidentRunPolicy adaptive;
   adaptive.tolerance = 1e-30f;  // nothing retires: pure scheduling test
   adaptive.patience = 1;
-  adaptive.max_passes = 6;
-  ResidentAdaptiveReport report;
+  ResidentRunReport report;  // a cap of 6 passes
   ResidentTiledStats stats;
-  (void)solve_resident_adaptive(v, params_with(12), opt, adaptive, &report,
-                                &stats);
+  (void)solve_resident(v, params_with(12), opt, adaptive, &report, &stats);
   EXPECT_LE(report.stolen_passes, report.total_tile_passes);
   EXPECT_EQ(stats.tiles, report.tiles);
   EXPECT_GT(stats.element_iterations, 0u);
 }
 
 TEST(ResidentAdaptive, ValidatesOptions) {
-  ResidentAdaptiveOptions o;
-  o.tolerance = 0.f;
+  ResidentRunPolicy o;
+  EXPECT_NO_THROW(o.validate());  // the fixed budget
+  o.tolerance = -1e-4f;
   EXPECT_THROW(o.validate(), std::invalid_argument);
   o = {};
   o.tolerance = std::numeric_limits<float>::quiet_NaN();
   EXPECT_THROW(o.validate(), std::invalid_argument);
   o = {};
+  o.tolerance = std::numeric_limits<float>::infinity();
+  EXPECT_THROW(o.validate(), std::invalid_argument);
+  o = {};
   o.patience = 0;
   EXPECT_THROW(o.validate(), std::invalid_argument);
   o = {};
-  o.max_passes = 0;
+  o.multilevel.period = 4;  // a correction needs a tolerance
   EXPECT_THROW(o.validate(), std::invalid_argument);
 
   const Matrix<float> v = random_v(16, 16, 6005);
   ResidentTiledEngine engine(v, params_with(4), TiledSolverOptions{});
-  ResidentAdaptiveOptions bad;
-  bad.max_passes = 0;  // the <= 0 default is resolved by the FREE function
-  EXPECT_THROW((void)engine.run_adaptive(bad), std::invalid_argument);
+  ResidentRunPolicy bad;
+  bad.patience = 0;
+  EXPECT_THROW((void)engine.run(4, bad), std::invalid_argument);
+  EXPECT_THROW((void)engine.run(-1), std::invalid_argument);
 }
 
 }  // namespace

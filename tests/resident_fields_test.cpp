@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cstring>
 #include <functional>
+#include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -81,8 +82,8 @@ void expect_field_eq(ResidentTiledEngine& pair, int field,
   expect_memcmp_eq(r.p.px, want.px, tag + " result px");
 }
 
-void expect_report_eq(const ResidentAdaptiveReport& got,
-                      const ResidentAdaptiveReport& want,
+void expect_report_eq(const ResidentRunReport& got,
+                      const ResidentRunReport& want,
                       const std::string& what) {
   EXPECT_EQ(got.pass_cap, want.pass_cap) << what;
   EXPECT_EQ(got.tiles, want.tiles) << what;
@@ -211,18 +212,19 @@ TEST(ResidentFields, AdaptiveStaticFieldRetiresBesideAMovingOne) {
   // a retired field) and each field must keep its single-field bits.
   const Matrix<float> still(kRows, kCols, 0.5f);
   const Matrix<float> moving = random_v(9301);
-  ResidentAdaptiveOptions ao;
+  ResidentRunPolicy ao;
   ao.tolerance = 1e-3f;
   ao.patience = 2;
-  ao.max_passes = 9;
+  const int iterations = 27;  // 9 passes
   for (int lanes = 1; lanes <= 4; ++lanes) {
     parallel::ThreadPool pool(lanes);
     const std::string tag = "lanes " + std::to_string(lanes);
-    Trio t(still, moving, params_with(27), small_tiles(pool, lanes));
-    const std::vector<ResidentAdaptiveReport> got = t.pair.run_adaptive(ao);
+    Trio t(still, moving, params_with(iterations), small_tiles(pool, lanes));
+    const std::span<const ResidentRunReport> got = t.pair.run(iterations, ao);
     ASSERT_EQ(got.size(), 2u);
-    expect_report_eq(got[0], t.one.run_adaptive(ao).front(), tag + " still");
-    expect_report_eq(got[1], t.two.run_adaptive(ao).front(), tag + " moving");
+    expect_report_eq(got[0], t.one.run(iterations, ao).front(), tag + " still");
+    expect_report_eq(got[1], t.two.run(iterations, ao).front(),
+                     tag + " moving");
     EXPECT_TRUE(got[0].all_converged()) << tag;
     EXPECT_EQ(got[0].total_tile_passes,
               got[0].tiles * static_cast<std::size_t>(ao.patience))
@@ -251,28 +253,31 @@ TEST(ResidentFields, MultilevelFieldEndRuleHoldsWhileTheOtherFieldFires) {
   params.theta = 50.f;
   params.tau = 0.25f * params.theta;
   params.iterations = 36;
-  ResidentMultilevelOptions ml;
-  ml.adaptive.tolerance = 1e-6f;
-  ml.adaptive.patience = 1;
-  ml.adaptive.max_passes = 12;
+  ResidentRunPolicy ml;
+  ml.tolerance = 1e-6f;
+  ml.patience = 1;
   ml.multilevel.period = 3;
   ml.multilevel.gate_factor = 0.f;
   for (int lanes = 1; lanes <= 4; ++lanes) {
     parallel::ThreadPool pool(lanes);
     const std::string tag = "lanes " + std::to_string(lanes);
     Trio t(still, moving, params, small_tiles(pool, lanes));
-    const std::vector<ResidentMultilevelReport> got = t.pair.run_multilevel(ml);
+    const std::span<const ResidentRunReport> got =
+        t.pair.run(params.iterations, ml);
     ASSERT_EQ(got.size(), 2u);
-    const ResidentMultilevelReport want[] = {
-        t.one.run_multilevel(ml).front(), t.two.run_multilevel(ml).front()};
+    const ResidentRunReport& want_one =
+        t.one.run(params.iterations, ml).front();
+    const ResidentRunReport& want_two =
+        t.two.run(params.iterations, ml).front();
+    const ResidentRunReport* const want[] = {&want_one, &want_two};
     for (int f = 0; f < 2; ++f) {
       const std::string what = tag + " field " + std::to_string(f);
-      expect_report_eq(got[f].adaptive, want[f].adaptive, what);
-      EXPECT_EQ(got[f].coarse_levels, want[f].coarse_levels) << what;
-      EXPECT_EQ(got[f].coarse_solves, want[f].coarse_solves) << what;
-      EXPECT_EQ(got[f].coarse_gated, want[f].coarse_gated) << what;
-      EXPECT_EQ(got[f].tiles_unretired, want[f].tiles_unretired) << what;
-      EXPECT_EQ(got[f].last_correction_max, want[f].last_correction_max)
+      expect_report_eq(got[f], *want[f], what);
+      EXPECT_EQ(got[f].coarse_levels, want[f]->coarse_levels) << what;
+      EXPECT_EQ(got[f].coarse_solves, want[f]->coarse_solves) << what;
+      EXPECT_EQ(got[f].coarse_gated, want[f]->coarse_gated) << what;
+      EXPECT_EQ(got[f].tiles_unretired, want[f]->tiles_unretired) << what;
+      EXPECT_EQ(got[f].last_correction_max, want[f]->last_correction_max)
           << what;
     }
     // The scenario itself: the still field stopped at its baseline firing
@@ -280,7 +285,7 @@ TEST(ResidentFields, MultilevelFieldEndRuleHoldsWhileTheOtherFieldFires) {
     EXPECT_EQ(got[0].coarse_gated, 1u) << tag;
     EXPECT_EQ(got[0].coarse_solves, 0u) << tag;
     EXPECT_EQ(got[1].coarse_gated + got[1].coarse_solves,
-              static_cast<std::uint64_t>((ml.adaptive.max_passes - 1) /
+              static_cast<std::uint64_t>((got[1].pass_cap - 1) /
                                          ml.multilevel.period))
         << tag;
     EXPECT_GE(got[1].coarse_solves, 1u) << tag;
@@ -294,10 +299,9 @@ TEST(ResidentFields, ReusedAfterABodyExceptionMatchesFreshEngines) {
   // After a reload the engine must be indistinguishable from fresh ones.
   const Matrix<float> a = random_v(9501), b = random_v(9502);
   const Matrix<float> a2 = random_v(9503), b2 = random_v(9504);
-  ResidentAdaptiveOptions retiring;
+  ResidentRunPolicy retiring;
   retiring.tolerance = 10.f;
   retiring.patience = 1;
-  retiring.max_passes = 6;
   for (int lanes = 1; lanes <= 4; ++lanes) {
     parallel::ThreadPool pool(lanes);
     const std::string tag = "lanes " + std::to_string(lanes);
@@ -310,7 +314,7 @@ TEST(ResidentFields, ReusedAfterABodyExceptionMatchesFreshEngines) {
         if (bursts.fetch_add(1) == 13) throw std::runtime_error("injected");
       });
       if (adaptive)
-        EXPECT_THROW((void)reused.run_adaptive(retiring), std::runtime_error)
+        EXPECT_THROW((void)reused.run(18, retiring), std::runtime_error)
             << tag;
       else
         EXPECT_THROW(reused.run(30), std::runtime_error) << tag;

@@ -1,9 +1,9 @@
-// resident_multilevel_test.cpp — run_multilevel(): the coarse-grid
-// correction composed with per-tile adaptive early stopping.  Pins the
-// disabled-path bit-exactness (multilevel off IS run_adaptive, and with
-// nothing retiring IS the fixed-budget engine), schedule independence of
-// applied corrections across lane counts, the retired-tile protocol
-// (corrections reach frozen tiles; large ones resurrect them), the
+// resident_multilevel_test.cpp — the coarse-grid correction policy of
+// ResidentTiledEngine::run(), composed with per-tile adaptive early
+// stopping.  Pins the disabled-path bit-exactness (multilevel off IS the
+// adaptive policy, and with nothing retiring IS the fixed budget), schedule
+// independence of applied corrections across lane counts, the retired-tile
+// protocol (corrections reach frozen tiles; large ones resurrect them), the
 // rendezvous/progress-gate accounting, and the acceleration claim itself on
 // the stiff smooth regime the correction targets.  Suite names match the CI
 // TSan filter (*Resident*), so the rendezvous window's release/acquire
@@ -46,6 +46,12 @@ Matrix<float> random_v(int rows, int cols, std::uint64_t seed) {
   return random_image(rng, rows, cols, -3.f, 3.f);
 }
 
+// The same policy with the correction switched off.
+ResidentRunPolicy adaptive_only(ResidentRunPolicy policy) {
+  policy.multilevel.period = 0;
+  return policy;
+}
+
 void expect_memcmp_eq(const Matrix<float>& a, const Matrix<float>& b,
                       const char* what) {
   ASSERT_TRUE(a.same_shape(b)) << what;
@@ -69,8 +75,8 @@ float max_du(const Matrix<float>& a, const Matrix<float>& b) {
 }
 
 TEST(ResidentMultilevel, DisabledIsBitExactToAdaptive) {
-  // period <= 0 must route through run_adaptive verbatim — same bits, and a
-  // report that says the correction machinery never woke up.
+  // period <= 0 must run the plain adaptive schedule verbatim — same bits,
+  // and a report that says the correction machinery never woke up.
   const Matrix<float> v = random_v(64, 64, 7001);
   TiledSolverOptions opt;
   opt.tile_rows = 24;
@@ -78,16 +84,14 @@ TEST(ResidentMultilevel, DisabledIsBitExactToAdaptive) {
   opt.merge_iterations = 4;
   opt.num_threads = 3;
   const ChambolleParams params = params_with(24);
-  ResidentMultilevelOptions ml;
-  ml.adaptive.tolerance = 1e-4f;
-  ml.adaptive.patience = 2;
-  ml.adaptive.max_passes = 0;
+  ResidentRunPolicy ml;
+  ml.tolerance = 1e-4f;
+  ml.patience = 2;
   ml.multilevel.period = 0;  // disabled
-  ResidentMultilevelReport report;
-  const ChambolleResult res =
-      solve_resident_multilevel(v, params, opt, ml, &report);
+  ResidentRunReport report;
+  const ChambolleResult res = solve_resident(v, params, opt, ml, &report);
   const ChambolleResult ref =
-      solve_resident_adaptive(v, params, opt, ml.adaptive);
+      solve_resident(v, params, opt, adaptive_only(ml));
   expect_result_memcmp_eq(res, ref);
   EXPECT_EQ(report.coarse_levels, 0);
   EXPECT_EQ(report.coarse_solves, 0u);
@@ -97,7 +101,7 @@ TEST(ResidentMultilevel, DisabledIsBitExactToAdaptive) {
 
 TEST(ResidentMultilevel, DisabledFixedBudgetIsBitExactToFixedEngine) {
   // The acceptance criterion's memcmp chain: correction off + unreachable
-  // tolerance (nothing retires) + max_passes sentinel == solve_resident.
+  // tolerance (nothing retires) == the fixed budget.
   const Matrix<float> v = random_v(48, 56, 7002);
   TiledSolverOptions opt;
   opt.tile_rows = 20;
@@ -105,12 +109,11 @@ TEST(ResidentMultilevel, DisabledFixedBudgetIsBitExactToFixedEngine) {
   opt.merge_iterations = 4;
   opt.num_threads = 2;
   const ChambolleParams params = params_with(17);  // non-multiple remainder
-  ResidentMultilevelOptions ml;
-  ml.adaptive.tolerance = 1e-30f;
-  ml.adaptive.patience = 1;
-  ml.adaptive.max_passes = 0;
+  ResidentRunPolicy ml;
+  ml.tolerance = 1e-30f;
+  ml.patience = 1;
   ml.multilevel.period = 0;
-  const ChambolleResult res = solve_resident_multilevel(v, params, opt, ml);
+  const ChambolleResult res = solve_resident(v, params, opt, ml);
   const ChambolleResult fixed = solve_resident(v, params, opt);
   expect_result_memcmp_eq(res, fixed);
 }
@@ -125,16 +128,14 @@ TEST(ResidentMultilevel, FrameTooSmallToCoarsenRunsAsAdaptive) {
   opt.merge_iterations = 1;
   opt.num_threads = 2;
   const ChambolleParams params = params_with(12);
-  ResidentMultilevelOptions ml;
-  ml.adaptive.tolerance = 1e-4f;
-  ml.adaptive.patience = 1;
-  ml.adaptive.max_passes = 0;
+  ResidentRunPolicy ml;
+  ml.tolerance = 1e-4f;
+  ml.patience = 1;
   ml.multilevel.period = 2;
-  ResidentMultilevelReport report;
-  const ChambolleResult res =
-      solve_resident_multilevel(v, params, opt, ml, &report);
+  ResidentRunReport report;
+  const ChambolleResult res = solve_resident(v, params, opt, ml, &report);
   const ChambolleResult ref =
-      solve_resident_adaptive(v, params, opt, ml.adaptive);
+      solve_resident(v, params, opt, adaptive_only(ml));
   expect_result_memcmp_eq(res, ref);
   EXPECT_EQ(report.coarse_levels, 0);
   EXPECT_EQ(report.coarse_solves, 0u);
@@ -156,16 +157,15 @@ TEST(ResidentMultilevel, CorrectionAcceleratesStiffSmoothContent) {
   opt.tile_cols = 32;
   opt.merge_iterations = 4;
   opt.num_threads = 4;
-  ResidentMultilevelOptions ml;
-  ml.adaptive.tolerance = 1e-6f;  // nothing retires: isolate the correction
-  ml.adaptive.patience = 2;
-  ml.adaptive.max_passes = 0;
+  ResidentRunPolicy ml;
+  ml.tolerance = 1e-6f;  // nothing retires: isolate the correction
+  ml.patience = 2;
   ml.multilevel.period = 4;
-  ResidentMultilevelReport report;
+  ResidentRunReport report;
   const ChambolleResult corrected =
-      solve_resident_multilevel(v, params, opt, ml, &report);
+      solve_resident(v, params, opt, ml, &report);
   const ChambolleResult plain =
-      solve_resident_adaptive(v, params, opt, ml.adaptive);
+      solve_resident(v, params, opt, adaptive_only(ml));
 
   EXPECT_GE(report.coarse_levels, 1);
   EXPECT_GE(report.coarse_solves, 1u);
@@ -191,18 +191,16 @@ TEST(ResidentMultilevel, GateDeclinesCorrectionsOnNoise) {
   opt.merge_iterations = 4;
   opt.num_threads = 2;
   const ChambolleParams params = params_with(64);
-  ResidentMultilevelOptions ml;
-  ml.adaptive.tolerance = 1e-30f;  // nothing retires
-  ml.adaptive.patience = 1;
-  ml.adaptive.max_passes = 0;
+  ResidentRunPolicy ml;
+  ml.tolerance = 1e-30f;  // nothing retires
+  ml.patience = 1;
   ml.multilevel.period = 4;
-  ResidentMultilevelReport report;
-  const ChambolleResult res =
-      solve_resident_multilevel(v, params, opt, ml, &report);
+  ResidentRunReport report;
+  const ChambolleResult res = solve_resident(v, params, opt, ml, &report);
   EXPECT_EQ(report.coarse_solves, 0u);
   EXPECT_GT(report.coarse_gated, 1u);  // baseline + declined firings
   const ChambolleResult ref =
-      solve_resident_adaptive(v, params, opt, ml.adaptive);
+      solve_resident(v, params, opt, adaptive_only(ml));
   expect_result_memcmp_eq(res, ref);
 }
 
@@ -217,20 +215,19 @@ TEST(ResidentMultilevel, ResultIsIndependentOfThreadCount) {
   opt.tile_rows = 24;
   opt.tile_cols = 24;
   opt.merge_iterations = 4;
-  ResidentMultilevelOptions ml;
-  ml.adaptive.tolerance = 1e-5f;
-  ml.adaptive.patience = 2;
-  ml.adaptive.max_passes = 0;
+  ResidentRunPolicy ml;
+  ml.tolerance = 1e-5f;
+  ml.patience = 2;
   ml.multilevel.period = 3;
   ml.multilevel.gate_factor = 0.f;
 
   opt.num_threads = 1;
-  ResidentMultilevelReport r1;
-  const ChambolleResult one = solve_resident_multilevel(v, params, opt, ml, &r1);
+  ResidentRunReport r1;
+  const ChambolleResult one = solve_resident(v, params, opt, ml, &r1);
   opt.num_threads = 4;
-  ResidentMultilevelReport r4;
+  ResidentRunReport r4;
   const ChambolleResult four =
-      solve_resident_multilevel(v, params, opt, ml, &r4);
+      solve_resident(v, params, opt, ml, &r4);
 
   EXPECT_GE(r4.coarse_solves, 1u);  // the window was exercised
   EXPECT_EQ(r1.coarse_solves, r4.coarse_solves);
@@ -253,16 +250,15 @@ TEST(ResidentMultilevel, CorrectionsReachRetiredTilesAndCanUnretire) {
   opt.tile_cols = 24;
   opt.merge_iterations = 4;
   opt.num_threads = 4;
-  ResidentMultilevelOptions ml;
-  ml.adaptive.tolerance = 1e-3f;
-  ml.adaptive.patience = 1;
-  ml.adaptive.max_passes = 0;
+  ResidentRunPolicy ml;
+  ml.tolerance = 1e-3f;
+  ml.patience = 1;
   ml.multilevel.period = 4;
   ml.multilevel.gate_factor = 0.f;
   ml.multilevel.unretire_factor = 0.f;
-  ResidentMultilevelReport eager;
+  ResidentRunReport eager;
   const ChambolleResult res =
-      solve_resident_multilevel(v, params, opt, ml, &eager);
+      solve_resident(v, params, opt, ml, &eager);
   EXPECT_GE(eager.coarse_solves, 1u);
   EXPECT_GT(eager.tiles_unretired, 0u);
   EXPECT_GT(eager.last_correction_max, 0.f);
@@ -270,14 +266,14 @@ TEST(ResidentMultilevel, CorrectionsReachRetiredTilesAndCanUnretire) {
   // The same run with an unreachable resurrection threshold must keep every
   // retirement: corrections are folded into frozen tiles in place.
   ml.multilevel.unretire_factor = std::numeric_limits<float>::max();
-  ResidentMultilevelReport lazy;
-  (void)solve_resident_multilevel(v, params, opt, ml, &lazy);
+  ResidentRunReport lazy;
+  (void)solve_resident(v, params, opt, ml, &lazy);
   EXPECT_GE(lazy.coarse_solves, 1u);
   EXPECT_EQ(lazy.tiles_unretired, 0u);
-  EXPECT_GT(lazy.adaptive.tiles_converged, 0u);
+  EXPECT_GT(lazy.tiles_converged, 0u);
 
   const ChambolleResult plain =
-      solve_resident_adaptive(v, params, opt, ml.adaptive);
+      solve_resident(v, params, opt, adaptive_only(ml));
   const double e_plain = rof_energy(plain.u, v, params.theta);
   EXPECT_LE(rof_energy(res.u, v, params.theta),
             e_plain + 1e-3 * (std::abs(e_plain) + 1.0));
@@ -294,30 +290,29 @@ TEST(ResidentMultilevel, ReportAccountingIsConsistent) {
   opt.tile_cols = 32;
   opt.merge_iterations = 4;
   opt.num_threads = 2;
-  ResidentMultilevelOptions ml;
-  ml.adaptive.tolerance = 1e-30f;
-  ml.adaptive.patience = 1;
-  ml.adaptive.max_passes = 0;
+  ResidentRunPolicy ml;
+  ml.tolerance = 1e-30f;
+  ml.patience = 1;
   ml.multilevel.period = 3;
   ml.multilevel.gate_factor = 0.f;
-  ResidentMultilevelReport report;
-  (void)solve_resident_multilevel(v, params, opt, ml, &report);
+  ResidentRunReport report;
+  (void)solve_resident(v, params, opt, ml, &report);
 
-  EXPECT_EQ(report.adaptive.pass_cap, 12);  // ceil(48 / 4)
+  EXPECT_EQ(report.pass_cap, 12);  // ceil(48 / 4)
   const std::uint64_t firings =
-      static_cast<std::uint64_t>((report.adaptive.pass_cap - 1) /
+      static_cast<std::uint64_t>((report.pass_cap - 1) /
                                  ml.multilevel.period);
   EXPECT_EQ(report.coarse_solves + report.coarse_gated, firings);
   EXPECT_GE(report.coarse_gated, 1u);  // the baseline
   EXPECT_GE(report.coarse_levels, 1);
   EXPECT_GE(report.rendezvous_seconds, 0.0);
-  EXPECT_EQ(report.adaptive.tiles_converged, 0u);
-  for (const int p : report.adaptive.tile_passes)
-    EXPECT_EQ(p, report.adaptive.pass_cap);
+  EXPECT_EQ(report.tiles_converged, 0u);
+  for (const int p : report.tile_passes)
+    EXPECT_EQ(p, report.pass_cap);
 }
 
 TEST(ResidentMultilevel, StateStaysCoherentForFurtherRuns) {
-  // run_multilevel leaves the resident state and mailbox parity coherent:
+  // A correcting run leaves the resident state and mailbox parity coherent:
   // a later fixed run() on the same engine must still refine the solution.
   const Image v = workloads::smooth_texture(64, 64, 7009);
   const ChambolleParams params = stiff_params_with(40);
@@ -327,13 +322,12 @@ TEST(ResidentMultilevel, StateStaysCoherentForFurtherRuns) {
   opt.merge_iterations = 4;
   opt.num_threads = 2;
   ResidentTiledEngine engine(v, params, opt);
-  ResidentMultilevelOptions ml;
-  ml.adaptive.tolerance = 1e-3f;
-  ml.adaptive.patience = 1;
-  ml.adaptive.max_passes = 8;
+  ResidentRunPolicy ml;
+  ml.tolerance = 1e-3f;
+  ml.patience = 1;
   ml.multilevel.period = 3;
   ml.multilevel.gate_factor = 0.f;
-  const ResidentMultilevelReport report = engine.run_multilevel(ml).front();
+  const ResidentRunReport& report = engine.run(32, ml).front();  // 8 passes
   EXPECT_GE(report.coarse_solves, 1u);
   const double e_mid = rof_energy(engine.result().u, v, params.theta);
   engine.run(40);  // must not throw, deadlock, or corrupt the state
@@ -348,15 +342,6 @@ TEST(ResidentMultilevel, ValidatesOptions) {
   o.levels = -1;
   EXPECT_THROW(o.validate(), std::invalid_argument);
   o = {};
-  o.coarse_iterations = 0;
-  EXPECT_THROW(o.validate(), std::invalid_argument);
-  o = {};
-  o.smooth_iterations = -1;
-  EXPECT_THROW(o.validate(), std::invalid_argument);
-  o = {};
-  o.prolong_scale = 0.f;
-  EXPECT_THROW(o.validate(), std::invalid_argument);
-  o = {};
   o.unretire_factor = -1.f;
   EXPECT_THROW(o.validate(), std::invalid_argument);
   o = {};
@@ -366,14 +351,17 @@ TEST(ResidentMultilevel, ValidatesOptions) {
   o.gate_factor = -0.5f;
   EXPECT_THROW(o.validate(), std::invalid_argument);
   o = {};
+  EXPECT_FALSE(o.enabled());  // off by default
   o.period = 0;  // disabled is valid, not an error
   EXPECT_NO_THROW(o.validate());
 
   const Matrix<float> v = random_v(16, 16, 7010);
   ResidentTiledEngine engine(v, params_with(4), TiledSolverOptions{});
-  ResidentMultilevelOptions bad;
-  bad.multilevel.prolong_scale = -1.f;
-  EXPECT_THROW((void)engine.run_multilevel(bad), std::invalid_argument);
+  ResidentRunPolicy bad;
+  bad.tolerance = 1e-4f;
+  bad.multilevel.period = 2;
+  bad.multilevel.gate_factor = -1.f;
+  EXPECT_THROW((void)engine.run(4, bad), std::invalid_argument);
 }
 
 }  // namespace

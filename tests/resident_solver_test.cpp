@@ -56,7 +56,8 @@ TEST_P(ResidentEqualsReference, BitExactOnAllElements) {
   opt.merge_iterations = tc.merge;
   opt.num_threads = tc.threads;
   ResidentTiledStats stats;
-  const ChambolleResult res = solve_resident(v, params, opt, &stats);
+  const ChambolleResult res =
+      solve_resident(v, params, opt, {}, nullptr, &stats);
 
   expect_memcmp_eq(res.u, ref.u, "u");
   expect_memcmp_eq(res.p.px, ref.p.px, "px");
@@ -160,7 +161,7 @@ TEST(ResidentSolver, WarmStartFromInitialDuals) {
   opt.num_threads = 2;
   ResidentTiledStats stats;
   const ChambolleResult warm =
-      solve_resident(v, params_with(5), opt, &stats, &stage1.p);
+      solve_resident(v, params_with(5), opt, {}, nullptr, &stats, &stage1.p);
   const ChambolleResult ref = solve(v, params_with(5), &stage1.p);
   expect_memcmp_eq(warm.p.px, ref.p.px, "px");
   expect_memcmp_eq(warm.p.py, ref.p.py, "py");
@@ -218,7 +219,7 @@ TEST(ResidentSolver, StatsReportHaloTrafficFarBelowFrameReload) {
   opt.merge_iterations = 4;
   opt.num_threads = 1;
   ResidentTiledStats stats;
-  (void)solve_resident(v, params_with(16), opt, &stats);
+  (void)solve_resident(v, params_with(16), opt, {}, nullptr, &stats);
 
   EXPECT_EQ(stats.passes, 4);
   EXPECT_GT(stats.tiles, 1u);
@@ -235,7 +236,8 @@ TEST(ResidentSolver, SingleTileExchangesNothing) {
   const Matrix<float> v = random_v(32, 32, 30);
   TiledSolverOptions opt;  // default 88x92 window covers the frame
   ResidentTiledStats stats;
-  const ChambolleResult res = solve_resident(v, params_with(8), opt, &stats);
+  const ChambolleResult res =
+      solve_resident(v, params_with(8), opt, {}, nullptr, &stats);
   EXPECT_EQ(stats.tiles, 1u);
   EXPECT_EQ(stats.halo_elements_per_pass, 0u);
   EXPECT_EQ(stats.halo_bytes_exchanged, 0u);

@@ -52,18 +52,17 @@ TEST(RowParallel, ExecutionEngineDoesNotChangeResult) {
   const ChambolleParams params = params_with(9);
   const ChambolleResult ref = solve(v, params);
 
+  // The pooled team and the single-lane inline path are bit-identical to
+  // the reference.
   RowParallelOptions opt;
-  opt.num_threads = 3;
   opt.rows_per_strip = 7;
-  opt.execution = parallel::Execution::kPool;
-  const ChambolleResult pooled = solve_row_parallel(v, params, opt);
-  opt.execution = parallel::Execution::kSpawn;
-  const ChambolleResult spawned = solve_row_parallel(v, params, opt);
-
-  EXPECT_EQ(pooled.u, ref.u);
-  EXPECT_EQ(spawned.u, ref.u);
-  EXPECT_EQ(pooled.p.px, spawned.p.px);
-  EXPECT_EQ(pooled.p.py, spawned.p.py);
+  for (const int threads : {1, 3}) {
+    opt.num_threads = threads;
+    const ChambolleResult res = solve_row_parallel(v, params, opt);
+    EXPECT_EQ(res.u, ref.u) << threads << " threads";
+    EXPECT_EQ(res.p.px, ref.p.px) << threads << " threads";
+    EXPECT_EQ(res.p.py, ref.p.py) << threads << " threads";
+  }
 }
 
 TEST(RowParallel, BarrierAccounting) {

@@ -209,23 +209,34 @@ TEST(OuterLoopStages, ParallelRecoveryMatchesSerialSnapshotAndRecovery) {
 }
 
 TEST(OuterLoopStages, FixedBudgetSentinelResolvesToTheFixedSchedule) {
-  ResidentAdaptiveOptions a;
-  a.max_passes = 0;
+  // The pass cap and the truncated final pass follow from the budget and the
+  // merge depth alone.  Under the default policy (tolerance 0, the fixed-
+  // budget sentinel) and under a retiring policy whose tolerance nothing
+  // beats, every tile runs ceil(iterations / merge) passes that add up to
+  // exactly `iterations`.
+  Rng rng(404);
+  const Matrix<float> v = random_image(rng, 40, 44, -2.f, 2.f);
+  ResidentRunPolicy never;
+  never.tolerance = 1e-30f;
+  never.patience = 1;
   for (const auto& [iterations, merge] :
-       {std::pair{30, 4}, {28, 4}, {1, 4}, {5, 1}, {7, 0}}) {
-    const ResidentAdaptiveOptions r = a.resolved(iterations, merge);
-    const int m = std::max(1, merge);
-    EXPECT_EQ(r.max_passes, (iterations + m - 1) / m);
-    const int tail = iterations - (r.max_passes - 1) * m;
-    EXPECT_EQ(r.final_pass_iterations, tail < m ? tail : 0)
-        << iterations << "/" << merge;
-    EXPECT_NO_THROW(r.validate());
+       {std::pair{30, 4}, {28, 4}, {1, 4}, {5, 1}}) {
+    TiledSolverOptions opts;
+    opts.tile_rows = 20;
+    opts.tile_cols = 24;
+    opts.merge_iterations = merge;
+    const ChambolleParams params{0.25f, 0.0625f, iterations};
+    ResidentTiledEngine engine(v, params, opts);
+    for (const ResidentRunPolicy& policy : {ResidentRunPolicy{}, never}) {
+      SCOPED_TRACE(std::to_string(iterations) + "/" + std::to_string(merge) +
+                   (policy.retiring() ? " retiring" : " fixed"));
+      const ResidentRunReport& r = engine.run(iterations, policy).front();
+      EXPECT_EQ(r.pass_cap, (iterations + merge - 1) / merge);
+      EXPECT_EQ(r.total_iterations,
+                r.tiles * static_cast<std::size_t>(iterations));
+      for (const int p : r.tile_passes) EXPECT_EQ(p, r.pass_cap);
+    }
   }
-  a.max_passes = 3;
-  a.final_pass_iterations = 1;
-  const ResidentAdaptiveOptions kept = a.resolved(30, 4);
-  EXPECT_EQ(kept.max_passes, 3);
-  EXPECT_EQ(kept.final_pass_iterations, 1);
 }
 
 TEST(OuterLoopStages, PyramidTakesARvalueBaseWithoutACopy) {

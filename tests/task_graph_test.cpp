@@ -20,6 +20,20 @@ std::vector<std::vector<int>> chain(int n) {
   return adj;
 }
 
+// The work-queue schedule a retiring run uses: stealing + CAS claims.
+EpochGraph::RunStats run_stealing(EpochGraph& graph, int passes, int lanes,
+                                  ThreadPool& pool,
+                                  const EpochGraph::NodeFn& body) {
+  return graph.run(passes, lanes, pool, body, /*steal=*/true);
+}
+
+// A stealing run with a periodic rendezvous.
+EpochGraph::RunStats run_with_rendezvous(
+    EpochGraph& graph, int passes, int period, int lanes, ThreadPool& pool,
+    const EpochGraph::NodeFn& body, const EpochGraph::RendezvousFn& rv) {
+  return graph.run(passes, lanes, pool, body, /*steal=*/true, period, rv);
+}
+
 TEST(EpochGraph, RunsEveryNodeEveryPassExactlyOnce) {
   const int n = 12, passes = 7;
   EpochGraph graph(chain(n));
@@ -27,6 +41,7 @@ TEST(EpochGraph, RunsEveryNodeEveryPassExactlyOnce) {
   graph.run(passes, 4, default_pool(), [&](int node, int epoch, int) {
     EXPECT_EQ(count[static_cast<std::size_t>(node)].load(), epoch);
     count[static_cast<std::size_t>(node)].fetch_add(1);
+    return false;
   });
   for (int i = 0; i < n; ++i)
     EXPECT_EQ(count[static_cast<std::size_t>(i)].load(), passes);
@@ -48,6 +63,7 @@ TEST(EpochGraph, NeighborEpochsNeverDriftBeyondOne) {
       if (me < e - 1 || me > e + 1) violations.fetch_add(1);
     }
     epoch[static_cast<std::size_t>(node)].store(e + 1);
+    return false;
   });
   EXPECT_EQ(violations.load(), 0);
 }
@@ -56,8 +72,10 @@ TEST(EpochGraph, IndependentNodesNeedNoOrdering) {
   // No edges: every node free-runs its passes; still exactly-once per epoch.
   EpochGraph graph(std::vector<std::vector<int>>(8));
   std::atomic<int> total{0};
-  graph.run(5, 3, default_pool(),
-            [&](int, int, int) { total.fetch_add(1); });
+  graph.run(5, 3, default_pool(), [&](int, int, int) {
+    total.fetch_add(1);
+    return false;
+  });
   EXPECT_EQ(total.load(), 8 * 5);
 }
 
@@ -74,6 +92,7 @@ TEST(EpochGraph, PinningIsStablePerNode) {
             expected, lane) &&
         expected != lane)
       migrations.fetch_add(1);
+    return false;
   });
   EXPECT_EQ(migrations.load(), 0);
   for (int i = 0; i < n; ++i)
@@ -101,6 +120,7 @@ TEST(EpochGraph, MoreLanesThanNodesDegradesGracefully) {
   graph.run(4, 16, default_pool(), [&](int, int, int lane) {
     EXPECT_LT(lane, n);  // team clamped to the node count
     total.fetch_add(1);
+    return false;
   });
   EXPECT_EQ(total.load(), n * 4);
 }
@@ -108,9 +128,15 @@ TEST(EpochGraph, MoreLanesThanNodesDegradesGracefully) {
 TEST(EpochGraph, ZeroPassesAndEmptyGraphAreNoOps) {
   EpochGraph empty(std::vector<std::vector<int>>{});
   EXPECT_EQ(empty.nodes(), 0);
-  empty.run(5, 2, default_pool(), [&](int, int, int) { FAIL(); });
+  empty.run(5, 2, default_pool(), [&](int, int, int) -> bool {
+    ADD_FAILURE();
+    return false;
+  });
   EpochGraph graph(chain(4));
-  graph.run(0, 2, default_pool(), [&](int, int, int) { FAIL(); });
+  graph.run(0, 2, default_pool(), [&](int, int, int) -> bool {
+    ADD_FAILURE();
+    return false;
+  });
 }
 
 TEST(EpochGraph, BodyExceptionAbortsAndPropagates) {
@@ -121,11 +147,15 @@ TEST(EpochGraph, BodyExceptionAbortsAndPropagates) {
                 [&](int node, int epoch, int) {
                   if (node == 3 && epoch == 2)
                     throw std::runtime_error("boom");
+                  return false;
                 }),
       std::runtime_error);
   // The graph (and the pool) must remain usable afterwards.
   std::atomic<int> total{0};
-  graph.run(2, 2, default_pool(), [&](int, int, int) { total.fetch_add(1); });
+  graph.run(2, 2, default_pool(), [&](int, int, int) {
+    total.fetch_add(1);
+    return false;
+  });
   EXPECT_EQ(total.load(), n * 2);
 }
 
@@ -134,7 +164,7 @@ TEST(EpochGraph, RejectsOutOfRangeNeighbors) {
   adj[0].push_back(5);
   EXPECT_THROW(EpochGraph{adj}, std::invalid_argument);
   EXPECT_THROW(EpochGraph(chain(3)).run(-1, 2, default_pool(),
-                                        [](int, int, int) {}),
+                                        [](int, int, int) { return false; }),
                std::invalid_argument);
 }
 
@@ -142,20 +172,43 @@ TEST(EpochGraph, ReportsStallStatsOnReuse) {
   // Stall counters are best-effort (may be zero on a fast machine), but the
   // structure must accumulate sanely across runs.
   EpochGraph graph(chain(6));
-  const auto s1 = graph.run(3, 2, default_pool(), [](int, int, int) {});
+  const auto idle = [](int, int, int) { return false; };
+  const auto s1 = graph.run(3, 2, default_pool(), idle);
   EXPECT_GE(s1.stall_seconds, 0.0);
-  const auto s2 = graph.run(3, 2, default_pool(), [](int, int, int) {});
+  const auto s2 = graph.run(3, 2, default_pool(), idle);
   EXPECT_GE(s2.stall_spins, 0u);
 }
 
+TEST(EpochGraph, PinnedRunRetiresNodesWithoutStealing) {
+  // Retirement does not need the work queue: a pinned run still stops a
+  // retiring node and finishes the rest, and every pass stays on its
+  // owner's lane.
+  const int n = 9, cap = 6;
+  EpochGraph graph(chain(n));
+  std::vector<std::atomic<int>> count(static_cast<std::size_t>(n));
+  std::atomic<int> migrations{0};
+  const auto rs =
+      graph.run(cap, 3, default_pool(), [&](int node, int epoch, int lane) {
+        count[static_cast<std::size_t>(node)].fetch_add(1);
+        if (lane != graph.owner(node, 3)) migrations.fetch_add(1);
+        return node == 4 && epoch == 0;
+      });
+  EXPECT_EQ(migrations.load(), 0);
+  EXPECT_EQ(rs.stolen_passes, 0u);
+  EXPECT_EQ(rs.retired_nodes, 1u);
+  for (int i = 0; i < n; ++i)
+    EXPECT_EQ(count[static_cast<std::size_t>(i)].load(), i == 4 ? 1 : cap);
+}
+
 TEST(EpochGraph, AdaptiveRunsToCapWhenNoNodeRetires) {
-  // A body that never retires makes run_adaptive equivalent to run(): every
-  // node executes exactly max_passes epochs, each exactly once, in order.
+  // A body that never retires makes a stealing run equivalent to a pinned
+  // one: every node executes exactly `cap` epochs, each exactly once, in
+  // order.
   const int n = 12, cap = 7;
   EpochGraph graph(chain(n));
   std::vector<std::atomic<int>> count(static_cast<std::size_t>(n));
-  const auto rs = graph.run_adaptive(
-      cap, 4, default_pool(), [&](int node, int epoch, int) {
+  const auto rs = run_stealing(
+      graph, cap, 4, default_pool(), [&](int node, int epoch, int) {
         EXPECT_EQ(count[static_cast<std::size_t>(node)].load(), epoch);
         count[static_cast<std::size_t>(node)].fetch_add(1);
         return false;
@@ -173,8 +226,8 @@ TEST(EpochGraph, AdaptiveRetirementStopsANodeAndUnblocksNeighbors) {
   const int n = 8, cap = 20;
   EpochGraph graph(chain(n));
   std::vector<std::atomic<int>> count(static_cast<std::size_t>(n));
-  const auto rs = graph.run_adaptive(
-      cap, 3, default_pool(), [&](int node, int epoch, int) {
+  const auto rs = run_stealing(
+      graph, cap, 3, default_pool(), [&](int node, int epoch, int) {
         count[static_cast<std::size_t>(node)].fetch_add(1);
         return node == 0 && epoch == 1;
       });
@@ -193,8 +246,8 @@ TEST(EpochGraph, AdaptiveEveryPassRunsExactlyOnceUnderStealing) {
   const int n = 32, cap = 50;
   EpochGraph graph(chain(n));
   std::vector<std::atomic<int>> count(static_cast<std::size_t>(n));
-  const auto rs = graph.run_adaptive(
-      cap, 4, default_pool(), [&](int node, int epoch, int) {
+  const auto rs = run_stealing(
+      graph, cap, 4, default_pool(), [&](int node, int epoch, int) {
         EXPECT_EQ(count[static_cast<std::size_t>(node)].load(), epoch);
         count[static_cast<std::size_t>(node)].fetch_add(1);
         return node % 8 != 0;  // 28 of 32 nodes retire immediately
@@ -214,8 +267,8 @@ TEST(EpochGraph, AdaptiveRedistributesFreedCapacity) {
   const int n = 16, cap = 200;
   const std::vector<std::vector<int>> no_edges(n);
   EpochGraph graph(no_edges);
-  const auto rs = graph.run_adaptive(
-      cap, 4, default_pool(),
+  const auto rs = run_stealing(
+      graph, cap, 4, default_pool(),
       [&](int node, int, int) { return node != n - 1; });
   EXPECT_EQ(rs.retired_nodes, static_cast<std::uint64_t>(n - 1));
   // The last node runs cap passes; with its block-mates retired, lanes 0-2
@@ -233,7 +286,7 @@ TEST(EpochGraph, AdaptiveNeighborSkewStillBoundedByOne) {
   EpochGraph graph(adj);
   std::vector<std::atomic<int>> epoch(static_cast<std::size_t>(n));
   std::atomic<int> violations{0};
-  graph.run_adaptive(cap, 4, default_pool(), [&](int node, int e, int) {
+  run_stealing(graph, cap, 4, default_pool(), [&](int node, int e, int) {
     for (const int m : adj[static_cast<std::size_t>(node)]) {
       const int me = epoch[static_cast<std::size_t>(m)].load();
       // A retired neighbor legitimately reads as "done" (>= e); only
@@ -252,16 +305,16 @@ TEST(EpochGraph, AdaptiveNeighborSkewStillBoundedByOne) {
 TEST(EpochGraph, AdaptiveBodyExceptionAbortsAndPropagates) {
   const int n = 8;
   EpochGraph graph(chain(n));
-  EXPECT_THROW(graph.run_adaptive(50, 4, default_pool(),
-                                  [&](int node, int epoch, int) {
-                                    if (node == 3 && epoch == 2)
-                                      throw std::runtime_error("boom");
-                                    return false;
-                                  }),
+  EXPECT_THROW(run_stealing(graph, 50, 4, default_pool(),
+                            [&](int node, int epoch, int) {
+                              if (node == 3 && epoch == 2)
+                                throw std::runtime_error("boom");
+                              return false;
+                            }),
                std::runtime_error);
-  // Graph and pool stay usable, for both schedulers.
+  // Graph and pool stay usable, for both schedules.
   std::atomic<int> total{0};
-  graph.run_adaptive(2, 2, default_pool(), [&](int, int, int) {
+  run_stealing(graph, 2, 2, default_pool(), [&](int, int, int) {
     total.fetch_add(1);
     return false;
   });
@@ -269,14 +322,14 @@ TEST(EpochGraph, AdaptiveBodyExceptionAbortsAndPropagates) {
 }
 
 TEST(EpochGraph, RendezvousFiresAtEveryBoundary) {
-  // max_passes = 17, period = 4: firings at pass boundaries 4, 8, 12, 16 —
+  // passes = 17, period = 4: firings at pass boundaries 4, 8, 12, 16 —
   // (17 - 1) / 4 = 4 of them; every node still runs every pass exactly once.
   const int n = 10, passes = 17, period = 4;
   EpochGraph graph(chain(n));
   std::vector<std::atomic<int>> count(static_cast<std::size_t>(n));
   std::vector<int> boundaries;
-  const auto stats = graph.run_rendezvous(
-      passes, period, 4, default_pool(),
+  const auto stats = run_with_rendezvous(
+      graph, passes, period, 4, default_pool(),
       [&](int node, int epoch, int) {
         EXPECT_EQ(count[static_cast<std::size_t>(node)].load(), epoch);
         count[static_cast<std::size_t>(node)].fetch_add(1);
@@ -300,8 +353,8 @@ TEST(EpochGraph, RendezvousWindowIsExclusive) {
   EpochGraph graph(chain(n));
   std::vector<std::atomic<int>> count(static_cast<std::size_t>(n));
   std::atomic<int> violations{0};
-  graph.run_rendezvous(
-      passes, period, 4, default_pool(),
+  run_with_rendezvous(
+      graph, passes, period, 4, default_pool(),
       [&](int node, int, int) {
         count[static_cast<std::size_t>(node)].fetch_add(1);
         return false;
@@ -321,8 +374,8 @@ TEST(EpochGraph, RendezvousRetiredNodesStayParked) {
   EpochGraph graph(chain(n));
   std::vector<std::atomic<int>> count(static_cast<std::size_t>(n));
   std::atomic<int> bad{0};
-  graph.run_rendezvous(
-      passes, period, 3, default_pool(),
+  run_with_rendezvous(
+      graph, passes, period, 3, default_pool(),
       [&](int node, int epoch, int) {
         count[static_cast<std::size_t>(node)].fetch_add(1);
         return node == 0 && epoch == 2;  // retired with 3 passes done
@@ -346,8 +399,8 @@ TEST(EpochGraph, RendezvousResurrectionResumesANode) {
   EpochGraph graph(chain(n));
   std::vector<std::atomic<int>> count(static_cast<std::size_t>(n));
   std::atomic<int> resurrections{0};
-  graph.run_rendezvous(
-      passes, period, 3, default_pool(),
+  run_with_rendezvous(
+      graph, passes, period, 3, default_pool(),
       [&](int node, int, int) {
         const int c =
             count[static_cast<std::size_t>(node)].fetch_add(1) + 1;
@@ -369,14 +422,15 @@ TEST(EpochGraph, RendezvousResurrectionResumesANode) {
 }
 
 TEST(EpochGraph, RendezvousDegeneratesToAdaptive) {
-  // period <= 0 and period >= max_passes realize no firing: the run must be
-  // exactly run_adaptive — all passes execute, the rendezvous never fires.
+  // period <= 0 and period >= passes realize no firing: the run must be
+  // exactly the plain stealing run — all passes execute, the rendezvous
+  // never fires.
   const int n = 6;
   EpochGraph graph(chain(n));
   for (const int period : {0, -3, 7, 100}) {
     std::atomic<int> total{0};
-    const auto stats = graph.run_rendezvous(
-        7, period, 3, default_pool(),
+    const auto stats = run_with_rendezvous(
+        graph, 7, period, 3, default_pool(),
         [&](int, int, int) {
           total.fetch_add(1);
           return false;
@@ -393,8 +447,8 @@ TEST(EpochGraph, RendezvousAllRetiredEndsRunWithoutTrailingFirings) {
   const int n = 4;
   EpochGraph graph(chain(n));
   std::atomic<int> firings{0};
-  const auto stats = graph.run_rendezvous(
-      41, 4, 3, default_pool(), [&](int, int, int) { return true; },
+  const auto stats = run_with_rendezvous(
+      graph, 41, 4, 3, default_pool(), [&](int, int, int) { return true; },
       [&](int, EpochGraph::RendezvousControl&) { firings.fetch_add(1); });
   EXPECT_LE(firings.load(), 1);
   EXPECT_EQ(stats.retired_nodes, static_cast<std::uint64_t>(n));
@@ -402,16 +456,16 @@ TEST(EpochGraph, RendezvousAllRetiredEndsRunWithoutTrailingFirings) {
 
 TEST(EpochGraph, AdaptiveZeroPassesAndEmptyGraphAreNoOps) {
   EpochGraph empty(std::vector<std::vector<int>>{});
-  empty.run_adaptive(5, 2, default_pool(), [&](int, int, int) -> bool {
+  run_stealing(empty, 5, 2, default_pool(), [&](int, int, int) -> bool {
     ADD_FAILURE();
     return false;
   });
   EpochGraph graph(chain(4));
-  graph.run_adaptive(0, 2, default_pool(), [&](int, int, int) -> bool {
+  run_stealing(graph, 0, 2, default_pool(), [&](int, int, int) -> bool {
     ADD_FAILURE();
     return false;
   });
-  EXPECT_THROW(graph.run_adaptive(-1, 2, default_pool(),
+  EXPECT_THROW(run_stealing(graph, -1, 2, default_pool(),
                                   [](int, int, int) { return false; }),
                std::invalid_argument);
 }

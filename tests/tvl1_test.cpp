@@ -32,6 +32,17 @@ TEST(Tvl1Params, Validation) {
   p = {};
   p.chambolle.tau = 1.f;  // breaks tau/theta <= 1/4
   EXPECT_THROW(p.validate(), std::invalid_argument);
+  // The resident run policy: only the resident solver takes one, and a
+  // correction period needs a tolerance.
+  p = {};
+  p.resident.tolerance = 1e-4f;
+  EXPECT_THROW(p.validate(), std::invalid_argument);
+  p.solver = InnerSolver::kResident;
+  EXPECT_NO_THROW(p.validate());
+  p.resident.multilevel.period = 2;
+  EXPECT_NO_THROW(p.validate());
+  p.resident.tolerance = 0.f;
+  EXPECT_THROW(p.validate(), std::invalid_argument);
 }
 
 TEST(Tvl1, RejectsMismatchedFrames) {
@@ -138,17 +149,15 @@ TEST(Tvl1, AdaptiveResidentAccountsExecutedInnerIterations) {
   p.tiled.tile_rows = 24;
   p.tiled.tile_cols = 24;
   p.tiled.merge_iterations = 4;
-  p.adaptive_stopping = true;
-  p.adaptive.tolerance = 1e-30f;  // nothing retires: deterministic budget
-  p.adaptive.patience = 1;
-  p.adaptive.max_passes = 0;  // fixed-budget sentinel
+  p.resident.tolerance = 1e-30f;  // nothing retires: deterministic budget
+  p.resident.patience = 1;
   Tvl1Stats stats;
   const FlowField a = compute_flow(wl.frame0, wl.frame1, p, &stats);
   EXPECT_EQ(stats.chambolle_inner_iterations,
             2LL * 25 * p.warps * stats.levels_processed);
   // With nothing retiring the adaptive schedule IS the fixed schedule.
   Tvl1Params fixed = p;
-  fixed.adaptive_stopping = false;
+  fixed.resident = {};
   const FlowField b = compute_flow(wl.frame0, wl.frame1, fixed);
   EXPECT_EQ(a.u1, b.u1);
   EXPECT_EQ(a.u2, b.u2);
@@ -157,7 +166,9 @@ TEST(Tvl1, AdaptiveResidentAccountsExecutedInnerIterations) {
 TEST(Tvl1, ResidentSolvesBothComponentsOnOneEnginePerLevel) {
   // u1 and u2 are two fields of one resident engine, built once per pyramid
   // level; tiles.passes still counts per field (one pass of the two-field
-  // engine is two field passes).
+  // engine is two field passes) — under a retiring policy too, where tiles
+  // stop before the cap: the counter counts passes of the run's schedule,
+  // not executed (field, tile) passes.
   const bool was_enabled = telemetry::enabled();
   telemetry::set_enabled(true);
   telemetry::Counter& builds =
@@ -177,6 +188,17 @@ TEST(Tvl1, ResidentSolvesBothComponentsOnOneEnginePerLevel) {
   EXPECT_EQ(passes.value() - passes0,
             static_cast<std::uint64_t>(2 * 5 * p.warps *
                                        stats.levels_processed));
+
+  // Every tile retires after its second pass.
+  p.resident.tolerance = 10.f;
+  p.resident.patience = 2;
+  const std::uint64_t retiring0 = passes.value();
+  (void)compute_flow(wl.frame0, wl.frame1, p, &stats);
+  EXPECT_EQ(passes.value() - retiring0,
+            static_cast<std::uint64_t>(2 * 5 * p.warps *
+                                       stats.levels_processed));
+  EXPECT_EQ(stats.chambolle_inner_iterations,
+            2LL * 2 * 5 * p.warps * stats.levels_processed);
   telemetry::set_enabled(was_enabled);
 }
 

@@ -204,8 +204,6 @@ int main() {
   params.iterations = kChunk * 4;
 
   TiledSolverOptions opt;
-  opt.tile_rows = 88;
-  opt.tile_cols = 92;
   opt.merge_iterations = 4;
 
   std::printf("\n\nENGINE PASSES-TO-QUALITY vs RESOLUTION (theta=%.0f, "

@@ -18,9 +18,10 @@
 // --threads N sizes the process-wide worker pool (and the tiled solver's
 // team); 0 or omitted uses the hardware concurrency.
 //
-// --tile RxC and --merge K set the sliding-window geometry of the `tiled`
-// and `resident` solvers (defaults: the paper's 88x92 window, K = 4; tile
-// dims must exceed 2*K).
+// --tile RxC sets the sliding window of the `tiled` solver (default: the
+// paper's 88x92; dims must exceed 2*K).  The `resident` solver plans its own
+// tiling — balanced full-width strips, about one per lane — and ignores it.
+// --merge K sets the merge depth of both (default 4).
 //
 // --adaptive (resident solver only) turns on per-tile early stopping: a tile
 // whose per-iteration dual residual stays under --tol (default 1e-4) for
@@ -90,7 +91,7 @@ int usage() {
       "usage: flow_cli [<frame0.pgm> <frame1.pgm> <flow_out.ppm>]\n"
       "               [--levels N] [--warps N] [--iters N] [--lambda X]\n"
       "               [--solver ref|tiled|resident|fixed|accel] [--threads N]\n"
-      "               [--tile RxC] [--merge K]\n"
+      "               [--tile RxC (tiled solver only)] [--merge K]\n"
       "               [--adaptive] [--tol X] [--patience K]\n"
       "               [--ml-period K] [--ml-levels N]\n"
       "               [--median] [--kernel auto|scalar|sse2|neon|avx2|avx512|\n"

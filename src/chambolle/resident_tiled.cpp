@@ -21,8 +21,7 @@ namespace chambolle {
 
 /// The resident working set of one tile: the (px, py) dual window and the
 /// fixed input window, allocated once and owned by one lane for the whole
-/// solve.  ~tile_rows * tile_cols * 12 B — sized to stay cache-resident
-/// (the paper's 88 x 92 window is ~97 KiB), the CPU analogue of a BRAM bank.
+/// solve, 12 B per buffer cell — the CPU analogue of a BRAM bank.
 struct ResidentTiledEngine::TileBuffers {
   Matrix<float> px, py, v;
 };
@@ -115,20 +114,46 @@ ResidentTiledEngine::DualFields one_or_none(const DualField* const& initial) {
                             : ResidentTiledEngine::DualFields();
 }
 
+parallel::ThreadPool& pool_of(const TiledSolverOptions& options) {
+  return options.pool != nullptr ? *options.pool : parallel::default_pool();
+}
+
+const Matrix<float>& first_field(ResidentTiledEngine::Fields inputs) {
+  if (inputs.empty() || inputs[0] == nullptr)
+    throw std::invalid_argument("ResidentTiledEngine: no input field");
+  return *inputs[0];
+}
+
+/// The planner's tiling for `inputs` on the lanes `options` resolves to.
+TilingPlan plan_for(ResidentTiledEngine::Fields inputs,
+                    const TiledSolverOptions& options) {
+  const Matrix<float>& v = first_field(inputs);
+  return plan_tiling(v.rows(), v.cols(), static_cast<int>(inputs.size()),
+                     pool_of(options).lanes_for(options.num_threads),
+                     options.merge_iterations);
+}
+
 }  // namespace
 
 ResidentTiledEngine::ResidentTiledEngine(Fields inputs,
                                          const ChambolleParams& params,
                                          const TiledSolverOptions& options,
                                          DualFields initial)
-    : params_(params), options_(options) {
+    : ResidentTiledEngine(inputs, params, options, plan_for(inputs, options),
+                          initial) {}
+
+ResidentTiledEngine::ResidentTiledEngine(Fields inputs,
+                                         const ChambolleParams& params,
+                                         const TiledSolverOptions& options,
+                                         TilingPlan plan, DualFields initial)
+    : params_(params), options_(options), plan_(std::move(plan)) {
   params_.validate();
   options_.validate();
-  if (inputs.empty() || inputs[0] == nullptr)
-    throw std::invalid_argument("ResidentTiledEngine: no input field");
-  plan_ = make_tiling(inputs[0]->rows(), inputs[0]->cols(),
-                      options_.tile_rows, options_.tile_cols,
-                      options_.merge_iterations);
+  const Matrix<float>& v = first_field(inputs);
+  if (plan_.frame_rows != v.rows() || plan_.frame_cols != v.cols() ||
+      plan_.halo != options_.merge_iterations)
+    throw std::invalid_argument(
+        "ResidentTiledEngine: plan does not fit the frame and merge depth");
   fields_ = static_cast<int>(inputs.size());
   check_inputs(inputs, initial, "ResidentTiledEngine");
 
@@ -311,7 +336,7 @@ ResidentTiledEngine::Mailbox* ResidentTiledEngine::mailboxes(int field) {
 }
 
 parallel::ThreadPool& ResidentTiledEngine::pool() const {
-  return options_.pool != nullptr ? *options_.pool : parallel::default_pool();
+  return pool_of(options_);
 }
 
 int ResidentTiledEngine::lanes() const {

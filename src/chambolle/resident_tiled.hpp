@@ -172,10 +172,15 @@ class ResidentTiledEngine {
   /// Per-field dual states (warm starts), one pointer per field.
   using DualFields = std::span<const DualField* const>;
 
-  /// Tiles the K same-shape `inputs` with options.{tile_rows, tile_cols,
-  /// merge_iterations} and loads the resident buffers; `initial`, when
-  /// non-empty, holds one warm-start dual state per field (otherwise
-  /// zeros).  Validates like solve_tiled.
+  /// Plans the tiling of the K same-shape `inputs` itself — plan_tiling()
+  /// (tile.hpp): balanced full-width strips, about one per lane of the
+  /// pool the options resolve to, one tile per field on small frames — with
+  /// a halo of options.merge_iterations, and loads the resident buffers.
+  /// options.{tile_rows, tile_cols} configure solve_tiled only; under the
+  /// fixed policy every plan gives the same bits, so the shape is the
+  /// engine's to choose.  `initial`, when non-empty, holds one warm-start
+  /// dual state per field (otherwise zeros).  Validates the options like
+  /// solve_tiled.
   ResidentTiledEngine(Fields inputs, const ChambolleParams& params,
                       const TiledSolverOptions& options,
                       DualFields initial = {});
@@ -214,8 +219,10 @@ class ResidentTiledEngine {
   /// in place; a correction exceeding multilevel.unretire_factor *
   /// tolerance inside a retired tile's profitable region un-retires it.
   /// Every field has its own corrector, progress gate and end rule.
-  /// Results are schedule-independent (same bits for any lane count).  A
-  /// frame too small to coarsen runs without correction.
+  /// Results are schedule-independent: for a given plan, the same bits for
+  /// any lane count.  Retiring policies retire per tile, so their results
+  /// do depend on the plan, and the planned engine's plan on its lane
+  /// count.  A frame too small to coarsen runs without correction.
   ///
   /// Under every policy each field's bits equal a single-field engine's,
   /// and the resident state stays coherent for snapshot()/result() and
@@ -274,8 +281,15 @@ class ResidentTiledEngine {
   struct Mailbox;
   struct NodeRun;
   struct Correction;
-  /// Reaches fault_hook_ (tests/resident_fields_test.cpp).
+  /// The test-only seam (src/testing/resident_peer.hpp): builds engines on
+  /// explicit tilings and reaches fault_hook_.
   friend struct ResidentTiledEngineTestPeer;
+
+  /// The engine on an explicit `plan` of the inputs' frame with halo
+  /// options.merge_iterations; the public constructors pass the planner's.
+  ResidentTiledEngine(Fields inputs, const ChambolleParams& params,
+                      const TiledSolverOptions& options, TilingPlan plan,
+                      DualFields initial);
 
   /// The pool this engine's parallel regions run on: options.pool when the
   /// caller injected one (the serving fleet gives every engine its own

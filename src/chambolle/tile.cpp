@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace chambolle {
 namespace {
@@ -112,6 +113,37 @@ TilingPlan make_tiling(int frame_rows, int frame_cols, int tile_rows,
       plan.tiles.push_back(t);
     }
   return plan;
+}
+
+TilingPlan plan_tiling(int frame_rows, int frame_cols, int fields, int lanes,
+                       int halo) {
+  if (fields < 1 || lanes < 1)
+    throw std::invalid_argument("plan_tiling: fields and lanes must be >= 1");
+  // A window taller or wider than the frame is clipped to it, so padding
+  // to the legal minimum lets one tile cover frames of 2*halo cells or less.
+  const int min_tile = 2 * halo + 1;
+  const auto strips_of = [&](int s) {
+    const long long rows = (frame_rows + 2LL * halo * (s - 1) + s - 1) / s;
+    return make_tiling(frame_rows, frame_cols,
+                       std::max(static_cast<int>(rows), min_tile),
+                       std::max(frame_cols, min_tile), halo);
+  };
+  TilingPlan best = strips_of(1);  // throws on an empty frame or bad halo
+  int best_s = 1;
+  const long long cells = static_cast<long long>(frame_rows) * frame_cols;
+  const int cap = static_cast<int>(
+      std::clamp<long long>(cells / kMinStripCells, 1, lanes));
+  // The busiest lane runs ceil(fields * s / lanes) strips of 1/s field each;
+  // a/s < b/best compares as a * best < b * s.
+  const auto busiest = [&](int s) { return (fields * s + lanes - 1) / lanes; };
+  for (int s = 2; s <= cap; ++s) {
+    if (busiest(s) * best_s >= busiest(best_s) * s) continue;
+    TilingPlan plan = strips_of(s);
+    if (static_cast<int>(plan.tiles.size()) != s) continue;
+    best = std::move(plan);
+    best_s = s;
+  }
+  return best;
 }
 
 }  // namespace chambolle

@@ -92,4 +92,23 @@ struct HaloEdge {
 [[nodiscard]] TilingPlan make_tiling(int frame_rows, int frame_cols,
                                      int tile_rows, int tile_cols, int halo);
 
+/// Frame cells per strip below which the resident engine stops splitting a
+/// field: under it a strip's halo exchange and scheduling cost more than the
+/// lane it would add (EXPERIMENTS.md E17).
+inline constexpr long long kMinStripCells = 6000;
+
+/// The resident engine's tiling of a frame that `fields` same-shape fields
+/// share on `lanes` lanes with a `halo`-cell margin: S balanced strips per
+/// field, each spanning the full frame width.  S is the fewest strips that
+/// minimize the busiest lane's share of the work, ceil(fields * S / lanes)
+/// / S field-loads, over the S the frame admits: at most one strip per
+/// kMinStripCells cells, and only cuts that make_tiling realizes as exactly
+/// S strips.  The strips' buffers are make_tiling's with tile rows
+/// ceil((rows + 2 * halo * (S - 1)) / S), so their heights differ by less
+/// than S rows.  One strip covers any frame of at least one cell, however
+/// small against the halo.  Throws std::invalid_argument on an empty frame,
+/// fields or lanes below 1, or a negative halo.
+[[nodiscard]] TilingPlan plan_tiling(int frame_rows, int frame_cols,
+                                     int fields, int lanes, int halo);
+
 }  // namespace chambolle

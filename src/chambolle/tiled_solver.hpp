@@ -22,7 +22,9 @@
 namespace chambolle {
 
 struct TiledSolverOptions {
-  /// Sliding-window buffer size; the paper's hardware uses 88 x 92.
+  /// Sliding-window buffer size of solve_tiled and the TV-L1 kTiled inner
+  /// solver; the paper's hardware uses 88 x 92.  The resident engine plans
+  /// its own tiling (plan_tiling) and ignores these two.
   int tile_rows = 88;
   int tile_cols = 92;
   /// Iterations merged per pass (K); the halo/profitable margin equals K.

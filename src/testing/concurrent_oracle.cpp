@@ -50,13 +50,16 @@ ConcurrentOracleReport run_concurrent_oracle(
   report.seed = seed;
 
   // Shared solver configuration, drawn through the common case generator so
-  // the parameter distribution (merge depth, tile geometry, theta/tau
-  // variation) matches the single-solve oracle's.
+  // the parameter distribution (merge depth, theta/tau variation) matches
+  // the single-solve oracle's.
   const OracleCase shared = make_case(seed);
   tvl1::Tvl1Params params;
   params.chambolle = shared.params;
   params.tiled = shared.tiled;
   params.tiled.pool = nullptr;  // the service binds slot pools itself
+  // Engines take their slot's lane count, and so does the serial replay:
+  // an engine's plan depends on its lanes.
+  params.tiled.num_threads = 0;
   params.solver = tvl1::InnerSolver::kResident;
 
   // Per-session streams: shapes differ across sessions (per-resolution
@@ -75,32 +78,34 @@ ConcurrentOracleReport run_concurrent_oracle(
           << " frames=" << options.frames_per_session
           << " slots=" << options.slots
           << " iters=" << params.chambolle.iterations
-          << " merge=" << params.tiled.merge_iterations << " tiles="
-          << params.tiled.tile_rows << "x" << params.tiled.tile_cols
-          << " shapes=";
+          << " merge=" << params.tiled.merge_iterations << " shapes=";
   for (const Stream& st : streams)
     case_os << st.rows << "x" << st.cols << ",";
   report.case_line = case_os.str();
 
-  // Serial ground truth: each stream alone, fresh engine per frame, duals
-  // chained through snapshots — the spelled-out form of the warm-start
-  // contract the service's engine reuse must be indistinguishable from.
-  for (Stream& st : streams) {
-    DualField duals;
-    bool has_duals = false;
-    for (const Matrix<float>& v : st.frames) {
-      ResidentTiledEngine engine(v, params.chambolle, params.tiled,
-                                 has_duals ? &duals : nullptr);
-      engine.run(params.chambolle.iterations);
-      engine.snapshot(duals);
-      has_duals = true;
-      st.expected.push_back(engine.result().u);
-    }
-  }
-
-  // Interleaved runs: all streams through one service, frame-major round
-  // robin so consecutive requests always belong to different sessions.
   for (const int lanes : options.lane_counts) {
+    // Serial ground truth on the slot's lane count: each stream alone,
+    // fresh engine per frame, duals chained through snapshots — the
+    // spelled-out form of the warm-start contract the service's engine
+    // reuse must be indistinguishable from.
+    TiledSolverOptions replay = params.tiled;
+    replay.num_threads = lanes;
+    for (Stream& st : streams) {
+      st.expected.clear();
+      DualField duals;
+      bool has_duals = false;
+      for (const Matrix<float>& v : st.frames) {
+        ResidentTiledEngine engine(v, params.chambolle, replay,
+                                   has_duals ? &duals : nullptr);
+        engine.run(params.chambolle.iterations);
+        engine.snapshot(duals);
+        has_duals = true;
+        st.expected.push_back(engine.result().u);
+      }
+    }
+
+    // Interleaved runs: all streams through one service, frame-major round
+    // robin so consecutive requests always belong to different sessions.
     serving::FlowServiceOptions svc_opts;
     svc_opts.params = params;
     svc_opts.slots = options.slots;

@@ -15,9 +15,12 @@
 #include "kernels/kernel.hpp"
 #include "kernels/kernel_fixed_simd.hpp"
 #include "telemetry/flight_recorder.hpp"
+#include "testing/resident_peer.hpp"
 
 namespace chambolle::oracle {
 namespace {
+
+using Peer = ResidentTiledEngineTestPeer;
 
 // memcmp, not operator== — the bit-exactness claim must not be weakened by
 // float comparison semantics (-0.0 == 0.0, NaN != NaN).
@@ -196,11 +199,21 @@ OracleReport run_oracle(const OracleCase& c, const OracleOptions& options) {
     }
     try {
       compare(report, "resident", ref,
+              Peer::solve_windowed(c.v, c.params, c.tiled, {}, nullptr,
+                                   nullptr, initial),
+              /*exact=*/true);
+    } catch (const std::exception& e) {
+      record_failure(report, "resident", std::string("threw: ") + e.what());
+    }
+    // The same engine on its own plan instead of the case's window.
+    try {
+      compare(report, "resident_planned", ref,
               solve_resident(c.v, c.params, c.tiled, {}, nullptr, nullptr,
                              initial),
               /*exact=*/true);
     } catch (const std::exception& e) {
-      record_failure(report, "resident", std::string("threw: ") + e.what());
+      record_failure(report, "resident_planned",
+                     std::string("threw: ") + e.what());
     }
   }
 
@@ -214,8 +227,8 @@ OracleReport run_oracle(const OracleCase& c, const OracleOptions& options) {
       ao.tolerance = kAdaptiveOracleTolerance;
       ao.patience = kAdaptiveOraclePatience;
       compare_quality(report, "resident_adaptive", c.v, c.params.theta, ref,
-                      solve_resident(c.v, c.params, c.tiled, ao, nullptr,
-                                     nullptr, initial));
+                      Peer::solve_windowed(c.v, c.params, c.tiled, ao,
+                                           nullptr, nullptr, initial));
     } catch (const std::exception& e) {
       record_failure(report, "resident_adaptive",
                      std::string("threw: ") + e.what());
@@ -236,8 +249,8 @@ OracleReport run_oracle(const OracleCase& c, const OracleOptions& options) {
       mo.multilevel.period = kMultilevelOraclePeriod;
       compare_multilevel(report, "resident_multilevel", c.v, c.params.theta,
                          ref, star,
-                         solve_resident(c.v, c.params, c.tiled, mo, nullptr,
-                                        nullptr, initial));
+                         Peer::solve_windowed(c.v, c.params, c.tiled, mo,
+                                              nullptr, nullptr, initial));
     } catch (const std::exception& e) {
       record_failure(report, "resident_multilevel",
                      std::string("threw: ") + e.what());
@@ -252,8 +265,8 @@ OracleReport run_oracle(const OracleCase& c, const OracleOptions& options) {
       off.patience = 1;
       off.multilevel.period = 0;  // correction disabled
       compare(report, "resident_multilevel_off", ref,
-              solve_resident(c.v, c.params, c.tiled, off, nullptr, nullptr,
-                             initial),
+              Peer::solve_windowed(c.v, c.params, c.tiled, off, nullptr,
+                                   nullptr, initial),
               /*exact=*/true);
     } catch (const std::exception& e) {
       record_failure(report, "resident_multilevel_off",

@@ -108,8 +108,6 @@ TEST(OuterLoopAllocations, ResidentResultIntoAllocatesNothingOnceShaped) {
   Rng rng(2);
   const Matrix<float> v = random_image(rng, 252, 316, -1.f, 1.f);
   TiledSolverOptions opts;
-  opts.tile_rows = 88;
-  opts.tile_cols = 92;
   opts.merge_iterations = 4;
   opts.pool = &pool;
   ResidentTiledEngine engine(v, ChambolleParams{0.25f, 0.0625f, 8}, opts);
@@ -123,23 +121,22 @@ TEST(OuterLoopAllocations, ResidentResultIntoAllocatesNothingOnceShaped) {
 }
 
 // The steady state of the benchmark's single-stream configuration: the
-// paper's 316 x 252 frame, the resident engine with the 88 x 92 window,
-// 4 levels x 5 warps x 30 iterations, three lanes.  Measured: 1144
-// allocations per frame — about 890 for the four per-level two-field engine
-// builds (tile buffers, mailboxes, epoch graph; 718 for the finest level's),
-// about 10 per inner solve for the engine's per-run scratch (20 solves), and
-// the new frame's pyramid plus the per-level flow, support-field and
-// gradient buffers.  A second engine per level would add ~430, and the
-// outer-loop temporaries and result() write-backs the fused sweep removed at
-// least 8 more per warp (160 per frame); this bound catches either.
-constexpr long long kPushFrameAllocationBound = 1266;
+// paper's 316 x 252 frame, the resident engine on its own plan, 4 levels x 5
+// warps x 30 iterations, three lanes.  Measured: 406 allocations per frame —
+// about 212 for the four per-level two-field engine builds (tile buffers,
+// mailboxes, epoch graph; 3 strips per field at the two finer levels, one
+// tile at the two coarser), about 7 per inner solve for the engine's per-run
+// scratch (20 solves), and the new frame's pyramid plus the per-level flow,
+// support-field and gradient buffers.  The bound keeps the 11 % headroom it
+// had over the 88 x 92 window's 1144; a second engine per level, or the 8
+// outer-loop temporaries per warp (160 per frame) the fused sweep removed,
+// would break it.
+constexpr long long kPushFrameAllocationBound = 449;
 
 TEST(OuterLoopAllocations, SteadyStateFlowSessionFrameStaysUnderItsBound) {
   parallel::ThreadPool pool(3);
   Tvl1Params p;
   p.solver = InnerSolver::kResident;
-  p.tiled.tile_rows = 88;
-  p.tiled.tile_cols = 92;
   p.tiled.merge_iterations = 4;
   p.tiled.pool = &pool;
   workloads::SequenceParams sp;

@@ -23,9 +23,12 @@
 
 #include "common/rng.hpp"
 #include "parallel/thread_pool.hpp"
+#include "testing/resident_peer.hpp"
 
 namespace chambolle {
 namespace {
+
+using Peer = ResidentTiledEngineTestPeer;
 
 Matrix<float> random_v(int rows, int cols, std::uint64_t seed) {
   Rng rng(seed);
@@ -84,7 +87,7 @@ TEST(EngineReuse, FixedAfterAdaptiveMatchesFreshEngine) {
   const Matrix<float> v1 = random_v(37, 41, 71001);
   const Matrix<float> v2 = random_v(37, 41, 71002);
 
-  ResidentTiledEngine reused(v1, params, opts);
+  ResidentTiledEngine reused = Peer::windowed(v1, params, opts);
   const ResidentRunReport& rep =
       reused.run(kRetiringIterations, retiring_adaptive()).front();
   ASSERT_GT(rep.tiles_converged, 0u)
@@ -94,7 +97,7 @@ TEST(EngineReuse, FixedAfterAdaptiveMatchesFreshEngine) {
   reused.reset_duals();
   reused.run(params.iterations);
 
-  ResidentTiledEngine fresh(v2, params, opts);
+  ResidentTiledEngine fresh = Peer::windowed(v2, params, opts);
   fresh.run(params.iterations);
   expect_same_state(reused, fresh, "fixed solve after adaptive + reset");
 }
@@ -105,7 +108,7 @@ TEST(EngineReuse, FixedAfterMultilevelMatchesFreshEngine) {
   const Matrix<float> v1 = random_v(40, 36, 71011);
   const Matrix<float> v2 = random_v(40, 36, 71012);
 
-  ResidentTiledEngine reused(v1, params, opts);
+  ResidentTiledEngine reused = Peer::windowed(v1, params, opts);
   ResidentRunPolicy mo = retiring_adaptive();
   mo.multilevel.period = 2;
   (void)reused.run(kRetiringIterations, mo);
@@ -113,7 +116,7 @@ TEST(EngineReuse, FixedAfterMultilevelMatchesFreshEngine) {
   reused.reset_duals();
   reused.run(params.iterations);
 
-  ResidentTiledEngine fresh(v2, params, opts);
+  ResidentTiledEngine fresh = Peer::windowed(v2, params, opts);
   fresh.run(params.iterations);
   expect_same_state(reused, fresh, "fixed solve after multilevel + reset");
 }
@@ -125,17 +128,17 @@ TEST(EngineReuse, WarmReloadAfterAdaptiveMatchesFreshWithInitial) {
   const Matrix<float> v2 = random_v(33, 45, 71022);
 
   // A dual state to warm-start from: one fixed solve's snapshot.
-  ResidentTiledEngine producer(v1, params, opts);
+  ResidentTiledEngine producer = Peer::windowed(v1, params, opts);
   producer.run(params.iterations);
   DualField warm;
   producer.snapshot(warm);
 
-  ResidentTiledEngine reused(v1, params, opts);
+  ResidentTiledEngine reused = Peer::windowed(v1, params, opts);
   (void)reused.run(kRetiringIterations, retiring_adaptive());
   reused.reset_v(v2, &warm);  // dual reload clears the adaptive residue too
   reused.run(params.iterations);
 
-  ResidentTiledEngine fresh(v2, params, opts, &warm);
+  ResidentTiledEngine fresh = Peer::windowed(v2, params, opts, &warm);
   fresh.run(params.iterations);
   expect_same_state(reused, fresh, "warm reload after adaptive");
 }
@@ -152,13 +155,13 @@ TEST(EngineReuse, AdaptiveAfterAdaptiveMatchesFreshAdaptive) {
   tight.patience = 2;
   const int tight_iterations = 12;  // 4 passes
 
-  ResidentTiledEngine reused(v1, params, opts);
+  ResidentTiledEngine reused = Peer::windowed(v1, params, opts);
   (void)reused.run(kRetiringIterations, retiring_adaptive());
   reused.reset_v(v2);
   reused.reset_duals();
   const ResidentRunReport& got = reused.run(tight_iterations, tight).front();
 
-  ResidentTiledEngine fresh(v2, params, opts);
+  ResidentTiledEngine fresh = Peer::windowed(v2, params, opts);
   const ResidentRunReport& want = fresh.run(tight_iterations, tight).front();
 
   expect_same_state(reused, fresh, "adaptive solve after adaptive + reset");
@@ -174,7 +177,8 @@ TEST(EngineReuse, MixedSolveSequenceMatchesFreshChain) {
   const TiledSolverOptions opts = small_tiles();
   // Interleave every run mode with resets; after each reset the reused
   // engine must track a fresh engine bit for bit.
-  ResidentTiledEngine reused(random_v(30, 30, 71041), params, opts);
+  ResidentTiledEngine reused =
+      Peer::windowed(random_v(30, 30, 71041), params, opts);
   for (int round = 0; round < 3; ++round) {
     const Matrix<float> v = random_v(30, 30, 71050 + round);
     if (round % 2 == 0)
@@ -185,7 +189,7 @@ TEST(EngineReuse, MixedSolveSequenceMatchesFreshChain) {
     reused.reset_duals();
     reused.run(params.iterations);
 
-    ResidentTiledEngine fresh(v, params, opts);
+    ResidentTiledEngine fresh = Peer::windowed(v, params, opts);
     fresh.run(params.iterations);
     expect_same_state(reused, fresh, "mixed sequence round");
   }
@@ -201,14 +205,14 @@ TEST(EngineReuse, InjectedPoolMatchesDefaultPool) {
   TiledSolverOptions opts = small_tiles();
   const Matrix<float> v = random_v(39, 43, 71061);
 
-  ResidentTiledEngine on_default(v, params, opts);
+  ResidentTiledEngine on_default = Peer::windowed(v, params, opts);
   on_default.run(params.iterations);
 
   for (const int lanes : {1, 2, 5}) {
     parallel::ThreadPool pool(lanes);
     TiledSolverOptions with_pool = opts;
     with_pool.pool = &pool;
-    ResidentTiledEngine on_private(v, params, with_pool);
+    ResidentTiledEngine on_private = Peer::windowed(v, params, with_pool);
     on_private.run(params.iterations);
     expect_same_state(on_private, on_default, "injected pool, fixed run");
   }
@@ -223,13 +227,13 @@ TEST(EngineReuse, InjectedPoolMatchesDefaultPoolAdaptive) {
   ao.patience = 2;
   const int iterations = 15;  // 5 passes
 
-  ResidentTiledEngine on_default(v, params, opts);
+  ResidentTiledEngine on_default = Peer::windowed(v, params, opts);
   const ResidentRunReport& want = on_default.run(iterations, ao).front();
 
   parallel::ThreadPool pool(2);
   TiledSolverOptions with_pool = opts;
   with_pool.pool = &pool;
-  ResidentTiledEngine on_private(v, params, with_pool);
+  ResidentTiledEngine on_private = Peer::windowed(v, params, with_pool);
   const ResidentRunReport& got = on_private.run(iterations, ao).front();
 
   expect_same_state(on_private, on_default, "injected pool, adaptive run");

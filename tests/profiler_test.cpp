@@ -20,9 +20,12 @@
 #include "parallel/thread_pool.hpp"
 #include "telemetry/json_util.hpp"
 #include "telemetry/profiler.hpp"
+#include "testing/resident_peer.hpp"
 
 namespace chambolle {
 namespace {
+
+using Peer = ResidentTiledEngineTestPeer;
 
 namespace tel = telemetry;
 
@@ -165,7 +168,7 @@ TEST(ProfilerResident, SolveAttributesLaneWallTime) {
   const int lanes = parallel::default_pool().lanes_for(options.num_threads);
 
   tel::Profiler::instance().begin(lanes);
-  const ChambolleResult result = solve_resident(v, params, options);
+  const ChambolleResult result = Peer::solve_windowed(v, params, options);
   const tel::UtilizationReport report = tel::Profiler::instance().end();
   ASSERT_GT(result.u.size(), 0u);
 
@@ -224,7 +227,7 @@ TEST(ProfilerResident, ImbalancedTileGridIsVisible) {
   options.num_threads = 2;
 
   tel::Profiler::instance().begin(2);
-  (void)solve_resident(v, params, options);
+  (void)Peer::solve_windowed(v, params, options);
   const tel::UtilizationReport report = tel::Profiler::instance().end();
 
   ASSERT_EQ(report.tiles.size(), 3u);

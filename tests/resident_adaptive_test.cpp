@@ -14,9 +14,12 @@
 #include "chambolle/energy.hpp"
 #include "chambolle/resident_tiled.hpp"
 #include "common/rng.hpp"
+#include "testing/resident_peer.hpp"
 
 namespace chambolle {
 namespace {
+
+using Peer = ResidentTiledEngineTestPeer;
 
 ChambolleParams params_with(int iterations) {
   ChambolleParams p;
@@ -87,7 +90,7 @@ TEST_P(ResidentAdaptiveQuality, StaysWithinQualityBoundOfFixedBudget) {
   adaptive.patience = 2;
   ResidentRunReport report;
   const ChambolleResult res =
-      solve_resident(v, params, opt, adaptive, &report);
+      Peer::solve_windowed(v, params, opt, adaptive, &report);
 
   expect_quality_bounded(v, params.theta, ref, res);
 
@@ -152,7 +155,7 @@ TEST(ResidentAdaptive, ConstantImageRetiresEveryTileWithinPatiencePasses) {
   adaptive.patience = 2;
   ResidentRunReport report;  // a cap of 50 passes
   const ChambolleResult res =
-      solve_resident(v, params_with(200), opt, adaptive, &report);
+      Peer::solve_windowed(v, params_with(200), opt, adaptive, &report);
 
   EXPECT_TRUE(report.all_converged());
   EXPECT_EQ(report.tiles_converged, report.tiles);
@@ -179,7 +182,7 @@ TEST(ResidentAdaptive, UnreachableToleranceRunsToCapWithoutDeadlock) {
   adaptive.patience = 1;
   ResidentRunReport report;  // a cap of 5 passes
   const ChambolleResult res =
-      solve_resident(v, params_with(20), opt, adaptive, &report);
+      Peer::solve_windowed(v, params_with(20), opt, adaptive, &report);
 
   EXPECT_EQ(report.tiles_converged, 0u);
   EXPECT_FALSE(report.all_converged());
@@ -188,7 +191,7 @@ TEST(ResidentAdaptive, UnreachableToleranceRunsToCapWithoutDeadlock) {
   EXPECT_EQ(report.total_iterations, report.tiles * std::size_t{20});
   for (const float r : report.tile_residuals) EXPECT_GT(r, 0.f);
 
-  const ChambolleResult fixed = solve_resident(v, params_with(20), opt);
+  const ChambolleResult fixed = Peer::solve_windowed(v, params_with(20), opt);
   expect_memcmp_eq(res.u, fixed.u, "u");
   expect_memcmp_eq(res.p.px, fixed.p.px, "px");
   expect_memcmp_eq(res.p.py, fixed.p.py, "py");
@@ -210,12 +213,12 @@ TEST(ResidentAdaptive, FixedBudgetSentinelIsBitExactOnNonMultipleBudget) {
   adaptive.patience = 1;
   ResidentRunReport report;
   const ChambolleResult res =
-      solve_resident(v, params_with(17), opt, adaptive, &report);
+      Peer::solve_windowed(v, params_with(17), opt, adaptive, &report);
   EXPECT_EQ(report.pass_cap, 5);  // ceil(17 / 4)
   // 17 iterations per tile, NOT pass_cap * merge = 20: total_iterations
   // discounts the truncated remainder burst (the tvl1 accounting input).
   EXPECT_EQ(report.total_iterations, report.tiles * std::size_t{17});
-  const ChambolleResult fixed = solve_resident(v, params_with(17), opt);
+  const ChambolleResult fixed = Peer::solve_windowed(v, params_with(17), opt);
   expect_memcmp_eq(res.u, fixed.u, "u");
   expect_memcmp_eq(res.p.px, fixed.p.px, "px");
   expect_memcmp_eq(res.p.py, fixed.p.py, "py");
@@ -240,7 +243,7 @@ TEST(ResidentAdaptive, HalfStaticWorkloadSavesPasses) {
   const ChambolleParams params = params_with(100);
   const ChambolleResult ref = solve(v, params);
   const ChambolleResult res =
-      solve_resident(v, params, opt, adaptive, &report);
+      Peer::solve_windowed(v, params, opt, adaptive, &report);
 
   EXPECT_GT(report.tiles_converged, 0u);
   EXPECT_LT(report.total_tile_passes, report.fixed_budget_passes());
@@ -258,7 +261,7 @@ TEST(ResidentAdaptive, StateStaysCoherentForFurtherRuns) {
   opt.tile_cols = 28;
   opt.merge_iterations = 4;
   opt.num_threads = 2;
-  ResidentTiledEngine engine(v, params_with(40), opt);
+  ResidentTiledEngine engine = Peer::windowed(v, params_with(40), opt);
   ResidentRunPolicy adaptive;
   adaptive.tolerance = 1e-3f;
   adaptive.patience = 1;
@@ -294,11 +297,11 @@ TEST(ResidentAdaptive, ResultIsIndependentOfThreadCount) {
 
   opt.num_threads = 1;
   const ChambolleResult one_lane =
-      solve_resident(v, params, opt, adaptive);
+      Peer::solve_windowed(v, params, opt, adaptive);
   opt.num_threads = 4;
   ResidentRunReport report;
   const ChambolleResult four_lanes =
-      solve_resident(v, params, opt, adaptive, &report);
+      Peer::solve_windowed(v, params, opt, adaptive, &report);
 
   EXPECT_GT(report.tiles_converged, 0u);  // the race window was exercised
   expect_memcmp_eq(four_lanes.u, one_lane.u, "u");
@@ -326,7 +329,7 @@ TEST(ResidentAdaptive, StaggeredRetirementStressStaysCoherent) {
     opt.tile_cols = 16;
     opt.merge_iterations = 2;
     opt.num_threads = 4;
-    ResidentTiledEngine engine(v, params_with(80), opt);
+    ResidentTiledEngine engine = Peer::windowed(v, params_with(80), opt);
     ResidentRunPolicy adaptive;
     adaptive.tolerance = 1e-4f;
     adaptive.patience = 1;
@@ -352,7 +355,8 @@ TEST(ResidentAdaptive, ReportsStolenPassesAccounting) {
   adaptive.patience = 1;
   ResidentRunReport report;  // a cap of 6 passes
   ResidentTiledStats stats;
-  (void)solve_resident(v, params_with(12), opt, adaptive, &report, &stats);
+  (void)Peer::solve_windowed(v, params_with(12), opt, adaptive, &report,
+                             &stats);
   EXPECT_LE(report.stolen_passes, report.total_tile_passes);
   EXPECT_EQ(stats.tiles, report.tiles);
   EXPECT_GT(stats.element_iterations, 0u);

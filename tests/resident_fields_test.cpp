@@ -19,19 +19,13 @@
 #include "chambolle/resident_tiled.hpp"
 #include "common/rng.hpp"
 #include "parallel/thread_pool.hpp"
+#include "testing/resident_peer.hpp"
 #include "workloads/synthetic.hpp"
 
 namespace chambolle {
-
-/// Reaches the engine's test-only fault hook.
-struct ResidentTiledEngineTestPeer {
-  static void set_fault_hook(ResidentTiledEngine& engine,
-                             std::function<void(int, int)> hook) {
-    engine.fault_hook_ = std::move(hook);
-  }
-};
-
 namespace {
+
+using Peer = ResidentTiledEngineTestPeer;
 
 constexpr int kRows = 37;
 constexpr int kCols = 45;
@@ -103,9 +97,9 @@ struct Trio {
   Trio(const Matrix<float>& a, const Matrix<float>& b,
        const ChambolleParams& params, const TiledSolverOptions& opts)
       : fields{&a, &b},
-        pair(fields, params, opts),
-        one(a, params, opts),
-        two(b, params, opts) {}
+        pair(Peer::windowed(fields, params, opts)),
+        one(Peer::windowed(a, params, opts)),
+        two(Peer::windowed(b, params, opts)) {}
 
   void expect_eq(const std::string& what) {
     expect_field_eq(pair, 0, one, what);
@@ -307,10 +301,10 @@ TEST(ResidentFields, ReusedAfterABodyExceptionMatchesFreshEngines) {
     const std::string tag = "lanes " + std::to_string(lanes);
     const TiledSolverOptions opts = small_tiles(pool, lanes);
     const Matrix<float>* const first[] = {&a, &b};
-    ResidentTiledEngine reused(first, params_with(8), opts);
+    ResidentTiledEngine reused = Peer::windowed(first, params_with(8), opts);
     for (const bool adaptive : {true, false}) {
       std::atomic<int> bursts{0};
-      ResidentTiledEngineTestPeer::set_fault_hook(reused, [&](int, int) {
+      Peer::set_fault_hook(reused, [&](int, int) {
         if (bursts.fetch_add(1) == 13) throw std::runtime_error("injected");
       });
       if (adaptive)
@@ -318,14 +312,14 @@ TEST(ResidentFields, ReusedAfterABodyExceptionMatchesFreshEngines) {
             << tag;
       else
         EXPECT_THROW(reused.run(30), std::runtime_error) << tag;
-      ResidentTiledEngineTestPeer::set_fault_hook(reused, nullptr);
+      Peer::set_fault_hook(reused, nullptr);
 
       const Matrix<float>* const next[] = {&a2, &b2};
       reused.reset_v(next);
       reused.reset_duals();
       reused.run(8);
-      ResidentTiledEngine one(a2, params_with(8), opts);
-      ResidentTiledEngine two(b2, params_with(8), opts);
+      ResidentTiledEngine one = Peer::windowed(a2, params_with(8), opts);
+      ResidentTiledEngine two = Peer::windowed(b2, params_with(8), opts);
       one.run(8);
       two.run(8);
       const std::string what =
@@ -344,8 +338,8 @@ TEST(ResidentFields, ThrowingResetVLeavesTheEngineUnchanged) {
   const Matrix<float> a = random_v(9601), b = random_v(9602);
   const Matrix<float> a2 = random_v(9603);
   const Matrix<float>* const fields[] = {&a, &b};
-  ResidentTiledEngine pair(fields, params_with(7), opts);
-  ResidentTiledEngine single(a, params_with(7), opts);
+  ResidentTiledEngine pair = Peer::windowed(fields, params_with(7), opts);
+  ResidentTiledEngine single = Peer::windowed(a, params_with(7), opts);
   pair.run(7);
   single.run(7);
   const ChambolleResult before0 = pair.result(0), before1 = pair.result(1);
@@ -372,7 +366,7 @@ TEST(ResidentFields, ThrowingResetVLeavesTheEngineUnchanged) {
   // The pass clock and the resident v survived too: continuing matches a
   // solve that never saw the failed calls.
   single.run(5);
-  ResidentTiledEngine fresh(a, params_with(12), opts);
+  ResidentTiledEngine fresh = Peer::windowed(a, params_with(12), opts);
   fresh.run(12);
   expect_memcmp_eq(single.result().u, fresh.result().u, "continued");
 }
@@ -393,7 +387,7 @@ TEST(ResidentFields, ValidatesFieldsAndOutputs) {
                std::invalid_argument);
 
   const Matrix<float>* const fields[] = {&a, &a};
-  ResidentTiledEngine pair(fields, params_with(4), opts);
+  ResidentTiledEngine pair = Peer::windowed(fields, params_with(4), opts);
   pair.run(4);
   Matrix<float> u;
   DualField p;

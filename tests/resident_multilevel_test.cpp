@@ -18,10 +18,13 @@
 #include "chambolle/energy.hpp"
 #include "chambolle/resident_tiled.hpp"
 #include "common/rng.hpp"
+#include "testing/resident_peer.hpp"
 #include "workloads/synthetic.hpp"
 
 namespace chambolle {
 namespace {
+
+using Peer = ResidentTiledEngineTestPeer;
 
 ChambolleParams params_with(int iterations) {
   ChambolleParams p;
@@ -89,9 +92,9 @@ TEST(ResidentMultilevel, DisabledIsBitExactToAdaptive) {
   ml.patience = 2;
   ml.multilevel.period = 0;  // disabled
   ResidentRunReport report;
-  const ChambolleResult res = solve_resident(v, params, opt, ml, &report);
+  const ChambolleResult res = Peer::solve_windowed(v, params, opt, ml, &report);
   const ChambolleResult ref =
-      solve_resident(v, params, opt, adaptive_only(ml));
+      Peer::solve_windowed(v, params, opt, adaptive_only(ml));
   expect_result_memcmp_eq(res, ref);
   EXPECT_EQ(report.coarse_levels, 0);
   EXPECT_EQ(report.coarse_solves, 0u);
@@ -113,8 +116,8 @@ TEST(ResidentMultilevel, DisabledFixedBudgetIsBitExactToFixedEngine) {
   ml.tolerance = 1e-30f;
   ml.patience = 1;
   ml.multilevel.period = 0;
-  const ChambolleResult res = solve_resident(v, params, opt, ml);
-  const ChambolleResult fixed = solve_resident(v, params, opt);
+  const ChambolleResult res = Peer::solve_windowed(v, params, opt, ml);
+  const ChambolleResult fixed = Peer::solve_windowed(v, params, opt);
   expect_result_memcmp_eq(res, fixed);
 }
 
@@ -133,9 +136,9 @@ TEST(ResidentMultilevel, FrameTooSmallToCoarsenRunsAsAdaptive) {
   ml.patience = 1;
   ml.multilevel.period = 2;
   ResidentRunReport report;
-  const ChambolleResult res = solve_resident(v, params, opt, ml, &report);
+  const ChambolleResult res = Peer::solve_windowed(v, params, opt, ml, &report);
   const ChambolleResult ref =
-      solve_resident(v, params, opt, adaptive_only(ml));
+      Peer::solve_windowed(v, params, opt, adaptive_only(ml));
   expect_result_memcmp_eq(res, ref);
   EXPECT_EQ(report.coarse_levels, 0);
   EXPECT_EQ(report.coarse_solves, 0u);
@@ -163,9 +166,9 @@ TEST(ResidentMultilevel, CorrectionAcceleratesStiffSmoothContent) {
   ml.multilevel.period = 4;
   ResidentRunReport report;
   const ChambolleResult corrected =
-      solve_resident(v, params, opt, ml, &report);
+      Peer::solve_windowed(v, params, opt, ml, &report);
   const ChambolleResult plain =
-      solve_resident(v, params, opt, adaptive_only(ml));
+      Peer::solve_windowed(v, params, opt, adaptive_only(ml));
 
   EXPECT_GE(report.coarse_levels, 1);
   EXPECT_GE(report.coarse_solves, 1u);
@@ -196,11 +199,11 @@ TEST(ResidentMultilevel, GateDeclinesCorrectionsOnNoise) {
   ml.patience = 1;
   ml.multilevel.period = 4;
   ResidentRunReport report;
-  const ChambolleResult res = solve_resident(v, params, opt, ml, &report);
+  const ChambolleResult res = Peer::solve_windowed(v, params, opt, ml, &report);
   EXPECT_EQ(report.coarse_solves, 0u);
   EXPECT_GT(report.coarse_gated, 1u);  // baseline + declined firings
   const ChambolleResult ref =
-      solve_resident(v, params, opt, adaptive_only(ml));
+      Peer::solve_windowed(v, params, opt, adaptive_only(ml));
   expect_result_memcmp_eq(res, ref);
 }
 
@@ -223,11 +226,11 @@ TEST(ResidentMultilevel, ResultIsIndependentOfThreadCount) {
 
   opt.num_threads = 1;
   ResidentRunReport r1;
-  const ChambolleResult one = solve_resident(v, params, opt, ml, &r1);
+  const ChambolleResult one = Peer::solve_windowed(v, params, opt, ml, &r1);
   opt.num_threads = 4;
   ResidentRunReport r4;
   const ChambolleResult four =
-      solve_resident(v, params, opt, ml, &r4);
+      Peer::solve_windowed(v, params, opt, ml, &r4);
 
   EXPECT_GE(r4.coarse_solves, 1u);  // the window was exercised
   EXPECT_EQ(r1.coarse_solves, r4.coarse_solves);
@@ -258,7 +261,7 @@ TEST(ResidentMultilevel, CorrectionsReachRetiredTilesAndCanUnretire) {
   ml.multilevel.unretire_factor = 0.f;
   ResidentRunReport eager;
   const ChambolleResult res =
-      solve_resident(v, params, opt, ml, &eager);
+      Peer::solve_windowed(v, params, opt, ml, &eager);
   EXPECT_GE(eager.coarse_solves, 1u);
   EXPECT_GT(eager.tiles_unretired, 0u);
   EXPECT_GT(eager.last_correction_max, 0.f);
@@ -267,13 +270,13 @@ TEST(ResidentMultilevel, CorrectionsReachRetiredTilesAndCanUnretire) {
   // retirement: corrections are folded into frozen tiles in place.
   ml.multilevel.unretire_factor = std::numeric_limits<float>::max();
   ResidentRunReport lazy;
-  (void)solve_resident(v, params, opt, ml, &lazy);
+  (void)Peer::solve_windowed(v, params, opt, ml, &lazy);
   EXPECT_GE(lazy.coarse_solves, 1u);
   EXPECT_EQ(lazy.tiles_unretired, 0u);
   EXPECT_GT(lazy.tiles_converged, 0u);
 
   const ChambolleResult plain =
-      solve_resident(v, params, opt, adaptive_only(ml));
+      Peer::solve_windowed(v, params, opt, adaptive_only(ml));
   const double e_plain = rof_energy(plain.u, v, params.theta);
   EXPECT_LE(rof_energy(res.u, v, params.theta),
             e_plain + 1e-3 * (std::abs(e_plain) + 1.0));
@@ -296,7 +299,7 @@ TEST(ResidentMultilevel, ReportAccountingIsConsistent) {
   ml.multilevel.period = 3;
   ml.multilevel.gate_factor = 0.f;
   ResidentRunReport report;
-  (void)solve_resident(v, params, opt, ml, &report);
+  (void)Peer::solve_windowed(v, params, opt, ml, &report);
 
   EXPECT_EQ(report.pass_cap, 12);  // ceil(48 / 4)
   const std::uint64_t firings =
@@ -321,7 +324,7 @@ TEST(ResidentMultilevel, StateStaysCoherentForFurtherRuns) {
   opt.tile_cols = 28;
   opt.merge_iterations = 4;
   opt.num_threads = 2;
-  ResidentTiledEngine engine(v, params, opt);
+  ResidentTiledEngine engine = Peer::windowed(v, params, opt);
   ResidentRunPolicy ml;
   ml.tolerance = 1e-3f;
   ml.patience = 1;

@@ -3,11 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 
 #include "common/rng.hpp"
+#include "testing/resident_peer.hpp"
 
 namespace chambolle {
 namespace {
+
+using Peer = ResidentTiledEngineTestPeer;
 
 ChambolleParams params_with(int iterations) {
   ChambolleParams p;
@@ -32,10 +36,11 @@ void expect_memcmp_eq(const Matrix<float>& a, const Matrix<float>& b,
 }
 
 // Bit-exactness of the resident halo-exchange engine against the sequential
-// reference, across the geometry/edge-case matrix the issue calls out:
-// frame smaller than one tile, tile dims exactly 2*halo+1, non-divisible
-// frame/tile ratios, one-axis tilings, degenerate 1x1 frames — at several
-// thread counts, so the point-to-point scheduler's orderings are exercised.
+// reference, across the geometry/edge-case matrix: frame smaller than one
+// tile, tile dims exactly 2*halo+1, non-divisible frame/tile ratios,
+// one-axis tilings, degenerate 1x1 frames — at several thread counts, so the
+// point-to-point scheduler's orderings are exercised.  Every case runs on
+// its explicit window and on the engine's own plan (plan_tiling).
 struct ResidentCase {
   int rows, cols, tile_rows, tile_cols, merge, iterations, threads;
 };
@@ -55,14 +60,18 @@ TEST_P(ResidentEqualsReference, BitExactOnAllElements) {
   opt.tile_cols = tc.tile_cols;
   opt.merge_iterations = tc.merge;
   opt.num_threads = tc.threads;
-  ResidentTiledStats stats;
-  const ChambolleResult res =
-      solve_resident(v, params, opt, {}, nullptr, &stats);
+  for (const bool planned : {false, true}) {
+    SCOPED_TRACE(planned ? "planned" : "window");
+    ResidentTiledStats stats;
+    const ChambolleResult res =
+        planned ? solve_resident(v, params, opt, {}, nullptr, &stats)
+                : Peer::solve_windowed(v, params, opt, {}, nullptr, &stats);
 
-  expect_memcmp_eq(res.u, ref.u, "u");
-  expect_memcmp_eq(res.p.px, ref.p.px, "px");
-  expect_memcmp_eq(res.p.py, ref.p.py, "py");
-  EXPECT_EQ(stats.passes, (tc.iterations + tc.merge - 1) / tc.merge);
+    expect_memcmp_eq(res.u, ref.u, "u");
+    expect_memcmp_eq(res.p.px, ref.p.px, "px");
+    expect_memcmp_eq(res.p.py, ref.p.py, "py");
+    EXPECT_EQ(stats.passes, (tc.iterations + tc.merge - 1) / tc.merge);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -94,6 +103,49 @@ INSTANTIATE_TEST_SUITE_P(
         // More tiles than a typical lane count: scheduler pinning blocks.
         ResidentCase{96, 96, 20, 20, 3, 9, 4}));
 
+// The engine's own plan at every pyramid level of the benchmark workloads,
+// Table II's frame, lines and long thin strips, for 1-2 fields on 1-8
+// lanes: under the fixed policy every field is the sequential reference,
+// bit for bit.  (The suite name matches the CI TSan filter.)
+TEST(ResidentPlan, FixedPolicyMatchesReferenceOnEveryShape) {
+  struct Shape {
+    int rows, cols;
+  };
+  const ChambolleParams params = params_with(6);
+  TiledSolverOptions opt;
+  opt.merge_iterations = 4;
+  for (const Shape shape :
+       {Shape{252, 316}, Shape{126, 158}, Shape{63, 79}, Shape{32, 40},
+        Shape{768, 1024}, Shape{128, 128}, Shape{192, 256}, Shape{120, 160},
+        Shape{60, 80}, Shape{1, 4096}, Shape{4096, 1}, Shape{1, 1},
+        Shape{9, 9}, Shape{9, 4096}, Shape{4096, 9}}) {
+    const Matrix<float> a = random_v(shape.rows, shape.cols, 4100);
+    const Matrix<float> b = random_v(shape.rows, shape.cols, 4101);
+    const ChambolleResult ref[] = {solve(a, params), solve(b, params)};
+    const Matrix<float>* const fields[] = {&a, &b};
+    for (int k = 1; k <= 2; ++k) {
+      for (int lanes = 1; lanes <= 8; ++lanes) {
+        SCOPED_TRACE(std::to_string(shape.rows) + "x" +
+                     std::to_string(shape.cols) + " fields " +
+                     std::to_string(k) + " lanes " + std::to_string(lanes));
+        opt.num_threads = lanes;
+        ResidentTiledEngine engine(
+            ResidentTiledEngine::Fields(fields, static_cast<std::size_t>(k)),
+            params, opt);
+        EXPECT_EQ(engine.stats().tiles,
+                  static_cast<std::size_t>(k) * engine.plan().tiles.size());
+        engine.run(params.iterations);
+        for (int f = 0; f < k; ++f) {
+          const ChambolleResult got = engine.result(f);
+          expect_memcmp_eq(got.u, ref[f].u, "u");
+          expect_memcmp_eq(got.p.px, ref[f].p.px, "px");
+          expect_memcmp_eq(got.p.py, ref[f].p.py, "py");
+        }
+      }
+    }
+  }
+}
+
 TEST(ResidentSolver, MatchesReloadEngineBitExactly) {
   const Matrix<float> v = random_v(80, 60, 21);
   const ChambolleParams params = params_with(14);
@@ -104,7 +156,7 @@ TEST(ResidentSolver, MatchesReloadEngineBitExactly) {
   opt.num_threads = 2;
 
   const ChambolleResult reload = solve_tiled(v, params, opt);
-  const ChambolleResult res = solve_resident(v, params, opt);
+  const ChambolleResult res = Peer::solve_windowed(v, params, opt);
   expect_memcmp_eq(res.p.px, reload.p.px, "px");
   expect_memcmp_eq(res.p.py, reload.p.py, "py");
   expect_memcmp_eq(res.u, reload.u, "u");
@@ -119,7 +171,7 @@ TEST(ResidentSolver, RunsAreComposable) {
   opt.merge_iterations = 2;
   opt.num_threads = 2;
 
-  ResidentTiledEngine engine(v, params_with(12), opt);
+  ResidentTiledEngine engine = Peer::windowed(v, params_with(12), opt);
   engine.run(5);
   engine.run(7);
   const ChambolleResult split = engine.result();
@@ -136,7 +188,7 @@ TEST(ResidentSolver, SnapshotObservesIntermediateStateWithoutDisturbingIt) {
   opt.merge_iterations = 2;
   opt.num_threads = 2;
 
-  ResidentTiledEngine engine(v, params_with(8), opt);
+  ResidentTiledEngine engine = Peer::windowed(v, params_with(8), opt);
   engine.run(4);
   DualField mid;
   engine.snapshot(mid);  // the on-demand telemetry write-back
@@ -161,7 +213,8 @@ TEST(ResidentSolver, WarmStartFromInitialDuals) {
   opt.num_threads = 2;
   ResidentTiledStats stats;
   const ChambolleResult warm =
-      solve_resident(v, params_with(5), opt, {}, nullptr, &stats, &stage1.p);
+      Peer::solve_windowed(v, params_with(5), opt, {}, nullptr, &stats,
+                           &stage1.p);
   const ChambolleResult ref = solve(v, params_with(5), &stage1.p);
   expect_memcmp_eq(warm.p.px, ref.p.px, "px");
   expect_memcmp_eq(warm.p.py, ref.p.py, "py");
@@ -180,7 +233,7 @@ TEST(ResidentSolver, ResetVKeepsDualsResidentAcrossWarps) {
   opt.merge_iterations = 3;
   opt.num_threads = 2;
 
-  ResidentTiledEngine engine(v1, params_with(9), opt);
+  ResidentTiledEngine engine = Peer::windowed(v1, params_with(9), opt);
   engine.run(9);
   engine.reset_v(v2);  // duals stay resident
   engine.run(9);
@@ -202,7 +255,7 @@ TEST(ResidentSolver, ResetVWithInitialColdRestarts) {
   opt.merge_iterations = 2;
   opt.num_threads = 1;
 
-  ResidentTiledEngine engine(v1, params_with(6), opt);
+  ResidentTiledEngine engine = Peer::windowed(v1, params_with(6), opt);
   engine.run(6);
   const DualField zeros(30, 30);
   engine.reset_v(v2, &zeros);
@@ -219,7 +272,7 @@ TEST(ResidentSolver, StatsReportHaloTrafficFarBelowFrameReload) {
   opt.merge_iterations = 4;
   opt.num_threads = 1;
   ResidentTiledStats stats;
-  (void)solve_resident(v, params_with(16), opt, {}, nullptr, &stats);
+  (void)Peer::solve_windowed(v, params_with(16), opt, {}, nullptr, &stats);
 
   EXPECT_EQ(stats.passes, 4);
   EXPECT_GT(stats.tiles, 1u);
@@ -234,7 +287,7 @@ TEST(ResidentSolver, StatsReportHaloTrafficFarBelowFrameReload) {
 
 TEST(ResidentSolver, SingleTileExchangesNothing) {
   const Matrix<float> v = random_v(32, 32, 30);
-  TiledSolverOptions opt;  // default 88x92 window covers the frame
+  TiledSolverOptions opt;  // 32x32 is below one strip's cell floor
   ResidentTiledStats stats;
   const ChambolleResult res =
       solve_resident(v, params_with(8), opt, {}, nullptr, &stats);
@@ -269,9 +322,9 @@ TEST(ResidentSolver, ThreadCountDoesNotChangeResult) {
   opt.merge_iterations = 3;
 
   opt.num_threads = 1;
-  const ChambolleResult a = solve_resident(v, params_with(12), opt);
+  const ChambolleResult a = Peer::solve_windowed(v, params_with(12), opt);
   opt.num_threads = 8;
-  const ChambolleResult b = solve_resident(v, params_with(12), opt);
+  const ChambolleResult b = Peer::solve_windowed(v, params_with(12), opt);
   expect_memcmp_eq(a.u, b.u, "u");
   expect_memcmp_eq(a.p.px, b.p.px, "px");
 }

@@ -12,6 +12,7 @@
 #include "chambolle/solver.hpp"
 #include "common/rng.hpp"
 #include "parallel/thread_pool.hpp"
+#include "testing/resident_peer.hpp"
 #include "tvl1/pyramid.hpp"
 #include "tvl1/threshold.hpp"
 #include "tvl1/tvl1.hpp"
@@ -19,6 +20,8 @@
 
 namespace chambolle::tvl1 {
 namespace {
+
+using Peer = ResidentTiledEngineTestPeer;
 
 bool same_bits(const Matrix<float>& a, const Matrix<float>& b) {
   return a.same_shape(b) &&
@@ -187,7 +190,7 @@ TEST(OuterLoopStages, ParallelRecoveryMatchesSerialSnapshotAndRecovery) {
       opts.merge_iterations = 4;
       opts.pool = &pool;
       opts.num_threads = lanes;
-      ResidentTiledEngine engine(v, params, opts);
+      ResidentTiledEngine engine = Peer::windowed(v, params, opts);
       engine.run(params.iterations);
 
       // The serial write-back + recovery result() used to run.
@@ -226,7 +229,7 @@ TEST(OuterLoopStages, FixedBudgetSentinelResolvesToTheFixedSchedule) {
     opts.tile_cols = 24;
     opts.merge_iterations = merge;
     const ChambolleParams params{0.25f, 0.0625f, iterations};
-    ResidentTiledEngine engine(v, params, opts);
+    ResidentTiledEngine engine = Peer::windowed(v, params, opts);
     for (const ResidentRunPolicy& policy : {ResidentRunPolicy{}, never}) {
       SCOPED_TRACE(std::to_string(iterations) + "/" + std::to_string(merge) +
                    (policy.retiring() ? " retiring" : " fixed"));

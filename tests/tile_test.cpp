@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "common/matrix.hpp"
 
 namespace chambolle {
@@ -218,6 +221,139 @@ TEST(HaloEdges, RectsStayInsideDstBufferAndSrcProfitable) {
     EXPECT_GE(e.col0, d.buf_col0);
     EXPECT_LE(e.row0 + e.rows, d.buf_row0 + d.buf_rows);
     EXPECT_LE(e.col0 + e.cols, d.buf_col0 + d.buf_cols);
+  }
+}
+
+// --- plan_tiling: the resident engine's own tiling ------------------------
+// (The suite name matches the CI TSan filter.)
+
+// Cells not covered by exactly one profitable rectangle: expect_partition's
+// check without an assertion per cell, for frames of a million cells.
+std::size_t partition_errors(const TilingPlan& plan) {
+  Matrix<int> cover(plan.frame_rows, plan.frame_cols, 0);
+  for (const TileSpec& t : plan.tiles)
+    for (int r = 0; r < t.prof_rows; ++r)
+      for (int c = 0; c < t.prof_cols; ++c)
+        cover(t.prof_row0 + r, t.prof_col0 + c) += 1;
+  return static_cast<std::size_t>(
+      std::count_if(cover.data().begin(), cover.data().end(),
+                    [](int n) { return n != 1; }));
+}
+
+struct PlanShape {
+  int rows, cols;
+};
+
+// Every pyramid level of the benchmark workloads, Table II's frame, lines,
+// frames of 2 * halo + 1 cells or fewer, and long thin strips.
+constexpr PlanShape kPlanShapes[] = {
+    {252, 316}, {126, 158}, {63, 79},  {32, 40},  // tvl1_316x252
+    {768, 1024},                                  // rof_1024x768
+    {128, 128}, {192, 256},                       // serve_mixed, Chambolle
+    {120, 160}, {60, 80},   {30, 40},  {15, 20},  // serve_mixed, flow
+    {1, 4096},  {4096, 1},  {1, 1},    {9, 9},   {8, 8},
+    {9, 4096},  {4096, 9}};
+constexpr int kPlanHalo = 4;
+
+// plan_tiling's rule, spelled out: the fewest strips per field that minimize
+// the busiest lane's share ceil(fields * s / lanes) / s, at most one strip
+// per kMinStripCells cells and at most one per lane.
+int rule_strips(int rows, int cols, int fields, int lanes) {
+  const long long cells = static_cast<long long>(rows) * cols;
+  const int cap = static_cast<int>(
+      std::clamp<long long>(cells / kMinStripCells, 1, lanes));
+  const auto share = [&](int s) {
+    return static_cast<double>((fields * s + lanes - 1) / lanes) / s;
+  };
+  int best = 1;
+  for (int s = 2; s <= cap; ++s)
+    if (share(s) < share(best) - 1e-12) best = s;
+  return best;
+}
+
+TEST(ResidentPlan, BalancedFullWidthStripsFollowTheRule) {
+  for (const PlanShape& shape : kPlanShapes) {
+    for (int fields = 1; fields <= 2; ++fields) {
+      for (int lanes = 1; lanes <= 8; ++lanes) {
+        SCOPED_TRACE(std::to_string(shape.rows) + "x" +
+                     std::to_string(shape.cols) + " fields " +
+                     std::to_string(fields) + " lanes " +
+                     std::to_string(lanes));
+        const TilingPlan plan =
+            plan_tiling(shape.rows, shape.cols, fields, lanes, kPlanHalo);
+        EXPECT_EQ(plan.halo, kPlanHalo);
+        EXPECT_EQ(partition_errors(plan), 0u);
+        expect_halo(plan);
+        const int strips = rule_strips(shape.rows, shape.cols, fields, lanes);
+        const auto planned = static_cast<int>(plan.tiles.size());
+        // A frame taller than 2 * halo + S * (S - 1) rows realizes all S
+        // strips; a shorter one may only admit fewer.
+        if (shape.rows > 2 * kPlanHalo + strips * (strips - 1)) {
+          EXPECT_EQ(planned, strips);
+        } else {
+          EXPECT_GE(planned, 1);
+          EXPECT_LE(planned, strips);
+        }
+        // Full width, and no sliver: buffer heights differ by fewer rows
+        // than there are strips.
+        int lo = shape.rows, hi = 0;
+        for (const TileSpec& t : plan.tiles) {
+          EXPECT_EQ(t.buf_col0, 0);
+          EXPECT_EQ(t.buf_cols, shape.cols);
+          lo = std::min(lo, t.buf_rows);
+          hi = std::max(hi, t.buf_rows);
+        }
+        EXPECT_LT(hi - lo, planned);
+      }
+    }
+  }
+}
+
+TEST(ResidentPlan, WorkloadLevelsOnTheirLanes) {
+  const auto strips = [](int rows, int cols, int fields, int lanes) {
+    return plan_tiling(rows, cols, fields, lanes, kPlanHalo).tiles.size();
+  };
+  // rof_1024x768: one field, 3 lanes — one strip per lane.
+  EXPECT_EQ(strips(768, 1024, 1, 3), 3u);
+  // tvl1_316x252: two fields on 3 lanes — 6 nodes, two per lane — down to
+  // the levels under the cell floor, one tile per field.
+  EXPECT_EQ(strips(252, 316, 2, 3), 3u);
+  EXPECT_EQ(strips(126, 158, 2, 3), 3u);
+  EXPECT_EQ(strips(63, 79, 2, 3), 1u);
+  EXPECT_EQ(strips(32, 40, 2, 3), 1u);
+  // serve_mixed's slots have 2 lanes: a Chambolle field splits in two, a
+  // flow level's two fields already fill both lanes.
+  EXPECT_EQ(strips(192, 256, 1, 2), 2u);
+  EXPECT_EQ(strips(128, 128, 1, 2), 2u);
+  EXPECT_EQ(strips(120, 160, 2, 2), 1u);
+  // The balanced cut of 252 rows: buffers 90/90/88, profitable 86/82/84 —
+  // where the 88-row window cut 84/80/80/8.
+  const TilingPlan plan = plan_tiling(252, 316, 1, 3, kPlanHalo);
+  ASSERT_EQ(plan.tiles.size(), 3u);
+  EXPECT_EQ(plan.tiles[0].buf_rows, 90);
+  EXPECT_EQ(plan.tiles[1].buf_rows, 90);
+  EXPECT_EQ(plan.tiles[2].buf_rows, 88);
+  EXPECT_EQ(plan.tiles[0].prof_rows, 86);
+  EXPECT_EQ(plan.tiles[1].prof_rows, 82);
+  EXPECT_EQ(plan.tiles[2].prof_rows, 84);
+}
+
+TEST(ResidentPlan, DegenerateShapesPlanOrThrow) {
+  EXPECT_THROW((void)plan_tiling(0, 5, 1, 2, 4), std::invalid_argument);
+  EXPECT_THROW((void)plan_tiling(5, 0, 1, 2, 4), std::invalid_argument);
+  EXPECT_THROW((void)plan_tiling(-3, 5, 1, 2, 4), std::invalid_argument);
+  EXPECT_THROW((void)plan_tiling(5, 5, 0, 2, 4), std::invalid_argument);
+  EXPECT_THROW((void)plan_tiling(5, 5, 1, 0, 4), std::invalid_argument);
+  EXPECT_THROW((void)plan_tiling(5, 5, 1, 2, -1), std::invalid_argument);
+  // Frames no larger than the halo still plan: one tile, no margin lost.
+  for (const int halo : {0, 1, 4, 16}) {
+    for (const PlanShape shape : {PlanShape{1, 1}, PlanShape{2, 3},
+                                  PlanShape{2 * halo + 1, 2 * halo + 1}}) {
+      const TilingPlan plan = plan_tiling(shape.rows, shape.cols, 2, 8, halo);
+      ASSERT_EQ(plan.tiles.size(), 1u);
+      EXPECT_EQ(plan.tiles[0].prof_rows, shape.rows);
+      EXPECT_EQ(plan.tiles[0].prof_cols, shape.cols);
+    }
   }
 }
 

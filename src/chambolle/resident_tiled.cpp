@@ -127,6 +127,7 @@ const Matrix<float>& first_field(ResidentTiledEngine::Fields inputs) {
 /// The planner's tiling for `inputs` on the lanes `options` resolves to.
 TilingPlan plan_for(ResidentTiledEngine::Fields inputs,
                     const TiledSolverOptions& options) {
+  options.validate_schedule();
   const Matrix<float>& v = first_field(inputs);
   return plan_tiling(v.rows(), v.cols(), static_cast<int>(inputs.size()),
                      pool_of(options).lanes_for(options.num_threads),
@@ -148,7 +149,7 @@ ResidentTiledEngine::ResidentTiledEngine(Fields inputs,
                                          TilingPlan plan, DualFields initial)
     : params_(params), options_(options), plan_(std::move(plan)) {
   params_.validate();
-  options_.validate();
+  options_.validate_schedule();  // the plan replaces the tile window
   const Matrix<float>& v = first_field(inputs);
   if (plan_.frame_rows != v.rows() || plan_.frame_cols != v.cols() ||
       plan_.halo != options_.merge_iterations)
@@ -160,17 +161,17 @@ ResidentTiledEngine::ResidentTiledEngine(Fields inputs,
   const int k = fields_;
   const int n = tiles_per_field();
   // resize() value-initializes: the zero dual start of Algorithm 1, unless
-  // load_inputs() copies `initial` over it.
+  // load_inputs() copies `initial` over it.  Sized in a node region, so the
+  // first touch of large strip buffers (page faults, zeroing) runs on every
+  // lane rather than the constructing thread.
   tiles_.resize(static_cast<std::size_t>(n * k));
-  for (int f = 0; f < k; ++f) {
-    for (int t = 0; t < n; ++t) {
-      const TileSpec& s = plan_.tiles[t];
-      TileBuffers& b = tiles_[node_of(f, t)];
-      b.v.resize(s.buf_rows, s.buf_cols);
-      b.px.resize(s.buf_rows, s.buf_cols);
-      b.py.resize(s.buf_rows, s.buf_cols);
-    }
-  }
+  for_each_node(nodes(), [&](int node) {
+    const TileSpec& s = plan_.tiles[tile_of(node)];
+    TileBuffers& b = tiles_[node];
+    b.v.resize(s.buf_rows, s.buf_cols);
+    b.px.resize(s.buf_rows, s.buf_cols);
+    b.py.resize(s.buf_rows, s.buf_cols);
+  });
   load_inputs(inputs, initial);
 
   const std::vector<HaloEdge> edges = make_halo_edges(plan_);

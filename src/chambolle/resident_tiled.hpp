@@ -179,8 +179,9 @@ class ResidentTiledEngine {
   /// options.{tile_rows, tile_cols} configure solve_tiled only; under the
   /// fixed policy every plan gives the same bits, so the shape is the
   /// engine's to choose.  `initial`, when non-empty, holds one warm-start
-  /// dual state per field (otherwise zeros).  Validates the options like
-  /// solve_tiled.
+  /// dual state per field (otherwise zeros).  Validates only the options
+  /// the engine reads (TiledSolverOptions::validate_schedule): the unread
+  /// window does not cap the merge depth.
   ResidentTiledEngine(Fields inputs, const ChambolleParams& params,
                       const TiledSolverOptions& options,
                       DualFields initial = {});

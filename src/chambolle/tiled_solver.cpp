@@ -68,14 +68,18 @@ void run_pass(const Matrix<float>& px, const Matrix<float>& py,
 
 }  // namespace
 
-void TiledSolverOptions::validate() const {
+void TiledSolverOptions::validate_schedule() const {
   if (merge_iterations <= 0)
     throw std::invalid_argument("TiledSolverOptions: merge_iterations <= 0");
+  if (num_threads < 0)
+    throw std::invalid_argument("TiledSolverOptions: negative num_threads");
+}
+
+void TiledSolverOptions::validate() const {
+  validate_schedule();
   if (tile_rows <= 2 * merge_iterations || tile_cols <= 2 * merge_iterations)
     throw std::invalid_argument(
         "TiledSolverOptions: tile must exceed twice the merge depth");
-  if (num_threads < 0)
-    throw std::invalid_argument("TiledSolverOptions: negative num_threads");
 }
 
 void run_tiled_pass(const Matrix<float>& px, const Matrix<float>& py,

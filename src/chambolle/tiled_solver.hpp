@@ -39,6 +39,12 @@ struct TiledSolverOptions {
   /// pointer is not owned; it must outlive every solve that uses it.
   parallel::ThreadPool* pool = nullptr;
 
+  /// Throws std::invalid_argument unless merge_iterations > 0 and
+  /// num_threads >= 0: the fields every tiled engine reads, and all the
+  /// resident engine checks.
+  void validate_schedule() const;
+  /// validate_schedule(), and the window must exceed twice the merge depth
+  /// (solve_tiled, kTiled).
   void validate() const;
 };
 

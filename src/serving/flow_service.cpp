@@ -73,9 +73,9 @@ void FlowServiceOptions::validate() const {
   params.validate();
   // Chambolle-mode requests always go through the tiled resident engine,
   // even when params.solver picks another backend for flow mode — so the
-  // tiled options must be valid regardless of the solver choice (which
-  // Tvl1Params::validate only enforces for kTiled/kResident).
-  params.tiled.validate();
+  // options that engine reads must be valid regardless of the solver choice
+  // (which Tvl1Params::validate only enforces for kTiled/kResident).
+  params.tiled.validate_schedule();
   if (slots < 1) throw std::invalid_argument("FlowServiceOptions: slots < 1");
   if (lanes_per_slot < 0)
     throw std::invalid_argument("FlowServiceOptions: lanes_per_slot < 0");

@@ -1,5 +1,6 @@
 #include "testing/concurrent_oracle.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <future>
 #include <memory>
@@ -8,6 +9,7 @@
 #include <utility>
 
 #include "chambolle/resident_tiled.hpp"
+#include "chambolle/tile.hpp"
 #include "common/rng.hpp"
 #include "serving/flow_service.hpp"
 #include "testing/generators.hpp"
@@ -55,20 +57,20 @@ ConcurrentOracleReport run_concurrent_oracle(
   const OracleCase shared = make_case(seed);
   tvl1::Tvl1Params params;
   params.chambolle = shared.params;
-  params.tiled = shared.tiled;
-  params.tiled.pool = nullptr;  // the service binds slot pools itself
-  // Engines take their slot's lane count, and so does the serial replay:
-  // an engine's plan depends on its lanes.
-  params.tiled.num_threads = 0;
+  // Only the merge depth: slot engines plan their own tiles for the slot's
+  // lanes on the slot's pool.
+  params.tiled.merge_iterations = shared.tiled.merge_iterations;
   params.solver = tvl1::InnerSolver::kResident;
 
   // Per-session streams: shapes differ across sessions (per-resolution
   // engine cache coverage), fixed within a session (warm-start contract).
+  // At least 2 * kMinStripCells cells, so every slot of two or more lanes
+  // splits each frame into strips that exchange halos.
   Rng rng(seed ^ 0xc0fffee5c0fffee5ULL);
   std::vector<Stream> streams(static_cast<std::size_t>(options.sessions));
   for (Stream& st : streams) {
-    st.rows = rng.uniform_int(8, 48);
-    st.cols = rng.uniform_int(8, 48);
+    st.rows = rng.uniform_int(96, 144);
+    st.cols = rng.uniform_int(128, 176);
     for (int f = 0; f < options.frames_per_session; ++f)
       st.frames.push_back(random_image(rng, st.rows, st.cols, -3.f, 3.f));
   }
@@ -83,27 +85,27 @@ ConcurrentOracleReport run_concurrent_oracle(
     case_os << st.rows << "x" << st.cols << ",";
   report.case_line = case_os.str();
 
-  for (const int lanes : options.lane_counts) {
-    // Serial ground truth on the slot's lane count: each stream alone,
-    // fresh engine per frame, duals chained through snapshots — the
-    // spelled-out form of the warm-start contract the service's engine
-    // reuse must be indistinguishable from.
-    TiledSolverOptions replay = params.tiled;
-    replay.num_threads = lanes;
-    for (Stream& st : streams) {
-      st.expected.clear();
-      DualField duals;
-      bool has_duals = false;
-      for (const Matrix<float>& v : st.frames) {
-        ResidentTiledEngine engine(v, params.chambolle, replay,
-                                   has_duals ? &duals : nullptr);
-        engine.run(params.chambolle.iterations);
-        engine.snapshot(duals);
-        has_duals = true;
-        st.expected.push_back(engine.result().u);
-      }
+  // Serial ground truth: each stream alone on one lane, fresh engine per
+  // frame, duals chained through snapshots — the spelled-out form of the
+  // warm-start contract the service's engine reuse must be
+  // indistinguishable from.  One lane plans one tile, so every service
+  // lane count is compared across plans.
+  TiledSolverOptions serial = params.tiled;
+  serial.num_threads = 1;
+  for (Stream& st : streams) {
+    DualField duals;
+    bool has_duals = false;
+    for (const Matrix<float>& v : st.frames) {
+      ResidentTiledEngine engine(v, params.chambolle, serial,
+                                 has_duals ? &duals : nullptr);
+      engine.run(params.chambolle.iterations);
+      engine.snapshot(duals);
+      has_duals = true;
+      st.expected.push_back(engine.result().u);
     }
+  }
 
+  for (const int lanes : options.lane_counts) {
     // Interleaved runs: all streams through one service, frame-major round
     // robin so consecutive requests always belong to different sessions.
     serving::FlowServiceOptions svc_opts;
@@ -117,6 +119,15 @@ ConcurrentOracleReport run_concurrent_oracle(
             static_cast<std::size_t>(options.frames_per_session) +
         1;
     serving::FlowService service(svc_opts);
+    int fewest = 0;
+    for (const Stream& st : streams) {
+      const int strips = static_cast<int>(
+          plan_tiling(st.rows, st.cols, 1, service.lanes_per_slot(),
+                      params.tiled.merge_iterations)
+              .tiles.size());
+      fewest = fewest == 0 ? strips : std::min(fewest, strips);
+    }
+    report.fewest_strips.push_back(fewest);
 
     std::vector<std::shared_ptr<serving::FlowService::Session>> sessions;
     for (int s = 0; s < options.sessions; ++s)

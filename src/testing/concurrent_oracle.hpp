@@ -9,8 +9,10 @@
 // same bits again at every fleet lane count.
 //
 // The serial ground truth for a session is the warm-start chain spelled
-// out by the engine contract: frame k solves on a FRESH engine whose
-// duals are initialized from frame k-1's snapshot.  The service instead
+// out by the engine contract: frame k solves on a FRESH one-lane engine
+// (one tile) whose duals are initialized from frame k-1's snapshot.  The
+// frames are large enough that a slot with several lanes plans several
+// strips, so the check also crosses tiling plans.  The service instead
 // REUSES pooled engines (reset_v + reset_duals / dual reload) that other
 // sessions' solves ran on in between — so an oracle failure localizes to
 // either stale engine state leaking across sessions (the engine-reuse bug
@@ -33,7 +35,8 @@ struct ConcurrentOracleOptions {
   /// Fleet slots; keep < sessions so sessions contend for engines.
   int slots = 2;
   /// The fleet lane counts the interleaved run must reproduce the serial
-  /// bits at.  >= 2 entries keeps the schedule-independence claim honest.
+  /// bits at.  >= 2 entries keeps the schedule-independence claim honest;
+  /// a slot engine plans one strip per lane, frame size permitting.
   std::vector<int> lane_counts = {1, 3};
   /// Same-resolution burst size per slot checkout.
   int max_batch = 2;
@@ -44,6 +47,9 @@ struct ConcurrentOracleReport {
   std::string case_line;
   int lane_counts_checked = 0;
   std::uint64_t replies_checked = 0;
+  /// Per lane count checked: the fewest strips any stream's slot engines
+  /// planned (plan_tiling on the slot's lanes).
+  std::vector<int> fewest_strips;
   bool pass = false;
   std::string detail;  ///< first mismatch, set on failure
 
@@ -53,8 +59,9 @@ struct ConcurrentOracleReport {
 
 /// Expands `seed` into per-session frame streams (shared solver parameters
 /// drawn through make_case), replays each stream serially on fresh
-/// engines, then runs all streams interleaved through one FlowService per
-/// lane count and memcmps every reply against the serial truth.
+/// one-lane engines, then runs all streams interleaved through one
+/// FlowService per lane count and memcmps every reply against that one
+/// serial truth.
 [[nodiscard]] ConcurrentOracleReport run_concurrent_oracle(
     std::uint64_t seed, const ConcurrentOracleOptions& options = {});
 

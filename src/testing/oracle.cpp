@@ -205,16 +205,6 @@ OracleReport run_oracle(const OracleCase& c, const OracleOptions& options) {
     } catch (const std::exception& e) {
       record_failure(report, "resident", std::string("threw: ") + e.what());
     }
-    // The same engine on its own plan instead of the case's window.
-    try {
-      compare(report, "resident_planned", ref,
-              solve_resident(c.v, c.params, c.tiled, {}, nullptr, nullptr,
-                             initial),
-              /*exact=*/true);
-    } catch (const std::exception& e) {
-      record_failure(report, "resident_planned",
-                     std::string("threw: ") + e.what());
-    }
   }
 
   if (options.include_adaptive) {

@@ -3,8 +3,9 @@
 // Production engines plan their own tiling (plan_tiling, tile.hpp).  Tests
 // and the differential oracle that need one particular geometry — a
 // deliberately imbalanced grid, the paper's window, a random tile shape —
-// build engines through this peer on an explicit TilingPlan instead.  No
-// production caller includes this header.
+// build engines through this peer on the sliding-window tiling of the
+// options' tile_rows x tile_cols instead.  No production caller includes
+// this header.
 #pragma once
 
 #include <array>
@@ -16,26 +17,19 @@
 namespace chambolle {
 
 struct ResidentTiledEngineTestPeer {
-  /// An engine on `plan` instead of the planner's.
-  [[nodiscard]] static ResidentTiledEngine make(
-      ResidentTiledEngine::Fields inputs, const ChambolleParams& params,
-      const TiledSolverOptions& options, TilingPlan plan,
-      ResidentTiledEngine::DualFields initial = {}) {
-    return ResidentTiledEngine(inputs, params, options, std::move(plan),
-                               initial);
-  }
-
   /// An engine on options' window: the sliding-window tiling of
-  /// options.{tile_rows, tile_cols} that solve_tiled uses.
+  /// options.{tile_rows, tile_cols} that solve_tiled uses, instead of the
+  /// planner's.
   [[nodiscard]] static ResidentTiledEngine windowed(
       ResidentTiledEngine::Fields inputs, const ChambolleParams& params,
       const TiledSolverOptions& options,
       ResidentTiledEngine::DualFields initial = {}) {
     const Matrix<float>& v = *inputs[0];
-    return make(inputs, params, options,
-                make_tiling(v.rows(), v.cols(), options.tile_rows,
-                            options.tile_cols, options.merge_iterations),
-                initial);
+    return ResidentTiledEngine(
+        inputs, params, options,
+        make_tiling(v.rows(), v.cols(), options.tile_rows, options.tile_cols,
+                    options.merge_iterations),
+        initial);
   }
 
   /// The single-field windowed engine; `initial` may be null.

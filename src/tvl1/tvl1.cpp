@@ -144,8 +144,8 @@ void Tvl1Params::validate() const {
     throw std::invalid_argument("Tvl1Params: pyramid_levels < 1");
   if (warps < 1) throw std::invalid_argument("Tvl1Params: warps < 1");
   chambolle.validate();
-  if (solver == InnerSolver::kTiled || solver == InnerSolver::kResident)
-    tiled.validate();
+  if (solver == InnerSolver::kTiled) tiled.validate();
+  if (solver == InnerSolver::kResident) tiled.validate_schedule();
   resident.validate();  // a correction period needs a tolerance
   if (resident.retiring() && solver != InnerSolver::kResident)
     throw std::invalid_argument(

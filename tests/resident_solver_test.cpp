@@ -314,6 +314,25 @@ TEST(ResidentSolver, ValidatesArguments) {
   EXPECT_THROW(engine.reset_v(wrong), std::invalid_argument);
 }
 
+// The engine reads neither tile_rows nor tile_cols, so the default 88x92
+// window, which caps solve_tiled's merge depth at 43, must not cap it.
+TEST(ResidentSolver, MergeDepthIsNotBoundByTheUnreadWindow) {
+  const Matrix<float> v = random_v(200, 160, 33);
+  TiledSolverOptions opt;
+  opt.merge_iterations = 48;
+  opt.num_threads = 2;
+  EXPECT_THROW(opt.validate(), std::invalid_argument);
+  const ChambolleParams params = params_with(100);
+  ResidentTiledEngine engine(v, params, opt);
+  EXPECT_EQ(engine.plan().tiles.size(), 2u);
+  engine.run(params.iterations);
+  const ChambolleResult got = engine.result();
+  const ChambolleResult ref = solve(v, params);
+  expect_memcmp_eq(got.u, ref.u, "u");
+  expect_memcmp_eq(got.p.px, ref.p.px, "px");
+  expect_memcmp_eq(got.p.py, ref.p.py, "py");
+}
+
 TEST(ResidentSolver, ThreadCountDoesNotChangeResult) {
   const Matrix<float> v = random_v(80, 60, 32);
   TiledSolverOptions opt;

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "chambolle/resident_tiled.hpp"
+#include "chambolle/tile.hpp"
 #include "common/rng.hpp"
 #include "telemetry/metrics.hpp"
 #include "testing/concurrent_oracle.hpp"
@@ -43,29 +44,40 @@ void expect_memcmp_eq(const Matrix<float>& a, const Matrix<float>& b,
       << what;
 }
 
-// Small, fast solver configuration for Chambolle-mode streams.
+// Small, fast solver configuration for Chambolle-mode streams.  Its
+// engines plan for 2 lanes, whatever the slot's width.
 tvl1::Tvl1Params quick_params() {
   tvl1::Tvl1Params p;
   p.chambolle.iterations = 6;
-  p.tiled.tile_rows = 12;
-  p.tiled.tile_cols = 14;
   p.tiled.merge_iterations = 3;
   p.tiled.num_threads = 2;
   return p;
 }
 
+// Strips per field of the plan the service's Chambolle-mode engines build
+// for a `rows` x `cols` frame under `p`.
+std::size_t planned_strips(int rows, int cols, const tvl1::Tvl1Params& p) {
+  return plan_tiling(rows, cols, 1, p.tiled.num_threads,
+                     p.tiled.merge_iterations)
+      .tiles.size();
+}
+
 // The serial truth for one Chambolle-mode stream: fresh engine per frame,
 // duals chained through snapshots, warm only while the resolution holds
-// (a switch restarts cold) — exactly the Session::submit contract.
+// (a switch restarts cold) — exactly the Session::submit contract.  It
+// runs on one lane, so one tile: a strip plan in the service is checked
+// against a plan without halos.
 std::vector<Matrix<float>> serial_chain(
     const std::vector<Matrix<float>>& frames, const tvl1::Tvl1Params& p) {
+  TiledSolverOptions one_lane = p.tiled;
+  one_lane.num_threads = 1;
   std::vector<Matrix<float>> out;
   DualField duals;
   bool has_duals = false;
   for (const Matrix<float>& v : frames) {
     const DualField* initial =
         has_duals && duals.px.same_shape(v) ? &duals : nullptr;
-    ResidentTiledEngine engine(v, p.chambolle, p.tiled, initial);
+    ResidentTiledEngine engine(v, p.chambolle, one_lane, initial);
     engine.run(p.chambolle.iterations);
     engine.snapshot(duals);
     has_duals = true;
@@ -83,8 +95,10 @@ TEST(ServingSession, ChambolleStreamMatchesFreshEngineChain) {
   FlowService service(opts);
   auto session = service.open_session();
 
+  // Large enough to split: the reused engines exchange halos.
+  ASSERT_GE(planned_strips(120, 104, opts.params), 2u);
   std::vector<Matrix<float>> frames;
-  for (int f = 0; f < 4; ++f) frames.push_back(random_v(30, 26, 9100 + f));
+  for (int f = 0; f < 4; ++f) frames.push_back(random_v(120, 104, 9100 + f));
   const std::vector<Matrix<float>> want = serial_chain(frames, opts.params);
 
   std::vector<std::future<Reply>> futures;
@@ -109,12 +123,15 @@ TEST(ServingSession, ResolutionSwitchRestartsColdAndStillMatches) {
   FlowService service(opts);
   auto session = service.open_session();
 
-  // 30x26 -> 18x22 -> 30x26: the second 30x26 frame warm-starts from the
-  // 18x22 snapshot's... nothing — shapes differ, so it restarts cold, and
-  // the per-resolution engine cache must serve it stale-free.
-  std::vector<Matrix<float>> frames = {random_v(30, 26, 9200),
-                                       random_v(18, 22, 9201),
-                                       random_v(30, 26, 9202)};
+  // 120x104 -> 72x88 -> 120x104: the second 120x104 frame warm-starts
+  // from the 72x88 snapshot's... nothing — shapes differ, so it restarts
+  // cold, and the per-resolution engine cache must serve it stale-free.
+  // The cache holds a two-strip and a one-strip engine.
+  ASSERT_GE(planned_strips(120, 104, opts.params), 2u);
+  ASSERT_EQ(planned_strips(72, 88, opts.params), 1u);
+  std::vector<Matrix<float>> frames = {random_v(120, 104, 9200),
+                                       random_v(72, 88, 9201),
+                                       random_v(120, 104, 9202)};
   const std::vector<Matrix<float>> want = serial_chain(frames, opts.params);
   for (std::size_t f = 0; f < frames.size(); ++f) {
     Reply r = session->submit(frames[f]).get();
@@ -158,8 +175,6 @@ TEST(ServingAdmission, QueueFullShedsAndStreamContinuesAsIfNeverSubmitted) {
   FlowServiceOptions opts;
   opts.params = quick_params();
   opts.params.chambolle.iterations = 60;  // the blocker's budget
-  opts.params.tiled.tile_rows = 88;
-  opts.params.tiled.tile_cols = 92;
   opts.slots = 1;
   opts.lanes_per_slot = 1;
   opts.queue_capacity = 1;
@@ -204,8 +219,6 @@ TEST(ServingAdmission, DeadlineShedsWhenQueuedPastSlo) {
   FlowServiceOptions opts;
   opts.params = quick_params();
   opts.params.chambolle.iterations = 60;
-  opts.params.tiled.tile_rows = 88;
-  opts.params.tiled.tile_cols = 92;
   opts.slots = 1;
   opts.lanes_per_slot = 1;
   opts.queue_capacity = 8;
@@ -286,8 +299,9 @@ TEST(ServingFleet, MoreSessionsThanSlotsAndLanesCompletes) {
   std::vector<std::vector<std::future<Reply>>> futures(kSessions);
   for (int s = 0; s < kSessions; ++s) {
     sessions.push_back(service.open_session());
+    ASSERT_GE(planned_strips(120 + s, 104 + s, opts.params), 2u);
     for (int f = 0; f < kFrames; ++f)
-      frames[s].push_back(random_v(24 + s, 20 + s, 9700 + 10 * s + f));
+      frames[s].push_back(random_v(120 + s, 104 + s, 9700 + 10 * s + f));
   }
   for (int f = 0; f < kFrames; ++f)
     for (int s = 0; s < kSessions; ++s)
@@ -316,6 +330,9 @@ TEST(ConcurrentSessionsOracle, InterleavedMatchesSerialAcrossLaneCounts) {
         oracle::run_concurrent_oracle(seed);
     EXPECT_TRUE(report.pass) << report.failure_report();
     EXPECT_EQ(report.lane_counts_checked, 2);
+    // The 3-lane slots split every stream: halo exchange is under test.
+    ASSERT_EQ(report.fewest_strips.size(), 2u) << report.case_line;
+    EXPECT_GE(report.fewest_strips[1], 2) << report.case_line;
   }
 }
 

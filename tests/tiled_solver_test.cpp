@@ -143,6 +143,7 @@ TEST(TiledSolver, OptionValidation) {
   opt.tile_rows = 8;
   opt.merge_iterations = 4;
   EXPECT_THROW(opt.validate(), std::invalid_argument);
+  EXPECT_NO_THROW(opt.validate_schedule());  // the window is not read there
   opt = {};
   opt.num_threads = -2;
   EXPECT_THROW(opt.validate(), std::invalid_argument);

@@ -15,7 +15,6 @@
 #include "chambolle/fixed_solver.hpp"
 #include "chambolle/merged.hpp"
 #include "chambolle/resident_tiled.hpp"
-#include "chambolle/row_parallel.hpp"
 #include "chambolle/solver.hpp"
 #include "chambolle/tiled_solver.hpp"
 #include "common/rng.hpp"
@@ -135,19 +134,6 @@ void BM_TiledEngine(benchmark::State& state) {
 }
 BENCHMARK(BM_TiledEngine)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
-// Same scaling for the barrier-per-iteration schedule.
-void BM_RowParallelEngine(benchmark::State& state) {
-  const int threads = static_cast<int>(state.range(0));
-  const Matrix<float> v = bench_field2(kTable2Rows, kTable2Cols);
-  const ChambolleParams params = bench_params(20);
-  RowParallelOptions opt;
-  opt.num_threads = threads;
-  for (auto _ : state)
-    benchmark::DoNotOptimize(solve_row_parallel(v, params, opt).u.data());
-  state.SetItemsProcessed(state.iterations() * kTable2Rows * kTable2Cols * 20);
-}
-BENCHMARK(BM_RowParallelEngine)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
 void BM_FixedSolver(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const Matrix<float> v = bench_field(n);
@@ -157,18 +143,6 @@ void BM_FixedSolver(benchmark::State& state) {
   set_throughput(state, n, 10);
 }
 BENCHMARK(BM_FixedSolver)->Arg(64)->Arg(128);
-
-void BM_RowParallelSolver(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const Matrix<float> v = bench_field(n);
-  const ChambolleParams params = bench_params(16);
-  RowParallelOptions opt;
-  opt.num_threads = static_cast<int>(state.range(1));
-  for (auto _ : state)
-    benchmark::DoNotOptimize(solve_row_parallel(v, params, opt).u.data());
-  set_throughput(state, n, 16);
-}
-BENCHMARK(BM_RowParallelSolver)->Args({128, 1})->Args({128, 4});
 
 void BM_ChambollePock(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -310,16 +284,6 @@ telemetry::RepeatStats measure_tiled_engine(int threads) {
   opt.num_threads = threads;
   (void)solve_tiled(v, params, opt);  // warm up the resident workers
   return repeat_ms_of([&] { (void)solve_tiled(v, params, opt); },
-                      kTrajectoryRepeats);
-}
-
-telemetry::RepeatStats measure_row_parallel_engine(int threads) {
-  const Matrix<float> v = bench_field2(kTable2Rows, kTable2Cols);
-  const ChambolleParams params = bench_params(20);
-  RowParallelOptions opt;
-  opt.num_threads = threads;
-  (void)solve_row_parallel(v, params, opt);
-  return repeat_ms_of([&] { (void)solve_row_parallel(v, params, opt); },
                       kTrajectoryRepeats);
 }
 
@@ -465,21 +429,15 @@ int main(int argc, char** argv) {
     return std::string(buf);
   };
   const chambolle::telemetry::RepeatStats tiled_ms = measure_tiled_engine(8);
-  const chambolle::telemetry::RepeatStats rowp_ms =
-      measure_row_parallel_engine(8);
   std::printf(
       "\nengine trajectory (316x252, 20 iterations, 8 threads, median of "
       "%d):\n"
-      "  tiled        : %.3f ms\n"
-      "  row-parallel : %.3f ms\n",
-      kTrajectoryRepeats, tiled_ms.median, rowp_ms.median);
+      "  tiled        : %.3f ms\n",
+      kTrajectoryRepeats, tiled_ms.median);
   const auto& pool = chambolle::parallel::default_pool();
-  std::printf(
-      "  pool lifetime: %llu tasks, %llu threads created, %llu barrier "
-      "waits\n",
-      static_cast<unsigned long long>(pool.tasks()),
-      static_cast<unsigned long long>(pool.threads_created()),
-      static_cast<unsigned long long>(pool.barrier_waits()));
+  std::printf("  pool lifetime: %llu tasks, %llu threads created\n",
+              static_cast<unsigned long long>(pool.tasks()),
+              static_cast<unsigned long long>(pool.threads_created()));
 
   // Kernel trajectory: seed two-pass vs fused kernel, per backend.
   const KernelTrajectory kt = measure_kernel_backends();
@@ -545,21 +503,18 @@ int main(int argc, char** argv) {
   chambolle::telemetry::BenchParams report{
       {"suite", "google-benchmark"},
       {"benchmarks",
-       "scalar/tiled/resident/engine-scaling/merge-depth/fixed/row-parallel/"
+       "scalar/tiled/resident/engine-scaling/merge-depth/fixed/"
        "chambolle-pock/merged-kernel/single-iteration/kernel-backends"},
       {"engine_frame", "316x252"},
       {"engine_threads", "8"},
       {"trajectory_repeats", std::to_string(kTrajectoryRepeats)},
       {"tiled_pool_ms", fmt(tiled_ms.median)},
-      {"row_parallel_pool_ms", fmt(rowp_ms.median)},
       {"pool_threads_created", std::to_string(pool.threads_created())},
       {"kernel_backend_auto",
        chambolle::kernels::backend_name(chambolle::kernels::active_backend())},
       {"kernel_seed_ms", fmt(kt.seed_ms.median)}};
   chambolle::telemetry::append_repeat_stats(report, "tiled_pool_ms",
                                             tiled_ms);
-  chambolle::telemetry::append_repeat_stats(report, "row_parallel_pool_ms",
-                                            rowp_ms);
   chambolle::telemetry::append_repeat_stats(report, "kernel_seed_ms",
                                             kt.seed_ms);
   for (const auto& [name, ms] : kt.backend_ms) {

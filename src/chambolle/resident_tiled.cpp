@@ -536,10 +536,9 @@ bool ResidentTiledEngine::node_pass(int node, int g, int lane, int burst,
   run.residual = residual;
   if (graph_->owner(node, lanes()) != lane) ++run.stolen;
   // The residual is the buffer-wide max |dp| of the pass's LAST iteration:
-  // the same single-iteration semantics as solve_adaptive, so the same
-  // tolerance means the same thing regardless of merge depth.  Halo cells
-  // are included — conservative: a tile only retires once its neighborhood
-  // influence has also stilled.
+  // a single-iteration measure, so the same tolerance means the same thing
+  // regardless of merge depth.  Halo cells are included — conservative: a
+  // tile only retires once its neighborhood influence has also stilled.
   if (residual < policy.tolerance) {
     if (++run.streak >= policy.patience) {
       mark_frozen(node, g);

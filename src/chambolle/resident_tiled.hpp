@@ -82,9 +82,9 @@ namespace chambolle {
 /// which no tile retires executes exactly the fixed schedule.
 struct ResidentRunPolicy {
   /// Per-iteration residual threshold: a pass counts toward retirement when
-  /// the max |dp| of its last iteration falls below this.  Same semantics
-  /// as AdaptiveOptions::tolerance (single-iteration, merge-depth
-  /// independent).  0 = no tile ever retires: the fixed budget.
+  /// the max |dp| of its last iteration falls below this.  The residual
+  /// spans one iteration, not the whole pass, so a tolerance means the same
+  /// at every merge depth.  0 = no tile ever retires: the fixed budget.
   float tolerance = 0.f;
   /// Consecutive under-tolerance passes before a tile retires.
   int patience = 2;

@@ -177,7 +177,7 @@ void reset_backend();
 /// both dual components of the FINAL iteration — a single-iteration dual
 /// residual, fused into the update sweep (no extra memory traversal, no
 /// state copies) and invariant to how many iterations the call batches.
-/// This is the convergence indicator of the adaptive solvers; px/py stay
+/// This is the resident engine's tile-retirement indicator; px/py stay
 /// bit-identical to a call without it.
 void iterate_region_fused(Matrix<float>& px, Matrix<float>& py,
                           const Matrix<float>& v, const RegionGeometry& geom,

@@ -89,7 +89,7 @@ EpochGraph::RunStats EpochGraph::run(int passes, int lanes, ThreadPool& pool,
   std::atomic<bool> rv_done{num_firings == 0};
   PerLane<RunStats> lane_stats(team);
 
-  pool.run_team(team, [&](int lane, int nlanes, Barrier&) {
+  pool.run_team(team, [&](int lane, int nlanes) {
     const int begin = block_begin(n, nlanes, lane);
     const int end = block_begin(n, nlanes, lane + 1);
     // A pinned lane scans its own block; a shared one scans the whole graph

@@ -19,11 +19,6 @@ telemetry::Counter& c_threads_created() {
       telemetry::registry().counter("pool.threads_created");
   return c;
 }
-telemetry::Counter& c_barrier_waits() {
-  static telemetry::Counter& c =
-      telemetry::registry().counter("pool.barrier_waits");
-  return c;
-}
 
 }  // namespace
 
@@ -98,13 +93,12 @@ void ThreadPool::worker_main(std::size_t index, std::uint64_t seen_epoch) {
 
     const TeamFn* fn = job_;
     const int lanes = job_lanes_;
-    Barrier* bar = barrier_.get();
     lk.unlock();
     std::exception_ptr err;
     t_in_region = true;
     const int prev_lane = telemetry::profiler_set_lane(lane);
     try {
-      (*fn)(lane, lanes, *bar);
+      (*fn)(lane, lanes);
     } catch (...) {
       err = std::current_exception();
     }
@@ -126,7 +120,6 @@ void ThreadPool::dispatch(int lanes, const TeamFn& fn, bool elastic) {
   c_tasks().add(1);
 
   if (lanes == 1 || t_in_region) {
-    Barrier solo(1, &barrier_waits_, &c_barrier_waits());
     const bool was_in_region = t_in_region;
     t_in_region = true;
     // A nested region inlines on the caller's lane and keeps attributing
@@ -134,7 +127,7 @@ void ThreadPool::dispatch(int lanes, const TeamFn& fn, bool elastic) {
     const int prev_lane =
         was_in_region ? telemetry::profiler_lane() : telemetry::profiler_set_lane(0);
     try {
-      fn(0, 1, solo);
+      fn(0, 1);
     } catch (...) {
       telemetry::profiler_set_lane(prev_lane);
       t_in_region = was_in_region;
@@ -149,11 +142,6 @@ void ThreadPool::dispatch(int lanes, const TeamFn& fn, bool elastic) {
   cv_idle_.wait(lk, [&] { return !busy_; });
   busy_ = true;
   ensure_workers_locked(lanes - 1);
-  // Elastic bodies never touch the barrier, so any existing one will do:
-  // alternating team widths then do not rebuild it at every region.
-  if (!barrier_ || (!elastic && barrier_->parties() != lanes))
-    barrier_ =
-        std::make_unique<Barrier>(lanes, &barrier_waits_, &c_barrier_waits());
   job_ = &fn;
   job_lanes_ = lanes;
   job_elastic_ = elastic;
@@ -162,7 +150,6 @@ void ThreadPool::dispatch(int lanes, const TeamFn& fn, bool elastic) {
   job_remaining_ = elastic ? 0 : lanes - 1;
   job_error_ = nullptr;
   ++epoch_;
-  Barrier& bar = *barrier_;
   lk.unlock();
   cv_work_.notify_all();
 
@@ -171,7 +158,7 @@ void ThreadPool::dispatch(int lanes, const TeamFn& fn, bool elastic) {
   t_in_region = true;
   const int prev_lane = telemetry::profiler_set_lane(0);
   try {
-    fn(0, lanes, bar);
+    fn(0, lanes);
   } catch (...) {
     caller_error = std::current_exception();
   }
@@ -219,7 +206,7 @@ void ThreadPool::parallel_for(std::size_t n, int lanes, const RangeFn& fn,
   } loop{n, chunk, fn};
   dispatch(
       team,
-      [l = &loop](int lane, int, Barrier&) {
+      [l = &loop](int lane, int) {
         for (;;) {
           const std::size_t b =
               l->cursor.fetch_add(l->chunk, std::memory_order_relaxed);

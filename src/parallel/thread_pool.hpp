@@ -2,20 +2,20 @@
 //
 // The paper's parallelization argument (loop decomposition + sliding
 // windows) makes Chambolle iterations coarsely parallel, but the original
-// CPU realization here re-spawned std::threads for every tiled pass and
-// twice per row-parallel iteration, so thread creation dominated exactly
-// the regime the paper cares about (many small merged passes).  This pool
-// keeps a process-wide set of resident workers alive across passes, solves,
-// and frames: steady-state solving creates zero threads.
+// CPU realization here re-spawned std::threads for every tiled pass, so
+// thread creation dominated exactly the regime the paper cares about (many
+// small merged passes).  This pool keeps a process-wide set of resident
+// workers alive across passes, solves, and frames: steady-state solving
+// creates zero threads.
 //
-// Model: a *parallel region* engine, not a futures queue.  run_team(n, fn)
-// executes fn(lane, lanes, barrier) on n lanes concurrently — the calling
-// thread participates as lane 0, resident workers take lanes 1..n-1 — and
-// returns when every lane has finished.  The shared Barrier (sized to the
-// team) lets a region synchronize internal phases without ever joining, the
-// way the row-parallel schedule alternates its Term/dual-update sweeps.
-// parallel_for() layers dynamic chunked work-sharing on top for the tiled
-// solver's independent-tile passes.
+// Model: a *parallel region* engine, not a futures queue, with two kinds of
+// region.  run_team(n, fn) executes fn(lane, lanes) on a full team of n
+// lanes running concurrently — the calling thread participates as lane 0,
+// resident workers take lanes 1..n-1 — and returns when every lane has
+// finished; the EpochGraph relies on every lane being live at once.
+// parallel_for() is an elastic region: dynamic chunked work-sharing that
+// workers join only while work remains, for the tiled solver's
+// independent-tile passes and the pipeline's row loops.
 //
 // Guarantees:
 //   * workers are spawned lazily on first demand and kept resident;
@@ -26,8 +26,8 @@
 //   * exceptions thrown by a region body are captured and rethrown on the
 //     calling thread after the team quiesces.
 //
-// Observability: always-on atomic counters (tasks/threads_created/
-// barrier_waits) plus mirrors in the telemetry registry under `pool.*`
+// Observability: always-on atomic counters (tasks/threads_created) plus
+// mirrors in the telemetry registry under `pool.*`
 // (docs/observability.md).
 #pragma once
 
@@ -37,12 +37,9 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
-
-#include "parallel/barrier.hpp"
 
 namespace chambolle::parallel {
 
@@ -78,8 +75,8 @@ class PerLane {
 
 class ThreadPool {
  public:
-  /// fn(lane, lanes, barrier): lane in [0, lanes), barrier sized to lanes.
-  using TeamFn = std::function<void(int, int, Barrier&)>;
+  /// fn(lane, lanes): lane in [0, lanes).
+  using TeamFn = std::function<void(int, int)>;
   /// fn(begin, end, lane): process items [begin, end).
   using RangeFn = std::function<void(std::size_t, std::size_t, int)>;
 
@@ -135,10 +132,6 @@ class ThreadPool {
   [[nodiscard]] std::uint64_t threads_created() const {
     return threads_created_.load(std::memory_order_relaxed);
   }
-  /// Total arrive_and_wait() calls on pool-owned barriers.
-  [[nodiscard]] std::uint64_t barrier_waits() const {
-    return barrier_waits_.load(std::memory_order_relaxed);
-  }
   /// Resident workers currently alive.
   [[nodiscard]] int resident_workers() const;
 
@@ -146,7 +139,7 @@ class ThreadPool {
   void worker_main(std::size_t index, std::uint64_t seen_epoch);
   /// The region protocol behind run_team (elastic = false: every lane runs
   /// fn) and parallel_for (elastic = true: lane 0 runs fn, workers join only
-  /// while the region is open; fn must not use the barrier).
+  /// while the region is open).
   void dispatch(int lanes, const TeamFn& fn, bool elastic);
   /// Spawns resident workers until at least `needed` exist.  mu_ held.
   void ensure_workers_locked(int needed);
@@ -167,11 +160,9 @@ class ThreadPool {
   bool job_elastic_ = false;
   int job_remaining_ = 0;  ///< workers the caller still waits for
   std::exception_ptr job_error_;
-  std::unique_ptr<Barrier> barrier_;
 
   std::atomic<std::uint64_t> tasks_{0};
   std::atomic<std::uint64_t> threads_created_{0};
-  std::atomic<std::uint64_t> barrier_waits_{0};
 };
 
 /// Minimum cells per chunk of parallel_rows(), by the cost of a cell: a

@@ -16,46 +16,6 @@
 namespace chambolle::serving {
 
 // ---------------------------------------------------------------------------
-// LatencyHistogram
-
-LatencyHistogram::LatencyHistogram()
-    : bounds_(telemetry::default_ms_bounds()),
-      buckets_(bounds_.size() + 1) {}
-
-void LatencyHistogram::observe(double ms) {
-  if (!std::isfinite(ms)) return;  // same screening as telemetry::Histogram
-  std::size_t i = 0;
-  while (i < bounds_.size() && ms > bounds_[i]) ++i;
-  buckets_[i].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-}
-
-double LatencyHistogram::quantile(double q) const {
-  if (std::isnan(q) || q < 0.0) q = 0.0;
-  if (q > 1.0) q = 1.0;
-  const std::uint64_t total = count();
-  if (total == 0) return 0.0;
-  const double target = q * static_cast<double>(total);
-  std::uint64_t cum = 0;
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    const std::uint64_t in_bucket = buckets_[i].load(std::memory_order_relaxed);
-    if (in_bucket == 0) continue;
-    if (static_cast<double>(cum + in_bucket) >= target) {
-      // Overflow bucket has no upper edge: report the last finite bound
-      // (underestimate by construction, Prometheus convention).
-      if (i == bounds_.size()) return bounds_.empty() ? 0.0 : bounds_.back();
-      const double lo = i == 0 ? 0.0 : bounds_[i - 1];
-      const double hi = bounds_[i];
-      const double frac =
-          (target - static_cast<double>(cum)) / static_cast<double>(in_bucket);
-      return lo + (hi - lo) * std::min(1.0, std::max(0.0, frac));
-    }
-    cum += in_bucket;
-  }
-  return bounds_.empty() ? 0.0 : bounds_.back();
-}
-
-// ---------------------------------------------------------------------------
 // Options / small types
 
 const char* to_string(ReplyStatus s) {
@@ -398,7 +358,6 @@ void FlowService::process(Slot& slot, SessionState& s, Request& req) {
 
   const double total_ms = queue_ms + reply.solve_ms;
   latency_ms_.observe(total_ms);
-  solve_ms_.observe(reply.solve_ms);
   completed_.fetch_add(1, std::memory_order_relaxed);
   global_metrics().completed.add(1);
   global_metrics().latency_ms.observe(total_ms);

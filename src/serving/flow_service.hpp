@@ -57,35 +57,10 @@
 #include <vector>
 
 #include "common/image.hpp"
+#include "telemetry/metrics.hpp"
 #include "tvl1/tvl1.hpp"
 
 namespace chambolle::serving {
-
-/// Always-on fixed-bucket latency histogram.  telemetry::Histogram gates
-/// observe() behind telemetry::enabled() (off by default at runtime), but
-/// the serving stats, the latency bench, and the SLO report need
-/// quantiles unconditionally — same pattern as ThreadPool's always-on
-/// counters.  Bucketing and quantile interpolation mirror
-/// telemetry::Histogram (Prometheus convention: overflow reports the last
-/// finite bound).
-class LatencyHistogram {
- public:
-  /// Buckets from telemetry::default_ms_bounds().
-  LatencyHistogram();
-
-  void observe(double ms);
-  [[nodiscard]] std::uint64_t count() const {
-    return count_.load(std::memory_order_relaxed);
-  }
-  /// Linear-interpolated q-quantile in ms; 0 when empty, q clamped to
-  /// [0, 1] (NaN -> 0).
-  [[nodiscard]] double quantile(double q) const;
-
- private:
-  std::vector<double> bounds_;
-  std::vector<std::atomic<std::uint64_t>> buckets_;  // bounds_.size() + 1
-  std::atomic<std::uint64_t> count_{0};
-};
 
 enum class ReplyStatus {
   kOk,            ///< solved; the payload fields are valid
@@ -141,8 +116,8 @@ struct FlowServiceOptions {
 
 /// Cumulative service counters plus latency quantiles.  Counters are
 /// always-on atomics (telemetry mirrors exist under serving.* but are
-/// env-gated); quantiles come from the always-on LatencyHistogram over
-/// total (queue + solve) latency of non-shed requests.
+/// env-gated); quantiles come from the service's own always-on histogram
+/// over total (queue + solve) latency of non-shed requests.
 struct ServiceStats {
   std::uint64_t admitted = 0;
   std::uint64_t completed = 0;       ///< kOk + kPrimed replies
@@ -214,8 +189,7 @@ class FlowService {
   std::atomic<std::uint64_t> shed_queue_full_{0}, shed_deadline_{0};
   std::atomic<std::uint64_t> failed_{0};
   std::atomic<std::uint64_t> batches_{0}, engine_builds_{0};
-  LatencyHistogram latency_ms_;
-  LatencyHistogram solve_ms_;
+  telemetry::Histogram latency_ms_{telemetry::default_ms_bounds()};
 };
 
 /// A client's handle to one stream.  All methods are thread-safe, but a

@@ -22,7 +22,7 @@ Histogram::Histogram(std::vector<double> upper_bounds)
 }
 
 void Histogram::observe(double v) {
-  if (!enabled()) return;
+  if (gated_ && !enabled()) return;
   if (!std::isfinite(v)) return;  // see header: non-finite is dropped
   std::size_t i = 0;
   while (i < bounds_.size() && v > bounds_[i]) ++i;
@@ -109,9 +109,9 @@ Histogram& MetricRegistry::histogram(const std::string& name,
   if (it == histograms_.end()) {
     // Construct before inserting: the Histogram ctor validates the bounds
     // and may throw, which must not leave a null entry behind.
-    it = histograms_
-             .emplace(name, std::make_unique<Histogram>(std::move(upper_bounds)))
-             .first;
+    auto h = std::make_unique<Histogram>(std::move(upper_bounds));
+    h->gated_ = true;
+    it = histograms_.emplace(name, std::move(h)).first;
   }
   return *it->second;
 }

@@ -57,7 +57,9 @@ class Gauge {
 /// Fixed-bucket histogram: bucket i counts observations <= bounds[i]; one
 /// overflow bucket counts the rest.  Bounds are set at registration and
 /// immutable afterwards, so observe() is bounds.size() compares plus one
-/// relaxed increment — no locks.
+/// relaxed increment — no locks.  A histogram the MetricRegistry hands out
+/// records only while telemetry is enabled, like every registry metric; one
+/// its owner constructs records always (the serving latency quantiles).
 class Histogram {
  public:
   /// Bounds must be finite and strictly increasing (NaN/inf bounds would
@@ -92,10 +94,13 @@ class Histogram {
   void reset();
 
  private:
+  friend class MetricRegistry;
+
   std::vector<double> bounds_;
   std::vector<std::atomic<std::uint64_t>> buckets_;  // bounds_.size() + 1
   std::atomic<std::uint64_t> count_{0};
   std::atomic<double> sum_{0.0};
+  bool gated_ = false;  ///< set by MetricRegistry: observe() needs enabled()
 };
 
 /// Default histogram bounds for millisecond-scale durations.

@@ -24,8 +24,6 @@ const char* lane_cause_name(LaneCause c) {
       return "kernel";
     case LaneCause::kEpochWait:
       return "epoch_wait";
-    case LaneCause::kBarrierWait:
-      return "barrier_wait";
     case LaneCause::kMailbox:
       return "mailbox";
     case LaneCause::kIdle:
@@ -156,16 +154,15 @@ std::string UtilizationReport::to_json() const {
 std::string UtilizationReport::to_table() const {
   char buf[256];
   std::string out;
-  out += "lane     kernel  epoch_w  barr_w  mailbox    idle   util%\n";
+  out += "lane     kernel  epoch_w  mailbox    idle   util%\n";
   const auto row = [&](const char* label, const double s[kLaneCauseCount],
                        double wall) {
     const double util =
         wall > 0.0 ? 100.0 * s[static_cast<int>(LaneCause::kKernel)] / wall
                    : 0.0;
     std::snprintf(buf, sizeof buf,
-                  "%-6s %8.3f %8.3f %7.3f %8.3f %7.3f  %5.1f%%\n", label,
-                  1e3 * s[0], 1e3 * s[1], 1e3 * s[2], 1e3 * s[3], 1e3 * s[4],
-                  util);
+                  "%-6s %8.3f %8.3f %8.3f %7.3f  %5.1f%%\n", label,
+                  1e3 * s[0], 1e3 * s[1], 1e3 * s[2], 1e3 * s[3], util);
     out += buf;
   };
   for (std::size_t i = 0; i < lanes.size(); ++i) {
@@ -173,7 +170,7 @@ std::string UtilizationReport::to_table() const {
     std::snprintf(label, sizeof label, "%zu", i);
     row(label, lanes[i].seconds, wall_seconds);
   }
-  double totals[kLaneCauseCount] = {0, 0, 0, 0, 0};
+  double totals[kLaneCauseCount] = {};
   for (const LaneUsage& l : lanes)
     for (int c = 0; c < kLaneCauseCount; ++c) totals[c] += l.seconds[c];
   row("all", totals, wall_seconds * static_cast<double>(lanes.size()));

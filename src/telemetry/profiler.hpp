@@ -4,16 +4,15 @@
 // one aggregate stall number (tiles.stall_micros), but tuning the resident
 // engine — and building the multi-stream service and adaptive convergence on
 // top of it — needs per-lane attribution of WHERE each lane's wall time
-// went.  A profiling session classifies every lane's time into five causes:
+// went.  A profiling session classifies every lane's time into four causes:
 //
 //   kernel   — inside the fused iteration kernel (useful work)
 //   epoch    — waiting for a neighbor tile's epoch in the EpochGraph
-//   barrier  — inside Barrier::arrive_and_wait (bulk-synchronous schedules)
 //   mailbox  — gathering/scattering halo strips through tile mailboxes
 //   idle     — the residual: lane existed but ran none of the above
 //              (pool idle between regions, setup, write-back)
 //
-// so the five buckets partition each lane's session wall time exactly; the
+// so the four buckets partition each lane's session wall time exactly; the
 // report derives busy fraction, an imbalance ratio, a per-cause stall
 // breakdown, and per-tile pass timings, exported as JSON and as a
 // human-readable text table (docs/observability.md documents the schema).
@@ -48,14 +47,13 @@ namespace chambolle::telemetry {
 enum class LaneCause : int {
   kKernel = 0,
   kEpochWait = 1,
-  kBarrierWait = 2,
-  kMailbox = 3,
-  kIdle = 4,
+  kMailbox = 2,
+  kIdle = 3,
 };
-inline constexpr int kLaneCauseCount = 5;
+inline constexpr int kLaneCauseCount = 4;
 
-/// Stable lower_snake name ("kernel", "epoch_wait", "barrier_wait",
-/// "mailbox", "idle") — the JSON/table field names.
+/// Stable lower_snake name ("kernel", "epoch_wait", "mailbox", "idle") —
+/// the JSON/table field names.
 [[nodiscard]] const char* lane_cause_name(LaneCause c);
 
 namespace detail {
@@ -107,8 +105,8 @@ class ProfScope {
 /// One lane's accounting: seconds and event counts per cause.  kIdle's
 /// seconds are the residual; its event count is always 0.
 struct LaneUsage {
-  double seconds[kLaneCauseCount] = {0, 0, 0, 0, 0};
-  std::uint64_t events[kLaneCauseCount] = {0, 0, 0, 0, 0};
+  double seconds[kLaneCauseCount] = {};
+  std::uint64_t events[kLaneCauseCount] = {};
 
   /// Attributed (non-idle) seconds.
   [[nodiscard]] double attributed() const {

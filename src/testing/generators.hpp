@@ -52,7 +52,6 @@ struct OracleCase {
   Matrix<float> v2;  ///< second component, for the two-array accelerator
   ChambolleParams params;
   TiledSolverOptions tiled;  ///< geometry + threads for tiled/resident
-  int rows_per_strip = 16;   ///< row-parallel work-unit size
   bool warm_start = false;   ///< duals start from `initial` instead of zeros
   DualField initial;
   bool default_params = true;  ///< quantized engines apply only when true

@@ -8,7 +8,6 @@
 #include "chambolle/energy.hpp"
 #include "chambolle/fixed_solver.hpp"
 #include "chambolle/resident_tiled.hpp"
-#include "chambolle/row_parallel.hpp"
 #include "chambolle/solver.hpp"
 #include "chambolle/tiled_solver.hpp"
 #include "hw/accelerator.hpp"
@@ -178,18 +177,9 @@ OracleReport run_oracle(const OracleCase& c, const OracleOptions& options) {
   const ChambolleResult ref = solve(c.v, c.params, initial);
 
   if (options.include_parallel) {
-    // The row-parallel and reload-tiled engines have no warm-start entry
-    // point; they participate on cold-start cases only.
+    // The reload-tiled engine has no warm-start entry point; it
+    // participates on cold-start cases only.
     if (!c.warm_start) {
-      try {
-        RowParallelOptions rp;
-        rp.num_threads = c.tiled.num_threads;
-        rp.rows_per_strip = c.rows_per_strip;
-        compare(report, "row_parallel", ref,
-                solve_row_parallel(c.v, c.params, rp), /*exact=*/true);
-      } catch (const std::exception& e) {
-        record_failure(report, "row_parallel", std::string("threw: ") + e.what());
-      }
       try {
         compare(report, "tiled", ref, solve_tiled(c.v, c.params, c.tiled),
                 /*exact=*/true);

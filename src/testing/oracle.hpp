@@ -1,9 +1,9 @@
 // oracle.hpp — the cross-engine differential-testing oracle.
 //
-// The repository has five ways to run one Chambolle iteration stream —
-// sequential reference, row-parallel, reload-tiled, resident-tiled, and the
-// per-backend SIMD kernels — plus the quantized fixed-point solver and the
-// cycle-level accelerator simulator.  The first five claim BIT-EXACT
+// The repository has four ways to run one Chambolle iteration stream —
+// sequential reference, reload-tiled, resident-tiled, and the per-backend
+// SIMD kernels — plus the quantized fixed-point solver and the cycle-level
+// accelerator simulator.  The first four claim BIT-EXACT
 // equality; the quantized pair claims a format-bounded tolerance against
 // the float reference and bit-exactness against each other.  run_oracle()
 // executes one OracleCase through every engine that applies and enforces
@@ -25,7 +25,7 @@ namespace chambolle::oracle {
 /// Selects which engine families a run covers.  The sanitizer smoke runs
 /// keep everything on; single-purpose callers can narrow.
 struct OracleOptions {
-  bool include_parallel = true;     ///< row-parallel / tiled / resident
+  bool include_parallel = true;     ///< reload-tiled / resident
   bool include_backends = true;     ///< one reference solve per SIMD backend
   bool include_fixedpoint = true;   ///< fixed-point solver + accelerator
   bool include_adaptive = true;     ///< adaptive resident (quality policy)

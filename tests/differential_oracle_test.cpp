@@ -1,7 +1,7 @@
 // differential_oracle_test.cpp — the cross-engine differential oracle.
 //
 // Every seed becomes one randomized solve executed through all engines
-// (reference, row-parallel, reload-tiled, resident, every SIMD backend, and
+// (reference, reload-tiled, resident, every SIMD backend, and
 // — on default-parameter cases — the fixed-point solver and the cycle-level
 // accelerator) with the comparison policy of src/testing/oracle.hpp: float
 // engines must match the reference bit for bit, quantized engines within

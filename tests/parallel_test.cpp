@@ -16,52 +16,13 @@
 namespace chambolle::parallel {
 namespace {
 
-TEST(Barrier, RejectsNonPositiveParties) {
-  EXPECT_THROW(Barrier b(0), std::invalid_argument);
-  EXPECT_THROW(Barrier b(-3), std::invalid_argument);
-}
-
-TEST(Barrier, SinglePartyNeverBlocks) {
-  Barrier b(1);
-  for (int i = 0; i < 5; ++i) b.arrive_and_wait();
-  EXPECT_EQ(b.generations(), 5u);
-}
-
-TEST(Barrier, MultiGenerationLockstep) {
-  // The two-phase property under load: after crossing the barrier for
-  // generation g, every thread must observe all `parties` arrivals of g —
-  // a straggler of generation g must never leak into g+1.
-  constexpr int kParties = 4;
-  constexpr int kGenerations = 200;
-  Barrier barrier(kParties);
-  std::atomic<int> arrived{0};
-  std::atomic<int> violations{0};
-
-  const auto body = [&] {
-    for (int g = 1; g <= kGenerations; ++g) {
-      arrived.fetch_add(1, std::memory_order_relaxed);
-      barrier.arrive_and_wait();
-      if (arrived.load(std::memory_order_relaxed) < g * kParties)
-        violations.fetch_add(1, std::memory_order_relaxed);
-      barrier.arrive_and_wait();  // keep generations aligned for the check
-    }
-  };
-  std::vector<std::thread> threads;
-  for (int i = 0; i < kParties - 1; ++i) threads.emplace_back(body);
-  body();
-  for (auto& t : threads) t.join();
-
-  EXPECT_EQ(violations.load(), 0);
-  EXPECT_EQ(barrier.generations(), 2u * kGenerations);
-  EXPECT_EQ(arrived.load(), kParties * kGenerations);
-}
-
-TEST(Barrier, ArrivalHookCountsEveryWait) {
-  std::atomic<std::uint64_t> arrivals{0};
-  Barrier b(1, &arrivals);
-  b.arrive_and_wait();
-  b.arrive_and_wait();
-  EXPECT_EQ(arrivals.load(), 2u);
+// Arrives at `arrived`, then spins until `lanes` lanes have: returns only
+// when the whole team runs at the same time, the property EpochGraph's
+// no-deadlock guarantee rests on (a lane that never starts hangs the test).
+void arrive_and_spin(std::atomic<int>& arrived, int lanes) {
+  arrived.fetch_add(1, std::memory_order_acq_rel);
+  while (arrived.load(std::memory_order_acquire) < lanes)
+    std::this_thread::yield();
 }
 
 TEST(ResolveThreads, PositiveWinsAutoFallsBack) {
@@ -85,30 +46,12 @@ TEST(PerLane, SlotsAreCacheLinePadded) {
 TEST(ThreadPool, RunTeamCoversAllLanesOnce) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(4);
-  pool.run_team(4, [&](int lane, int lanes, Barrier&) {
+  pool.run_team(4, [&](int lane, int lanes) {
     EXPECT_EQ(lanes, 4);
     hits[static_cast<std::size_t>(lane)].fetch_add(1);
   });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
   EXPECT_EQ(pool.tasks(), 1u);
-}
-
-TEST(ThreadPool, TeamBarrierSynchronizesPhases) {
-  // The row-parallel usage pattern: resident lanes alternate phases through
-  // the region barrier without the team ever dissolving.
-  ThreadPool pool(3);
-  std::atomic<int> phase1{0};
-  std::atomic<int> violations{0};
-  pool.run_team(3, [&](int, int lanes, Barrier& barrier) {
-    for (int it = 0; it < 50; ++it) {
-      phase1.fetch_add(1);
-      barrier.arrive_and_wait();
-      if (phase1.load() < (it + 1) * lanes) violations.fetch_add(1);
-      barrier.arrive_and_wait();
-    }
-  });
-  EXPECT_EQ(violations.load(), 0);
-  EXPECT_GE(pool.barrier_waits(), 300u);  // 3 lanes x 50 iterations x 2
 }
 
 TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {
@@ -145,9 +88,8 @@ TEST(ThreadPool, ElasticRegionsInterleaveWithFullTeams) {
     ASSERT_EQ(items.load(), 3);
     if (round % 10 == 0) {
       std::atomic<int> lanes_seen{0};
-      pool.run_team(4, [&](int, int, Barrier& barrier) {
-        lanes_seen.fetch_add(1);
-        barrier.arrive_and_wait();
+      pool.run_team(4, [&](int, int lanes) {
+        arrive_and_spin(lanes_seen, lanes);
       });
       ASSERT_EQ(lanes_seen.load(), 4);
     }
@@ -166,7 +108,7 @@ TEST(ThreadPool, ThreadsCreatedAtMostOnceAcrossRegions) {
   // — 10 further regions create zero additional threads.
   ThreadPool pool(4);
   EXPECT_EQ(pool.threads_created(), 0u);  // lazy until first region
-  pool.run_team(4, [](int, int, Barrier&) {});
+  pool.run_team(4, [](int, int) {});
   const std::uint64_t after_first = pool.threads_created();
   EXPECT_EQ(after_first, 3u);  // caller is lane 0
   for (int i = 0; i < 10; ++i)
@@ -180,12 +122,13 @@ TEST(ThreadPool, NestedEntryRunsInline) {
   // degrades to a single inline lane.
   ThreadPool pool(2);
   std::atomic<int> inner_lanes{-1};
+  std::atomic<int> inner_arrived{0};
   std::atomic<int> inner_items{0};
-  pool.run_team(2, [&](int lane, int, Barrier&) {
+  pool.run_team(2, [&](int lane, int) {
     if (lane == 0)
-      pool.run_team(4, [&](int, int lanes, Barrier& inner_barrier) {
+      pool.run_team(4, [&](int, int lanes) {
         inner_lanes.store(lanes);
-        inner_barrier.arrive_and_wait();  // parties == 1: must not block
+        arrive_and_spin(inner_arrived, lanes);  // one lane: must not block
       });
     else
       pool.parallel_for(10, 4, [&](std::size_t begin, std::size_t end, int) {
@@ -219,25 +162,25 @@ TEST(ThreadPool, ConcurrentExternalCallersSerialize) {
 TEST(ThreadPool, ExceptionPropagatesAndPoolSurvives) {
   ThreadPool pool(4);
   EXPECT_THROW(pool.run_team(4,
-                             [](int lane, int, Barrier&) {
+                             [](int lane, int) {
                                if (lane == 3)
                                  throw std::runtime_error("lane 3 failed");
                              }),
                std::runtime_error);
   // The team quiesced and the pool is reusable.
   std::atomic<int> hits{0};
-  pool.run_team(4, [&](int, int, Barrier&) { hits.fetch_add(1); });
+  pool.run_team(4, [&](int, int) { hits.fetch_add(1); });
   EXPECT_EQ(hits.load(), 4);
 }
 
 TEST(ThreadPool, ResizeShrinksResidentWorkers) {
   ThreadPool pool(4);
-  pool.run_team(4, [](int, int, Barrier&) {});
+  pool.run_team(4, [](int, int) {});
   EXPECT_EQ(pool.resident_workers(), 3);
   pool.resize(2);
   EXPECT_EQ(pool.threads(), 2);
   EXPECT_LE(pool.resident_workers(), 1);
-  pool.run_team(2, [](int, int, Barrier&) {});  // still functional
+  pool.run_team(2, [](int, int) {});  // still functional
 }
 
 TEST(ThreadPool, LanesForResolvesRequests) {

@@ -1,8 +1,8 @@
 // profiler_test.cpp — the per-lane execution profiler.
 //
 // The acceptance invariant: a profiled resident solve attributes >= 95% of
-// every lane's session wall time across the five causes (kernel, epoch wait,
-// barrier wait, mailbox, idle).  Idle is defined as the residual, so the
+// every lane's session wall time across the four causes (kernel, epoch wait,
+// mailbox, idle).  Idle is defined as the residual, so the
 // partition is exact by construction; these tests pin that down, plus the
 // session state machine, the manual attribution paths, and a deliberately
 // imbalanced tile grid whose imbalance_ratio the report must expose.
@@ -276,8 +276,6 @@ TEST(ProfilerReport, JsonSchemaAndCauseNames) {
 
   EXPECT_STREQ(tel::lane_cause_name(tel::LaneCause::kKernel), "kernel");
   EXPECT_STREQ(tel::lane_cause_name(tel::LaneCause::kEpochWait), "epoch_wait");
-  EXPECT_STREQ(tel::lane_cause_name(tel::LaneCause::kBarrierWait),
-               "barrier_wait");
   EXPECT_STREQ(tel::lane_cause_name(tel::LaneCause::kMailbox), "mailbox");
   EXPECT_STREQ(tel::lane_cause_name(tel::LaneCause::kIdle), "idle");
 }

@@ -362,6 +362,27 @@ TEST(ResidentAdaptive, ReportsStolenPassesAccounting) {
   EXPECT_GT(stats.element_iterations, 0u);
 }
 
+TEST(ResidentAdaptive, PaperIterationBudgetsAreInTheConvergentRange) {
+  // The paper's 50/100/200 budgets bracket the tolerance range 1e-2..1e-4
+  // on a representative field — the empirical justification of Table II's
+  // iteration column.  The 32 x 32 frame plans one tile, so the retiring
+  // run is a full-frame solve that checks its residual every 10 iterations
+  // and stops at the first check under tolerance.
+  Rng rng(59);
+  const Matrix<float> v = random_image(rng, 32, 32, -2.f, 2.f);
+  TiledSolverOptions opt;
+  opt.merge_iterations = 10;
+  ResidentRunPolicy mid;
+  mid.tolerance = 1e-3f;
+  mid.patience = 1;
+  ResidentRunReport report;
+  (void)solve_resident(v, params_with(2000), opt, mid, &report);
+  ASSERT_EQ(report.tiles, 1u);
+  EXPECT_TRUE(report.all_converged());
+  EXPECT_GE(report.total_iterations, 20u);
+  EXPECT_LE(report.total_iterations, 400u);
+}
+
 TEST(ResidentAdaptive, ValidatesOptions) {
   ResidentRunPolicy o;
   EXPECT_NO_THROW(o.validate());  // the fixed budget

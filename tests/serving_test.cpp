@@ -44,6 +44,18 @@ void expect_memcmp_eq(const Matrix<float>& a, const Matrix<float>& b,
       << what;
 }
 
+// Turns telemetry off for one test's scope and restores it after.
+class TelemetryOff {
+ public:
+  TelemetryOff() : was_(telemetry::enabled()) { telemetry::set_enabled(false); }
+  ~TelemetryOff() { telemetry::set_enabled(was_); }
+  TelemetryOff(const TelemetryOff&) = delete;
+  TelemetryOff& operator=(const TelemetryOff&) = delete;
+
+ private:
+  bool was_;
+};
+
 // Small, fast solver configuration for Chambolle-mode streams.  Its
 // engines plan for 2 lanes, whatever the slot's width.
 tvl1::Tvl1Params quick_params() {
@@ -285,6 +297,9 @@ TEST(ServingAdmission, FailedRequestIsBookedAndThrowsThroughItsFuture) {
 // shared default pool; the fleet's per-slot pools make sessions overlap
 // and, above all, never deadlock).
 TEST(ServingFleet, MoreSessionsThanSlotsAndLanesCompletes) {
+  // The latency quantiles come from the service's own histogram, which
+  // records whether or not telemetry is on.
+  const TelemetryOff telemetry_off;
   FlowServiceOptions opts;
   opts.params = quick_params();
   opts.slots = 2;
@@ -319,6 +334,9 @@ TEST(ServingFleet, MoreSessionsThanSlotsAndLanesCompletes) {
   const serving::ServiceStats st = service.stats();
   EXPECT_EQ(st.completed, static_cast<std::uint64_t>(kSessions * kFrames));
   EXPECT_GT(st.batches, 0u);
+  EXPECT_GT(st.p50_ms, 0.0);
+  EXPECT_LE(st.p50_ms, st.p95_ms);
+  EXPECT_LE(st.p95_ms, st.p99_ms);
 }
 
 // The tentpole exactness claim, via the seeded differential oracle:

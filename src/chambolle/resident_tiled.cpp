@@ -463,13 +463,20 @@ std::span<const ResidentRunReport> ResidentTiledEngine::run(
     correction.emplace(*this, policy, levels, base);
 
   const int lane_count = lanes();
-  parallel::PerLane<Matrix<float>> scratch(lane_count);
-  const auto body = [&](int node, int epoch, int lane) -> bool {
+  if (scratch_.lanes() < lane_count)
+    scratch_ = parallel::PerLane<Matrix<float>>(lane_count);
+  const auto pass = [&](int node, int epoch, int lane) -> bool {
     const int g = base + epoch;  // global pass index since the last reload
     if (g > 0) gather_halos(node, g);
     if (correction) correction->at_pass(node, epoch);
     return node_pass(node, g, lane, epoch == passes - 1 ? final_burst : merge,
-                     policy, scratch[lane], runs_[node]);
+                     policy, scratch_[lane], runs_[node]);
+  };
+  // One captured reference: std::function stores it inline, so a run
+  // allocates nothing for its body.
+  const parallel::EpochGraph::NodeFn body = [&pass](int node, int epoch,
+                                                     int lane) {
+    return pass(node, epoch, lane);
   };
   parallel::EpochGraph::RendezvousFn rendezvous;
   if (correction)
@@ -490,6 +497,8 @@ std::span<const ResidentRunReport> ResidentTiledEngine::run(
         telemetry::registry().counter("tiles.coarse_unretired");
     static telemetry::Counter& c_rv_micros =
         telemetry::registry().counter("tiles.coarse_rendezvous_micros");
+    static telemetry::Gauge& g_correction =
+        telemetry::registry().gauge("tiles.coarse_correction_norm");
     float correction_max = 0.f;
     for (const ResidentRunReport& r : reports_) {
       c_solves.add(r.coarse_solves);
@@ -498,9 +507,7 @@ std::span<const ResidentRunReport> ResidentTiledEngine::run(
       c_rv_micros.add(static_cast<std::uint64_t>(r.rendezvous_seconds * 1e6));
       correction_max = std::max(correction_max, r.last_correction_max);
     }
-    telemetry::registry()
-        .gauge("tiles.coarse_correction_norm")
-        .set(static_cast<double>(correction_max));
+    g_correction.set(static_cast<double>(correction_max));
   }
   // Quiescent epilogue (every lane has joined): republish each retired
   // tile's final strips from its buffer into BOTH parity slots and clear
@@ -596,6 +603,10 @@ void ResidentTiledEngine::account(int passes,
       telemetry::registry().counter("tiles.stolen_passes");
   static telemetry::Histogram& h_passes = telemetry::registry().histogram(
       "tiles.passes_used", {1, 2, 4, 8, 16, 32, 64, 128, 256, 512});
+  static telemetry::Gauge& g_savings =
+      telemetry::registry().gauge("tiles.adaptive_pass_savings");
+  static telemetry::Gauge& g_halo_fraction =
+      telemetry::registry().gauge("tiles.halo_traffic_fraction");
   // Passes count per field: one pass of a K-field engine is K field passes,
   // however many of its tiles retired early (executed node passes are the
   // reports' total_tile_passes and the passes_used histogram).
@@ -609,22 +620,18 @@ void ResidentTiledEngine::account(int passes,
   for (const NodeRun& run : runs_) h_passes.observe(run.passes);
   const double fixed =
       static_cast<double>(runs_.size()) * static_cast<double>(passes);
-  telemetry::registry()
-      .gauge("tiles.adaptive_pass_savings")
-      .set(fixed > 0.0
-               ? 1.0 - static_cast<double>(rs.executed_passes) / fixed
-               : 0.0);
+  g_savings.set(fixed > 0.0
+                    ? 1.0 - static_cast<double>(rs.executed_passes) / fixed
+                    : 0.0);
   // Per-pass traffic of this engine vs. the reload engine's two full frames
   // in and out (4 floats/cell) per field: the acceptance-criterion ratio.
   const double frame_reload_bytes =
       4.0 * sizeof(float) * static_cast<double>(plan_.frame_rows) *
       static_cast<double>(plan_.frame_cols) * static_cast<double>(fields());
-  telemetry::registry()
-      .gauge("tiles.halo_traffic_fraction")
-      .set(frame_reload_bytes > 0.0
-               ? static_cast<double>(stats_.halo_elements_per_pass) *
-                     sizeof(float) / frame_reload_bytes
-               : 0.0);
+  g_halo_fraction.set(frame_reload_bytes > 0.0
+                          ? static_cast<double>(stats_.halo_elements_per_pass) *
+                                sizeof(float) / frame_reload_bytes
+                          : 0.0);
 }
 
 namespace {

@@ -384,6 +384,9 @@ class ResidentTiledEngine {
   int pass_count_ = 0;  ///< global passes completed; also the mailbox parity
   std::vector<NodeRun> runs_;                ///< per node, reset every run
   std::vector<ResidentRunReport> reports_;  ///< per field, reused every run
+  /// Per-lane kernel Term-row scratch, reused across runs; rebuilt only
+  /// when lanes() grows past it.
+  parallel::PerLane<Matrix<float>> scratch_{1};
   ResidentTiledStats stats_;
   /// Test-only fault injection: when set, called as (field, tile) before
   /// every kernel burst; a throw aborts the run like any body exception.

@@ -87,9 +87,10 @@ EpochGraph::RunStats EpochGraph::run(int passes, int lanes, ThreadPool& pool,
   std::atomic<int> rv_epoch{0};
   std::atomic<int> rv_claim{0};
   std::atomic<bool> rv_done{num_firings == 0};
-  PerLane<RunStats> lane_stats(team);
+  if (lane_stats_.lanes() < team) lane_stats_ = PerLane<RunStats>(team);
+  for (int lane = 0; lane < team; ++lane) lane_stats_[lane] = RunStats{};
 
-  pool.run_team(team, [&](int lane, int nlanes) {
+  const auto team_body = [&](int lane, int nlanes) {
     const int begin = block_begin(n, nlanes, lane);
     const int end = block_begin(n, nlanes, lane + 1);
     // A pinned lane scans its own block; a shared one scans the whole graph
@@ -97,7 +98,7 @@ EpochGraph::RunStats EpochGraph::run(int passes, int lanes, ThreadPool& pool,
     // while that lane has runnable work and migrates only when capacity
     // frees up.
     const int scan = shared ? n : end - begin;
-    RunStats& stats = lane_stats[lane];
+    RunStats& stats = lane_stats_[lane];
     int own_finished = 0;  // pinned: only this lane finishes its nodes
 
     const auto all_done = [&] {
@@ -231,15 +232,20 @@ EpochGraph::RunStats EpochGraph::run(int passes, int lanes, ThreadPool& pool,
       abort.store(true, std::memory_order_relaxed);
       throw;  // run_team captures and rethrows on the caller
     }
+  };
+  // One captured reference: std::function stores it inline, so dispatching
+  // the team allocates nothing.
+  pool.run_team(team, [&team_body](int lane, int nlanes) {
+    team_body(lane, nlanes);
   });
 
   for (int lane = 0; lane < team; ++lane) {
-    total.stall_seconds += lane_stats[lane].stall_seconds;
-    total.stall_spins += lane_stats[lane].stall_spins;
-    total.executed_passes += lane_stats[lane].executed_passes;
-    total.stolen_passes += lane_stats[lane].stolen_passes;
-    total.retired_nodes += lane_stats[lane].retired_nodes;
-    total.rendezvous_fired += lane_stats[lane].rendezvous_fired;
+    total.stall_seconds += lane_stats_[lane].stall_seconds;
+    total.stall_spins += lane_stats_[lane].stall_spins;
+    total.executed_passes += lane_stats_[lane].executed_passes;
+    total.stolen_passes += lane_stats_[lane].stolen_passes;
+    total.retired_nodes += lane_stats_[lane].retired_nodes;
+    total.rendezvous_fired += lane_stats_[lane].rendezvous_fired;
   }
   return total;
 }

@@ -168,6 +168,9 @@ class EpochGraph {
 
   std::vector<std::vector<int>> adj_;
   std::vector<NodeState> state_;
+  /// Per-lane run statistics, reused across runs; rebuilt only when a run's
+  /// team outgrows it.
+  PerLane<RunStats> lane_stats_{1};
 };
 
 }  // namespace chambolle::parallel

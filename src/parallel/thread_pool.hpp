@@ -165,14 +165,16 @@ class ThreadPool {
   std::atomic<std::uint64_t> threads_created_{0};
 };
 
-/// Minimum cells per chunk of parallel_rows(), by the cost of a cell: a
-/// chunk should carry ~64 us of work, well above what waking a worker costs
-/// on a loaded host, and a grid that fits one chunk runs inline on the
-/// caller.  Compute-bound passes (the warp -> threshold sweep, ~16 ns a
-/// cell) chunk at 4096 cells, which keeps the 40 x 32 coarsest level of a
-/// 316 x 252 pyramid inline; streaming passes (copies, gradients,
-/// prolongation, primal recovery, 1-2 ns a cell) at 65536, which keeps
-/// every frame below ~256 x 256 inline.
+/// Minimum cells per chunk of parallel_rows(), by the cost of a cell; a
+/// grid that fits one chunk runs inline on the caller.  Compute-bound
+/// passes (the warp -> threshold sweep: 4-6 ns a cell on its AVX-512 rows,
+/// 13-33 on its scalar rows) chunk at 4096 cells, 15-25 us of work on the
+/// AVX-512 rows and 55-135 us on the scalar ones, which keeps the 40 x 32
+/// coarsest level of a 316 x 252 pyramid inline; on the benchmark's three
+/// lanes 8192, 16384 and 32768 measured no faster end to end and slower in
+/// the sweep (EXPERIMENTS.md E19).  Streaming passes (copies, gradients,
+/// prolongation, primal recovery, 1-2 ns a cell) chunk at 65536, which
+/// keeps every frame below ~256 x 256 inline.
 inline constexpr int kComputeChunkCells = 4096;
 inline constexpr int kStreamChunkCells = 65536;
 

@@ -103,6 +103,34 @@ TEST(OuterLoopAllocations, SweepAllocatesNothingOnceItsOutputIsShaped) {
   }
 }
 
+TEST(OuterLoopAllocations, ResidentRunAllocatesNothingOnceWarm) {
+  // A TV-L1 inner solve: the two flow components of a 316 x 252 frame on
+  // one engine, three lanes.  The first run sizes the per-lane scratch;
+  // every later run, fixed or retiring, reuses it.
+  parallel::ThreadPool pool(3);
+  Rng rng(3);
+  const Matrix<float> v1 = random_image(rng, 252, 316, -1.f, 1.f);
+  const Matrix<float> v2 = random_image(rng, 252, 316, -1.f, 1.f);
+  const Matrix<float>* inputs[] = {&v1, &v2};
+  TiledSolverOptions opts;
+  opts.merge_iterations = 4;
+  opts.pool = &pool;
+  ResidentTiledEngine engine(inputs, ChambolleParams{0.25f, 0.0625f, 30},
+                             opts, {});
+  ResidentRunPolicy retiring;
+  retiring.tolerance = 1e-3f;
+  engine.run(30);
+  engine.run(30, retiring);
+  EXPECT_EQ(allocations_during([&] {
+              for (int k = 0; k < 5; ++k) engine.run(30);
+            }),
+            0);
+  EXPECT_EQ(allocations_during([&] {
+              for (int k = 0; k < 5; ++k) engine.run(30, retiring);
+            }),
+            0);
+}
+
 TEST(OuterLoopAllocations, ResidentResultIntoAllocatesNothingOnceShaped) {
   parallel::ThreadPool pool(3);
   Rng rng(2);
@@ -122,17 +150,19 @@ TEST(OuterLoopAllocations, ResidentResultIntoAllocatesNothingOnceShaped) {
 
 // The steady state of the benchmark's single-stream configuration: the
 // paper's 316 x 252 frame, the resident engine on its own plan, 4 levels x 5
-// warps x 30 iterations, three lanes.  Measured: 404 allocations per frame —
-// about 212 for the four per-level two-field engine builds (tile buffers,
+// warps x 30 iterations, three lanes.  Measured: 260 allocations per frame —
+// about 219 for the four per-level two-field engine builds (tile buffers,
 // mailboxes, epoch graph; 3 strips per field at the two finer levels, one
-// tile at the two coarser), about 7 per inner solve for the engine's per-run
-// scratch (20 solves), and the new frame's pyramid plus the per-level flow,
-// support-field and gradient buffers.  The pool allocates nothing when the
-// team width alternates between the one-tile and three-strip levels.  The
-// bound keeps the 11 % headroom it has had since the 88 x 92 window's 1144;
-// a second engine per level, or the 8 outer-loop temporaries per warp (160
-// per frame) the fused sweep removed, would break it.
-constexpr long long kPushFrameAllocationBound = 447;
+// tile at the two coarser), 14 for each engine's first run sizing its
+// per-lane scratch, and the new frame's pyramid plus the per-level flow,
+// support-field and gradient buffers.  The 20 inner solves allocate nothing
+// once their engine has run (ResidentRunAllocatesNothingOnceWarm), and the
+// pool allocates nothing when the team width alternates between the
+// one-tile and three-strip levels.  The bound keeps the 11 % headroom it has
+// had since the 88 x 92 window's 1144; a second engine per level, per-run
+// engine scratch (7 a solve, 140 a frame), or the 8 outer-loop temporaries
+// per warp (160 per frame) the fused sweep removed, would break it.
+constexpr long long kPushFrameAllocationBound = 289;
 
 TEST(OuterLoopAllocations, SteadyStateFlowSessionFrameStaysUnderItsBound) {
   parallel::ThreadPool pool(3);

@@ -5,15 +5,22 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "chambolle/resident_tiled.hpp"
 #include "chambolle/solver.hpp"
 #include "common/rng.hpp"
+#include "kernels/kernel.hpp"
 #include "parallel/thread_pool.hpp"
 #include "testing/resident_peer.hpp"
 #include "tvl1/pyramid.hpp"
+#include "tvl1/sweep_rows.hpp"
 #include "tvl1/threshold.hpp"
 #include "tvl1/tvl1.hpp"
 #include "tvl1/warp.hpp"
@@ -99,6 +106,196 @@ TEST(WarpThresholdSweep, MatchesReferenceStagesOnSeededShapes) {
   // The sweep of paths this property is meant to cover was exercised.
   EXPECT_GT(textureless, 0);
   EXPECT_GT(clamped, cells / 20);
+}
+
+// One sweep's operands, owned: random frames, a flow mixing sub-pixel,
+// far out-of-frame (the clamp path), integral and signed-zero vectors, and
+// a textureless patch (flat in both frames, zero flow inside).
+struct SweepCase {
+  Image i0, i1;
+  Gradients grad;
+  FlowField u;
+  float lt = 0.f;
+
+  SweepCase(Rng& rng, int rows, int cols) {
+    i0 = random_image(rng, rows, cols, 0.f, 1.f);
+    i1 = random_image(rng, rows, cols, 0.f, 1.f);
+    u = FlowField(rows, cols);
+    for (int r = 0; r < rows; ++r)
+      for (int c = 0; c < cols; ++c) {
+        const float pick = rng.uniform(0.f, 1.f);
+        float a, b;
+        if (pick < 0.1f) {  // out of frame, up to +-40 px
+          a = rng.uniform(-40.f, 40.f);
+          b = rng.uniform(-40.f, 40.f);
+        } else if (pick < 0.2f) {  // +-0: the taps sit on the pixel itself
+          a = rng.uniform(0.f, 1.f) < 0.5f ? 0.f : -0.f;
+          b = rng.uniform(0.f, 1.f) < 0.5f ? 0.f : -0.f;
+        } else if (pick < 0.3f) {  // integral: zero weights, floor == trunc
+          a = static_cast<float>(rng.uniform_int(-3, 3));
+          b = static_cast<float>(rng.uniform_int(-3, 3));
+        } else {
+          a = rng.uniform(-3.f, 3.f);
+          b = rng.uniform(-3.f, 3.f);
+        }
+        u.u1(r, c) = a;
+        u.u2(r, c) = b;
+      }
+    const int pr = rng.uniform_int(0, rows - 1);
+    const int pc = rng.uniform_int(0, cols - 1);
+    const int ph = rng.uniform_int(1, rows - pr);
+    const int pw = rng.uniform_int(1, cols - pc);
+    const float level = rng.uniform(0.f, 1.f);
+    for (int r = pr; r < pr + ph; ++r)
+      for (int c = pc; c < pc + pw; ++c) {
+        i1(r, c) = level;
+        i0(r, c) = level;
+        u.u1(r, c) = 0.f;
+        u.u2(r, c) = 0.f;
+      }
+    grad = gradients(i1);
+    lt = rng.uniform(1.f, 50.f) * rng.uniform(0.05f, 0.5f);
+  }
+
+  SweepFrame frame(FlowField& v) const {
+    return {i1.data().data(),   grad.gx.data().data(), grad.gy.data().data(),
+            i0.data().data(),   u.u1.data().data(),    u.u2.data().data(),
+            v.u1.data().data(), v.u2.data().data(),    i0.rows(),
+            i0.cols(),          lt};
+  }
+};
+
+TEST(WarpThresholdSweep, SimdRowMatchesScalarRowBitForBit) {
+  const SweepRowsFn simd = sweep_rows_avx512();
+  if (simd == nullptr || !kernels::backend_available(kernels::Backend::kAvx512))
+    GTEST_SKIP() << "no AVX-512F rows in this build or on this CPU";
+  Rng rng(0x51dull);
+  std::vector<std::pair<int, int>> shapes;
+  for (int cols = 1; cols <= 48; ++cols)  // every tail mask, 1-3 chunks
+    shapes.emplace_back(rng.uniform_int(1, 9), cols);
+  for (int k = 0; k < 24; ++k)
+    shapes.emplace_back(log_uniform_extent(rng), log_uniform_extent(rng));
+  shapes.emplace_back(252, 316);
+  const float sentinel = std::numeric_limits<float>::quiet_NaN();
+  long long still = 0, clamped = 0, cells = 0;
+  for (const auto& [rows, cols] : shapes) {
+    SCOPED_TRACE(std::to_string(rows) + "x" + std::to_string(cols));
+    const SweepCase sc(rng, rows, cols);
+    FlowField want(rows, cols);
+    sweep_rows_scalar(sc.frame(want), 0, rows);
+    // The SIMD rows on every other row only: a tail chunk that wrote past
+    // its row would overwrite a sentinel in the next.
+    FlowField got(rows, cols);
+    got.u1.fill(sentinel);
+    got.u2.fill(sentinel);
+    const SweepFrame f = sc.frame(got);
+    for (int r = 0; r < rows; r += 2) simd(f, r, r + 1);
+    for (int r = 0; r < rows; ++r) {
+      const std::size_t bytes = static_cast<std::size_t>(cols) * sizeof(float);
+      if (r % 2 == 0) {
+        ASSERT_EQ(std::memcmp(&got.u1(r, 0), &want.u1(r, 0), bytes), 0)
+            << "row " << r;
+        ASSERT_EQ(std::memcmp(&got.u2(r, 0), &want.u2(r, 0), bytes), 0)
+            << "row " << r;
+      } else {
+        for (int c = 0; c < cols; ++c)
+          ASSERT_TRUE(std::isnan(got.u1(r, c)) && std::isnan(got.u2(r, c)))
+              << "row " << r << " col " << c << " written";
+      }
+    }
+    // The odd rows too, so the whole frame is compared.
+    for (int r = 1; r < rows; r += 2) simd(f, r, r + 1);
+    ASSERT_TRUE(same_bits(got.u1, want.u1));
+    ASSERT_TRUE(same_bits(got.u2, want.u2));
+
+    for (int r = 0; r < rows; ++r)
+      for (int c = 0; c < cols; ++c) {
+        const float fr = static_cast<float>(r) + sc.u.u2(r, c);
+        const float fc = static_cast<float>(c) + sc.u.u1(r, c);
+        if (fr < 0.f || fc < 0.f || fr > static_cast<float>(rows - 1) ||
+            fc > static_cast<float>(cols - 1))
+          ++clamped;
+        if (want.u1(r, c) == sc.u.u1(r, c) && want.u2(r, c) == sc.u.u2(r, c))
+          ++still;  // a zero step: the flat patch's dead zone
+      }
+    cells += static_cast<long long>(rows) * cols;
+  }
+  // The paths this property is meant to cover were exercised.
+  EXPECT_GT(still, 0);
+  EXPECT_GT(clamped, cells / 20);
+
+  // Signed zeros and the textureless cut, which random data never hits:
+  // I1 = -0, I0 = +0 and u = -0 everywhere, so every sample is -0 and only
+  // the residual's gx*0 term turns rho into +0; the step's sign then shows
+  // in v = -0 + step.  Columns alternate a gradient in the middle branch
+  // (its -rho must be a sign flip) and one with |g|^2 == 1e-12 exactly (not
+  // above the cut: a zero step).
+  const float cut = std::sqrt(1e-12f);
+  ASSERT_EQ(cut * cut, 1e-12f);
+  for (const int cols : {1, 17, 37}) {
+    SCOPED_TRACE("signed zeros, 5x" + std::to_string(cols));
+    SweepCase sc(rng, 5, cols);
+    sc.i1.fill(-0.f);
+    sc.i0.fill(0.f);
+    sc.u.u1.fill(-0.f);
+    sc.u.u2.fill(-0.f);
+    for (int r = 0; r < 5; ++r)
+      for (int c = 0; c < cols; ++c) {
+        sc.grad.gx(r, c) = c % 2 == 0 ? 0.25f : cut;
+        sc.grad.gy(r, c) = r % 2 == 0 ? 0.f : -0.f;
+      }
+    FlowField want(5, cols), got(5, cols);
+    sweep_rows_scalar(sc.frame(want), 0, 5);
+    simd(sc.frame(got), 0, 5);
+    EXPECT_TRUE(std::signbit(want.u1(0, 0)));  // -0 + -0: the middle branch
+    if (cols > 1) {
+      EXPECT_FALSE(std::signbit(want.u1(0, 1)));  // -0 + +0: no step
+    }
+    EXPECT_TRUE(same_bits(got.u1, want.u1));
+    EXPECT_TRUE(same_bits(got.u2, want.u2));
+  }
+}
+
+TEST(WarpThresholdSweep, FramesBeyondInt32IndicesTakeTheScalarRows) {
+  constexpr std::size_t kMax = std::numeric_limits<std::int32_t>::max();
+  EXPECT_TRUE(gather_indices_fit(252, 316));
+  EXPECT_TRUE(gather_indices_fit(1, kMax));
+  EXPECT_TRUE(gather_indices_fit(kMax, 1));
+  EXPECT_TRUE(gather_indices_fit(65535, 32768));  // 2^31 - 2^15 cells
+  EXPECT_TRUE(gather_indices_fit(0, 5));
+  EXPECT_TRUE(gather_indices_fit(5, 0));
+  EXPECT_FALSE(gather_indices_fit(65536, 32768));  // 2^31 cells
+  EXPECT_FALSE(gather_indices_fit(2, kMax));
+  EXPECT_FALSE(gather_indices_fit(kMax, kMax));
+  // The predicate gates the SIMD rows without allocating such a frame.
+  EXPECT_EQ(select_sweep_rows(kernels::Backend::kAvx512, 65536, 32768),
+            &sweep_rows_scalar);
+  EXPECT_EQ(select_sweep_rows(kernels::Backend::kAvx512, 1, kMax + 1),
+            &sweep_rows_scalar);
+}
+
+TEST(WarpThresholdSweep, FollowsTheKernelBackend) {
+  // A silent fallback to the scalar rows under the avx512 backend must fail
+  // here (and in the CHAMBOLLE_KERNEL=avx512 CI job), not pass unnoticed.
+  const kernels::Backend active = kernels::active_backend();
+  const SweepRowsFn taken = select_sweep_rows(active, 252, 316);
+  if (active == kernels::Backend::kAvx512) {
+    ASSERT_NE(sweep_rows_avx512(), nullptr);
+    EXPECT_EQ(taken, sweep_rows_avx512());
+  } else {
+    EXPECT_EQ(taken, &sweep_rows_scalar);
+  }
+  const char* env = std::getenv("CHAMBOLLE_KERNEL");
+  if (env != nullptr && std::string(env) == "scalar") {
+    EXPECT_EQ(active, kernels::Backend::kScalar);
+    EXPECT_EQ(taken, &sweep_rows_scalar);
+  }
+  // Every backend other than avx512 takes the scalar rows.
+  for (const kernels::Backend b : kernels::available_backends()) {
+    if (b == kernels::Backend::kAvx512) continue;
+    EXPECT_EQ(select_sweep_rows(b, 252, 316), &sweep_rows_scalar)
+        << kernels::backend_name(b);
+  }
 }
 
 TEST(ThresholdSplit, NearTexturelessPointInsideTheDeadZoneDoesNotMove) {

@@ -162,9 +162,9 @@ struct ResidentTiledStats {
   std::uint64_t stall_spins = 0;
 };
 
-/// The engine object: buffers persist across run() calls, which is what lets
-/// warm-started outer loops (TV-L1 warps) keep duals resident and re-stream
-/// only v.  Use solve_resident() for the one-shot form.
+/// The engine object: buffers persist across run() calls and inputs, which is
+/// what lets a reused engine (EngineCache, engine_cache.hpp) re-stream only
+/// v.  Use solve_resident() for the one-shot form.
 class ResidentTiledEngine {
  public:
   /// The input fields of a K-field engine, one pointer per field.
@@ -237,9 +237,9 @@ class ResidentTiledEngine {
   void snapshot(DualField& out, int field = 0) const;
 
   /// Replaces the input fields (same count and shape) without touching the
-  /// resident duals: the warm-start path of TV-L1 warps, where only v
-  /// changes between inner solves.  When `initial` is non-empty (one state
-  /// per field) the duals are reloaded from it instead (cold restart in
+  /// resident duals, so a run continues from them with the new v; pair it
+  /// with reset_duals() for a cold start.  When `initial` is non-empty (one
+  /// state per field) the duals are reloaded from it instead (restart in
   /// place).  One pool region loads every field; every argument is
   /// validated before anything changes, so a throwing call leaves the
   /// engine as it was.
@@ -248,8 +248,8 @@ class ResidentTiledEngine {
   void reset_v(const Matrix<float>& v, const DualField* initial = nullptr);
 
   /// Zeroes the resident duals of every field in place (Algorithm 1's cold
-  /// start) without reallocating tile buffers — the default per-warp
-  /// restart of the TV-L1 integration, bit-exact equal to constructing a
+  /// start) without reallocating tile buffers — the per-warp restart of
+  /// the TV-L1 integration, bit-exact equal to constructing a
   /// fresh engine.
   void reset_duals();
 

@@ -3,12 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
-#include <map>
 #include <stdexcept>
 #include <thread>
 #include <utility>
 
-#include "chambolle/resident_tiled.hpp"
+#include "chambolle/engine_cache.hpp"
 #include "common/stopwatch.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
@@ -92,12 +91,18 @@ struct FlowService::SessionState {
 };
 
 struct FlowService::Slot {
-  int index = 0;
+  Slot(int lanes, const tvl1::Tvl1Params& params)
+      : pool(lanes), engines(params.chambolle, [&] {
+          TiledSolverOptions o = params.tiled;
+          o.pool = &pool;
+          return o;
+        }()) {}
+
   // Declared before the engines: engines are destroyed first (reverse
   // member order), while the pool they were bound to is still alive.
-  std::unique_ptr<parallel::ThreadPool> pool;
-  /// Resolution -> persistent resident engine; the fleet's warm cache.
-  std::map<std::pair<int, int>, std::unique_ptr<ResidentTiledEngine>> engines;
+  parallel::ThreadPool pool;
+  /// The slot's warm engines, shared by both request modes.
+  EngineCache engines;
   std::pair<int, int> last_shape{0, 0};
   std::thread worker;
 };
@@ -123,8 +128,6 @@ struct GlobalMetrics {
       telemetry::registry().counter("serving.failed");
   telemetry::Counter& batches =
       telemetry::registry().counter("serving.batches");
-  telemetry::Counter& engine_builds =
-      telemetry::registry().counter("serving.engine_builds");
   telemetry::Counter& sessions_opened =
       telemetry::registry().counter("serving.sessions.opened");
   telemetry::Gauge& queue_depth =
@@ -154,12 +157,8 @@ FlowService::FlowService(const FlowServiceOptions& options)
           ? options_.lanes_per_slot
           : std::max(1, static_cast<int>(hw) / options_.slots);
   slots_.reserve(static_cast<std::size_t>(options_.slots));
-  for (int i = 0; i < options_.slots; ++i) {
-    auto slot = std::make_unique<Slot>();
-    slot->index = i;
-    slot->pool = std::make_unique<parallel::ThreadPool>(lanes_per_slot_);
-    slots_.push_back(std::move(slot));
-  }
+  for (int i = 0; i < options_.slots; ++i)
+    slots_.push_back(std::make_unique<Slot>(lanes_per_slot_, options_.params));
   // Workers start only after every slot exists (they never touch slots_).
   for (auto& slot : slots_)
     slot->worker = std::thread([this, s = slot.get()] { worker_loop(*s); });
@@ -303,31 +302,12 @@ void FlowService::process(Slot& slot, SessionState& s, Request& req) {
   Stopwatch solve_clock;
   try {
     if (req.kind == Request::kSolve) {
-      const std::pair<int, int> shape = shape_of(req.input);
       // Warm-start duals only match the stream's current resolution; a
       // resolution switch restarts the chain cold (documented contract).
       const DualField* initial =
           s.has_duals && s.duals.px.same_shape(req.input) ? &s.duals : nullptr;
-      auto it = slot.engines.find(shape);
-      if (it == slot.engines.end()) {
-        TiledSolverOptions opts = options_.params.tiled;
-        opts.pool = slot.pool.get();
-        it = slot.engines
-                 .emplace(shape, std::make_unique<ResidentTiledEngine>(
-                                     req.input, options_.params.chambolle,
-                                     opts, initial))
-                 .first;
-        engine_builds_.fetch_add(1, std::memory_order_relaxed);
-        global_metrics().engine_builds.add(1);
-      } else {
-        ResidentTiledEngine& engine = *it->second;
-        engine.reset_v(req.input, initial);
-        // reset_v(.., nullptr) leaves the previous session's duals in the
-        // tiles — the cold start must zero them explicitly.
-        if (initial == nullptr) engine.reset_duals();
-      }
-      slot.last_shape = shape;
-      ResidentTiledEngine& engine = *it->second;
+      ResidentTiledEngine& engine = slot.engines.bind(req.input, initial);
+      slot.last_shape = shape_of(req.input);
       // The fixed schedule: bit-exact and lane-count independent, which
       // is what makes the concurrent-sessions oracle possible.
       engine.run(options_.params.chambolle.iterations);
@@ -337,9 +317,8 @@ void FlowService::process(Slot& slot, SessionState& s, Request& req) {
       s.has_duals = true;
       reply.status = ReplyStatus::kOk;
     } else {
-      s.flow.set_pool(slot.pool.get());
       std::optional<FlowField> flow =
-          s.flow.push_frame(req.input, &reply.flow_stats);
+          s.flow.push_frame(req.input, &reply.flow_stats, &slot.engines);
       if (flow.has_value()) {
         reply.flow = std::move(*flow);
         reply.status = ReplyStatus::kOk;
@@ -382,7 +361,10 @@ ServiceStats FlowService::stats() const {
   out.shed_deadline = shed_deadline_.load(std::memory_order_relaxed);
   out.failed = failed_.load(std::memory_order_relaxed);
   out.batches = batches_.load(std::memory_order_relaxed);
-  out.engine_builds = engine_builds_.load(std::memory_order_relaxed);
+  for (const auto& slot : slots_) {
+    out.engine_builds += slot->engines.builds();
+    out.engine_evictions += slot->engines.evictions();
+  }
   {
     std::lock_guard<std::mutex> lk(mu_);
     out.queue_depth = queue_depth_;

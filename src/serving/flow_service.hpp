@@ -11,12 +11,12 @@
 //
 // FlowService fixes both.  It owns a fleet of `slots` engine slots; each
 // slot has its OWN lane-partitioned ThreadPool (injected into every solve
-// through TiledSolverOptions::pool) and a cache of persistent
-// ResidentTiledEngines keyed by frame resolution, so a request for a
-// previously seen shape reuses pinned tile buffers via reset_v() instead
-// of reallocating.  Sessions carry the per-stream state across requests:
-// the warm-start dual field for Chambolle-solve streams and the cached
-// previous-frame pyramid (tvl1::FlowSession) for optical-flow streams.
+// through TiledSolverOptions::pool) and a bounded EngineCache on it, shared
+// by both request modes, so a request for a recently seen shape reuses
+// pinned tile buffers instead of reallocating.  Sessions carry the
+// per-stream state across requests: the warm-start dual field for
+// Chambolle-solve streams and the cached previous-frame pyramid
+// (tvl1::FlowSession) for optical-flow streams.
 //
 // Scheduling: submissions land in a bounded per-session FIFO; a session
 // with pending work is "runnable".  A free slot claims one runnable
@@ -129,10 +129,10 @@ struct ServiceStats {
   /// admitted request has resolved.
   std::uint64_t failed = 0;
   std::uint64_t batches = 0;         ///< slot checkouts
-  /// Chambolle-mode slot engines constructed (flow-mode sessions build
-  /// their engines inside tvl1::FlowSession; tiles.engine_builds counts
-  /// every engine).
+  /// Engines the slot caches built, for both modes: a flow frame binds one
+  /// per pyramid level.  A steady mix of shapes stops adding to it.
   std::uint64_t engine_builds = 0;
+  std::uint64_t engine_evictions = 0;  ///< slot-cache LRU evictions
   std::size_t queue_depth = 0;       ///< requests currently queued
   double p50_ms = 0.0, p95_ms = 0.0, p99_ms = 0.0;
 };
@@ -188,7 +188,7 @@ class FlowService {
   std::atomic<std::uint64_t> admitted_{0}, completed_{0}, primed_{0};
   std::atomic<std::uint64_t> shed_queue_full_{0}, shed_deadline_{0};
   std::atomic<std::uint64_t> failed_{0};
-  std::atomic<std::uint64_t> batches_{0}, engine_builds_{0};
+  std::atomic<std::uint64_t> batches_{0};
   telemetry::Histogram latency_ms_{telemetry::default_ms_bounds()};
 };
 

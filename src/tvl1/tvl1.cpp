@@ -1,7 +1,6 @@
 #include "tvl1/tvl1.hpp"
 
 #include <cmath>
-#include <memory>
 #include <optional>
 #include <stdexcept>
 
@@ -48,43 +47,35 @@ long long component_solve(const Matrix<float>& v, const Tvl1Params& params,
   throw std::logic_error("component_solve: unknown solver");
 }
 
-// Both components' Chambolle solves through the resident engine: `engine`
-// holds u1 and u2 as two fields of one tile graph, so one run advances both
-// and a lane blocked on one component's neighbor runs the other's tiles.
-// Tile buffers survive across warps of a level, so the steady state
-// re-streams only v; the engine is rebuilt when the pyramid level changes
-// shape.  Returns the inner-iteration count both solves contributed to the
-// stats: each component's tile-average of the iterations actually executed
-// (the fixed budget unless the policy retires tiles).
+// Both components' Chambolle solves through the resident engine: u1 and u2
+// are two fields of one engine, so one run advances both and a lane blocked
+// on one component's neighbor runs the other's tiles.  `engines` keeps one
+// engine per level shape, so a warp re-streams only v into cold duals.
+// Returns the inner-iteration count both solves contributed to the stats:
+// each component's tile-average of the iterations actually executed (the
+// fixed budget unless the policy retires tiles).
 long long resident_solve(const FlowField& v, const Tvl1Params& params,
-                         FlowField& flow,
-                         std::unique_ptr<ResidentTiledEngine>& engine) {
+                         FlowField& flow, EngineCache& engines) {
   const Matrix<float>* const fields[] = {&v.u1, &v.u2};
-  if (engine == nullptr || engine->rows() != v.u1.rows() ||
-      engine->cols() != v.u1.cols()) {
-    engine = std::make_unique<ResidentTiledEngine>(fields, params.chambolle,
-                                                   params.tiled);
-  } else {
-    engine->reset_v(fields);
-    if (!params.warm_start_duals) engine->reset_duals();
-  }
+  ResidentTiledEngine& engine = engines.bind(fields);
   long long iters = 0;
   for (const ResidentRunReport& rep :
-       engine->run(params.chambolle.iterations, params.resident))
+       engine.run(params.chambolle.iterations, params.resident))
     iters += static_cast<long long>(rep.total_iterations) /
              static_cast<long long>(rep.tiles);
   Matrix<float>* const u[] = {&flow.u1, &flow.u2};
-  engine->result_into(u);
+  engine.result_into(u);
   return iters;
 }
 
-// The coarse-to-fine loop shared by both compute_flow overloads.  The caller
-// owns `total_clock` so the image overload's stats keep covering the pyramid
-// builds (as they always did), while the pyramid overload's stats cover only
-// the work it actually performs.
+// The coarse-to-fine loop shared by both compute_flow overloads and
+// FlowSession; kResident solves bind their engines from `engines`.  The
+// caller owns `total_clock` so the image overload's stats keep covering the
+// pyramid builds (as they always did), while the pyramid overload's stats
+// cover only the work it actually performs.
 FlowField flow_from_pyramids(const Pyramid& p0, const Pyramid& p1,
-                             const Tvl1Params& params, Tvl1Stats* stats,
-                             Stopwatch& total_clock) {
+                             const Tvl1Params& params, EngineCache& engines,
+                             Tvl1Stats* stats, Stopwatch& total_clock) {
   const int levels = std::min(p0.levels(), p1.levels());
   double chambolle_seconds = 0.0;
   long long inner_iters = 0;
@@ -93,16 +84,13 @@ FlowField flow_from_pyramids(const Pyramid& p0, const Pyramid& p1,
   // dual state and primal output land in these buffers, so the steady state
   // of the pyramid loop stops allocating fresh frames per warp.
   ChambolleResult inner_scratch;
-  // kResident: one persistent engine for both flow components; tile buffers
-  // stay resident across warps (rebuilt only when the level changes shape).
-  std::unique_ptr<ResidentTiledEngine> resident;
   FlowField u = coarse_to_fine(
       p0, p1, params, [&](const FlowField& v, int, int, FlowField& flow) {
         total_clock.lap();  // the outer-loop stages are not inner time
         {
           const telemetry::TraceSpan span("tvl1.chambolle_inner");
           if (params.solver == InnerSolver::kResident) {
-            inner_iters += resident_solve(v, params, flow, resident);
+            inner_iters += resident_solve(v, params, flow, engines);
           } else {
             inner_iters +=
                 component_solve(v.u1, params, flow.u1, inner_scratch);
@@ -171,7 +159,8 @@ FlowField compute_flow(const Image& i0, const Image& i1,
   // session's pool (frame-rate service work, not worth a spawn).
   const auto [p0, p1] =
       build_pyramids(i0, i1, params.pyramid_levels, pool_for(params));
-  return flow_from_pyramids(p0, p1, params, stats, total_clock);
+  EngineCache engines(params.chambolle, params.tiled);
+  return flow_from_pyramids(p0, p1, params, engines, stats, total_clock);
 }
 
 FlowField compute_flow(const Pyramid& p0, const Pyramid& p1,
@@ -184,15 +173,18 @@ FlowField compute_flow(const Pyramid& p0, const Pyramid& p1,
 
   const telemetry::TraceSpan flow_span("tvl1.compute_flow");
   Stopwatch total_clock;
-  return flow_from_pyramids(p0, p1, params, stats, total_clock);
+  EngineCache engines(params.chambolle, params.tiled);
+  return flow_from_pyramids(p0, p1, params, engines, stats, total_clock);
 }
 
-FlowSession::FlowSession(const Tvl1Params& params) : params_(params) {
+FlowSession::FlowSession(const Tvl1Params& params)
+    : params_(params), engines_(params.chambolle, params.tiled) {
   params_.validate();
 }
 
 std::optional<FlowField> FlowSession::push_frame(const Image& frame,
-                                                Tvl1Stats* stats) {
+                                                Tvl1Stats* stats,
+                                                EngineCache* engines) {
   if (frame.rows() < 2 || frame.cols() < 2)
     throw std::invalid_argument("FlowSession: frames must be at least 2x2");
   require_finite(frame, "FlowSession: frame");
@@ -210,7 +202,13 @@ std::optional<FlowField> FlowSession::push_frame(const Image& frame,
     if (stats != nullptr) *stats = Tvl1Stats{};
     return std::nullopt;
   }
-  FlowField flow = compute_flow(*prev_, pyr, params_, stats);
+  EngineCache& cache = engines != nullptr ? *engines : engines_;
+  Tvl1Params params = params_;
+  params.tiled.pool = cache.options().pool;  // the outer loop's pool too
+  const telemetry::TraceSpan flow_span("tvl1.compute_flow");
+  Stopwatch total_clock;
+  FlowField flow =
+      flow_from_pyramids(*prev_, pyr, params, cache, stats, total_clock);
   prev_.emplace(std::move(pyr));
   ++frames_;
   return flow;

@@ -10,8 +10,8 @@
 
 #include <optional>
 
+#include "chambolle/engine_cache.hpp"
 #include "chambolle/params.hpp"
-#include "chambolle/resident_tiled.hpp"
 #include "chambolle/tiled_solver.hpp"
 #include "common/image.hpp"
 #include "tvl1/pyramid.hpp"
@@ -38,12 +38,6 @@ struct Tvl1Params {
   InnerSolver solver = InnerSolver::kReference;
   /// Tiled-solver options, used when solver == kTiled or kResident.
   TiledSolverOptions tiled{};
-  /// kResident only: keep the dual fields resident across warps of a level
-  /// instead of zeroing them per warp.  Off by default so the default
-  /// results are bit-identical to every other inner solver; on, the duals
-  /// warm-start each warp from the previous one (often fewer effective
-  /// iterations needed, but numerically a different — not wrong — solve).
-  bool warm_start_duals = false;
   /// kResident only: how each inner solve spends its iteration budget
   /// (ResidentRunPolicy).  The default fixed budget keeps the results
   /// bit-identical to every other inner solver; a tolerance > 0 retires
@@ -90,10 +84,9 @@ struct Tvl1Stats {
 /// Per-stream flow state for a video session: feeds frames one at a time
 /// and keeps the previous frame's pyramid cached across calls, so the
 /// steady state builds one pyramid per frame instead of two per pair.
-/// This is the per-session object the serving layer (src/serving/)
-/// checks out onto fleet engines; the pool its solves run on is
-/// re-targetable per frame because a session may be scheduled onto a
-/// different engine slot every time.
+/// kResident solves bind their per-level engines from an EngineCache, so
+/// after the first flow a frame builds none.  This is the per-session
+/// object the serving layer (src/serving/) checks out onto fleet slots.
 class FlowSession {
  public:
   /// Validates and captures the parameters for the whole stream.
@@ -103,9 +96,13 @@ class FlowSession {
   /// caches its pyramid) and returns nullopt; every later frame returns the
   /// flow from the previous frame to this one.  Frames must keep one shape
   /// for the session's lifetime.  Bit-identical to running
-  /// compute_flow(prev, frame, params) on each consecutive pair.
+  /// compute_flow(prev, frame, params) on each consecutive pair.  Solves
+  /// on `engines` and its pool when given (a serving slot's cache, built
+  /// from this session's chambolle and tiled parameters), else on the
+  /// session's own cache.
   std::optional<FlowField> push_frame(const Image& frame,
-                                      Tvl1Stats* stats = nullptr);
+                                      Tvl1Stats* stats = nullptr,
+                                      EngineCache* engines = nullptr);
 
   /// Frames accepted so far (flows produced = max(0, frames() - 1)).
   [[nodiscard]] int frames() const { return frames_; }
@@ -114,15 +111,12 @@ class FlowSession {
   /// cut / seek).  Parameters are kept.
   void reset();
 
-  /// Re-targets the pool the session's solves run on (nullptr =
-  /// default_pool()).  The serving layer sets this at every engine-slot
-  /// checkout; the pointer must outlive the next push_frame.
-  void set_pool(parallel::ThreadPool* pool) { params_.tiled.pool = pool; }
-
   [[nodiscard]] const Tvl1Params& params() const { return params_; }
+  [[nodiscard]] const EngineCache& own_engines() const { return engines_; }
 
  private:
   Tvl1Params params_;
+  EngineCache engines_;
   std::optional<Pyramid> prev_;  ///< previous frame's normalized pyramid
   int frames_ = 0;
 };

@@ -150,19 +150,19 @@ TEST(OuterLoopAllocations, ResidentResultIntoAllocatesNothingOnceShaped) {
 
 // The steady state of the benchmark's single-stream configuration: the
 // paper's 316 x 252 frame, the resident engine on its own plan, 4 levels x 5
-// warps x 30 iterations, three lanes.  Measured: 260 allocations per frame —
-// about 219 for the four per-level two-field engine builds (tile buffers,
-// mailboxes, epoch graph; 3 strips per field at the two finer levels, one
-// tile at the two coarser), 14 for each engine's first run sizing its
-// per-lane scratch, and the new frame's pyramid plus the per-level flow,
-// support-field and gradient buffers.  The 20 inner solves allocate nothing
-// once their engine has run (ResidentRunAllocatesNothingOnceWarm), and the
-// pool allocates nothing when the team width alternates between the
-// one-tile and three-strip levels.  The bound keeps the 11 % headroom it has
-// had since the 88 x 92 window's 1144; a second engine per level, per-run
-// engine scratch (7 a solve, 140 a frame), or the 8 outer-loop temporaries
-// per warp (160 per frame) the fused sweep removed, would break it.
-constexpr long long kPushFrameAllocationBound = 289;
+// warps x 30 iterations, three lanes.  Measured: 32 allocations per frame —
+// 7 for the new frame's pyramid and 25 for the per-level flow, support-field
+// and gradient buffers the outer loop reshapes at every level.  The four
+// per-level two-field engines stay in the session's EngineCache, so a frame
+// builds none; the 20 inner solves allocate nothing once their engine has
+// run (ResidentRunAllocatesNothingOnceWarm), and the pool allocates nothing
+// when the team width alternates between the one-tile and three-strip
+// levels.  The bound keeps the 11 % headroom it has had since the 88 x 92
+// window's 1144; one engine build per frame (24 at a coarse level, about 90
+// at a fine one), per-run engine scratch (7 a solve, 140 a frame), or the 8
+// outer-loop temporaries per warp (160 per frame) the fused sweep removed,
+// would break it.
+constexpr long long kPushFrameAllocationBound = 35;
 
 TEST(OuterLoopAllocations, SteadyStateFlowSessionFrameStaysUnderItsBound) {
   parallel::ThreadPool pool(3);

@@ -107,7 +107,7 @@ Matrix<float> golden_solve(const Matrix<float>& v, const Tvl1Params& p,
     engine = std::make_unique<ResidentTiledEngine>(v, p.chambolle, p.tiled);
   } else {
     engine->reset_v(v);
-    if (!p.warm_start_duals) engine->reset_duals();
+    engine->reset_duals();
   }
   (void)engine->run(p.chambolle.iterations, p.resident);
   return engine->result().u;
@@ -164,9 +164,6 @@ std::vector<Case> cases() {
   out.push_back({"fixed", p});
   p.solver = InnerSolver::kResident;
   out.push_back({"resident", p});
-  p.warm_start_duals = true;
-  out.push_back({"resident+warm", p});
-  p.warm_start_duals = false;
   p.resident.tolerance = 2e-3f;  // loose enough that tiles actually retire
   out.push_back({"resident-adaptive", p});
   p.resident.multilevel.period = 2;
@@ -207,8 +204,8 @@ TEST(Tvl1Golden, FlowSessionMatchesSerialLoopAtEveryLaneCount) {
       SCOPED_TRACE(std::string(c.name) + " lanes=" + std::to_string(lanes));
       Tvl1Params p = c.params;
       p.tiled.num_threads = lanes;
+      p.tiled.pool = &pool;
       FlowSession session(p);
-      session.set_pool(&pool);
       ASSERT_FALSE(session.push_frame(seq.frames[0]).has_value());
       for (std::size_t f = 1; f < seq.frames.size(); ++f) {
         const std::optional<FlowField> got = session.push_frame(seq.frames[f]);

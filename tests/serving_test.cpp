@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "chambolle/engine_cache.hpp"
 #include "chambolle/resident_tiled.hpp"
 #include "chambolle/tile.hpp"
 #include "common/rng.hpp"
@@ -152,6 +153,38 @@ TEST(ServingSession, ResolutionSwitchRestartsColdAndStillMatches) {
   }
 }
 
+// A client cycling through more resolutions than a slot's engine cache
+// holds: the slot keeps at most EngineCache::kCapacity engines, evicting the
+// least recently bound, and every reply still equals the fresh-engine chain.
+TEST(ServingSession, CyclingResolutionsStaysWithinTheCacheBound) {
+  FlowServiceOptions opts;
+  opts.params = quick_params();
+  opts.slots = 1;
+  opts.lanes_per_slot = 2;
+  FlowService service(opts);
+  auto session = service.open_session();
+
+  constexpr std::uint64_t kShapes = EngineCache::kCapacity + 3;
+  std::vector<Matrix<float>> frames;
+  for (int cycle = 0; cycle < 2; ++cycle)
+    for (std::uint64_t k = 0; k < kShapes; ++k)
+      for (int rep = 0; rep < 2; ++rep)  // the second frame starts warm
+        frames.push_back(random_v(20 + 2 * static_cast<int>(k),
+                                  24 + static_cast<int>(k),
+                                  9400 + frames.size()));
+  const std::vector<Matrix<float>> want = serial_chain(frames, opts.params);
+  for (std::size_t f = 0; f < frames.size(); ++f) {
+    Reply r = session->submit(frames[f]).get();
+    ASSERT_EQ(r.status, ReplyStatus::kOk) << "frame " << f;
+    expect_memcmp_eq(r.u, want[f], "cycling-resolution frame");
+  }
+  // A cycle longer than the cache misses on every shape change.
+  const serving::ServiceStats st = service.stats();
+  EXPECT_EQ(st.engine_builds, 2 * kShapes);
+  EXPECT_EQ(st.engine_evictions, 2 * kShapes - EngineCache::kCapacity);
+  EXPECT_EQ(st.engine_builds - st.engine_evictions, EngineCache::kCapacity);
+}
+
 TEST(ServingFlow, FlowStreamMatchesComputeFlowPairs) {
   tvl1::Tvl1Params p;
   p.pyramid_levels = 2;
@@ -179,6 +212,39 @@ TEST(ServingFlow, FlowStreamMatchesComputeFlowPairs) {
     EXPECT_GT(r.flow_stats.levels_processed, 0);
   }
   EXPECT_EQ(service.stats().primed, 1u);
+}
+
+// A flow session's first flow builds one engine per pyramid level in its
+// slot's cache; later frames rebind them and build none.
+TEST(ServingFlow, SteadyFlowSessionStopsBuildingEngines) {
+  tvl1::Tvl1Params p;
+  p.solver = tvl1::InnerSolver::kResident;
+  p.pyramid_levels = 3;
+  p.warps = 2;
+  p.chambolle.iterations = 4;
+  p.tiled.merge_iterations = 2;
+  FlowServiceOptions opts;
+  opts.params = p;
+  opts.slots = 1;
+  opts.lanes_per_slot = 2;
+  FlowService service(opts);
+  auto session = service.open_session();
+
+  Rng rng(9500);
+  std::vector<Image> frames;
+  for (int f = 0; f < 4; ++f) frames.push_back(random_image(rng, 64, 72));
+  EXPECT_EQ(session->submit_frame(frames[0]).get().status,
+            ReplyStatus::kPrimed);
+  EXPECT_EQ(service.stats().engine_builds, 0u);
+  for (int f = 1; f < 4; ++f) {
+    Reply r = session->submit_frame(frames[f]).get();
+    ASSERT_EQ(r.status, ReplyStatus::kOk);
+    const FlowField want = tvl1::compute_flow(frames[f - 1], frames[f], p);
+    expect_memcmp_eq(r.flow.u1, want.u1, "cached-engine flow u1");
+    expect_memcmp_eq(r.flow.u2, want.u2, "cached-engine flow u2");
+    ASSERT_EQ(r.flow_stats.levels_processed, 3);
+    EXPECT_EQ(service.stats().engine_builds, 3u) << "frame " << f;
+  }
 }
 
 // Deterministic queue-full shedding: one slot, its worker pinned down by a
@@ -426,6 +492,41 @@ TEST(FlowSessionTest, StreamMatchesPairwiseComputeFlow) {
   session.reset();
   EXPECT_EQ(session.frames(), 0);
   EXPECT_FALSE(session.push_frame(frames[0]).has_value());  // primes again
+}
+
+// A standalone session keeps its per-level engines across frames: after
+// its first flow no frame builds one, by its cache's count and by
+// tiles.engine_builds.
+TEST(FlowSessionTest, BuildsNoEnginesAfterItsFirstFlow) {
+  const bool was_enabled = telemetry::enabled();
+  telemetry::set_enabled(true);
+  telemetry::Counter& builds =
+      telemetry::registry().counter("tiles.engine_builds");
+  tvl1::Tvl1Params p;
+  p.solver = tvl1::InnerSolver::kResident;
+  p.pyramid_levels = 3;
+  p.warps = 2;
+  p.chambolle.iterations = 4;
+  p.tiled.merge_iterations = 2;
+  tvl1::FlowSession session(p);
+  Rng rng(9920);
+  std::vector<Image> frames;
+  for (int f = 0; f < 5; ++f) frames.push_back(random_image(rng, 64, 72));
+
+  (void)session.push_frame(frames[0]);
+  (void)session.push_frame(frames[1]);
+  EXPECT_EQ(session.own_engines().builds(), 3u);
+  for (int f = 2; f < 5; ++f) {
+    const FlowField want = tvl1::compute_flow(frames[f - 1], frames[f], p);
+    const std::uint64_t builds0 = builds.value();
+    const std::optional<FlowField> got = session.push_frame(frames[f]);
+    EXPECT_EQ(builds.value(), builds0) << "frame " << f;
+    EXPECT_EQ(session.own_engines().builds(), 3u) << "frame " << f;
+    ASSERT_TRUE(got.has_value());
+    expect_memcmp_eq(got->u1, want.u1, "cached-engine session u1");
+    expect_memcmp_eq(got->u2, want.u2, "cached-engine session u2");
+  }
+  telemetry::set_enabled(was_enabled);
 }
 
 TEST(FlowSessionTest, ShapeChangeMidStreamThrows) {

@@ -356,7 +356,7 @@ ResidentComparison measure_resident_vs_reload(int threads) {
   out.reload_ms = repeat_ms_of([&] { (void)solve_tiled(v, params, opt); },
                                kTrajectoryRepeats);
   out.one_shot_ms = repeat_ms_of(
-      [&] { (void)solve_resident(v, params, opt, {}, nullptr, &out.stats); },
+      [&] { (void)solve_resident(v, params, opt, &out.stats); },
       kTrajectoryRepeats);
   ResidentTiledEngine engine(v, params, opt);
   engine.run(params.iterations);  // warm the resident buffers
@@ -364,48 +364,6 @@ ResidentComparison measure_resident_vs_reload(int threads) {
       [&] {
         engine.reset_duals();
         engine.run(params.iterations);
-      },
-      kTrajectoryRepeats);
-  return out;
-}
-
-// Adaptive vs fixed-budget resident solve on a half-static workload: the
-// left half of the frame is constant, so its tiles' duals still after a few
-// passes and the adaptive engine retires them — the content regime (static
-// background, moving subject) the per-tile early stopping exists for.
-Matrix<float> half_static_field(int rows, int cols) {
-  Rng rng(static_cast<std::uint64_t>(rows) * 7177 + cols);
-  Matrix<float> v = random_image(rng, rows, cols, -2.f, 2.f);
-  for (int r = 0; r < rows; ++r)
-    for (int c = 0; c < cols / 2; ++c) v(r, c) = 0.25f;
-  return v;
-}
-
-struct AdaptiveComparison {
-  telemetry::RepeatStats fixed_ms;
-  telemetry::RepeatStats adaptive_ms;
-  ResidentRunReport report;  // of the last adaptive solve
-  [[nodiscard]] double speedup() const {
-    return adaptive_ms.median > 0.0 ? fixed_ms.median / adaptive_ms.median
-                                    : 0.0;
-  }
-};
-
-AdaptiveComparison measure_adaptive_vs_fixed(int threads) {
-  constexpr int kRows = 768, kCols = 1024, kIters = 100;
-  const Matrix<float> v = half_static_field(kRows, kCols);
-  const ChambolleParams params = bench_params(kIters);
-  TiledSolverOptions opt;  // the engine's own plan, merge depth 4
-  opt.num_threads = threads;
-  ResidentRunPolicy adaptive;
-  adaptive.tolerance = 1e-4f;
-  AdaptiveComparison out;
-  (void)solve_resident(v, params, opt);  // warm up pool + page in the frame
-  out.fixed_ms = repeat_ms_of([&] { (void)solve_resident(v, params, opt); },
-                              kTrajectoryRepeats);
-  out.adaptive_ms = repeat_ms_of(
-      [&] {
-        (void)solve_resident(v, params, opt, adaptive, &out.report);
       },
       kTrajectoryRepeats);
   return out;
@@ -466,21 +424,6 @@ int main(int argc, char** argv) {
       res.speedup(), res.steady_ms.median, res.steady_speedup(),
       res.stats.halo_elements_per_pass,
       static_cast<std::size_t>(4) * 768 * 1024);
-
-  // Adaptive-vs-fixed trajectory: per-tile early stopping on a half-static
-  // frame (the acceptance figure of the adaptive engine — measurably fewer
-  // tile-passes than the fixed budget on >= 50% smooth content).
-  const AdaptiveComparison ad = measure_adaptive_vs_fixed(4);
-  std::printf(
-      "\nadaptive trajectory (1024x768 half-static, 100 iterations, 4 "
-      "threads, median of %d):\n"
-      "  resident fixed   : %.3f ms (%zu tile-passes)\n"
-      "  resident adaptive: %.3f ms -> %.2fx (%zu tile-passes, %.0f%% "
-      "saved, %zu/%zu tiles converged)\n",
-      kTrajectoryRepeats, ad.fixed_ms.median,
-      ad.report.fixed_budget_passes(), ad.adaptive_ms.median, ad.speedup(),
-      ad.report.total_tile_passes, 100.0 * ad.report.pass_savings(),
-      ad.report.tiles_converged, ad.report.tiles);
 
   // Lane utilization of one profiled resident solve — the measurement the
   // profiler exists for: how much of each lane's wall time the epoch-graph
@@ -544,27 +487,6 @@ int main(int argc, char** argv) {
       "resident_halo_fraction_of_reload",
       fmt(static_cast<double>(res.stats.halo_elements_per_pass) /
           (4.0 * 768.0 * 1024.0)));
-  // The adaptive acceptance block: same frame size, half-static content,
-  // 100 iterations.  The pass-savings and tile-convergence figures are what
-  // EXPERIMENTS.md cites; the two _ms medians feed the CI perf gate.
-  report.emplace_back("adaptive_frame", "1024x768-half-static");
-  report.emplace_back("adaptive_threads", "4");
-  report.emplace_back("adaptive_iterations", "100");
-  chambolle::telemetry::append_repeat_stats(report, "adaptive_fixed_ms",
-                                            ad.fixed_ms);
-  chambolle::telemetry::append_repeat_stats(report, "adaptive_ms",
-                                            ad.adaptive_ms);
-  report.emplace_back("adaptive_speedup_vs_fixed", fmt(ad.speedup()));
-  report.emplace_back("adaptive_tiles", std::to_string(ad.report.tiles));
-  report.emplace_back("adaptive_tiles_converged",
-                      std::to_string(ad.report.tiles_converged));
-  report.emplace_back("adaptive_total_tile_passes",
-                      std::to_string(ad.report.total_tile_passes));
-  report.emplace_back("adaptive_fixed_budget_passes",
-                      std::to_string(ad.report.fixed_budget_passes()));
-  report.emplace_back("adaptive_pass_savings", fmt(ad.report.pass_savings()));
-  report.emplace_back("adaptive_stolen_passes",
-                      std::to_string(ad.report.stolen_passes));
   report.emplace_back("resident_busy_fraction", fmt(profile.busy_fraction()));
   report.emplace_back("resident_imbalance_ratio",
                       fmt(profile.imbalance_ratio()));

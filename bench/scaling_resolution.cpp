@@ -2,133 +2,14 @@
 // across resolutions and iteration counts ("the proposed hardware proves to
 // scale very well with the frame size", Section VI), including every
 // resolution that appears in Table II.
-//
-// Extended with experiment E12: passes-to-quality of the software engines
-// across resolutions.  The resident engine propagates information one halo
-// strip per pass, so the pass count to drain GLOBAL low-frequency error
-// grows with frame size; the multi-level coarse-grid correction
-// (ResidentRunPolicy::multilevel) moves that error in one coarse solve,
-// keeping the pass count roughly flat — the sublinear-scaling claim this
-// bench measures.
-//
-// Protocol (time-to-quality): every engine runs chunked (32 passes per
-// chunk) on the same stiff smooth workload, probing after each chunk with
-// one pure fine pass; an engine stops when the probe's max |delta u| falls
-// under the probe tolerance.  The multilevel row's headline number is the
-// first checkpoint whose ROF energy is at or below the adaptive baseline's
-// FINAL energy — "passes to reach the baseline's quality" — which charges
-// any correction artifacts against the multilevel engine honestly instead
-// of trusting its own stopping point.
-//
-// The default run covers 960x540 and 1920x1080 (CI-sized); setting
-// CHB_SCALING_LARGE=1 in the environment adds 3840x2160 and 7680x4320
-// (minutes of runtime at one thread, for the full E12 table).
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <string>
-#include <vector>
 
-#include "chambolle/energy.hpp"
-#include "chambolle/resident_tiled.hpp"
 #include "common/stopwatch.hpp"
 #include "common/text_table.hpp"
 #include "hw/accelerator.hpp"
 #include "telemetry/bench_report.hpp"
-#include "workloads/synthetic.hpp"
-
-namespace {
-
-using namespace chambolle;
-
-float max_du(const Matrix<float>& a, const Matrix<float>& b) {
-  float best = 0.f;
-  const float* pa = a.data().data();
-  const float* pb = b.data().data();
-  for (std::size_t i = 0; i < a.size(); ++i)
-    best = std::max(best, std::abs(pa[i] - pb[i]));
-  return best;
-}
-
-// Stiff smooth content: the band-limited texture plus one frame-spanning
-// mode, so part of the error must cross the whole frame to drain.  theta=50
-// makes the problem stiff enough that the low-frequency tail dominates.
-Image make_workload(int rows, int cols) {
-  Image v = workloads::smooth_texture(rows, cols, 42);
-  for (int r = 0; r < rows; ++r)
-    for (int c = 0; c < cols; ++c)
-      v(r, c) += 40.f * std::sin(6.28318f * r / rows) *
-                 std::sin(6.28318f * c / cols);
-  return v;
-}
-
-constexpr int kChunk = 32;        // fine passes between probes
-constexpr float kProbeTol = 5e-3f;  // probe max|du| stop threshold
-constexpr int kPassCap = 4096;    // safety cap
-
-enum class Mode { kFixed, kAdaptive, kMultilevel };
-
-struct TrajPoint {
-  int passes;
-  double energy;
-};
-
-struct RunOutcome {
-  int stop_passes = 0;            // probe-based stop
-  double final_energy = 0.0;
-  double wall_seconds = 0.0;
-  double mcells_per_s = 0.0;      // cell-iterations per wall second
-  std::uint64_t coarse_solves = 0;
-  std::vector<TrajPoint> traj;    // energy at each probe checkpoint
-};
-
-RunOutcome run_engine(Mode mode, const Image& v, const ChambolleParams& params,
-                      const TiledSolverOptions& opt) {
-  RunOutcome out;
-  const Stopwatch wall;
-  ResidentTiledEngine engine(v, params, opt);
-  int passes = 0;
-  while (passes < kPassCap) {
-    ResidentRunPolicy policy;
-    if (mode != Mode::kFixed) {
-      policy.tolerance = 1e-30f;  // probe decides the stop, not retirement
-      policy.patience = 1;
-    }
-    if (mode == Mode::kMultilevel) {
-      policy.multilevel.period = 2;
-      policy.multilevel.levels = 1;
-    }
-    out.coarse_solves +=
-        engine.run(kChunk * opt.merge_iterations, policy).front().coarse_solves;
-    passes += kChunk;
-    // Probe: one pure fine pass; its primal movement is the convergence
-    // gauge every mode shares (correction-free, so multilevel can't game it).
-    const Matrix<float> u0 = engine.result().u;
-    engine.run(opt.merge_iterations);
-    ++passes;
-    const Matrix<float> u1 = engine.result().u;
-    out.traj.push_back({passes, rof_energy(u1, v, params.theta)});
-    if (max_du(u1, u0) < kProbeTol) break;
-  }
-  out.wall_seconds = wall.seconds();
-  out.stop_passes = passes;
-  out.final_energy = out.traj.empty() ? 0.0 : out.traj.back().energy;
-  out.mcells_per_s = static_cast<double>(passes) * opt.merge_iterations *
-                     v.rows() * v.cols() / out.wall_seconds / 1e6;
-  return out;
-}
-
-// First checkpoint at or below the target energy (lower = better); falls
-// back to the last checkpoint when the trajectory never reaches it.
-int crossing_passes(const RunOutcome& run, double target_energy) {
-  for (const TrajPoint& p : run.traj)
-    if (p.energy <= target_energy) return p.passes;
-  return run.stop_passes;
-}
-
-}  // namespace
 
 int main() {
   using namespace chambolle;
@@ -185,90 +66,7 @@ int main() {
               accel.estimate_fps(768, 1024, 50));
   const bool accel_ok = cpp_1024 < cpp_256 && ratio_pyr < 3.0;
 
-  // ------------------------------------------------------------------
-  // E12: engine passes-to-quality vs resolution.
-  // ------------------------------------------------------------------
-  const bool large = [] {
-    const char* e = std::getenv("CHB_SCALING_LARGE");
-    return e != nullptr && e[0] != '\0' && e[0] != '0';
-  }();
-  std::vector<Res> engine_sizes = {{960, 540}, {1920, 1080}};
-  if (large) {
-    engine_sizes.push_back({3840, 2160});
-    engine_sizes.push_back({7680, 4320});
-  }
-
-  ChambolleParams params;
-  params.theta = 50.f;
-  params.tau = 0.25f * params.theta;
-  params.iterations = kChunk * 4;
-
-  TiledSolverOptions opt;
-  opt.merge_iterations = 4;
-
-  std::printf("\n\nENGINE PASSES-TO-QUALITY vs RESOLUTION (theta=%.0f, "
-              "probe tol %.0e, multilevel period 2 / 1 coarse level)\n\n",
-              params.theta, kProbeTol);
-  TextTable etable({"Resolution", "Engine", "Passes", "To baseline quality",
-                    "Speedup", "Coarse solves", "Mcells/s", "Wall s"});
-  bool engine_ok = true;
-  for (const Res& r : engine_sizes) {
-    const Image v = make_workload(r.height, r.width);
-    const std::string size_key =
-        std::to_string(r.width) + "x" + std::to_string(r.height);
-
-    const RunOutcome fixed = run_engine(Mode::kFixed, v, params, opt);
-    const RunOutcome adaptive = run_engine(Mode::kAdaptive, v, params, opt);
-    const RunOutcome ml = run_engine(Mode::kMultilevel, v, params, opt);
-
-    // The headline: passes the multilevel engine needs to reach the
-    // adaptive baseline's final energy, vs the passes the baseline took.
-    const int cross = crossing_passes(ml, adaptive.final_energy);
-    const double speedup = static_cast<double>(adaptive.stop_passes) / cross;
-    engine_ok = engine_ok && cross <= adaptive.stop_passes;
-
-    etable.add_row({size_key, "resident", std::to_string(fixed.stop_passes),
-                    "-", "-", "-", TextTable::num(fixed.mcells_per_s, 1),
-                    TextTable::num(fixed.wall_seconds, 1)});
-    etable.add_row({size_key, "resident-adaptive",
-                    std::to_string(adaptive.stop_passes), "-", "1.00", "-",
-                    TextTable::num(adaptive.mcells_per_s, 1),
-                    TextTable::num(adaptive.wall_seconds, 1)});
-    etable.add_row({size_key, "multilevel", std::to_string(ml.stop_passes),
-                    std::to_string(cross), TextTable::num(speedup, 2),
-                    std::to_string(ml.coarse_solves),
-                    TextTable::num(ml.mcells_per_s, 1),
-                    TextTable::num(ml.wall_seconds, 1)});
-
-    report.emplace_back("resident_" + size_key + "_passes",
-                        std::to_string(fixed.stop_passes));
-    report.emplace_back("adaptive_" + size_key + "_passes",
-                        std::to_string(adaptive.stop_passes));
-    report.emplace_back("multilevel_" + size_key + "_passes",
-                        std::to_string(ml.stop_passes));
-    report.emplace_back("multilevel_" + size_key + "_passes_to_tolerance",
-                        std::to_string(cross));
-    report.emplace_back("multilevel_" + size_key + "_speedup",
-                        TextTable::num(speedup, 2));
-    report.emplace_back("multilevel_" + size_key + "_coarse_solves",
-                        std::to_string(ml.coarse_solves));
-    report.emplace_back("resident_" + size_key + "_mcells",
-                        TextTable::num(fixed.mcells_per_s, 1));
-    report.emplace_back("adaptive_" + size_key + "_mcells",
-                        TextTable::num(adaptive.mcells_per_s, 1));
-    report.emplace_back("multilevel_" + size_key + "_mcells",
-                        TextTable::num(ml.mcells_per_s, 1));
-  }
-  std::cout << etable.to_string();
-  std::printf(
-      "\n'To baseline quality' is the first multilevel checkpoint whose ROF\n"
-      "energy is at or below the adaptive row's final energy; Speedup is\n"
-      "adaptive passes over that crossing point.  Sublinear scaling shows as\n"
-      "a roughly flat multilevel pass count while the baseline rows grow\n"
-      "with resolution.%s\n",
-      large ? "" : "  (Set CHB_SCALING_LARGE=1 for 4K and 8K rows.)");
-
   telemetry::write_bench_report("scaling_resolution", report,
                                 wall.milliseconds());
-  return accel_ok && engine_ok ? 0 : 1;
+  return accel_ok ? 0 : 1;
 }

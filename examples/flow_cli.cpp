@@ -8,8 +8,6 @@
 //            [--levels N] [--warps N] [--iters N] [--lambda X]
 //            [--solver ref|tiled|resident|fixed|accel] [--threads N]
 //            [--tile RxC] [--merge K] [--median]
-//            [--adaptive] [--tol X] [--patience K]
-//            [--ml-period K] [--ml-levels N]
 //            [--kernel auto|scalar|sse2|neon|avx2|avx512|fixed-simd|fixed-scalar]
 //            [--warp warped.pgm] [--trace trace.json] [--metrics metrics.json]
 //            [--metrics-prom metrics.prom] [--profile profile.json]
@@ -22,18 +20,6 @@
 // paper's 88x92; dims must exceed 2*K).  The `resident` solver plans its own
 // tiling — balanced full-width strips, about one per lane — and ignores it.
 // --merge K sets the merge depth of both (default 4).
-//
-// --adaptive (resident solver only) turns on per-tile early stopping: a tile
-// whose per-iteration dual residual stays under --tol (default 1e-4) for
-// --patience consecutive passes (default 2) retires and its lane capacity is
-// redistributed; --iters still caps the work.  Results are quality-bounded
-// rather than bit-exact — see docs/parallelism.md.
-//
-// --ml-period K (resident solver only; implies --adaptive) adds the periodic
-// coarse-grid correction: every K passes a small V-cycle Chambolle solve on
-// restricted grids computes a low-frequency dual correction that every tile
-// folds in at its next pass.  --ml-levels N fixes the ladder depth (default
-// 0 = auto).  See docs/parallelism.md ("Coarse-correction rendezvous").
 //
 // --kernel pins the SIMD iteration-kernel backend (default: best the CPU
 // supports, also overridable with CHAMBOLLE_KERNEL); every backend produces
@@ -92,8 +78,6 @@ int usage() {
       "               [--levels N] [--warps N] [--iters N] [--lambda X]\n"
       "               [--solver ref|tiled|resident|fixed|accel] [--threads N]\n"
       "               [--tile RxC (tiled solver only)] [--merge K]\n"
-      "               [--adaptive] [--tol X] [--patience K]\n"
-      "               [--ml-period K] [--ml-levels N]\n"
       "               [--median] [--kernel auto|scalar|sse2|neon|avx2|avx512|\n"
       "                           fixed-simd|fixed-scalar]\n"
       "               [--warp out.pgm] [--trace trace.json]\n"
@@ -141,10 +125,6 @@ int main(int argc, char** argv) {
   params.chambolle.iterations = 50;
   bool use_accel = false;
   bool solver_given = false;
-  // --adaptive turns the resident policy's tolerance on; --tol alone only
-  // sets the value it would use.
-  bool adaptive = false;
-  float tolerance = 1e-4f;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -232,30 +212,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "flow_cli: %s\n", e.what());
         return 2;
       }
-    } else if (arg == "--adaptive") {
-      adaptive = true;
-    } else if (arg == "--tol") {
-      const char* n = next();
-      if (!n) return usage();
-      if (!flag_float("--tol", n, 1e-12f, 1e3f, tolerance)) return 2;
-    } else if (arg == "--patience") {
-      const char* n = next();
-      if (!n) return usage();
-      if (!flag_int("--patience", n, 1, 1 << 20, params.resident.patience))
-        return 2;
-    } else if (arg == "--ml-period") {
-      const char* n = next();
-      if (!n) return usage();
-      if (!flag_int("--ml-period", n, 1, 1 << 20,
-                    params.resident.multilevel.period))
-        return 2;
-      adaptive = true;  // the correction needs a tolerance
-    } else if (arg == "--ml-levels") {
-      const char* n = next();
-      if (!n) return usage();
-      if (!flag_int("--ml-levels", n, 0, 16,
-                    params.resident.multilevel.levels))
-        return 2;
     } else if (arg == "--median") {
       params.median_filtering = true;
     } else if (arg == "--warp") {
@@ -311,8 +267,6 @@ int main(int argc, char** argv) {
   } else {
     return usage();
   }
-
-  if (adaptive) params.resident.tolerance = tolerance;
 
   // Asking for an observability artifact is the opt-in.
   if (!out_trace.empty() || !out_metrics.empty() || !out_prom.empty())

@@ -33,15 +33,14 @@
 //
 // One engine solves K same-shape FIELDS on one tiling plan — the paper's
 // paired PE arrays, one per flow component, advancing together.  Every
-// graph node is a (field, tile) pair with its own buffers, mailboxes and
-// frozen-pass marker; the EpochGraph is the disjoint union of K copies of
-// the tile graph, so one run advances every field and a lane blocked on
-// one field's neighbor runs another field's tile.  Fields never exchange
+// graph node is a (field, tile) pair with its own buffers and mailboxes;
+// the EpochGraph is the disjoint union of K copies of the tile graph, so
+// one run advances every field and a lane blocked on one field's neighbor
+// runs another field's tile.  Fields never exchange
 // data, so each field's bits equal a single-field solve; K = 1 is the
 // ordinary single-field engine.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -58,90 +57,6 @@
 #include "parallel/thread_pool.hpp"
 
 namespace chambolle {
-
-/// How one ResidentTiledEngine::run() spends its iteration budget.  The
-/// default is the fixed budget: every tile runs every pass, bit-exact to the
-/// sequential reference.  Two optional policies ride on the same schedule:
-///
-///  * Per-tile adaptive early stopping (tolerance > 0; after the local-error
-///    indicators of Alkämper/Hilb/Langer's adaptive primal-dual FEM): each
-///    tile tracks the kernel layer's fused single-iteration dual residual
-///    (max |dp| of the last iteration of each pass — no extra sweep, no
-///    state copies) and RETIRES once the residual stays under `tolerance`
-///    for `patience` consecutive passes.  A retired tile publishes a
-///    terminal epoch so neighbors never wait on it, redirects their gathers
-///    to its final (frozen) halo strips via a frozen-pass marker (mirrored
-///    into both mailbox parities once the run quiesces), and its lane's
-///    capacity is redistributed to still-active tiles by the EpochGraph's
-///    work queue.
-///  * A periodic coarse-grid correction (multilevel.period > 0, requires
-///    tolerance > 0): see ResidentTiledEngine::run().
-///
-/// The pass cap and the truncated final pass are not settings: they always
-/// follow from the run's iteration budget and the merge depth, so a run in
-/// which no tile retires executes exactly the fixed schedule.
-struct ResidentRunPolicy {
-  /// Per-iteration residual threshold: a pass counts toward retirement when
-  /// the max |dp| of its last iteration falls below this.  The residual
-  /// spans one iteration, not the whole pass, so a tolerance means the same
-  /// at every merge depth.  0 = no tile ever retires: the fixed budget.
-  float tolerance = 0.f;
-  /// Consecutive under-tolerance passes before a tile retires.
-  int patience = 2;
-  /// Coarse-grid correction schedule; period 0 = off.
-  MultilevelOptions multilevel;
-
-  /// Tiles may retire before the pass cap.
-  [[nodiscard]] bool retiring() const { return tolerance > 0.f; }
-
-  /// Throws std::invalid_argument on a negative or non-finite tolerance, a
-  /// patience below 1, invalid multilevel options, or a correction period
-  /// without a tolerance.
-  void validate() const;
-};
-
-/// Outcome of one run() for one field: how many passes each of its tiles
-/// actually ran, which of them converged, what the fixed budget would have
-/// cost, and the accounting of the field's own coarse correction.
-struct ResidentRunReport {
-  int pass_cap = 0;                   ///< passes of the fixed schedule
-  std::size_t tiles = 0;
-  std::size_t tiles_converged = 0;    ///< retired before the cap
-  std::size_t total_tile_passes = 0;  ///< sum over tiles of passes executed
-  /// Sum over tiles of Chambolle iterations actually executed — the
-  /// truncated final burst of a budget that is not a multiple of the merge
-  /// depth included, so this is NOT always total_tile_passes * merge.
-  std::size_t total_iterations = 0;
-  std::uint64_t stolen_passes = 0;    ///< passes run off the preferred lane
-  std::vector<int> tile_passes;       ///< per-tile passes executed
-  /// Per-tile residual of the last pass; 0 under the fixed budget, which
-  /// does not measure it.
-  std::vector<float> tile_residuals;
-  int coarse_levels = 0;         ///< realized ladder depth (0 = correction off)
-  std::uint64_t coarse_solves = 0;     ///< firings whose correction applied
-  std::uint64_t coarse_gated = 0;      ///< firings declined by the progress
-                                       ///< gate or energy safeguard (includes
-                                       ///< the baseline firing)
-  std::uint64_t tiles_unretired = 0;   ///< resurrections forced by corrections
-  float last_correction_max = 0.f;     ///< max |delta p| of the final cycle
-  double rendezvous_seconds = 0.0;     ///< wall time of this field's share
-                                       ///< of the rendezvous bodies
-
-  [[nodiscard]] bool all_converged() const {
-    return tiles_converged == tiles;
-  }
-  /// Passes a fixed budget of pass_cap per tile would have executed.
-  [[nodiscard]] std::size_t fixed_budget_passes() const {
-    return tiles * static_cast<std::size_t>(pass_cap);
-  }
-  /// Fraction of the fixed budget the run skipped (0 = none).
-  [[nodiscard]] double pass_savings() const {
-    const std::size_t fixed = fixed_budget_passes();
-    return fixed > 0 ? 1.0 - static_cast<double>(total_tile_passes) /
-                                 static_cast<double>(fixed)
-                     : 0.0;
-  }
-};
 
 /// Work and traffic accounting of a resident solve (cumulative across
 /// run() calls), used by the E6 overhead bench and the acceptance tests.
@@ -176,12 +91,12 @@ class ResidentTiledEngine {
   /// (tile.hpp): balanced full-width strips, about one per lane of the
   /// pool the options resolve to, one tile per field on small frames — with
   /// a halo of options.merge_iterations, and loads the resident buffers.
-  /// options.{tile_rows, tile_cols} configure solve_tiled only; under the
-  /// fixed policy every plan gives the same bits, so the shape is the
-  /// engine's to choose.  `initial`, when non-empty, holds one warm-start
-  /// dual state per field (otherwise zeros).  Validates only the options
-  /// the engine reads (TiledSolverOptions::validate_schedule): the unread
-  /// window does not cap the merge depth.
+  /// options.{tile_rows, tile_cols} configure solve_tiled only; every plan
+  /// gives the same bits, so the shape is the engine's to choose.
+  /// `initial`, when non-empty, holds one warm-start dual state per field
+  /// (otherwise zeros).  Validates only the options the engine reads
+  /// (TiledSolverOptions::validate_schedule): the unread window does not
+  /// cap the merge depth.
   ResidentTiledEngine(Fields inputs, const ChambolleParams& params,
                       const TiledSolverOptions& options,
                       DualFields initial = {});
@@ -196,40 +111,12 @@ class ResidentTiledEngine {
 
   /// Advances every field by `iterations` Chambolle iterations, split into
   /// ceil(iterations / merge_iterations) halo-exchange passes with the
-  /// remainder last, under `policy`; returns one report per field.  The
-  /// reports live in the engine and are overwritten by the next run, so a
-  /// run allocates none.
-  ///
-  /// Under the default (fixed) policy every tile runs every pass and the
-  /// result is bit-exact to the sequential reference; runs compose:
-  /// run(a); run(b) is bit-exact equal to run(a + b).
-  ///
-  /// With policy.tolerance > 0 a tile retires early once its residual has
-  /// stilled (ResidentRunPolicy).  Deliberately NOT bit-exact against the
-  /// fixed budget — retired tiles stop refining while neighbors continue
-  /// against their frozen halos; the tolerance-mode oracle (src/testing)
-  /// bounds the deviation.  A run in which no tile retires is the fixed
-  /// schedule, bit for bit.
-  ///
-  /// With policy.multilevel.period > 0, every period passes the fleet's
-  /// parked state is snapshotted at an exclusive EpochGraph rendezvous (no
-  /// global barrier — the last lane out of work runs it), a small V-cycle
-  /// Chambolle solve computes a fine dual correction
-  /// (chambolle/multilevel.hpp), and every tile folds the correction into
-  /// its pinned buffers at its next pass.  Retired tiles absorb corrections
-  /// in place; a correction exceeding multilevel.unretire_factor *
-  /// tolerance inside a retired tile's profitable region un-retires it.
-  /// Every field has its own corrector, progress gate and end rule.
-  /// Results are schedule-independent: for a given plan, the same bits for
-  /// any lane count.  Retiring policies retire per tile, so their results
-  /// do depend on the plan, and the planned engine's plan on its lane
-  /// count.  A frame too small to coarsen runs without correction.
-  ///
-  /// Under every policy each field's bits equal a single-field engine's,
-  /// and the resident state stays coherent for snapshot()/result() and
-  /// further runs.
-  std::span<const ResidentRunReport> run(int iterations,
-                                         const ResidentRunPolicy& policy = {});
+  /// remainder last.  Every tile runs every pass, so the result is bit-exact
+  /// to the sequential reference for any plan and lane count, and runs
+  /// compose: run(a); run(b) is bit-exact equal to run(a + b).  Each
+  /// field's bits equal a single-field engine's, and the resident state
+  /// stays coherent for snapshot()/result() and further runs.
+  void run(int iterations);
 
   /// On-demand profitable write-back of field `field`'s CURRENT dual state
   /// into `out` (resized as needed) — the telemetry-snapshot path; does not
@@ -280,8 +167,6 @@ class ResidentTiledEngine {
  private:
   struct TileBuffers;
   struct Mailbox;
-  struct NodeRun;
-  struct Correction;
   /// The test-only seam (src/testing/resident_peer.hpp): builds engines on
   /// explicit tilings and reaches fault_hook_.
   friend struct ResidentTiledEngineTestPeer;
@@ -330,40 +215,24 @@ class ResidentTiledEngine {
   /// writes its profitable duals into `p` (when non-null) and recovers its
   /// profitable primal into `u`.
   void result_node(int node, DualField* p, Matrix<float>& u);
-  /// Restarts the pass/parity clock and clears the frozen-pass markers after
-  /// the duals were zeroed or reloaded — the full state reset that makes a
-  /// reused engine indistinguishable from a freshly constructed one (the
-  /// engine-reuse contract pooled serving fleets rely on; regression-tested
-  /// by tests/engine_reuse_test.cpp).
+  /// Restarts the pass/parity clock after the duals were zeroed or
+  /// reloaded — the full state reset that makes a reused engine
+  /// indistinguishable from a freshly constructed one (the engine-reuse
+  /// contract pooled serving fleets rely on; regression-tested by
+  /// tests/engine_reuse_test.cpp).
   void restart_clock();
-  /// Clears every frozen-pass marker.
-  void clear_frozen();
   /// Refreshes node's halo ring from its neighbors' pass-(g-1) strips.
   void gather_halos(int node, int g);
   /// Publishes node's pass-g strips into the parity slot g & 1.
   void publish_strips(int node, int g);
-  /// One burst of `iterations` fused iterations on node's buffers, timed
-  /// for the profiler; `residual`, when non-null, receives the last
-  /// iteration's max |dp|.
-  void kernel_pass(int node, int iterations, Matrix<float>& scratch,
-                   float* residual);
-  /// One pass of run() after the gather (and any correction): the burst —
-  /// `burst` iterations, measuring the residual only when `policy` retires
-  /// tiles — its publish, the node's record and the retirement test.
-  /// Returns true when the node retires.
-  bool node_pass(int node, int g, int lane, int burst,
-                 const ResidentRunPolicy& policy, Matrix<float>& scratch,
-                 NodeRun& run);
-  /// Publishes node's frozen-pass marker (retirement at pass g), ordered
-  /// before the terminal epoch store: later gathers read its final strips
-  /// at parity g.  The cross-parity mirror is deferred to run()'s
-  /// quiescent epilogue — doing it here would race neighbors concurrently
-  /// gathering the same pass (see the comments in resident_tiled.cpp).
-  void mark_frozen(int node, int g);
-  /// Books one run — the engine stats and the tiles.* telemetry — and
-  /// fills the per-field reports from the per-node records.  Reads the
-  /// frozen-pass markers, so it runs before the epilogue clears them.
-  void account(int passes, const parallel::EpochGraph::RunStats& rs);
+  /// One pass of run() on node: the gather (after the first pass), a burst
+  /// of `burst` fused iterations on node's buffers, timed for the profiler,
+  /// and the publish of its strips.
+  void node_pass(int node, int g, int burst, Matrix<float>& scratch);
+  /// Books one run of `passes` passes and `iterations` iterations: the
+  /// engine stats and the tiles.* telemetry.
+  void account(int passes, int iterations,
+               const parallel::EpochGraph::RunStats& rs);
 
   ChambolleParams params_;
   TiledSolverOptions options_;
@@ -376,14 +245,7 @@ class ResidentTiledEngine {
   std::vector<std::vector<int>> in_edges_;   // per tile: halo-edge indices
   std::vector<std::vector<int>> out_edges_;  // per tile: halo-edge indices
   std::unique_ptr<parallel::EpochGraph> graph_;
-  /// Per-node retirement pass, -1 while live.  Set (release) by the retiring
-  /// body before its terminal epoch publish, read (acquire) by gather_halos
-  /// to pick the mailbox parity, cleared in run()'s epilogue after the
-  /// frozen strips are mirrored into both slots.
-  std::vector<std::atomic<int>> frozen_pass_;
   int pass_count_ = 0;  ///< global passes completed; also the mailbox parity
-  std::vector<NodeRun> runs_;                ///< per node, reset every run
-  std::vector<ResidentRunReport> reports_;  ///< per field, reused every run
   /// Per-lane kernel Term-row scratch, reused across runs; rebuilt only
   /// when lanes() grows past it.
   parallel::PerLane<Matrix<float>> scratch_{1};
@@ -393,15 +255,12 @@ class ResidentTiledEngine {
   std::function<void(int, int)> fault_hook_;
 };
 
-/// One-shot resident solve of one component under `policy`; the drop-in
-/// counterpart of solve_tiled() with the same options.  Under the default
-/// (fixed) policy it is bit-exact equal to the sequential reference; under
-/// a retiring policy it never does more work than the fixed budget and
-/// typically does much less on smooth/static content.
+/// One-shot resident solve of one component; the drop-in counterpart of
+/// solve_tiled() with the same options, bit-exact equal to the sequential
+/// reference.
 [[nodiscard]] ChambolleResult solve_resident(
     const Matrix<float>& v, const ChambolleParams& params,
-    const TiledSolverOptions& options, const ResidentRunPolicy& policy = {},
-    ResidentRunReport* report = nullptr, ResidentTiledStats* stats = nullptr,
+    const TiledSolverOptions& options, ResidentTiledStats* stats = nullptr,
     const DualField* initial = nullptr);
 
 }  // namespace chambolle

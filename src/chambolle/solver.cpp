@@ -31,14 +31,13 @@ void check_shapes(const Matrix<float>& px, const Matrix<float>& py,
 void iterate_region(Matrix<float>& px, Matrix<float>& py,
                     const Matrix<float>& v, const RegionGeometry& geom,
                     const ChambolleParams& params, int iterations,
-                    Matrix<float>& term_scratch, float* last_iter_max_dp) {
+                    Matrix<float>& term_scratch) {
   params.validate();
   check_shapes(px, py, v, geom);
   // The per-element arithmetic lives in the kernel layer (fused single-pass
   // sweep, SIMD interior, scalar borders); the solver owns validation only.
   kernels::iterate_region_fused(px, py, v, geom, 1.f / params.theta,
-                                params.step(), iterations, term_scratch,
-                                last_iter_max_dp);
+                                params.step(), iterations, term_scratch);
 }
 
 void recover_u_into(const Matrix<float>& v, const Matrix<float>& px,

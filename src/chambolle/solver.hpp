@@ -33,15 +33,11 @@ struct ChambolleResult {
 /// Runs `iterations` Chambolle iterations in place on (px, py) over the given
 /// window.  v, px, py must share the buffer shape.  `term_scratch` holds the
 /// kernel layer's rolling two-row Term window and is resized as needed (pass
-/// a reused buffer to avoid per-call allocation).  When `last_iter_max_dp`
-/// is non-null it receives the final iteration's max |dp| (the kernel
-/// layer's fused single-iteration dual residual; px/py are bit-identical
-/// either way).
+/// a reused buffer to avoid per-call allocation).
 void iterate_region(Matrix<float>& px, Matrix<float>& py,
                     const Matrix<float>& v, const RegionGeometry& geom,
                     const ChambolleParams& params, int iterations,
-                    Matrix<float>& term_scratch,
-                    float* last_iter_max_dp = nullptr);
+                    Matrix<float>& term_scratch);
 
 /// u = v - theta * div p (Algorithm 1, line 9) over a window.
 [[nodiscard]] Matrix<float> recover_u(const Matrix<float>& v,

@@ -53,30 +53,6 @@ Matrix<float> divergence(const Matrix<float>& px, const Matrix<float>& py) {
   return dx;
 }
 
-void divergence_into(const Matrix<float>& px, const Matrix<float>& py,
-                     Matrix<float>& out) {
-  if (!px.same_shape(py)) throw std::invalid_argument("divergence: shape");
-  if (!out.same_shape(px)) out.resize(px.rows(), px.cols());
-  const int rows = px.rows(), cols = px.cols();
-  const int last_r = rows - 1, last_c = cols - 1;
-  for (int r = 0; r < rows; ++r) {
-    const float* x = px.data().data() + static_cast<std::size_t>(r) * cols;
-    const float* y = py.data().data() + static_cast<std::size_t>(r) * cols;
-    const float* yu = r > 0 ? y - cols : nullptr;
-    float* o = out.data().data() + static_cast<std::size_t>(r) * cols;
-    for (int c = 0; c < cols; ++c) {
-      // Same one-sided Chambolle boundary rules as backward_x/backward_y; a
-      // 1-wide axis contributes zero (no gradient direction to adjoint).
-      float d = 0.f;
-      if (last_c > 0)
-        d += backward_diff(x[c], c > 0 ? x[c - 1] : 0.f, c == 0, c == last_c);
-      if (last_r > 0)
-        d += backward_diff(y[c], yu ? yu[c] : 0.f, r == 0, r == last_r);
-      o[c] = d;
-    }
-  }
-}
-
 double dot(const Matrix<float>& a, const Matrix<float>& b) {
   if (!a.same_shape(b)) throw std::invalid_argument("dot: shape");
   double s = 0.0;

@@ -39,12 +39,6 @@ namespace chambolle::grid {
 [[nodiscard]] Matrix<float> divergence(const Matrix<float>& px,
                                        const Matrix<float>& py);
 
-/// divergence() into a caller-provided output (resized on shape change) —
-/// the steady-state-allocation-free form the multilevel corrector runs every
-/// rendezvous.  `out` must not alias px or py.
-void divergence_into(const Matrix<float>& px, const Matrix<float>& py,
-                     Matrix<float>& out);
-
 /// Pointwise scalar versions used by the per-element solvers (tiled CPU solver
 /// and the hardware datapath reference).  `left`, `up` are the neighbor values
 /// of p; the boundary flags select the one-sided Chambolle rules.

@@ -71,45 +71,4 @@ void prolong_bilinear_rows(const Matrix<float>& coarse, Matrix<float>& fine,
     }
 }
 
-void prolong_nearest_into(const Matrix<float>& coarse, int rows, int cols,
-                          Matrix<float>& fine) {
-  if (rows <= 0 || cols <= 0)
-    throw std::invalid_argument("prolong_nearest_into: empty target");
-  if (coarse.rows() != coarse_extent(rows) ||
-      coarse.cols() != coarse_extent(cols))
-    throw std::invalid_argument(
-        "prolong_nearest_into: coarse extents must be the ceil-half of the "
-        "fine extents");
-  fine.resize(rows, cols);
-  for (int r = 0; r < rows; ++r) {
-    const float* src = &coarse(r / 2, 0);
-    float* dst = &fine(r, 0);
-    for (int c = 0; c < cols; ++c) dst[c] = src[c / 2];
-  }
-}
-
-void sub_into(const Matrix<float>& a, const Matrix<float>& b,
-              Matrix<float>& out) {
-  if (!a.same_shape(b))
-    throw std::invalid_argument("sub_into: shape mismatch");
-  // Resize only on a genuine shape change: Matrix::resize reinitializes the
-  // storage even when the shape is unchanged, which would destroy `a` or `b`
-  // in the (supported) aliased calls out == a / out == b.
-  if (!out.same_shape(a)) out.resize(a.rows(), a.cols());
-  const float* pa = a.data().data();
-  const float* pb = b.data().data();
-  float* po = out.data().data();
-  const std::size_t n = a.size();
-  for (std::size_t i = 0; i < n; ++i) po[i] = pa[i] - pb[i];
-}
-
-void add_scaled(Matrix<float>& dst, const Matrix<float>& src, float scale) {
-  if (!dst.same_shape(src))
-    throw std::invalid_argument("add_scaled: shape mismatch");
-  float* pd = dst.data().data();
-  const float* ps = src.data().data();
-  const std::size_t n = dst.size();
-  for (std::size_t i = 0; i < n; ++i) pd[i] += scale * ps[i];
-}
-
 }  // namespace chambolle::grid

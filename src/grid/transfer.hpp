@@ -1,12 +1,9 @@
-// transfer.hpp — shared inter-grid transfer operators (restrict / prolong /
-// residual helpers).
+// transfer.hpp — inter-grid transfer operators (restrict / prolong).
 //
-// Two subsystems move fields between resolutions: the TV-L1 coarse-to-fine
-// pyramid (tvl1/pyramid.hpp) and the resident-tile engine's coarse-grid
-// correction (chambolle/multilevel.hpp).  Both used to carry private copies
-// of the same 2x2-box restriction and bilinear prolongation; this module is
-// the single shared definition, with the boundary convention for
-// non-divisible extents made explicit and test-pinned
+// The TV-L1 coarse-to-fine pyramid (tvl1/pyramid.hpp), which the software
+// and accelerator flow paths share, moves images and flow fields between
+// resolutions with these operators; the boundary convention for
+// non-divisible extents is made explicit here and test-pinned
 // (tests/grid_transfer_test.cpp).
 //
 // Grid convention (cell-centered, ceil-halving):
@@ -25,18 +22,10 @@
 //    where restriction degenerates to the identity.  Levels below a
 //    caller's min_dim policy are a policy choice, not an operator limit.
 //
-// Two prolongations are provided:
-//
-//  * prolong_bilinear_into — cell-centered bilinear interpolation to an
-//    arbitrary target extent (edge-clamped).  Smooth; the choice for
-//    interpolating corrections and flow fields.  NOT a right inverse of
-//    restrict_half (box-averaging a bilinear interpolant re-weights
-//    neighbors).
-//  * prolong_nearest_into — piecewise-constant 2x injection (fine cell
-//    (r, c) copies coarse cell (r/2, c/2)).  Blocky, but satisfies the
-//    exact round-trip identity restrict_half(prolong_nearest(C)) == C for
-//    every extent pair with rows == coarse_extent(fine_rows) — the
-//    invariant multigrid transfer analysis assumes, pinned by test.
+// The prolongation, prolong_bilinear_into, is cell-centered bilinear
+// interpolation to an arbitrary target extent (edge-clamped): smooth, the
+// choice for interpolating flow fields.  It is NOT a right inverse of
+// restrict_half (box-averaging a bilinear interpolant re-weights neighbors).
 #pragma once
 
 #include "common/matrix.hpp"
@@ -67,20 +56,5 @@ void prolong_bilinear_into(const Matrix<float>& coarse, int rows, int cols,
 /// prolongation.  Same arithmetic, bit for bit.
 void prolong_bilinear_rows(const Matrix<float>& coarse, Matrix<float>& fine,
                            int row_begin, int row_end);
-
-/// Piecewise-constant 2x injection: fine(r, c) = coarse(r / 2, c / 2).
-/// Requires coarse extents == coarse_extent of the fine extents (throws
-/// otherwise); satisfies restrict_half(prolong_nearest(C)) == C bit-exactly.
-void prolong_nearest_into(const Matrix<float>& coarse, int rows, int cols,
-                          Matrix<float>& fine);
-
-/// out = a - b elementwise (shape-checked; out resized as needed) — the
-/// correction/residual delta between two same-grid fields.  `out` may alias
-/// `a` or `b`; the aliased forms compute in place.
-void sub_into(const Matrix<float>& a, const Matrix<float>& b,
-              Matrix<float>& out);
-
-/// dst += scale * src elementwise (shape-checked).
-void add_scaled(Matrix<float>& dst, const Matrix<float>& src, float scale);
 
 }  // namespace chambolle::grid

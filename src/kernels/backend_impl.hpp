@@ -107,7 +107,7 @@ void recover_row_impl(const RecoverRowArgs& a) {
                        : recover_row_t<V, false, false>(a);
 }
 
-template <class V, bool kHaveDown, bool kResidual>
+template <class V, bool kHaveDown>
 void update_row_t(const UpdateRowArgs& a) {
   const int last = a.cols - 1;
   float* px = a.px;
@@ -116,11 +116,6 @@ void update_row_t(const UpdateRowArgs& a) {
   const float* down = a.term_down;
   const auto stepv = V::set1(a.step);
   const auto onev = V::set1(1.f);
-  // Residual accumulators (dead code when !kResidual): the vector lanes max
-  // |dp| of interior cells, the scalar cell covers borders and the tail.
-  // abs is max(x, -x) — bit-clean for the signed zeros the update produces.
-  auto accv = V::zero();
-  float accs = 0.f;
   int c = 0;
   for (; c + V::kLanes <= last; c += V::kLanes) {
     const auto t = V::loadu(term + c);
@@ -128,26 +123,15 @@ void update_row_t(const UpdateRowArgs& a) {
     const auto t2 = kHaveDown ? V::sub(V::loadu(down + c), t) : V::zero();
     const auto grad = V::sqrt(V::add(V::mul(t1, t1), V::mul(t2, t2)));
     const auto denom = V::add(onev, V::mul(stepv, grad));
-    const auto px_old = V::loadu(px + c);
-    const auto py_old = V::loadu(py + c);
-    const auto px_new = V::div(V::add(px_old, V::mul(stepv, t1)), denom);
-    const auto py_new = V::div(V::add(py_old, V::mul(stepv, t2)), denom);
-    V::storeu(px + c, px_new);
-    V::storeu(py + c, py_new);
-    if (kResidual) {
-      const auto dx = V::sub(px_new, px_old);
-      const auto dy = V::sub(py_new, py_old);
-      accv = V::max(accv, V::max(V::max(dx, V::neg(dx)),
-                                 V::max(dy, V::neg(dy))));
-    }
+    V::storeu(px + c,
+              V::div(V::add(V::loadu(px + c), V::mul(stepv, t1)), denom));
+    V::storeu(py + c,
+              V::div(V::add(V::loadu(py + c), V::mul(stepv, t2)), denom));
   }
   for (; c < last; ++c) {
     const DualUpdate u =
         dual_update(px[c], py[c], term[c], term[c + 1],
                     kHaveDown ? down[c] : 0.f, false, !kHaveDown, a.step);
-    if (kResidual)
-      accs = std::max(accs, std::max(std::fabs(u.px - px[c]),
-                                     std::fabs(u.py - py[c])));
     px[c] = u.px;
     py[c] = u.py;
   }
@@ -155,26 +139,14 @@ void update_row_t(const UpdateRowArgs& a) {
   const DualUpdate u =
       dual_update(px[last], py[last], term[last], 0.f,
                   kHaveDown ? down[last] : 0.f, true, !kHaveDown, a.step);
-  if (kResidual) {
-    accs = std::max(accs, std::max(std::fabs(u.px - px[last]),
-                                   std::fabs(u.py - py[last])));
-    float lanes[static_cast<std::size_t>(V::kLanes)];
-    V::storeu(lanes, accv);
-    for (int i = 0; i < V::kLanes; ++i) accs = std::max(accs, lanes[i]);
-    *a.max_dp = std::max(*a.max_dp, accs);
-  }
   px[last] = u.px;
   py[last] = u.py;
 }
 
 template <class V>
 void update_row_impl(const UpdateRowArgs& a) {
-  if (a.max_dp != nullptr)
-    a.term_down != nullptr ? update_row_t<V, true, true>(a)
-                           : update_row_t<V, false, true>(a);
-  else
-    a.term_down != nullptr ? update_row_t<V, true, false>(a)
-                           : update_row_t<V, false, false>(a);
+  a.term_down != nullptr ? update_row_t<V, true>(a)
+                         : update_row_t<V, false>(a);
 }
 
 template <class V>

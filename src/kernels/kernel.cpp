@@ -220,9 +220,8 @@ void reset_backend() { g_backend.store(-1, std::memory_order_release); }
 void iterate_region_fused(Matrix<float>& px, Matrix<float>& py,
                           const Matrix<float>& v, const RegionGeometry& geom,
                           float inv_theta, float step, int iterations,
-                          Matrix<float>& term_rows, float* last_iter_max_dp) {
+                          Matrix<float>& term_rows) {
   const int rows = v.rows(), cols = v.cols();
-  if (last_iter_max_dp != nullptr) *last_iter_max_dp = 0.f;
   if (rows == 0 || cols == 0 || iterations == 0) return;
   if (term_rows.rows() != 2 || term_rows.cols() != cols)
     term_rows.resize(2, cols);
@@ -256,9 +255,6 @@ void iterate_region_fused(Matrix<float>& px, Matrix<float>& py,
   };
 
   for (int it = 0; it < iterations; ++it) {
-    // The residual is accumulated only on the final iteration: a single-
-    // iteration |dp|, independent of how many iterations this call batches.
-    upd.max_dp = it == iterations - 1 ? last_iter_max_dp : nullptr;
     fill_term_row(0, t_cur);
     for (int r = 0; r < rows; ++r) {
       // Term row r+1 must be produced before the update writes py row r

@@ -85,11 +85,6 @@ struct UpdateRowArgs {
   const float* term_down = nullptr;  // Term row r+1, or nullptr => 0
   int cols = 0;
   float step = 0.f;  // tau / theta
-  /// When non-null, the primitive additionally maxes |p_new - p_old| over
-  /// both components of the row into *max_dp (caller initializes it).  The
-  /// dual arithmetic is bit-identical either way; the residual rides the
-  /// registers already loaded, so the row is still a single sweep.
-  float* max_dp = nullptr;
 };
 
 /// Arguments of the primal-recovery primitive (Algorithm 1, line 9):
@@ -172,18 +167,10 @@ void reset_backend();
 /// `term_rows` is resized to 2 x cols as needed (pass a reused buffer to
 /// avoid per-call allocation).  Updates the `kernel.cells` counter and the
 /// `kernel.cells_per_second` gauge.
-///
-/// When `last_iter_max_dp` is non-null it receives max |p_new - p_old| over
-/// both dual components of the FINAL iteration — a single-iteration dual
-/// residual, fused into the update sweep (no extra memory traversal, no
-/// state copies) and invariant to how many iterations the call batches.
-/// This is the resident engine's tile-retirement indicator; px/py stay
-/// bit-identical to a call without it.
 void iterate_region_fused(Matrix<float>& px, Matrix<float>& py,
                           const Matrix<float>& v, const RegionGeometry& geom,
                           float inv_theta, float step, int iterations,
-                          Matrix<float>& term_rows,
-                          float* last_iter_max_dp = nullptr);
+                          Matrix<float>& term_rows);
 
 /// u = v - theta * div p over a window, into a caller-provided output
 /// (resized as needed — pass a preallocated matrix to avoid the per-frame

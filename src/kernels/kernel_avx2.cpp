@@ -28,7 +28,6 @@ struct Avx2V {
   static reg div(reg a, reg b) { return _mm256_div_ps(a, b); }
   static reg sqrt(reg a) { return _mm256_sqrt_ps(a); }
   static reg neg(reg a) { return _mm256_xor_ps(a, _mm256_set1_ps(-0.f)); }
-  static reg max(reg a, reg b) { return _mm256_max_ps(a, b); }
 };
 
 const KernelOps kOps = detail::make_ops<Avx2V>("avx2");

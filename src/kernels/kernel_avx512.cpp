@@ -141,12 +141,11 @@ void recover_row_impl(const RecoverRowArgs& a) {
                        : recover_row_t<false, false>(a);
 }
 
-template <bool kHaveDown, bool kResidual>
+template <bool kHaveDown>
 void update_row_t(const UpdateRowArgs& a) {
   const int last = a.cols - 1;
   const __m512 stepv = _mm512_set1_ps(a.step);
   const __m512 onev = _mm512_set1_ps(1.f);
-  __m512 accv = _mm512_setzero_ps();
   for (int c = 0; c < a.cols; c += kLanes) {
     const __mmask16 m = row_mask(c, a.cols);
     // ForwardX vanishes in the lane holding the last column (buffer edge ==
@@ -175,27 +174,11 @@ void update_row_t(const UpdateRowArgs& a) {
         _mm512_div_ps(_mm512_add_ps(py_old, _mm512_mul_ps(stepv, t2)), denom);
     _mm512_mask_storeu_ps(a.px + c, m, px_new);
     _mm512_mask_storeu_ps(a.py + c, m, py_new);
-    if (kResidual) {
-      // |dp| as max(x, -x) (bit-clean for signed zeros), accumulated only
-      // over in-row lanes.
-      const __m512 dx = _mm512_sub_ps(px_new, px_old);
-      const __m512 dy = _mm512_sub_ps(py_new, py_old);
-      const __m512 ax = _mm512_max_ps(dx, neg(dx));
-      const __m512 ay = _mm512_max_ps(dy, neg(dy));
-      accv = _mm512_mask_max_ps(accv, m, accv, _mm512_max_ps(ax, ay));
-    }
   }
-  if (kResidual)
-    *a.max_dp = std::max(*a.max_dp, _mm512_reduce_max_ps(accv));
 }
 
 void update_row_impl(const UpdateRowArgs& a) {
-  if (a.max_dp != nullptr)
-    a.term_down != nullptr ? update_row_t<true, true>(a)
-                           : update_row_t<false, true>(a);
-  else
-    a.term_down != nullptr ? update_row_t<true, false>(a)
-                           : update_row_t<false, false>(a);
+  a.term_down != nullptr ? update_row_t<true>(a) : update_row_t<false>(a);
 }
 
 const KernelOps kOps = {"avx512", kLanes, &term_row_impl, &update_row_impl,

@@ -27,7 +27,6 @@ struct NeonV {
   static reg div(reg a, reg b) { return vdivq_f32(a, b); }
   static reg sqrt(reg a) { return vsqrtq_f32(a); }
   static reg neg(reg a) { return vnegq_f32(a); }
-  static reg max(reg a, reg b) { return vmaxq_f32(a, b); }
 };
 
 const KernelOps kOps = detail::make_ops<NeonV>("neon");

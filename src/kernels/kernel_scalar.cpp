@@ -25,7 +25,6 @@ struct ScalarV {
   static reg div(reg a, reg b) { return a / b; }
   static reg sqrt(reg a) { return std::sqrt(a); }
   static reg neg(reg a) { return -a; }
-  static reg max(reg a, reg b) { return a > b ? a : b; }
 };
 
 constexpr KernelOps kOps = detail::make_ops<ScalarV>("scalar");

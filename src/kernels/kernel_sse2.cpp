@@ -27,7 +27,6 @@ struct Sse2V {
   static reg div(reg a, reg b) { return _mm_div_ps(a, b); }
   static reg sqrt(reg a) { return _mm_sqrt_ps(a); }
   static reg neg(reg a) { return _mm_xor_ps(a, _mm_set1_ps(-0.f)); }
-  static reg max(reg a, reg b) { return _mm_max_ps(a, b); }
 };
 
 const KernelOps kOps = detail::make_ops<Sse2V>("sse2");

@@ -2,9 +2,9 @@
 //
 // The parallel engines report WHAT they did (tiles.passes, pool.tasks) and
 // one aggregate stall number (tiles.stall_micros), but tuning the resident
-// engine — and building the multi-stream service and adaptive convergence on
-// top of it — needs per-lane attribution of WHERE each lane's wall time
-// went.  A profiling session classifies every lane's time into four causes:
+// engine — and building the multi-stream service on top of it — needs
+// per-lane attribution of WHERE each lane's wall time went.  A profiling
+// session classifies every lane's time into four causes:
 //
 //   kernel   — inside the fused iteration kernel (useful work)
 //   epoch    — waiting for a neighbor tile's epoch in the EpochGraph

@@ -1,11 +1,9 @@
 #include "testing/oracle.hpp"
 
-#include <cmath>
 #include <cstring>
 #include <limits>
 #include <sstream>
 
-#include "chambolle/energy.hpp"
 #include "chambolle/fixed_solver.hpp"
 #include "chambolle/resident_tiled.hpp"
 #include "chambolle/solver.hpp"
@@ -54,75 +52,6 @@ void compare(OracleReport& report, const std::string& engine,
     out.pass = out.max_diff_u <= tolerance && out.max_diff_px <= tolerance &&
                out.max_diff_py <= tolerance;
     if (!out.pass) out.detail = "exceeds the quantization tolerance";
-  }
-  report.engines.push_back(std::move(out));
-}
-
-// The adaptive quality policy: not a distance-to-reference tolerance on
-// every field (dual drift on retired tiles is expected), but a bound on what
-// the SOLUTION lost — max |du| against the fixed-budget reference plus an
-// ROF-energy regression check.  Dual diffs are still recorded for the
-// failure report.
-void compare_quality(OracleReport& report, const std::string& engine,
-                     const Matrix<float>& v, float theta,
-                     const ChambolleResult& want, const ChambolleResult& got) {
-  EngineOutcome out;
-  out.engine = engine;
-  out.exact_required = false;
-  out.max_diff_u = diff_or_shape(want.u, got.u);
-  out.max_diff_px = diff_or_shape(want.p.px, got.p.px);
-  out.max_diff_py = diff_or_shape(want.p.py, got.p.py);
-  const double e_want = rof_energy(want.u, v, theta);
-  const double e_got = rof_energy(got.u, v, theta);
-  const bool u_ok = out.max_diff_u <= kAdaptiveDuBound;
-  const bool e_ok =
-      e_got <= e_want + kAdaptiveEnergySlack * (std::abs(e_want) + 1.0);
-  out.pass = u_ok && e_ok;
-  if (!u_ok) out.detail = "primal deviates beyond the adaptive quality bound";
-  if (!e_ok) {
-    std::ostringstream os;
-    os << (u_ok ? "" : "; ") << "ROF energy regressed (ref=" << e_want
-       << " adaptive=" << e_got << ")";
-    out.detail += os.str();
-  }
-  report.engines.push_back(std::move(out));
-}
-
-// The multilevel quality policy (see kMultilevel* in oracle.hpp): measured
-// against the CONVERGED solution `star`, the multilevel primal may not be
-// farther away than the fixed-budget reference plus the adaptive slack; and
-// its energy may not regress against the fixed-budget reference.
-void compare_multilevel(OracleReport& report, const std::string& engine,
-                        const Matrix<float>& v, float theta,
-                        const ChambolleResult& want,
-                        const ChambolleResult& star,
-                        const ChambolleResult& got) {
-  EngineOutcome out;
-  out.engine = engine;
-  out.exact_required = false;
-  out.max_diff_u = diff_or_shape(want.u, got.u);
-  out.max_diff_px = diff_or_shape(want.p.px, got.p.px);
-  out.max_diff_py = diff_or_shape(want.p.py, got.p.py);
-  const double err_ref = diff_or_shape(star.u, want.u);
-  const double err_got = diff_or_shape(star.u, got.u);
-  const double e_want = rof_energy(want.u, v, theta);
-  const double e_got = rof_energy(got.u, v, theta);
-  const bool u_ok = err_got <= err_ref + kAdaptiveDuBound;
-  const bool e_ok =
-      e_got <= e_want + kAdaptiveEnergySlack * (std::abs(e_want) + 1.0);
-  out.pass = u_ok && e_ok;
-  if (!u_ok) {
-    std::ostringstream os;
-    os << "farther from the converged solution than the fixed budget "
-          "(|u-u*|: multilevel="
-       << err_got << " ref=" << err_ref << ")";
-    out.detail = os.str();
-  }
-  if (!e_ok) {
-    std::ostringstream os;
-    os << (u_ok ? "" : "; ") << "ROF energy regressed (ref=" << e_want
-       << " multilevel=" << e_got << ")";
-    out.detail += os.str();
   }
   report.engines.push_back(std::move(out));
 }
@@ -189,68 +118,10 @@ OracleReport run_oracle(const OracleCase& c, const OracleOptions& options) {
     }
     try {
       compare(report, "resident", ref,
-              Peer::solve_windowed(c.v, c.params, c.tiled, {}, nullptr,
-                                   nullptr, initial),
+              Peer::solve_windowed(c.v, c.params, c.tiled, nullptr, initial),
               /*exact=*/true);
     } catch (const std::exception& e) {
       record_failure(report, "resident", std::string("threw: ") + e.what());
-    }
-  }
-
-  if (options.include_adaptive) {
-    // Per-tile early stopping never bit-matches the fixed budget; it is
-    // scored by what the solution LOST (see kAdaptive* in oracle.hpp), and
-    // its work never exceeds the fixed budget (the pass cap is always
-    // ceil(iterations / merge)).
-    try {
-      chambolle::ResidentRunPolicy ao;
-      ao.tolerance = kAdaptiveOracleTolerance;
-      ao.patience = kAdaptiveOraclePatience;
-      compare_quality(report, "resident_adaptive", c.v, c.params.theta, ref,
-                      Peer::solve_windowed(c.v, c.params, c.tiled, ao,
-                                           nullptr, nullptr, initial));
-    } catch (const std::exception& e) {
-      record_failure(report, "resident_adaptive",
-                     std::string("threw: ") + e.what());
-    }
-  }
-
-  if (options.include_multilevel) {
-    // Tolerance-mode multilevel: coarse corrections make the result jump
-    // AHEAD of the fixed-budget reference, so it is scored against a
-    // converged solve (see compare_multilevel / kMultilevel* in oracle.hpp).
-    try {
-      ChambolleParams star_params = c.params;
-      star_params.iterations += kMultilevelRefExtraIterations;
-      const ChambolleResult star = solve(c.v, star_params, initial);
-      chambolle::ResidentRunPolicy mo;
-      mo.tolerance = kAdaptiveOracleTolerance;
-      mo.patience = kAdaptiveOraclePatience;
-      mo.multilevel.period = kMultilevelOraclePeriod;
-      compare_multilevel(report, "resident_multilevel", c.v, c.params.theta,
-                         ref, star,
-                         Peer::solve_windowed(c.v, c.params, c.tiled, mo,
-                                              nullptr, nullptr, initial));
-    } catch (const std::exception& e) {
-      record_failure(report, "resident_multilevel",
-                     std::string("threw: ") + e.what());
-    }
-    // The correction-disabled contract: with multilevel off and a tolerance
-    // nothing can beat, the work-queue schedule of a retiring policy must
-    // reproduce the fixed budget (and hence the sequential reference) bit
-    // for bit.
-    try {
-      chambolle::ResidentRunPolicy off;
-      off.tolerance = 1e-30f;  // nothing retires
-      off.patience = 1;
-      off.multilevel.period = 0;  // correction disabled
-      compare(report, "resident_multilevel_off", ref,
-              Peer::solve_windowed(c.v, c.params, c.tiled, off, nullptr,
-                                   nullptr, initial),
-              /*exact=*/true);
-    } catch (const std::exception& e) {
-      record_failure(report, "resident_multilevel_off",
-                     std::string("threw: ") + e.what());
     }
   }
 

@@ -28,8 +28,6 @@ struct OracleOptions {
   bool include_parallel = true;     ///< reload-tiled / resident
   bool include_backends = true;     ///< one reference solve per SIMD backend
   bool include_fixedpoint = true;   ///< fixed-point solver + accelerator
-  bool include_adaptive = true;     ///< adaptive resident (quality policy)
-  bool include_multilevel = true;   ///< multilevel resident (quality policy)
 };
 
 /// Outcome of one engine on one case.
@@ -59,34 +57,6 @@ struct OracleReport {
 /// accumulate against the float reference over the generator's iteration
 /// and input ranges; calibrated against the fixed-solver accuracy tests.
 inline constexpr double kFixedPointTolerance = 0.25;
-
-/// The adaptive resident solve is deliberately NOT bit-exact (retired tiles
-/// stop refining while neighbors continue against their frozen halos), so
-/// the oracle scores it under a QUALITY policy instead of memcmp: the
-/// recovered primal must stay within kAdaptiveDuBound of the fixed-budget
-/// reference, and its ROF energy must not exceed the reference's by more
-/// than kAdaptiveEnergySlack (relative).  The settings below are what the
-/// oracle's adaptive run uses; the bound scales with the tolerance (a tile
-/// only retires once its per-iteration update is under tolerance, so its
-/// remaining drift is a small multiple of it).
-inline constexpr float kAdaptiveOracleTolerance = 1e-4f;
-inline constexpr int kAdaptiveOraclePatience = 2;
-inline constexpr double kAdaptiveDuBound = 100.0 * kAdaptiveOracleTolerance;
-inline constexpr double kAdaptiveEnergySlack = 1e-3;
-
-/// The multilevel resident solve is scored with the SAME quality constants
-/// as the adaptive one, but against a CONVERGED reference: a coarse-grid
-/// correction legitimately jumps AHEAD of the fixed-budget reference (that
-/// is its purpose), so distance to the fixed-budget state is the wrong
-/// yardstick.  The policy is: the multilevel primal must be no farther from
-/// the converged solution than the fixed-budget reference is, plus
-/// kAdaptiveDuBound of adaptive-retirement slack — and its ROF energy must
-/// not regress against the fixed-budget reference (it should be at least as
-/// converged, never less).  Firing cadence for the oracle budgets:
-inline constexpr int kMultilevelOraclePeriod = 2;
-/// Extra iterations of the converged-reference solve (on top of the case's
-/// own budget); oracle frames are <= 64 px, so this stays cheap.
-inline constexpr int kMultilevelRefExtraIterations = 400;
 
 /// Runs every applicable engine on the case and compares against the
 /// sequential reference.  Engines are executed one after another in the

@@ -46,13 +46,10 @@ struct ResidentTiledEngineTestPeer {
   /// solve_resident() on options' window.
   [[nodiscard]] static ChambolleResult solve_windowed(
       const Matrix<float>& v, const ChambolleParams& params,
-      const TiledSolverOptions& options, const ResidentRunPolicy& policy = {},
-      ResidentRunReport* report = nullptr, ResidentTiledStats* stats = nullptr,
+      const TiledSolverOptions& options, ResidentTiledStats* stats = nullptr,
       const DualField* initial = nullptr) {
     ResidentTiledEngine engine = windowed(v, params, options, initial);
-    const ResidentRunReport& rep =
-        engine.run(params.iterations, policy).front();
-    if (report != nullptr) *report = rep;
+    engine.run(params.iterations);
     if (stats != nullptr) *stats = engine.stats();
     return engine.result();
   }

@@ -8,10 +8,9 @@
 
 namespace chambolle::tvl1 {
 
-// downsample2 / upsample_to are thin wrappers over the shared grid-transfer
-// module (grid/transfer.hpp) since the resident engine's coarse-grid
-// correction started needing the same operators: one definition of the
-// restriction convention, one set of invariant tests.  The shared ops keep
+// downsample2 / upsample_to are thin wrappers over the grid-transfer module
+// (grid/transfer.hpp): one definition of the restriction convention, one set
+// of invariant tests.  The module's ops keep
 // the exact historical arithmetic, so the rebased pyramid is bit-identical
 // to its pre-refactor output (pinned by tests/grid_transfer_test.cpp).
 

@@ -51,21 +51,15 @@ long long component_solve(const Matrix<float>& v, const Tvl1Params& params,
 // are two fields of one engine, so one run advances both and a lane blocked
 // on one component's neighbor runs the other's tiles.  `engines` keeps one
 // engine per level shape, so a warp re-streams only v into cold duals.
-// Returns the inner-iteration count both solves contributed to the stats:
-// each component's tile-average of the iterations actually executed (the
-// fixed budget unless the policy retires tiles).
+// Returns the inner-iteration count both solves contributed to the stats.
 long long resident_solve(const FlowField& v, const Tvl1Params& params,
                          FlowField& flow, EngineCache& engines) {
   const Matrix<float>* const fields[] = {&v.u1, &v.u2};
   ResidentTiledEngine& engine = engines.bind(fields);
-  long long iters = 0;
-  for (const ResidentRunReport& rep :
-       engine.run(params.chambolle.iterations, params.resident))
-    iters += static_cast<long long>(rep.total_iterations) /
-             static_cast<long long>(rep.tiles);
+  engine.run(params.chambolle.iterations);
   Matrix<float>* const u[] = {&flow.u1, &flow.u2};
   engine.result_into(u);
-  return iters;
+  return 2LL * params.chambolle.iterations;
 }
 
 // The coarse-to-fine loop shared by both compute_flow overloads and
@@ -134,10 +128,6 @@ void Tvl1Params::validate() const {
   chambolle.validate();
   if (solver == InnerSolver::kTiled) tiled.validate();
   if (solver == InnerSolver::kResident) tiled.validate_schedule();
-  resident.validate();  // a correction period needs a tolerance
-  if (resident.retiring() && solver != InnerSolver::kResident)
-    throw std::invalid_argument(
-        "Tvl1Params: a resident run policy requires the resident solver");
 }
 
 FlowField compute_flow(const Image& i0, const Image& i1,

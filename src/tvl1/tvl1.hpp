@@ -38,12 +38,6 @@ struct Tvl1Params {
   InnerSolver solver = InnerSolver::kReference;
   /// Tiled-solver options, used when solver == kTiled or kResident.
   TiledSolverOptions tiled{};
-  /// kResident only: how each inner solve spends its iteration budget
-  /// (ResidentRunPolicy).  The default fixed budget keeps the results
-  /// bit-identical to every other inner solver; a tolerance > 0 retires
-  /// tiles whose duals have stilled (smooth/static flow regions), and a
-  /// multilevel period > 0 adds the coarse-grid correction on top.
-  ResidentRunPolicy resident{};
   /// Median-filter the flow between warps (Wedel et al. 2009 refinement;
   /// false reproduces the paper's pipeline).
   bool median_filtering = false;

@@ -106,7 +106,7 @@ TEST(OuterLoopAllocations, SweepAllocatesNothingOnceItsOutputIsShaped) {
 TEST(OuterLoopAllocations, ResidentRunAllocatesNothingOnceWarm) {
   // A TV-L1 inner solve: the two flow components of a 316 x 252 frame on
   // one engine, three lanes.  The first run sizes the per-lane scratch;
-  // every later run, fixed or retiring, reuses it.
+  // every later run reuses it.
   parallel::ThreadPool pool(3);
   Rng rng(3);
   const Matrix<float> v1 = random_image(rng, 252, 316, -1.f, 1.f);
@@ -117,16 +117,9 @@ TEST(OuterLoopAllocations, ResidentRunAllocatesNothingOnceWarm) {
   opts.pool = &pool;
   ResidentTiledEngine engine(inputs, ChambolleParams{0.25f, 0.0625f, 30},
                              opts, {});
-  ResidentRunPolicy retiring;
-  retiring.tolerance = 1e-3f;
   engine.run(30);
-  engine.run(30, retiring);
   EXPECT_EQ(allocations_during([&] {
               for (int k = 0; k < 5; ++k) engine.run(30);
-            }),
-            0);
-  EXPECT_EQ(allocations_during([&] {
-              for (int k = 0; k < 5; ++k) engine.run(30, retiring);
             }),
             0);
 }

@@ -207,8 +207,8 @@ TEST(ProfilerResident, SolveAttributesLaneWallTime) {
 // lane 0 and tiles {1, 2} to lane 1 (contiguous block ownership), so lane 1
 // runs twice the kernel bursts.  The imbalance is asserted on counted
 // bursts, not kernel seconds, so a loaded host cannot flip it; the exact
-// counts also pin the fixed policy's lane pinning (no burst runs off its
-// owner's lane).
+// counts also pin the engine's lane pinning (no burst runs off its owner's
+// lane).
 TEST(ProfilerResident, ImbalancedTileGridIsVisible) {
   SKIP_IF_COMPILED_OUT();
   if (parallel::default_pool().lanes_for(2) < 2)

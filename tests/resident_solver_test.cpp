@@ -64,8 +64,8 @@ TEST_P(ResidentEqualsReference, BitExactOnAllElements) {
     SCOPED_TRACE(planned ? "planned" : "window");
     ResidentTiledStats stats;
     const ChambolleResult res =
-        planned ? solve_resident(v, params, opt, {}, nullptr, &stats)
-                : Peer::solve_windowed(v, params, opt, {}, nullptr, &stats);
+        planned ? solve_resident(v, params, opt, &stats)
+                : Peer::solve_windowed(v, params, opt, &stats);
 
     expect_memcmp_eq(res.u, ref.u, "u");
     expect_memcmp_eq(res.p.px, ref.p.px, "px");
@@ -105,8 +105,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 // The engine's own plan at every pyramid level of the benchmark workloads,
 // Table II's frame, lines and long thin strips, for 1-2 fields on 1-8
-// lanes: under the fixed policy every field is the sequential reference,
-// bit for bit.  (The suite name matches the CI TSan filter.)
+// lanes: every field is the sequential reference, bit for bit.  (The suite
+// name matches the CI TSan filter.)
 TEST(ResidentPlan, FixedPolicyMatchesReferenceOnEveryShape) {
   struct Shape {
     int rows, cols;
@@ -213,8 +213,7 @@ TEST(ResidentSolver, WarmStartFromInitialDuals) {
   opt.num_threads = 2;
   ResidentTiledStats stats;
   const ChambolleResult warm =
-      Peer::solve_windowed(v, params_with(5), opt, {}, nullptr, &stats,
-                           &stage1.p);
+      Peer::solve_windowed(v, params_with(5), opt, &stats, &stage1.p);
   const ChambolleResult ref = solve(v, params_with(5), &stage1.p);
   expect_memcmp_eq(warm.p.px, ref.p.px, "px");
   expect_memcmp_eq(warm.p.py, ref.p.py, "py");
@@ -272,7 +271,7 @@ TEST(ResidentSolver, StatsReportHaloTrafficFarBelowFrameReload) {
   opt.merge_iterations = 4;
   opt.num_threads = 1;
   ResidentTiledStats stats;
-  (void)Peer::solve_windowed(v, params_with(16), opt, {}, nullptr, &stats);
+  (void)Peer::solve_windowed(v, params_with(16), opt, &stats);
 
   EXPECT_EQ(stats.passes, 4);
   EXPECT_GT(stats.tiles, 1u);
@@ -290,7 +289,7 @@ TEST(ResidentSolver, SingleTileExchangesNothing) {
   TiledSolverOptions opt;  // 32x32 is below one strip's cell floor
   ResidentTiledStats stats;
   const ChambolleResult res =
-      solve_resident(v, params_with(8), opt, {}, nullptr, &stats);
+      solve_resident(v, params_with(8), opt, &stats);
   EXPECT_EQ(stats.tiles, 1u);
   EXPECT_EQ(stats.halo_elements_per_pass, 0u);
   EXPECT_EQ(stats.halo_bytes_exchanged, 0u);

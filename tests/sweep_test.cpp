@@ -409,32 +409,29 @@ TEST(OuterLoopStages, ParallelRecoveryMatchesSerialSnapshotAndRecovery) {
 }
 
 TEST(OuterLoopStages, FixedBudgetSentinelResolvesToTheFixedSchedule) {
-  // The pass cap and the truncated final pass follow from the budget and the
-  // merge depth alone.  Under the default policy (tolerance 0, the fixed-
-  // budget sentinel) and under a retiring policy whose tolerance nothing
-  // beats, every tile runs ceil(iterations / merge) passes that add up to
-  // exactly `iterations`.
+  // The pass count and the truncated final pass follow from the budget and
+  // the merge depth alone: every tile runs ceil(iterations / merge) passes
+  // that add up to exactly `iterations`.
   Rng rng(404);
   const Matrix<float> v = random_image(rng, 40, 44, -2.f, 2.f);
-  ResidentRunPolicy never;
-  never.tolerance = 1e-30f;
-  never.patience = 1;
   for (const auto& [iterations, merge] :
        {std::pair{30, 4}, {28, 4}, {1, 4}, {5, 1}}) {
+    SCOPED_TRACE(std::to_string(iterations) + "/" + std::to_string(merge));
     TiledSolverOptions opts;
     opts.tile_rows = 20;
     opts.tile_cols = 24;
     opts.merge_iterations = merge;
     const ChambolleParams params{0.25f, 0.0625f, iterations};
     ResidentTiledEngine engine = Peer::windowed(v, params, opts);
-    for (const ResidentRunPolicy& policy : {ResidentRunPolicy{}, never}) {
-      SCOPED_TRACE(std::to_string(iterations) + "/" + std::to_string(merge) +
-                   (policy.retiring() ? " retiring" : " fixed"));
-      const ResidentRunReport& r = engine.run(iterations, policy).front();
-      EXPECT_EQ(r.pass_cap, (iterations + merge - 1) / merge);
-      EXPECT_EQ(r.total_iterations,
-                r.tiles * static_cast<std::size_t>(iterations));
-      for (const int p : r.tile_passes) EXPECT_EQ(p, r.pass_cap);
+    std::size_t buffer_elements = 0;
+    for (const TileSpec& t : engine.plan().tiles)
+      buffer_elements += t.buffer_elements();
+    for (int run = 1; run <= 2; ++run) {
+      engine.run(iterations);
+      EXPECT_EQ(engine.stats().passes,
+                run * ((iterations + merge - 1) / merge));
+      EXPECT_EQ(engine.stats().element_iterations,
+                static_cast<std::size_t>(run * iterations) * buffer_elements);
     }
   }
 }

@@ -32,17 +32,6 @@ TEST(Tvl1Params, Validation) {
   p = {};
   p.chambolle.tau = 1.f;  // breaks tau/theta <= 1/4
   EXPECT_THROW(p.validate(), std::invalid_argument);
-  // The resident run policy: only the resident solver takes one, and a
-  // correction period needs a tolerance.
-  p = {};
-  p.resident.tolerance = 1e-4f;
-  EXPECT_THROW(p.validate(), std::invalid_argument);
-  p.solver = InnerSolver::kResident;
-  EXPECT_NO_THROW(p.validate());
-  p.resident.multilevel.period = 2;
-  EXPECT_NO_THROW(p.validate());
-  p.resident.tolerance = 0.f;
-  EXPECT_THROW(p.validate(), std::invalid_argument);
 }
 
 TEST(Tvl1, RejectsMismatchedFrames) {
@@ -136,29 +125,20 @@ TEST(Tvl1, ResidentBackendMatchesReferenceExactly) {
   EXPECT_EQ(a.u2, b.u2);
 }
 
-TEST(Tvl1, AdaptiveResidentAccountsExecutedInnerIterations) {
-  // Regression for the adaptive inner-iteration accounting: with an
-  // unreachable tolerance nothing retires, so the adaptive resident path
-  // executes exactly the fixed budget — including the TRUNCATED remainder
-  // burst when iterations % merge != 0 (25 = 6*4 + 1 here) — and
-  // chambolle_inner_iterations must report the executed count, not round
-  // the final burst up to a whole merged pass.
+TEST(Tvl1, ResidentAccountsInnerIterationsOfANonMultipleBudget) {
+  // The resident path's inner-iteration accounting on a budget that is not
+  // a multiple of the merge depth (25 = 6*4 + 1 here): the TRUNCATED final
+  // burst counts as the one iteration it runs, not a whole merged pass, and
+  // the flow equals the reference solver's.
   const auto wl = workloads::translating_scene(48, 48, 1.f, 0.5f, 37);
   Tvl1Params p = fast_params();
   p.solver = InnerSolver::kResident;
-  p.tiled.tile_rows = 24;
-  p.tiled.tile_cols = 24;
   p.tiled.merge_iterations = 4;
-  p.resident.tolerance = 1e-30f;  // nothing retires: deterministic budget
-  p.resident.patience = 1;
   Tvl1Stats stats;
   const FlowField a = compute_flow(wl.frame0, wl.frame1, p, &stats);
   EXPECT_EQ(stats.chambolle_inner_iterations,
             2LL * 25 * p.warps * stats.levels_processed);
-  // With nothing retiring the adaptive schedule IS the fixed schedule.
-  Tvl1Params fixed = p;
-  fixed.resident = {};
-  const FlowField b = compute_flow(wl.frame0, wl.frame1, fixed);
+  const FlowField b = compute_flow(wl.frame0, wl.frame1, fast_params());
   EXPECT_EQ(a.u1, b.u1);
   EXPECT_EQ(a.u2, b.u2);
 }
@@ -166,9 +146,7 @@ TEST(Tvl1, AdaptiveResidentAccountsExecutedInnerIterations) {
 TEST(Tvl1, ResidentSolvesBothComponentsOnOneEnginePerLevel) {
   // u1 and u2 are two fields of one resident engine, built once per pyramid
   // level; tiles.passes still counts per field (one pass of the two-field
-  // engine is two field passes) — under a retiring policy too, where tiles
-  // stop before the cap: the counter counts passes of the run's schedule,
-  // not executed (field, tile) passes.
+  // engine is two field passes).
   const bool was_enabled = telemetry::enabled();
   telemetry::set_enabled(true);
   telemetry::Counter& builds =
@@ -188,17 +166,6 @@ TEST(Tvl1, ResidentSolvesBothComponentsOnOneEnginePerLevel) {
   EXPECT_EQ(passes.value() - passes0,
             static_cast<std::uint64_t>(2 * 5 * p.warps *
                                        stats.levels_processed));
-
-  // Every tile retires after its second pass.
-  p.resident.tolerance = 10.f;
-  p.resident.patience = 2;
-  const std::uint64_t retiring0 = passes.value();
-  (void)compute_flow(wl.frame0, wl.frame1, p, &stats);
-  EXPECT_EQ(passes.value() - retiring0,
-            static_cast<std::uint64_t>(2 * 5 * p.warps *
-                                       stats.levels_processed));
-  EXPECT_EQ(stats.chambolle_inner_iterations,
-            2LL * 2 * 5 * p.warps * stats.levels_processed);
   telemetry::set_enabled(was_enabled);
 }
 

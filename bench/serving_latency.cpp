@@ -1,31 +1,21 @@
-// serving_latency — end-to-end latency of the multi-stream flow service
-// under open-loop load (src/serving/flow_service.hpp).
+// serving_latency — admission control of the multi-stream flow service
+// under burst overload (src/serving/flow_service.hpp).
 //
-// Protocol: S Chambolle-mode sessions submit frames on a fixed arrival
-// clock WITHOUT waiting for replies (open loop — queueing delay is part of
-// the measurement, unlike a closed loop that self-throttles), against a
-// fleet of `slots` engine slots.  Per-request latency = queue wait + solve,
-// read from the replies; the run repeats several times and the bench emits
-// p50/p99 order statistics per repeat, so BENCH_serving.json carries
-// `p50_ms_median` / `p99_ms_median` (+ MAD) for the noise-aware perf gate
-// (tools/bench_diff).
+// S Chambolle-mode sessions submit all their frames at once, without
+// waiting for replies, against one slot with short queues and a tight
+// latency SLO.  The run measures how many requests the service sheds at the
+// queue bound vs. the deadline, and checks that completed + shed accounts
+// for every submission.  Shed rates depend on the machine, so they are
+// reported as plain params.  Latency under sustainable open-loop load is
+// the repository benchmark's `serve_mixed` workload (perfbench/).
 //
-// A second, deliberately overloaded phase (burst arrivals, tight latency
-// SLO, short queues) measures ADMISSION CONTROL instead of latency: how
-// many requests the service sheds at the queue bound vs. the deadline, and
-// that completed + shed accounts for every submission.  Shed rates are
-// environment-dependent, so they are reported as plain params, not gated
-// keys.
-//
-// Runs with no arguments; CHB_SERVING_SESSIONS / CHB_SERVING_REPEATS
-// override the load shape for manual exploration.
+// Runs with no arguments; CHB_SERVING_SESSIONS overrides the session count
+// for manual exploration.
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -66,19 +56,17 @@ struct LoadResult {
   serving::ServiceStats stats;
 };
 
-// One open-loop run: `sessions` streams, `rounds` frames each, arrivals
-// every `interval_us` microseconds (0 = burst), on a fresh service.
-LoadResult run_load(int sessions, int rounds, int interval_us, int slots,
-                    std::size_t queue_capacity, double slo_ms,
-                    std::uint64_t seed) {
+// One burst: `sessions` streams submit `rounds` frames each, back to back,
+// on a fresh one-slot service with 4-deep queues and a 10 ms SLO.
+LoadResult run_overload(int sessions, int rounds) {
   serving::FlowServiceOptions opts;
   opts.params = bench_params();
-  opts.slots = slots;
-  opts.queue_capacity = queue_capacity;
-  opts.slo_ms = slo_ms;
+  opts.slots = 1;
+  opts.queue_capacity = 4;
+  opts.slo_ms = 10.0;
   serving::FlowService service(opts);
 
-  Rng rng(seed);
+  Rng rng(2000);
   std::vector<Matrix<float>> frames;
   for (int s = 0; s < sessions; ++s)
     frames.push_back(random_image(rng, 128, 128, -3.f, 3.f));
@@ -88,14 +76,11 @@ LoadResult run_load(int sessions, int rounds, int interval_us, int slots,
   std::vector<std::future<serving::Reply>> futures;
   futures.reserve(static_cast<std::size_t>(sessions) *
                   static_cast<std::size_t>(rounds));
-  for (int r = 0; r < rounds; ++r) {
+  for (int r = 0; r < rounds; ++r)
     for (int s = 0; s < sessions; ++s)
       futures.push_back(
           streams[static_cast<std::size_t>(s)]->submit(
               frames[static_cast<std::size_t>(s)]));
-    if (interval_us > 0)
-      std::this_thread::sleep_for(std::chrono::microseconds(interval_us));
-  }
 
   std::vector<double> latencies;
   for (auto& f : futures) {
@@ -114,36 +99,15 @@ LoadResult run_load(int sessions, int rounds, int interval_us, int slots,
 
 int main() {
   const int sessions = env_int("CHB_SERVING_SESSIONS", 6);
-  const int repeats = env_int("CHB_SERVING_REPEATS", 5);
   const int rounds = 20;
 
   Stopwatch wall;
   TextTable table(
       {"phase", "sessions", "completed", "shed", "p50 ms", "p99 ms"});
 
-  // Phase 1 (gated): sustainable open-loop load, latency quantiles.
-  std::vector<double> p50s, p99s;
-  serving::ServiceStats last{};
-  for (int r = 0; r < repeats; ++r) {
-    const LoadResult res =
-        run_load(sessions, rounds, /*interval_us=*/2000, /*slots=*/2,
-                 /*queue_capacity=*/64, /*slo_ms=*/0.0,
-                 /*seed=*/1000 + static_cast<std::uint64_t>(r));
-    p50s.push_back(res.p50);
-    p99s.push_back(res.p99);
-    last = res.stats;
-    table.add_row({"open-loop", std::to_string(sessions),
-                   std::to_string(res.stats.completed),
-                   std::to_string(res.stats.shed_queue_full +
-                                  res.stats.shed_deadline),
-                   TextTable::num(res.p50, 3), TextTable::num(res.p99, 3)});
-  }
-
-  // Phase 2 (reported, not gated): burst overload against a tight SLO and
-  // short queues — admission control must shed, and the books must balance.
-  const LoadResult overload =
-      run_load(sessions, rounds, /*interval_us=*/0, /*slots=*/1,
-               /*queue_capacity=*/4, /*slo_ms=*/10.0, /*seed=*/2000);
+  // Burst overload against a tight SLO and short queues: admission control
+  // must shed, and the books must balance.
+  const LoadResult overload = run_overload(sessions, rounds);
   const std::uint64_t shed =
       overload.stats.shed_queue_full + overload.stats.shed_deadline;
   table.add_row({"overload", std::to_string(sessions),
@@ -167,12 +131,6 @@ int main() {
   telemetry::BenchParams report;
   report.emplace_back("sessions", std::to_string(sessions));
   report.emplace_back("rounds", std::to_string(rounds));
-  report.emplace_back("repeats", std::to_string(repeats));
-  telemetry::append_repeat_stats(report, "p50_ms",
-                                 telemetry::repeat_stats(p50s));
-  telemetry::append_repeat_stats(report, "p99_ms",
-                                 telemetry::repeat_stats(p99s));
-  report.emplace_back("openloop_completed", std::to_string(last.completed));
   report.emplace_back("overload_completed",
                       std::to_string(overload.stats.completed));
   report.emplace_back("overload_shed_queue_full",

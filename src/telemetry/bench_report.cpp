@@ -1,7 +1,5 @@
 #include "telemetry/bench_report.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
 
 #include "telemetry/json_util.hpp"
@@ -38,38 +36,6 @@ std::string write_bench_report(const std::string& name,
     return "";
   std::printf("[bench_report] wrote %s\n", path.c_str());
   return path;
-}
-
-RepeatStats repeat_stats(std::vector<double> samples) {
-  RepeatStats out;
-  if (samples.empty()) return out;
-  std::sort(samples.begin(), samples.end());
-  const std::size_t n = samples.size();
-  out.min = samples.front();
-  out.max = samples.back();
-  out.median = n % 2 == 1 ? samples[n / 2]
-                          : 0.5 * (samples[n / 2 - 1] + samples[n / 2]);
-  out.count = n;
-  // MAD: reuse the sample buffer for the absolute deviations.
-  for (double& s : samples) s = std::abs(s - out.median);
-  std::sort(samples.begin(), samples.end());
-  out.mad = n % 2 == 1 ? samples[n / 2]
-                       : 0.5 * (samples[n / 2 - 1] + samples[n / 2]);
-  return out;
-}
-
-void append_repeat_stats(BenchParams& params, const std::string& key,
-                         const RepeatStats& stats) {
-  const auto fmt = [](double x) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.3f", x);
-    return std::string(buf);
-  };
-  params.emplace_back(key + "_min", fmt(stats.min));
-  params.emplace_back(key + "_median", fmt(stats.median));
-  params.emplace_back(key + "_max", fmt(stats.max));
-  params.emplace_back(key + "_mad", fmt(stats.mad));
-  params.emplace_back(key + "_n", std::to_string(stats.count));
 }
 
 }  // namespace chambolle::telemetry

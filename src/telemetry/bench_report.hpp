@@ -34,24 +34,4 @@ std::string write_bench_report(const std::string& name,
                                const BenchParams& params, double wall_ms,
                                const std::string& dir = ".");
 
-/// Order statistics of repeated measurements — the noise-robust form every
-/// bench emits: a single best-of number hides run-to-run variance, which is
-/// exactly what CI needs to see to tell a regression from scheduler noise.
-struct RepeatStats {
-  double min = 0.0;
-  double median = 0.0;  ///< even counts: mean of the middle pair
-  double max = 0.0;
-  double mad = 0.0;  ///< median absolute deviation from the median
-  std::size_t count = 0;
-};
-
-/// Computes RepeatStats from raw samples (any unit).  Empty input -> zeros.
-[[nodiscard]] RepeatStats repeat_stats(std::vector<double> samples);
-
-/// Emits `<key>_min`, `<key>_median`, `<key>_max`, `<key>_mad` (%.3f) and
-/// `<key>_n` into `params` — the MAD and sample count give bench_diff a
-/// per-benchmark noise scale instead of a one-size-fits-all threshold.
-void append_repeat_stats(BenchParams& params, const std::string& key,
-                         const RepeatStats& stats);
-
 }  // namespace chambolle::telemetry

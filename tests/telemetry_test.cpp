@@ -669,47 +669,6 @@ TEST(BenchReport, JsonHasStableSchema) {
   EXPECT_NE(metrics->find("counters"), nullptr);
 }
 
-TEST(BenchReport, RepeatStatsOrderStatistics) {
-  const telemetry::RepeatStats odd =
-      telemetry::repeat_stats({5.0, 1.0, 3.0, 2.0, 4.0});
-  EXPECT_DOUBLE_EQ(odd.min, 1.0);
-  EXPECT_DOUBLE_EQ(odd.median, 3.0);
-  EXPECT_DOUBLE_EQ(odd.max, 5.0);
-  const telemetry::RepeatStats even = telemetry::repeat_stats({4.0, 1.0});
-  EXPECT_DOUBLE_EQ(even.median, 2.5);
-  const telemetry::RepeatStats empty = telemetry::repeat_stats({});
-  EXPECT_DOUBLE_EQ(empty.min, 0.0);
-  EXPECT_DOUBLE_EQ(empty.median, 0.0);
-  EXPECT_DOUBLE_EQ(empty.max, 0.0);
-
-  telemetry::BenchParams params;
-  telemetry::append_repeat_stats(params, "solve_ms", odd);
-  ASSERT_EQ(params.size(), 5u);
-  EXPECT_EQ(params[0].first, "solve_ms_min");
-  EXPECT_EQ(params[1].first, "solve_ms_median");
-  EXPECT_EQ(params[1].second, "3.000");
-  EXPECT_EQ(params[2].first, "solve_ms_max");
-  EXPECT_EQ(params[3].first, "solve_ms_mad");
-  EXPECT_EQ(params[4].first, "solve_ms_n");
-  EXPECT_EQ(params[4].second, "5");
-}
-
-TEST(BenchReport, RepeatStatsMadIsRobustToOutliers) {
-  // {1, 2, 3, 4, 100}: the outlier drags the mean but not the median (3)
-  // or the MAD (deviations {2, 1, 0, 1, 97} -> sorted median 1).
-  const telemetry::RepeatStats s =
-      telemetry::repeat_stats({1.0, 2.0, 3.0, 4.0, 100.0});
-  EXPECT_DOUBLE_EQ(s.median, 3.0);
-  EXPECT_DOUBLE_EQ(s.mad, 1.0);
-  EXPECT_EQ(s.count, 5u);
-  const telemetry::RepeatStats even =
-      telemetry::repeat_stats({10.0, 12.0, 14.0, 20.0});
-  EXPECT_DOUBLE_EQ(even.median, 13.0);
-  EXPECT_DOUBLE_EQ(even.mad, 2.0);  // deviations {3, 1, 1, 7} -> (1 + 3) / 2
-  EXPECT_EQ(telemetry::repeat_stats({}).count, 0u);
-  EXPECT_DOUBLE_EQ(telemetry::repeat_stats({}).mad, 0.0);
-}
-
 // ---------------------------------------------------------------------------
 // End-to-end integration: run by ctest once with CHAMBOLLE_TELEMETRY=1.
 

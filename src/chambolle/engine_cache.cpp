@@ -4,17 +4,11 @@
 
 namespace chambolle {
 
-ResidentTiledEngine& EngineCache::bind(ResidentTiledEngine::Fields fields,
-                                       ResidentTiledEngine::DualFields initial) {
+ResidentTiledEngine& EngineCache::engine(int rows, int cols, int fields) {
   const auto hit = std::find_if(engines_.begin(), engines_.end(), [&](auto& e) {
-    return e->fields() == static_cast<int>(fields.size()) &&
-           fields[0] != nullptr && e->rows() == fields[0]->rows() &&
-           e->cols() == fields[0]->cols();
+    return e->fields() == fields && e->rows() == rows && e->cols() == cols;
   });
   if (hit != engines_.end()) {
-    (*hit)->reset_v(fields, initial);
-    // reset_v without `initial` keeps the last bind's duals: zero them.
-    if (initial.empty()) (*hit)->reset_duals();
     std::rotate(hit, hit + 1, engines_.end());
     return *engines_.back();
   }
@@ -22,8 +16,8 @@ ResidentTiledEngine& EngineCache::bind(ResidentTiledEngine::Fields fields,
     engines_.erase(engines_.begin());
     evictions_.fetch_add(1);
   }
-  engines_.push_back(std::make_unique<ResidentTiledEngine>(fields, params_,
-                                                           options_, initial));
+  engines_.push_back(std::make_unique<ResidentTiledEngine>(rows, cols, fields,
+                                                           params_, options_));
   builds_.fetch_add(1);
   return *engines_.back();
 }

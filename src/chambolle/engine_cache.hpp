@@ -2,11 +2,13 @@
 //
 // An EngineCache holds one (ChambolleParams, TiledSolverOptions) set, and so
 // one pool, and at most kCapacity engines built on it, one per (rows, cols,
-// fields), evicting the least recently bound first.  A serving slot's cache
-// serves both modes: Chambolle-mode solves bind one-field engines, TV-L1
-// warps one two-field engine per pyramid level.  A bound engine equals a
-// fresh one (the engine-reuse contract), so the cache changes no bits.  One
-// thread binds at a time; the counters may be read from any.
+// fields), evicting the least recently used first.  A serving slot's cache
+// serves both modes: Chambolle-mode solves use one-field engines, TV-L1
+// warps one two-field engine per pyramid level.  The cache only finds or
+// builds an engine and loads nothing: every solve() overwrites every
+// buffer cell, so a reused engine equals a fresh one and the cache changes
+// no bits.  One thread uses the cache at a time; the counters may be read
+// from any.
 #pragma once
 
 #include <atomic>
@@ -29,18 +31,9 @@ class EngineCache {
   EngineCache(const ChambolleParams& params, const TiledSolverOptions& options)
       : params_(params), options_(options) {}
 
-  /// A cached or new engine of the fields' shape and count, holding
-  /// `fields` and the duals of `initial` (one per field), or zero duals
-  /// when it is empty.  Valid until the next bind().
-  ResidentTiledEngine& bind(ResidentTiledEngine::Fields fields,
-                            ResidentTiledEngine::DualFields initial = {});
-  /// bind() of one field; `initial` may be null (cold start).
-  ResidentTiledEngine& bind(const Matrix<float>& v, const DualField* initial) {
-    const Matrix<float>* const field = &v;
-    return bind({&field, 1}, initial != nullptr
-                                 ? ResidentTiledEngine::DualFields(&initial, 1)
-                                 : ResidentTiledEngine::DualFields());
-  }
+  /// The cached engine of `fields` rows x cols fields, or a new one (the
+  /// least recently used evicted at capacity).  Valid until the next call.
+  ResidentTiledEngine& engine(int rows, int cols, int fields);
 
   [[nodiscard]] const TiledSolverOptions& options() const { return options_; }
   [[nodiscard]] std::size_t size() const { return engines_.size(); }

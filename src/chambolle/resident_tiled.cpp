@@ -1,7 +1,6 @@
 #include "chambolle/resident_tiled.hpp"
 
 #include <algorithm>
-#include <array>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -51,71 +50,57 @@ void copy_profitable(const Matrix<float>& buf, const TileSpec& s,
                      frame, s.prof_row0, s.prof_col0, s.prof_rows, s.prof_cols);
 }
 
-/// The one-element spans of the single-field overloads.
-ResidentTiledEngine::DualFields one_or_none(const DualField* const& initial) {
-  return initial != nullptr ? ResidentTiledEngine::DualFields(&initial, 1)
-                            : ResidentTiledEngine::DualFields();
-}
-
 parallel::ThreadPool& pool_of(const TiledSolverOptions& options) {
   return options.pool != nullptr ? *options.pool : parallel::default_pool();
 }
 
-const Matrix<float>& first_field(ResidentTiledEngine::Fields inputs) {
-  if (inputs.empty() || inputs[0] == nullptr)
-    throw std::invalid_argument("ResidentTiledEngine: no input field");
-  return *inputs[0];
-}
-
-/// The planner's tiling for `inputs` on the lanes `options` resolves to.
-TilingPlan plan_for(ResidentTiledEngine::Fields inputs,
-                    const TiledSolverOptions& options) {
-  options.validate_schedule();
-  const Matrix<float>& v = first_field(inputs);
-  return plan_tiling(v.rows(), v.cols(), static_cast<int>(inputs.size()),
-                     pool_of(options).lanes_for(options.num_threads),
-                     options.merge_iterations);
-}
-
 }  // namespace
 
-ResidentTiledEngine::ResidentTiledEngine(Fields inputs,
+ResidentTiledEngine::ResidentTiledEngine(int rows, int cols, int fields,
                                          const ChambolleParams& params,
-                                         const TiledSolverOptions& options,
-                                         DualFields initial)
-    : ResidentTiledEngine(inputs, params, options, plan_for(inputs, options),
-                          initial) {}
+                                         const TiledSolverOptions& options)
+    : ResidentTiledEngine(
+          fields, params, options, [&] {
+            options.validate_schedule();
+            return plan_tiling(rows, cols, fields,
+                               pool_of(options).lanes_for(options.num_threads),
+                               options.merge_iterations);
+          }()) {}
 
-ResidentTiledEngine::ResidentTiledEngine(Fields inputs,
+ResidentTiledEngine::ResidentTiledEngine(int fields,
                                          const ChambolleParams& params,
                                          const TiledSolverOptions& options,
-                                         TilingPlan plan, DualFields initial)
-    : params_(params), options_(options), plan_(std::move(plan)) {
+                                         TilingPlan plan)
+    : params_(params), options_(options), plan_(std::move(plan)),
+      fields_(fields) {
   params_.validate();
   options_.validate_schedule();  // the plan replaces the tile window
-  const Matrix<float>& v = first_field(inputs);
-  if (plan_.frame_rows != v.rows() || plan_.frame_cols != v.cols() ||
-      plan_.halo != options_.merge_iterations)
+  if (fields_ < 1)
+    throw std::invalid_argument("ResidentTiledEngine: no input field");
+  if (plan_.halo != options_.merge_iterations)
     throw std::invalid_argument(
-        "ResidentTiledEngine: plan does not fit the frame and merge depth");
-  fields_ = static_cast<int>(inputs.size());
-  check_inputs(inputs, initial, "ResidentTiledEngine");
+        "ResidentTiledEngine: plan does not fit the merge depth");
 
   const int k = fields_;
   const int n = tiles_per_field();
-  // resize() value-initializes: the zero dual start of Algorithm 1, unless
-  // load_inputs() copies `initial` over it.  Sized in a node region, so the
-  // first touch of large strip buffers (page faults, zeroing) runs on every
-  // lane rather than the constructing thread.
+  // Sized in a node region, so the first touch of large strip buffers
+  // (page faults, zeroing) runs on every lane rather than the constructing
+  // thread.  parallel_rows with one "row" per node, costed at a tile's
+  // share of the frame: the streaming chunk floor keeps every frame below
+  // ~256 x 256 inline.
   tiles_.resize(static_cast<std::size_t>(n * k));
-  for_each_node(nodes(), [&](int node) {
-    const TileSpec& s = plan_.tiles[tile_of(node)];
-    TileBuffers& b = tiles_[node];
-    b.v.resize(s.buf_rows, s.buf_cols);
-    b.px.resize(s.buf_rows, s.buf_cols);
-    b.py.resize(s.buf_rows, s.buf_cols);
-  });
-  load_inputs(inputs, initial);
+  parallel::parallel_rows(
+      pool(), nodes(),
+      std::max(1, plan_.frame_rows * plan_.frame_cols / n), lanes(),
+      parallel::kStreamChunkCells, [&](int begin, int end) {
+        for (int node = begin; node < end; ++node) {
+          const TileSpec& s = plan_.tiles[tile_of(node)];
+          TileBuffers& b = tiles_[node];
+          b.v.resize(s.buf_rows, s.buf_cols);
+          b.px.resize(s.buf_rows, s.buf_cols);
+          b.py.resize(s.buf_rows, s.buf_cols);
+        }
+      });
 
   const std::vector<HaloEdge> edges = make_halo_edges(plan_);
   edges_per_field_ = edges.size();
@@ -159,13 +144,6 @@ ResidentTiledEngine::ResidentTiledEngine(Fields inputs,
   c_builds.add(1);
 }
 
-ResidentTiledEngine::ResidentTiledEngine(const Matrix<float>& v,
-                                         const ChambolleParams& params,
-                                         const TiledSolverOptions& options,
-                                         const DualField* initial)
-    : ResidentTiledEngine(Fields(std::array<const Matrix<float>*, 1>{&v}),
-                          params, options, one_or_none(initial)) {}
-
 ResidentTiledEngine::~ResidentTiledEngine() = default;
 
 void ResidentTiledEngine::gather_halos(int node, int g) {
@@ -186,8 +164,8 @@ void ResidentTiledEngine::gather_halos(int node, int g) {
 }
 
 void ResidentTiledEngine::publish_strips(int node, int g) {
-  // Profitable cells only, hence exact.  Publishing on the final pass too
-  // keeps the mailboxes coherent for a later run() on the resident state.
+  // Profitable cells only, hence exact.  The final pass publishes too: the
+  // recovery epoch gathers its strips into the halo ring.
   const TileBuffers& b = tiles_[node];
   Mailbox* mail = mailboxes(field_of(node));
   const telemetry::ProfScope prof(telemetry::LaneCause::kMailbox);
@@ -239,103 +217,140 @@ int ResidentTiledEngine::lanes() const {
   return pool().lanes_for(options_.num_threads);
 }
 
-void ResidentTiledEngine::check_inputs(Fields inputs, DualFields initial,
-                                       const char* who) const {
-  const auto shape_error = [who](const char* what) {
-    return std::invalid_argument(std::string(who) + ": " + what);
+void ResidentTiledEngine::check_arguments(
+    Fields v, DualFields initial, std::span<Matrix<float>* const> u,
+    std::span<DualField* const> duals) const {
+  const auto error = [](const char* what) {
+    return std::invalid_argument(std::string("ResidentTiledEngine::solve: ") +
+                                 what);
   };
-  if (inputs.size() != static_cast<std::size_t>(fields_))
-    throw shape_error("field count mismatch");
-  for (const Matrix<float>* v : inputs)
-    if (v == nullptr || v->rows() != plan_.frame_rows ||
-        v->cols() != plan_.frame_cols)
-      throw shape_error("shape mismatch");
-  if (initial.empty()) return;
-  if (initial.size() != static_cast<std::size_t>(fields_))
-    throw shape_error("initial dual count mismatch");
-  for (const DualField* d : initial)
-    if (d == nullptr || !d->px.same_shape(*inputs[0]) ||
-        !d->py.same_shape(*inputs[0]))
-      throw shape_error("initial dual shape mismatch");
+  const auto k = static_cast<std::size_t>(fields_);
+  if (v.size() != k || u.size() != k)
+    throw error("field count mismatch");
+  if (!initial.empty() && initial.size() != k)
+    throw error("initial dual count mismatch");
+  if (!duals.empty() && duals.size() != k)
+    throw error("dual output count mismatch");
+  const auto fits = [&](const Matrix<float>& m) {
+    return m.rows() == plan_.frame_rows && m.cols() == plan_.frame_cols;
+  };
+  for (std::size_t f = 0; f < k; ++f) {
+    if (v[f] == nullptr || !fits(*v[f])) throw error("shape mismatch");
+    if (!initial.empty() && (initial[f] == nullptr || !fits(initial[f]->px) ||
+                             !fits(initial[f]->py)))
+      throw error("initial dual shape mismatch");
+    if (u[f] == nullptr || (!duals.empty() && duals[f] == nullptr))
+      throw error("null output");
+    // Distinct outputs: the fields are written concurrently.
+    for (std::size_t g = 0; g < f; ++g)
+      if (u[f] == u[g] || (!duals.empty() && duals[f] == duals[g]))
+        throw error("fields share an output");
+  }
 }
 
-template <typename Fn>
-void ResidentTiledEngine::for_each_node(int count, Fn&& fn) const {
-  // parallel_rows with one "row" per node, costed at a tile's share of the
-  // frame: the streaming chunk floor then keeps every level below ~256 x 256
-  // inline, as for the row-chunked passes of the outer loop.
-  const int cells =
-      std::max(1, plan_.frame_rows * plan_.frame_cols / tiles_per_field());
-  parallel::parallel_rows(pool(), count, cells, lanes(),
-                          parallel::kStreamChunkCells,
-                          [&fn](int begin, int end) {
-                            for (int i = begin; i < end; ++i) fn(i);
-                          });
-}
-
-void ResidentTiledEngine::load_inputs(Fields inputs, DualFields initial) {
-  for_each_node(nodes(), [&](int node) {
-    const TileSpec& s = plan_.tiles[tile_of(node)];
-    TileBuffers& b = tiles_[node];
-    const int f = field_of(node);
-    kernels::copy_rect(*inputs[f], s.buf_row0, s.buf_col0, b.v, 0, 0,
-                       s.buf_rows, s.buf_cols);
-    if (initial.empty()) return;
-    kernels::copy_rect(initial[f]->px, s.buf_row0, s.buf_col0, b.px, 0, 0,
-                       s.buf_rows, s.buf_cols);
-    kernels::copy_rect(initial[f]->py, s.buf_row0, s.buf_col0, b.py, 0, 0,
-                       s.buf_rows, s.buf_cols);
-  });
-}
-
-void ResidentTiledEngine::restart_clock() {
-  // A full buffer load (halo included) makes the mailboxes irrelevant until
-  // the next publish; restart the pass/parity clock.
-  pass_count_ = 0;
-}
-
-void ResidentTiledEngine::reset_duals() {
-  for_each_node(nodes(), [&](int node) {
-    TileBuffers& b = tiles_[node];
+void ResidentTiledEngine::load_node(int node, const Matrix<float>& v,
+                                    const DualField* initial) {
+  const TileSpec& s = plan_.tiles[tile_of(node)];
+  TileBuffers& b = tiles_[node];
+  kernels::copy_rect(v, s.buf_row0, s.buf_col0, b.v, 0, 0, s.buf_rows,
+                     s.buf_cols);
+  if (initial == nullptr) {  // Algorithm 1's cold start
     b.px.fill(0.f);
     b.py.fill(0.f);
-  });
-  restart_clock();
+    return;
+  }
+  kernels::copy_rect(initial->px, s.buf_row0, s.buf_col0, b.px, 0, 0,
+                     s.buf_rows, s.buf_cols);
+  kernels::copy_rect(initial->py, s.buf_row0, s.buf_col0, b.py, 0, 0,
+                     s.buf_rows, s.buf_cols);
 }
 
-void ResidentTiledEngine::run(int iterations) {
-  if (iterations < 0)
-    throw std::invalid_argument("ResidentTiledEngine::run: iterations < 0");
+void ResidentTiledEngine::recover_node(int node, int passes, DualField* p,
+                                       Matrix<float>& u) {
+  // The primal of a profitable cell reads its west and north neighbors,
+  // which sit in the halo ring — exact only right after a gather.  Refresh
+  // it from the neighbors' last published strips.  With no pass run, the
+  // whole buffer was just loaded from a frame and is exact.
+  if (passes > 0) gather_halos(node, passes);
+  const TileSpec& s = plan_.tiles[tile_of(node)];
+  const TileBuffers& b = tiles_[node];
+  if (p != nullptr) {
+    copy_profitable(b.px, s, p->px);
+    copy_profitable(b.py, s, p->py);
+  }
+  kernels::recover_u_rect(
+      b.v, b.px, b.py,
+      RegionGeometry{s.buf_row0, s.buf_col0, plan_.frame_rows,
+                     plan_.frame_cols},
+      params_.theta, s.prof_row0 - s.buf_row0, s.prof_col0 - s.buf_col0,
+      s.prof_rows, s.prof_cols, u, s.prof_row0, s.prof_col0);
+}
+
+void ResidentTiledEngine::solve(Fields v, DualFields initial,
+                                std::span<Matrix<float>* const> u,
+                                std::span<DualField* const> duals) {
+  check_arguments(v, initial, u, duals);
   // Pass schedule: merge_iterations per pass, remainder last.  Every burst
   // is <= plan_.halo, which is what keeps profitable cells' dependency
-  // cones inside the buffer.
+  // cones inside the buffer.  Epoch 0 also loads; the last epoch, a join,
+  // only recovers.
+  const int iterations = params_.iterations;
   const int merge = options_.merge_iterations;
   const int passes = (iterations + merge - 1) / merge;
   const int final_burst = iterations - (passes - 1) * merge;
-  if (passes == 0) return;
-  const telemetry::TraceSpan span("chambolle.resident.run");
-  telemetry::flight_mark("resident.run", static_cast<double>(iterations));
+  const int last = std::max(passes, 1);
+  const telemetry::TraceSpan span("chambolle.resident.solve");
+  telemetry::flight_mark("resident.solve", static_cast<double>(iterations));
 
-  const int base = pass_count_;
   const int lane_count = lanes();
   if (scratch_.lanes() < lane_count)
     scratch_ = parallel::PerLane<Matrix<float>>(lane_count);
-  const auto pass = [&](int node, int epoch, int lane) {
-    // base + epoch: the global pass index since the last reload.
-    node_pass(node, base + epoch, epoch == passes - 1 ? final_burst : merge,
-              scratch_[lane]);
+  const auto shape_outputs = [&] {
+    const int rows = plan_.frame_rows, cols = plan_.frame_cols;
+    for (int f = 0; f < fields_; ++f) {
+      shape(*u[f], rows, cols);
+      if (duals.empty()) continue;
+      shape(duals[f]->px, rows, cols);
+      shape(duals[f]->py, rows, cols);
+    }
   };
-  // One captured reference: std::function stores it inline, so a run
+  const auto step = [&](int node, int epoch, int lane) {
+    const int f = field_of(node);
+    if (epoch == 0)
+      load_node(node, *v[f], initial.empty() ? nullptr : initial[f]);
+    if (epoch < passes)
+      node_pass(node, epoch, epoch == passes - 1 ? final_burst : merge,
+                scratch_[lane]);
+    // Node 0, on the calling thread (lane 0), shapes the outputs after its
+    // last burst.  The join orders this before every node's recovery; a
+    // solve that fails sooner leaves even a mis-shaped output untouched;
+    // and large outputs are allocated after the engine's own first-solve
+    // state (shaping them before the bursts raised a 1024 x 768 service's
+    // peak RSS by a third, through allocator fragmentation).  Every input
+    // fits the frame, so no output that aliases an input is resized.
+    if (node == 0 && epoch == last - 1) shape_outputs();
+    if (epoch == last)
+      recover_node(node, passes, duals.empty() ? nullptr : duals[f], *u[f]);
+  };
+  // One captured reference: std::function stores it inline, so a solve
   // allocates nothing for its body.
-  const parallel::EpochGraph::NodeFn body = [&pass](int node, int epoch,
+  const parallel::EpochGraph::NodeFn body = [&step](int node, int epoch,
                                                      int lane) {
-    pass(node, epoch, lane);
+    step(node, epoch, lane);
   };
   const parallel::EpochGraph::RunStats rs =
-      graph_->run(passes, lane_count, pool(), body);
+      graph_->run(last + 1, lane_count, pool(), body);
   account(passes, iterations, rs);
-  // The parity clock advances by the full schedule.
-  pass_count_ += passes;
+}
+
+void ResidentTiledEngine::solve(const Matrix<float>& v,
+                                const DualField* initial, Matrix<float>& u,
+                                DualField* duals) {
+  const Matrix<float>* const vs[] = {&v};
+  Matrix<float>* const us[] = {&u};
+  solve(vs, initial != nullptr ? DualFields(&initial, 1) : DualFields(), us,
+        duals != nullptr ? std::span<DualField* const>(&duals, 1)
+                         : std::span<DualField* const>());
 }
 
 void ResidentTiledEngine::account(int passes, int iterations,
@@ -383,110 +398,20 @@ void ResidentTiledEngine::account(int passes, int iterations,
                           : 0.0);
 }
 
-void ResidentTiledEngine::snapshot(DualField& out, int field) const {
-  if (field < 0 || field >= fields_)
-    throw std::invalid_argument("ResidentTiledEngine::snapshot: bad field");
-  shape(out.px, plan_.frame_rows, plan_.frame_cols);
-  shape(out.py, plan_.frame_rows, plan_.frame_cols);
-  for_each_node(tiles_per_field(), [&](int t) {
-    const TileBuffers& b = tiles_[node_of(field, t)];
-    const TileSpec& s = plan_.tiles[t];
-    copy_profitable(b.px, s, out.px);
-    copy_profitable(b.py, s, out.py);
-  });
-}
-
-void ResidentTiledEngine::reset_v(Fields inputs, DualFields initial) {
-  check_inputs(inputs, initial, "ResidentTiledEngine::reset_v");
-  load_inputs(inputs, initial);
-  // Empty `initial`: duals stay resident (warm start); the mailbox parity
-  // clock keeps running so the next run() gathers valid halos.
-  if (!initial.empty()) restart_clock();
-}
-
-void ResidentTiledEngine::reset_v(const Matrix<float>& v,
-                                  const DualField* initial) {
-  const Matrix<float>* const field = &v;
-  reset_v(Fields(&field, 1), one_or_none(initial));
-}
-
-void ResidentTiledEngine::result_node(int node, DualField* p,
-                                      Matrix<float>& u) {
-  // The primal of a profitable cell reads its west and north neighbors,
-  // which sit in the halo ring — exact only right after a gather.  Refresh
-  // it from the neighbors' last published strips: exactly what the next
-  // pass's gather writes, so the resident state is unchanged.  With the
-  // clock at 0 the whole buffer was just loaded from a frame and is exact.
-  if (pass_count_ > 0) gather_halos(node, pass_count_);
-  const TileSpec& s = plan_.tiles[tile_of(node)];
-  const TileBuffers& b = tiles_[node];
-  if (p != nullptr) {
-    copy_profitable(b.px, s, p->px);
-    copy_profitable(b.py, s, p->py);
-  }
-  kernels::recover_u_rect(
-      b.v, b.px, b.py,
-      RegionGeometry{s.buf_row0, s.buf_col0, plan_.frame_rows,
-                     plan_.frame_cols},
-      params_.theta, s.prof_row0 - s.buf_row0, s.prof_col0 - s.buf_col0,
-      s.prof_rows, s.prof_cols, u, s.prof_row0, s.prof_col0);
-}
-
-ChambolleResult ResidentTiledEngine::result(int field) {
-  if (field < 0 || field >= fields_)
-    throw std::invalid_argument("ResidentTiledEngine::result: bad field");
-  ChambolleResult out;
-  out.p = DualField(plan_.frame_rows, plan_.frame_cols);
-  out.u.resize(plan_.frame_rows, plan_.frame_cols);
-  for_each_node(tiles_per_field(), [&](int t) {
-    result_node(node_of(field, t), &out.p, out.u);
-  });
-  return out;
-}
-
-void ResidentTiledEngine::result_into(std::span<Matrix<float>* const> u,
-                                      std::span<DualField* const> duals) {
-  const auto k = static_cast<std::size_t>(fields_);
-  if (u.size() != k || (!duals.empty() && duals.size() != k))
-    throw std::invalid_argument(
-        "ResidentTiledEngine::result_into: field count mismatch");
-  const int rows = plan_.frame_rows, cols = plan_.frame_cols;
-  for (std::size_t f = 0; f < k; ++f) {
-    // Distinct outputs: the fields are written concurrently.
-    for (std::size_t g = 0; g < f; ++g)
-      if (u[f] == u[g] || (!duals.empty() && duals[f] == duals[g]))
-        throw std::invalid_argument(
-            "ResidentTiledEngine::result_into: fields share an output");
-    shape(*u[f], rows, cols);
-    if (duals.empty()) continue;
-    shape(duals[f]->px, rows, cols);
-    shape(duals[f]->py, rows, cols);
-  }
-  for_each_node(nodes(), [&](int node) {
-    const int f = field_of(node);
-    result_node(node, duals.empty() ? nullptr : duals[f], *u[f]);
-  });
-}
-
-void ResidentTiledEngine::result_into(Matrix<float>& u, DualField& duals) {
-  Matrix<float>* const us[] = {&u};
-  DualField* const ds[] = {&duals};
-  result_into(us, ds);
-}
-
 ChambolleResult solve_resident(const Matrix<float>& v,
                                const ChambolleParams& params,
                                const TiledSolverOptions& options,
                                ResidentTiledStats* stats,
                                const DualField* initial) {
   const telemetry::TraceSpan span("chambolle.solve_resident");
-  ResidentTiledEngine engine(v, params, options, initial);
-  engine.run(params.iterations);
+  ResidentTiledEngine engine(v.rows(), v.cols(), 1, params, options);
+  ChambolleResult out;
+  engine.solve(v, initial, out.u, &out.p);
   static telemetry::Counter& c_solves =
       telemetry::registry().counter("tiles.resident_solves");
   c_solves.add(1);
   if (stats != nullptr) *stats = engine.stats();
-  return engine.result();
+  return out;
 }
 
 }  // namespace chambolle

@@ -8,14 +8,17 @@
 // full-fleet stall at each merge boundary.
 //
 // This engine restores residency.  Each tile's (v, px, py) buffers are
-// allocated once and PINNED to one worker lane for the whole solve; between
-// passes, neighboring tiles exchange only halo strips (width = the merge
-// depth) through per-edge mailboxes, and a tile starts pass n+1 as soon as
-// its <= 8 neighbors have published their pass-n halos (EpochGraph,
-// parallel/task_graph.hpp) — no global barrier, no full-frame reload.  The
-// profitable write-back happens once at the end (or on demand via
-// snapshot(), e.g. for telemetry), so steady-state per-pass traffic drops
-// from 2 frames to the halo perimeter.
+// allocated once and PINNED to one worker lane; between passes, neighboring
+// tiles exchange only halo strips (width = the merge depth) through
+// per-edge mailboxes, and a tile starts pass n+1 as soon as its <= 8
+// neighbors have published their pass-n halos (EpochGraph,
+// parallel/task_graph.hpp) — no global barrier, no full-frame reload.  A
+// solve is one team region, as in the paper, where (v, px, py) are loaded
+// into BRAM once, iterated there and written out once: in its first epoch
+// each tile loads its own v and dual windows, and in its last epoch, a
+// join behind every tile's final pass, it refreshes its halo ring and
+// recovers its profitable u (and writes its profitable duals).  Steady-state
+// per-pass traffic drops from 2 frames to the halo perimeter.
 //
 // Mailboxes are double-buffered by pass parity: a tile publishing pass n
 // writes slot n&1, a neighbor gathering for pass n+1 reads slot n&1.  The
@@ -35,7 +38,7 @@
 // paired PE arrays, one per flow component, advancing together.  Every
 // graph node is a (field, tile) pair with its own buffers and mailboxes;
 // the EpochGraph is the disjoint union of K copies of the tile graph, so
-// one run advances every field and a lane blocked on one field's neighbor
+// one solve advances every field and a lane blocked on one field's neighbor
 // runs another field's tile.  Fields never exchange
 // data, so each field's bits equal a single-field solve; K = 1 is the
 // ordinary single-field engine.
@@ -58,9 +61,10 @@
 
 namespace chambolle {
 
-/// Work and traffic accounting of a resident solve (cumulative across
-/// run() calls), used by the E6 overhead bench and the acceptance tests.
-/// Counts cover every field of the engine.
+/// Work and traffic accounting of an engine's solves (cumulative), used by
+/// the E6 overhead bench and the acceptance tests.  Counts cover every
+/// field of the engine; passes and element_iterations count kernel bursts
+/// only, not the load and recovery epochs.
 struct ResidentTiledStats {
   int passes = 0;
   std::size_t tiles = 0;  ///< graph nodes: tiles per field * fields
@@ -77,9 +81,10 @@ struct ResidentTiledStats {
   std::uint64_t stall_spins = 0;
 };
 
-/// The engine object: buffers persist across run() calls and inputs, which is
-/// what lets a reused engine (EngineCache, engine_cache.hpp) re-stream only
-/// v.  Use solve_resident() for the one-shot form.
+/// The engine object: buffers persist across solves, which is what lets a
+/// reused engine (EngineCache, engine_cache.hpp) skip the allocation.  Every
+/// solve overwrites every buffer cell, so a reused engine equals a fresh
+/// one.  Use solve_resident() for the one-shot form.
 class ResidentTiledEngine {
  public:
   /// The input fields of a K-field engine, one pointer per field.
@@ -87,76 +92,46 @@ class ResidentTiledEngine {
   /// Per-field dual states (warm starts), one pointer per field.
   using DualFields = std::span<const DualField* const>;
 
-  /// Plans the tiling of the K same-shape `inputs` itself — plan_tiling()
-  /// (tile.hpp): balanced full-width strips, about one per lane of the
-  /// pool the options resolve to, one tile per field on small frames — with
-  /// a halo of options.merge_iterations, and loads the resident buffers.
-  /// options.{tile_rows, tile_cols} configure solve_tiled only; every plan
-  /// gives the same bits, so the shape is the engine's to choose.
-  /// `initial`, when non-empty, holds one warm-start dual state per field
-  /// (otherwise zeros).  Validates only the options the engine reads
-  /// (TiledSolverOptions::validate_schedule): the unread window does not
-  /// cap the merge depth.
-  ResidentTiledEngine(Fields inputs, const ChambolleParams& params,
-                      const TiledSolverOptions& options,
-                      DualFields initial = {});
-  /// The single-field engine (K = 1); `initial` may be null.
-  ResidentTiledEngine(const Matrix<float>& v, const ChambolleParams& params,
-                      const TiledSolverOptions& options,
-                      const DualField* initial = nullptr);
+  /// Plans the tiling of `fields` same-shape rows x cols fields itself —
+  /// plan_tiling() (tile.hpp): balanced full-width strips, about one per
+  /// lane of the pool the options resolve to, one tile per field on small
+  /// frames — with a halo of options.merge_iterations, and allocates the
+  /// resident buffers; it loads nothing.  options.{tile_rows, tile_cols}
+  /// configure solve_tiled only; every plan gives the same bits, so the
+  /// shape is the engine's to choose.  Validates only the options the
+  /// engine reads (TiledSolverOptions::validate_schedule): the unread
+  /// window does not cap the merge depth.
+  ResidentTiledEngine(int rows, int cols, int fields,
+                      const ChambolleParams& params,
+                      const TiledSolverOptions& options);
   ~ResidentTiledEngine();
 
   ResidentTiledEngine(const ResidentTiledEngine&) = delete;
   ResidentTiledEngine& operator=(const ResidentTiledEngine&) = delete;
 
-  /// Advances every field by `iterations` Chambolle iterations, split into
-  /// ceil(iterations / merge_iterations) halo-exchange passes with the
-  /// remainder last.  Every tile runs every pass, so the result is bit-exact
-  /// to the sequential reference for any plan and lane count, and runs
-  /// compose: run(a); run(b) is bit-exact equal to run(a + b).  Each
-  /// field's bits equal a single-field engine's, and the resident state
-  /// stays coherent for snapshot()/result() and further runs.
-  void run(int iterations);
-
-  /// On-demand profitable write-back of field `field`'s CURRENT dual state
-  /// into `out` (resized as needed) — the telemetry-snapshot path; does not
-  /// disturb the resident buffers.
-  void snapshot(DualField& out, int field = 0) const;
-
-  /// Replaces the input fields (same count and shape) without touching the
-  /// resident duals, so a run continues from them with the new v; pair it
-  /// with reset_duals() for a cold start.  When `initial` is non-empty (one
-  /// state per field) the duals are reloaded from it instead (restart in
-  /// place).  One pool region loads every field; every argument is
-  /// validated before anything changes, so a throwing call leaves the
-  /// engine as it was.
-  void reset_v(Fields inputs, DualFields initial = {});
-  /// reset_v() of a single-field engine; `initial` may be null.
-  void reset_v(const Matrix<float>& v, const DualField* initial = nullptr);
-
-  /// Zeroes the resident duals of every field in place (Algorithm 1's cold
-  /// start) without reallocating tile buffers — the per-warp restart of
-  /// the TV-L1 integration, bit-exact equal to constructing a
-  /// fresh engine.
-  void reset_duals();
-
-  /// snapshot() + primal recovery: field `field`'s ChambolleResult of the
-  /// state so far, in one pool region.  The primal is recovered tile by
-  /// tile from the resident buffers after refreshing each buffer's halo
-  /// ring from the mailboxes — the write the next pass's gather would make,
-  /// so the resident state does not change.
-  [[nodiscard]] ChambolleResult result(int field = 0);
-
-  /// result() of every field into caller buffers: field k's primal lands in
-  /// *u[k], bit-identical to result(k).u, and — when `duals` is non-empty —
-  /// its dual write-back in *duals[k].  One pool region does every field.
-  /// Outputs are resized only on a shape change, so with them shaped this
-  /// allocates nothing — the outer-loop path of TV-L1 warps, which hands the
-  /// same buffers in every warp and needs no dual write-back at all.
-  void result_into(std::span<Matrix<float>* const> u,
-                   std::span<DualField* const> duals = {});
-  /// result_into() of a single-field engine.
-  void result_into(Matrix<float>& u, DualField& duals);
+  /// One solve of every field: params.iterations Chambolle iterations of
+  /// field k from input *v[k], started from the duals *initial[k] (zeros
+  /// when `initial` is empty), its primal written into *u[k] and — when
+  /// `duals` is non-empty — its final duals into *duals[k].  The iterations
+  /// run as ceil(iterations / merge_iterations) halo-exchange passes with
+  /// the remainder last, so the result is bit-exact to the sequential
+  /// reference for any plan and lane count, and each field's bits equal a
+  /// single-field engine's.
+  ///
+  /// One EpochGraph team region of passes + 1 epochs (2 with no
+  /// iterations): epoch 0 loads each node's windows, the last epoch — a
+  /// join behind every node's final pass — recovers its profitable cells.
+  /// Hence no output cell is written unless every burst succeeded, and
+  /// outputs may alias inputs (the serving layer passes one session's
+  /// duals as both `initial` and `duals`).  Every argument is validated
+  /// first.  Outputs are resized only on a shape change, after node 0's
+  /// last burst, so with them shaped a warm solve allocates nothing, and a
+  /// throwing solve leaves every output of the frame's shape untouched.
+  void solve(Fields v, DualFields initial, std::span<Matrix<float>* const> u,
+             std::span<DualField* const> duals = {});
+  /// solve() of a single-field engine; `initial` and `duals` may be null.
+  void solve(const Matrix<float>& v, const DualField* initial,
+             Matrix<float>& u, DualField* duals = nullptr);
 
   [[nodiscard]] const ResidentTiledStats& stats() const { return stats_; }
   [[nodiscard]] const TilingPlan& plan() const { return plan_; }
@@ -171,11 +146,10 @@ class ResidentTiledEngine {
   /// explicit tilings and reaches fault_hook_.
   friend struct ResidentTiledEngineTestPeer;
 
-  /// The engine on an explicit `plan` of the inputs' frame with halo
-  /// options.merge_iterations; the public constructors pass the planner's.
-  ResidentTiledEngine(Fields inputs, const ChambolleParams& params,
-                      const TiledSolverOptions& options, TilingPlan plan,
-                      DualFields initial);
+  /// The engine on an explicit `plan` of a rows x cols frame with halo
+  /// options.merge_iterations; the public constructor passes the planner's.
+  ResidentTiledEngine(int fields, const ChambolleParams& params,
+                      const TiledSolverOptions& options, TilingPlan plan);
 
   /// The pool this engine's parallel regions run on: options.pool when the
   /// caller injected one (the serving fleet gives every engine its own
@@ -200,36 +174,29 @@ class ResidentTiledEngine {
   }
   /// Field `field`'s mailboxes, indexed by halo edge.
   [[nodiscard]] Mailbox* mailboxes(int field);
-  /// Throws std::invalid_argument unless `inputs` / `initial` match this
-  /// engine's field count and frame shape.
-  void check_inputs(Fields inputs, DualFields initial, const char* who) const;
-  /// Loads every node's input window (and, when `initial` is non-empty, its
-  /// dual windows) in one pool region.
-  void load_inputs(Fields inputs, DualFields initial);
-  /// Runs fn(i) for i in [0, count) on the pool, where every i stands for
-  /// one node's worth of streaming work; a level whose nodes fit one chunk
-  /// runs inline.
-  template <typename Fn>
-  void for_each_node(int count, Fn&& fn) const;
-  /// One node's share of result()/result_into(): refreshes its halo ring,
-  /// writes its profitable duals into `p` (when non-null) and recovers its
+  /// Throws std::invalid_argument unless the arguments of solve() match
+  /// this engine's field count and frame shape and no two fields share an
+  /// output.
+  void check_arguments(Fields v, DualFields initial,
+                       std::span<Matrix<float>* const> u,
+                       std::span<DualField* const> duals) const;
+  /// Epoch 0 of a solve on node: copies its v window and loads its dual
+  /// windows from `initial` (zeros when it is null), halo ring included.
+  void load_node(int node, const Matrix<float>& v, const DualField* initial);
+  /// The last epoch of a solve on node: refreshes its halo ring from its
+  /// neighbors' pass-(passes-1) strips (after at least one pass), writes
+  /// its profitable duals into `p` (when non-null) and recovers its
   /// profitable primal into `u`.
-  void result_node(int node, DualField* p, Matrix<float>& u);
-  /// Restarts the pass/parity clock after the duals were zeroed or
-  /// reloaded — the full state reset that makes a reused engine
-  /// indistinguishable from a freshly constructed one (the engine-reuse
-  /// contract pooled serving fleets rely on; regression-tested by
-  /// tests/engine_reuse_test.cpp).
-  void restart_clock();
+  void recover_node(int node, int passes, DualField* p, Matrix<float>& u);
   /// Refreshes node's halo ring from its neighbors' pass-(g-1) strips.
   void gather_halos(int node, int g);
   /// Publishes node's pass-g strips into the parity slot g & 1.
   void publish_strips(int node, int g);
-  /// One pass of run() on node: the gather (after the first pass), a burst
+  /// Pass g of a solve on node: the gather (after the first pass), a burst
   /// of `burst` fused iterations on node's buffers, timed for the profiler,
   /// and the publish of its strips.
   void node_pass(int node, int g, int burst, Matrix<float>& scratch);
-  /// Books one run of `passes` passes and `iterations` iterations: the
+  /// Books one solve of `passes` passes and `iterations` iterations: the
   /// engine stats and the tiles.* telemetry.
   void account(int passes, int iterations,
                const parallel::EpochGraph::RunStats& rs);
@@ -245,13 +212,12 @@ class ResidentTiledEngine {
   std::vector<std::vector<int>> in_edges_;   // per tile: halo-edge indices
   std::vector<std::vector<int>> out_edges_;  // per tile: halo-edge indices
   std::unique_ptr<parallel::EpochGraph> graph_;
-  int pass_count_ = 0;  ///< global passes completed; also the mailbox parity
-  /// Per-lane kernel Term-row scratch, reused across runs; rebuilt only
+  /// Per-lane kernel Term-row scratch, reused across solves; rebuilt only
   /// when lanes() grows past it.
   parallel::PerLane<Matrix<float>> scratch_{1};
   ResidentTiledStats stats_;
   /// Test-only fault injection: when set, called as (field, tile) before
-  /// every kernel burst; a throw aborts the run like any body exception.
+  /// every kernel burst; a throw aborts the solve like any body exception.
   std::function<void(int, int)> fault_hook_;
 };
 

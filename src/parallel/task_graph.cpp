@@ -48,6 +48,8 @@ EpochGraph::RunStats EpochGraph::run(int passes, int lanes, ThreadPool& pool,
 
   const int team = std::max(1, std::min(lanes, n));
   std::atomic<bool> abort{false};
+  // Nodes that finished epoch passes - 2: the last epoch's join.
+  std::atomic<int> joined{0};
   if (lane_stats_.lanes() < team) lane_stats_ = PerLane<RunStats>(team);
   for (int lane = 0; lane < team; ++lane) lane_stats_[lane] = RunStats{};
 
@@ -78,16 +80,22 @@ EpochGraph::RunStats EpochGraph::run(int passes, int lanes, ThreadPool& pool,
               break;
             }
           }
+          // The last epoch also waits for every node to finish the one
+          // before; the acquire pairs with the release increments below.
+          if (ready && e > 0 && e == passes - 1)
+            ready = joined.load(std::memory_order_acquire) == n;
           if (!ready) continue;
           body(node, e, lane);
           s.epoch.store(e + 1, std::memory_order_release);
+          if (e + 2 == passes) joined.fetch_add(1, std::memory_order_release);
           if (e + 1 >= passes) ++finished;
           progressed = true;
         }
         if (!progressed) {
           // Every unfinished node of this block is blocked on another lane.
           // The globally lowest-epoch unfinished node is always ready (its
-          // neighbors are at its epoch or finished), so some lane can run;
+          // neighbors are at its epoch or finished, and the join waits only
+          // for nodes below the last epoch), so some lane can run;
           // yield the core to it (essential on oversubscribed machines) and
           // count the stall.
           ++stats.stall_spins;

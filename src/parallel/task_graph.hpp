@@ -18,13 +18,18 @@
 //
 // Synchronization is point-to-point: the body's writes are published by a
 // release store of the node's epoch, and a reader lane acquires a neighbor's
-// epoch before touching its mailboxes.  There is no barrier anywhere; lanes
-// that find none of their nodes ready spin briefly, then yield (stall time
-// is measured and reported, and surfaces as `tiles.stall_micros` telemetry).
+// epoch before touching its mailboxes.  The one exception is the LAST
+// epoch, which is a join: a node runs it only after every node, not just
+// its neighbors, has finished the epoch before.  The resident engine
+// writes its outputs there, so no output is touched until every burst
+// has succeeded, and no node still reads an input an output may alias.
+// Lanes that find none of their nodes ready spin briefly, then yield
+// (stall time is measured and reported, and surfaces as
+// `tiles.stall_micros` telemetry); the join wait counts as such a stall.
 //
 // An exception thrown by the body aborts the run: every lane observes the
-// abort flag in its wait loops, drains, and the first exception is rethrown
-// on the caller (via the pool's normal propagation).
+// abort flag in its wait loops, the join included, drains, and the first
+// exception is rethrown on the caller (via the pool's normal propagation).
 #pragma once
 
 #include <atomic>
@@ -54,11 +59,13 @@ class EpochGraph {
   };
 
   /// Runs every node for `passes` epochs on `lanes` lanes of `pool`,
-  /// subject to the neighbor constraint.  Nodes are PINNED to lanes in
-  /// contiguous blocks (owner()): each lane sweeps only its own block, so a
-  /// node's working set stays with one worker from first pass to last.  The
-  /// release/acquire epoch protocol keeps the neighbor skew bound (<= 1
-  /// pass), so the caller's parity-double-buffered mailboxes stay safe.
+  /// subject to the neighbor constraint, and runs a node's last epoch only
+  /// once every node has finished the one before.  Nodes are PINNED to
+  /// lanes in contiguous blocks (owner()): each lane sweeps only its own
+  /// block, so a node's working set stays with one worker from first pass
+  /// to last.  The release/acquire epoch protocol keeps the neighbor skew
+  /// bound (<= 1 pass), so the caller's parity-double-buffered mailboxes
+  /// stay safe.
   /// Returns stall statistics; rethrows the first body exception.
   RunStats run(int passes, int lanes, ThreadPool& pool, const NodeFn& body);
 

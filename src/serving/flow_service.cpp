@@ -236,7 +236,7 @@ void FlowService::worker_loop(Slot& slot) {
       cv_work_.wait(lk, [&] { return stop_ || !runnable_.empty(); });
       if (runnable_.empty()) return;  // stop_ with nothing left to do
       // Prefer the oldest runnable session whose next request matches the
-      // resolution this slot's warmest engine is bound to; fall back to
+      // resolution this slot's warmest engine last solved; fall back to
       // plain FIFO so no session starves.
       std::size_t pick = 0;
       for (std::size_t i = 0; i < runnable_.size(); ++i) {
@@ -251,7 +251,7 @@ void FlowService::worker_loop(Slot& slot) {
       s->in_runnable = false;
       s->bound = true;
       ++busy_slots_;
-      // Claim the consecutive same-resolution prefix, one engine rebind
+      // Claim the consecutive same-resolution prefix: one warm engine
       // for the whole burst.
       const std::pair<int, int> shape = shape_of(s->fifo.front().input);
       while (!s->fifo.empty() &&
@@ -306,14 +306,15 @@ void FlowService::process(Slot& slot, SessionState& s, Request& req) {
       // resolution switch restarts the chain cold (documented contract).
       const DualField* initial =
           s.has_duals && s.duals.px.same_shape(req.input) ? &s.duals : nullptr;
-      ResidentTiledEngine& engine = slot.engines.bind(req.input, initial);
       slot.last_shape = shape_of(req.input);
       // The fixed schedule: bit-exact and lane-count independent, which
-      // is what makes the concurrent-sessions oracle possible.
-      engine.run(options_.params.chambolle.iterations);
-      // The tiles already hold s.duals (loaded above), so the session's
-      // buffers take the write-back in place.
-      engine.result_into(reply.u, s.duals);
+      // is what makes the concurrent-sessions oracle possible.  The solve
+      // writes only after its last burst, once every tile has loaded, so
+      // s.duals is both the warm start and the write-back, and a throwing
+      // solve leaves it as it was (on a resolution switch it may come back
+      // zeroed at the new shape, which warm-starts exactly like cold).
+      slot.engines.engine(req.input.rows(), req.input.cols(), 1)
+          .solve(req.input, initial, reply.u, &s.duals);
       s.has_duals = true;
       reply.status = ReplyStatus::kOk;
     } else {

@@ -22,7 +22,7 @@
 // with pending work is "runnable".  A free slot claims one runnable
 // session (preferring one whose next frame matches the resolution of the
 // slot's warm engine), processes up to `max_batch` consecutive same-
-// resolution requests in one checkout — amortizing the engine rebind —
+// resolution requests in one checkout — amortizing the engine lookup —
 // then releases the session.  Per-session order is therefore strictly
 // FIFO, which is what keeps warm-start state well-defined, while distinct
 // sessions overlap on distinct slots.
@@ -35,7 +35,7 @@
 // as if the frame was never submitted.  drain() stops admissions and
 // blocks until every queued request is resolved; the destructor drains.
 //
-// Determinism: Chambolle-mode solves use the engine's fixed run()
+// Determinism: Chambolle-mode solves use the engine's fixed solve()
 // schedule, which is bit-exact and schedule-independent, and per-session
 // state is touched only by the slot that has the session checked out.  A
 // session's reply stream is therefore BIT-IDENTICAL no matter how many
@@ -129,7 +129,7 @@ struct ServiceStats {
   /// admitted request has resolved.
   std::uint64_t failed = 0;
   std::uint64_t batches = 0;         ///< slot checkouts
-  /// Engines the slot caches built, for both modes: a flow frame binds one
+  /// Engines the slot caches built, for both modes: a flow frame uses one
   /// per pyramid level.  A steady mix of shapes stops adding to it.
   std::uint64_t engine_builds = 0;
   std::uint64_t engine_evictions = 0;  ///< slot-cache LRU evictions

@@ -86,22 +86,22 @@ ConcurrentOracleReport run_concurrent_oracle(
   report.case_line = case_os.str();
 
   // Serial ground truth: each stream alone on one lane, fresh engine per
-  // frame, duals chained through snapshots — the spelled-out form of the
+  // frame, duals chained from solve to solve — the spelled-out form of the
   // warm-start contract the service's engine reuse must be
   // indistinguishable from.  One lane plans one tile, so every service
   // lane count is compared across plans.
   TiledSolverOptions serial = params.tiled;
   serial.num_threads = 1;
   for (Stream& st : streams) {
-    DualField duals;
+    DualField duals, next;
     bool has_duals = false;
     for (const Matrix<float>& v : st.frames) {
-      ResidentTiledEngine engine(v, params.chambolle, serial,
-                                 has_duals ? &duals : nullptr);
-      engine.run(params.chambolle.iterations);
-      engine.snapshot(duals);
+      ResidentTiledEngine engine(v.rows(), v.cols(), 1, params.chambolle,
+                                 serial);
+      st.expected.emplace_back();
+      engine.solve(v, has_duals ? &duals : nullptr, st.expected.back(), &next);
+      std::swap(duals, next);
       has_duals = true;
-      st.expected.push_back(engine.result().u);
     }
   }
 

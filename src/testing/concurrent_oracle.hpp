@@ -10,14 +10,14 @@
 //
 // The serial ground truth for a session is the warm-start chain spelled
 // out by the engine contract: frame k solves on a FRESH one-lane engine
-// (one tile) whose duals are initialized from frame k-1's snapshot.  The
-// frames are large enough that a slot with several lanes plans several
+// (one tile) whose duals are initialized from frame k-1's final duals.
+// The frames are large enough that a slot with several lanes plans several
 // strips, so the check also crosses tiling plans.  The service instead
-// REUSES pooled engines (reset_v + reset_duals / dual reload) that other
-// sessions' solves ran on in between — so an oracle failure localizes to
-// either stale engine state leaking across sessions (the engine-reuse bug
-// class this PR burns down) or a scheduling/pool dependence of the fixed
-// solve.  Every seeded failure reproduces from (seed, options) alone.
+// REUSES pooled engines that other sessions' solves ran on in between, and
+// passes one dual field as both warm start and write-back — so an oracle
+// failure localizes to either stale engine state leaking across sessions
+// (the engine-reuse bug class) or a scheduling/pool dependence of the
+// fixed solve.  Every seeded failure reproduces from (seed, options) alone.
 #pragma once
 
 #include <cstdint>

@@ -8,7 +8,6 @@
 // this header.
 #pragma once
 
-#include <array>
 #include <functional>
 #include <utility>
 
@@ -17,30 +16,16 @@
 namespace chambolle {
 
 struct ResidentTiledEngineTestPeer {
-  /// An engine on options' window: the sliding-window tiling of
-  /// options.{tile_rows, tile_cols} that solve_tiled uses, instead of the
-  /// planner's.
+  /// An engine of `fields` rows x cols fields on options' window: the
+  /// sliding-window tiling of options.{tile_rows, tile_cols} that
+  /// solve_tiled uses, instead of the planner's.
   [[nodiscard]] static ResidentTiledEngine windowed(
-      ResidentTiledEngine::Fields inputs, const ChambolleParams& params,
-      const TiledSolverOptions& options,
-      ResidentTiledEngine::DualFields initial = {}) {
-    const Matrix<float>& v = *inputs[0];
+      int rows, int cols, int fields, const ChambolleParams& params,
+      const TiledSolverOptions& options) {
     return ResidentTiledEngine(
-        inputs, params, options,
-        make_tiling(v.rows(), v.cols(), options.tile_rows, options.tile_cols,
-                    options.merge_iterations),
-        initial);
-  }
-
-  /// The single-field windowed engine; `initial` may be null.
-  [[nodiscard]] static ResidentTiledEngine windowed(
-      const Matrix<float>& v, const ChambolleParams& params,
-      const TiledSolverOptions& options, const DualField* initial = nullptr) {
-    const std::array<const Matrix<float>*, 1> fields{&v};
-    return windowed(fields, params, options,
-                    initial != nullptr
-                        ? ResidentTiledEngine::DualFields(&initial, 1)
-                        : ResidentTiledEngine::DualFields());
+        fields, params, options,
+        make_tiling(rows, cols, options.tile_rows, options.tile_cols,
+                    options.merge_iterations));
   }
 
   /// solve_resident() on options' window.
@@ -48,14 +33,16 @@ struct ResidentTiledEngineTestPeer {
       const Matrix<float>& v, const ChambolleParams& params,
       const TiledSolverOptions& options, ResidentTiledStats* stats = nullptr,
       const DualField* initial = nullptr) {
-    ResidentTiledEngine engine = windowed(v, params, options, initial);
-    engine.run(params.iterations);
+    ResidentTiledEngine engine =
+        windowed(v.rows(), v.cols(), 1, params, options);
+    ChambolleResult out;
+    engine.solve(v, initial, out.u, &out.p);
     if (stats != nullptr) *stats = engine.stats();
-    return engine.result();
+    return out;
   }
 
   /// Installs the fault hook: called as (field, tile) before every kernel
-  /// burst; a throw aborts the run like any body exception.
+  /// burst; a throw aborts the solve like any body exception.
   static void set_fault_hook(ResidentTiledEngine& engine,
                              std::function<void(int, int)> hook) {
     engine.fault_hook_ = std::move(hook);

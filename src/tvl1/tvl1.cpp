@@ -48,22 +48,21 @@ long long component_solve(const Matrix<float>& v, const Tvl1Params& params,
 }
 
 // Both components' Chambolle solves through the resident engine: u1 and u2
-// are two fields of one engine, so one run advances both and a lane blocked
-// on one component's neighbor runs the other's tiles.  `engines` keeps one
-// engine per level shape, so a warp re-streams only v into cold duals.
-// Returns the inner-iteration count both solves contributed to the stats.
+// are two fields of one engine, so one solve advances both and a lane
+// blocked on one component's neighbor runs the other's tiles.  `engines`
+// keeps one engine per level shape, so a warp only streams v in from cold
+// duals and u out.  Returns the inner-iteration count both solves
+// contributed to the stats.
 long long resident_solve(const FlowField& v, const Tvl1Params& params,
                          FlowField& flow, EngineCache& engines) {
   const Matrix<float>* const fields[] = {&v.u1, &v.u2};
-  ResidentTiledEngine& engine = engines.bind(fields);
-  engine.run(params.chambolle.iterations);
   Matrix<float>* const u[] = {&flow.u1, &flow.u2};
-  engine.result_into(u);
+  engines.engine(v.u1.rows(), v.u1.cols(), 2).solve(fields, {}, u);
   return 2LL * params.chambolle.iterations;
 }
 
 // The coarse-to-fine loop shared by both compute_flow overloads and
-// FlowSession; kResident solves bind their engines from `engines`.  The
+// FlowSession; kResident solves take their engines from `engines`.  The
 // caller owns `total_clock` so the image overload's stats keep covering the
 // pyramid builds (as they always did), while the pyramid overload's stats
 // cover only the work it actually performs.

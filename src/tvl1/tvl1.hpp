@@ -78,7 +78,7 @@ struct Tvl1Stats {
 /// Per-stream flow state for a video session: feeds frames one at a time
 /// and keeps the previous frame's pyramid cached across calls, so the
 /// steady state builds one pyramid per frame instead of two per pair.
-/// kResident solves bind their per-level engines from an EngineCache, so
+/// kResident solves take their per-level engines from an EngineCache, so
 /// after the first flow a frame builds none.  This is the per-session
 /// object the serving layer (src/serving/) checks out onto fleet slots.
 class FlowSession {

@@ -103,40 +103,35 @@ TEST(OuterLoopAllocations, SweepAllocatesNothingOnceItsOutputIsShaped) {
   }
 }
 
-TEST(OuterLoopAllocations, ResidentRunAllocatesNothingOnceWarm) {
-  // A TV-L1 inner solve: the two flow components of a 316 x 252 frame on
-  // one engine, three lanes.  The first run sizes the per-lane scratch;
-  // every later run reuses it.
+TEST(OuterLoopAllocations, ResidentSolveAllocatesNothingOnceWarm) {
+  // The two solves the pipeline and the service make, on a 316 x 252 frame
+  // and three lanes: a TV-L1 inner solve (both flow components on one
+  // engine, primal out only) and a Chambolle-mode solve (one field, the
+  // session's duals both warm start and write-back).  The first solve
+  // sizes the outputs and the per-lane scratch; every later one reuses
+  // them.
   parallel::ThreadPool pool(3);
   Rng rng(3);
   const Matrix<float> v1 = random_image(rng, 252, 316, -1.f, 1.f);
   const Matrix<float> v2 = random_image(rng, 252, 316, -1.f, 1.f);
-  const Matrix<float>* inputs[] = {&v1, &v2};
+  const Matrix<float>* const inputs[] = {&v1, &v2};
   TiledSolverOptions opts;
   opts.merge_iterations = 4;
   opts.pool = &pool;
-  ResidentTiledEngine engine(inputs, ChambolleParams{0.25f, 0.0625f, 30},
-                             opts, {});
-  engine.run(30);
+  const ChambolleParams params{0.25f, 0.0625f, 30};
+  ResidentTiledEngine pair(252, 316, 2, params, opts);
+  ResidentTiledEngine single(252, 316, 1, params, opts);
+  Matrix<float> u1, u2, u;
+  Matrix<float>* const us[] = {&u1, &u2};
+  DualField duals;
+  pair.solve(inputs, {}, us);
+  single.solve(v1, nullptr, u, &duals);
   EXPECT_EQ(allocations_during([&] {
-              for (int k = 0; k < 5; ++k) engine.run(30);
+              for (int k = 0; k < 5; ++k) pair.solve(inputs, {}, us);
             }),
             0);
-}
-
-TEST(OuterLoopAllocations, ResidentResultIntoAllocatesNothingOnceShaped) {
-  parallel::ThreadPool pool(3);
-  Rng rng(2);
-  const Matrix<float> v = random_image(rng, 252, 316, -1.f, 1.f);
-  TiledSolverOptions opts;
-  opts.merge_iterations = 4;
-  opts.pool = &pool;
-  ResidentTiledEngine engine(v, ChambolleParams{0.25f, 0.0625f, 8}, opts);
-  engine.run(8);
-  Matrix<float> u(252, 316);
-  DualField duals(252, 316);
   EXPECT_EQ(allocations_during([&] {
-              for (int k = 0; k < 5; ++k) engine.result_into(u, duals);
+              for (int k = 0; k < 5; ++k) single.solve(v1, &duals, u, &duals);
             }),
             0);
 }
@@ -148,13 +143,13 @@ TEST(OuterLoopAllocations, ResidentResultIntoAllocatesNothingOnceShaped) {
 // and gradient buffers the outer loop reshapes at every level.  The four
 // per-level two-field engines stay in the session's EngineCache, so a frame
 // builds none; the 20 inner solves allocate nothing once their engine has
-// run (ResidentRunAllocatesNothingOnceWarm), and the pool allocates nothing
-// when the team width alternates between the one-tile and three-strip
-// levels.  The bound keeps the 11 % headroom it has had since the 88 x 92
-// window's 1144; one engine build per frame (24 at a coarse level, about 90
-// at a fine one), per-run engine scratch (7 a solve, 140 a frame), or the 8
-// outer-loop temporaries per warp (160 per frame) the fused sweep removed,
-// would break it.
+// solved (ResidentSolveAllocatesNothingOnceWarm), and the pool allocates
+// nothing when the team width alternates between the one-tile and
+// three-strip levels.  The bound keeps the 11 % headroom it has had since
+// the 88 x 92 window's 1144; one engine build per frame (24 at a coarse
+// level, about 90 at a fine one), per-solve engine scratch (7 a solve, 140
+// a frame), or the 8 outer-loop temporaries per warp (160 per frame) the
+// fused sweep removed, would break it.
 constexpr long long kPushFrameAllocationBound = 35;
 
 TEST(OuterLoopAllocations, SteadyStateFlowSessionFrameStaysUnderItsBound) {

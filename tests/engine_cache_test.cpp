@@ -1,13 +1,12 @@
 // engine_cache_test.cpp — the bounded engine cache both serving modes and
-// FlowSession bind their resident engines from: one engine per (rows, cols,
-// fields), at most kCapacity of them, least recently bound evicted first,
-// and a bound engine — warm or cold — equal to a freshly built one.
+// FlowSession take their resident engines from: one engine per (rows, cols,
+// fields), at most kCapacity of them, least recently used evicted first,
+// and a reused engine's solve — warm or cold — equal to a fresh engine's.
 #include "chambolle/engine_cache.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <vector>
 
 #include "common/rng.hpp"
 #include "parallel/thread_pool.hpp"
@@ -45,46 +44,39 @@ TiledSolverOptions options(parallel::ThreadPool& pool) {
 TEST(EngineCache, KeysOnShapeAndFieldCount) {
   parallel::ThreadPool pool(3);
   EngineCache cache(params(), options(pool));
-  const Matrix<float> a = random_v(40, 48, 1), b = random_v(40, 48, 2);
-  const Matrix<float> c = random_v(24, 48, 3);
-  (void)cache.bind(a, nullptr);
-  (void)cache.bind(b, nullptr);  // same shape: reused
+  ResidentTiledEngine& first = cache.engine(40, 48, 1);
+  EXPECT_EQ(&cache.engine(40, 48, 1), &first);  // same shape: reused
   EXPECT_EQ(cache.builds(), 1u);
-  const Matrix<float>* const both[] = {&a, &b};
-  EXPECT_EQ(cache.bind(both).fields(), 2);  // same shape, two fields: built
-  EXPECT_EQ(cache.bind(c, nullptr).rows(), 24);
+  EXPECT_EQ(cache.engine(40, 48, 2).fields(), 2);  // two fields: built
+  EXPECT_EQ(cache.engine(24, 48, 1).rows(), 24);
   EXPECT_EQ(cache.builds(), 3u);
   EXPECT_EQ(cache.size(), 3u);
   EXPECT_EQ(cache.evictions(), 0u);
-  EXPECT_EQ(cache.bind(both).fields(), 2);
+  EXPECT_EQ(cache.engine(40, 48, 2).fields(), 2);
   EXPECT_EQ(cache.builds(), 3u);
 }
 
-// Warm and cold binds of a reused engine against fresh engines, after the
-// engine ran other inputs: the reuse path changes no bits.
+// Warm and cold solves on a reused engine against fresh engines, after the
+// engine solved other inputs: the reuse path changes no bits.
 TEST(EngineCache, BoundEngineEqualsAFreshOne) {
   parallel::ThreadPool pool(3);
   const ChambolleParams p = params();
   const TiledSolverOptions o = options(pool);
   EngineCache cache(p, o);
   const Matrix<float> v0 = random_v(60, 52, 4), v1 = random_v(60, 52, 5);
-  ResidentTiledEngine& first = cache.bind(v0, nullptr);
-  first.run(p.iterations);
+  ResidentTiledEngine& first = cache.engine(60, 52, 1);
+  Matrix<float> u;
   DualField warm;
-  first.snapshot(warm);
+  first.solve(v0, nullptr, u, &warm);
 
-  ResidentTiledEngine& again = cache.bind(v1, &warm);
+  ResidentTiledEngine& again = cache.engine(60, 52, 1);
   EXPECT_EQ(&again, &first);
-  again.run(p.iterations);
-  ResidentTiledEngine fresh_warm(v1, p, o, &warm);
-  fresh_warm.run(p.iterations);
-  expect_memcmp_eq(again.result().u, fresh_warm.result().u, "warm bind");
+  again.solve(v1, &warm, u);
+  expect_memcmp_eq(u, solve_resident(v1, p, o, nullptr, &warm).u,
+                   "warm solve");
 
-  ResidentTiledEngine& cold = cache.bind(v1, nullptr);
-  cold.run(p.iterations);
-  ResidentTiledEngine fresh_cold(v1, p, o);
-  fresh_cold.run(p.iterations);
-  expect_memcmp_eq(cold.result().u, fresh_cold.result().u, "cold bind");
+  cache.engine(60, 52, 1).solve(v1, nullptr, u);
+  expect_memcmp_eq(u, solve_resident(v1, p, o).u, "cold solve");
   EXPECT_EQ(cache.builds(), 1u);
 }
 
@@ -92,18 +84,17 @@ TEST(EngineCache, EvictsTheLeastRecentlyBoundAtCapacity) {
   parallel::ThreadPool pool(2);
   EngineCache cache(params(), options(pool));
   constexpr int kShapes = static_cast<int>(EngineCache::kCapacity);
-  std::vector<Matrix<float>> v;
-  for (int k = 0; k <= kShapes; ++k) v.push_back(random_v(8 + k, 10, 10 + k));
-  for (int k = 0; k < kShapes; ++k) (void)cache.bind(v[k], nullptr);
+  const auto use = [&](int k) { (void)cache.engine(8 + k, 10, 1); };
+  for (int k = 0; k < kShapes; ++k) use(k);
   EXPECT_EQ(cache.size(), EngineCache::kCapacity);
-  (void)cache.bind(v[0], nullptr);       // now the most recently bound
-  (void)cache.bind(v[kShapes], nullptr);  // full: evicts v[1]'s engine
+  use(0);        // now the most recently used
+  use(kShapes);  // full: evicts shape 1's engine
   EXPECT_EQ(cache.size(), EngineCache::kCapacity);
   EXPECT_EQ(cache.builds(), EngineCache::kCapacity + 1);
   EXPECT_EQ(cache.evictions(), 1u);
-  (void)cache.bind(v[0], nullptr);
+  use(0);
   EXPECT_EQ(cache.builds(), EngineCache::kCapacity + 1);
-  (void)cache.bind(v[1], nullptr);
+  use(1);
   EXPECT_EQ(cache.builds(), EngineCache::kCapacity + 2);
   EXPECT_EQ(cache.evictions(), 2u);
   EXPECT_EQ(cache.size(), cache.builds() - cache.evictions());

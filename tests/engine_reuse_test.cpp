@@ -1,10 +1,10 @@
 // engine_reuse_test.cpp — the engine-reuse contract the serving fleet
-// (src/serving) stands on: after reset_v()/reset_duals(), a reused
-// ResidentTiledEngine must be INDISTINGUISHABLE from a freshly constructed
-// one, no matter what ran on it before — runs of any budget, leaving the
-// mailboxes at either parity.  A reload restarts the pass/parity clock; the
-// abort path (a run that throws mid-flight) is driven through a test-only
-// fault hook in tests/resident_fields_test.cpp.
+// (src/serving) stands on: a reused ResidentTiledEngine must be
+// INDISTINGUISHABLE from a freshly constructed one, no matter what solved
+// on it before.  Every solve overwrites every buffer cell and reads only
+// mailboxes it wrote, so this holds by construction; the abort path (a
+// solve that throws mid-flight) is driven through a test-only fault hook
+// in tests/resident_fields_test.cpp.
 #include "chambolle/resident_tiled.hpp"
 
 #include <gtest/gtest.h>
@@ -33,17 +33,6 @@ void expect_memcmp_eq(const Matrix<float>& a, const Matrix<float>& b,
       << what;
 }
 
-// Full-state equality: primal recovery AND the resident duals.
-void expect_same_state(ResidentTiledEngine& got,
-                       ResidentTiledEngine& want, const char* what) {
-  DualField dg, dw;
-  got.snapshot(dg);
-  want.snapshot(dw);
-  expect_memcmp_eq(dg.px, dw.px, what);
-  expect_memcmp_eq(dg.py, dw.py, what);
-  expect_memcmp_eq(got.result().u, want.result().u, what);
-}
-
 ChambolleParams default_params(int iterations = 8) {
   ChambolleParams p;
   p.iterations = iterations;
@@ -59,8 +48,20 @@ TiledSolverOptions small_tiles() {
   return o;
 }
 
-// A budget of 6 passes of small_tiles()' merge 3, run before a reload.
-constexpr int kPriorIterations = 18;
+// One solve's full output: the primal and the final duals.
+ChambolleResult solve_on(ResidentTiledEngine& engine, const Matrix<float>& v,
+                         const DualField* initial = nullptr) {
+  ChambolleResult out;
+  engine.solve(v, initial, out.u, &out.p);
+  return out;
+}
+
+void expect_same_result(const ChambolleResult& got,
+                        const ChambolleResult& want, const char* what) {
+  expect_memcmp_eq(got.p.px, want.p.px, what);
+  expect_memcmp_eq(got.p.py, want.p.py, what);
+  expect_memcmp_eq(got.u, want.u, what);
+}
 
 TEST(EngineReuse, WarmReloadMatchesFreshWithInitial) {
   const ChambolleParams params = default_params();
@@ -68,39 +69,33 @@ TEST(EngineReuse, WarmReloadMatchesFreshWithInitial) {
   const Matrix<float> v1 = random_v(33, 45, 71021);
   const Matrix<float> v2 = random_v(33, 45, 71022);
 
-  // A dual state to warm-start from: one fixed solve's snapshot.
-  ResidentTiledEngine producer = Peer::windowed(v1, params, opts);
-  producer.run(params.iterations);
-  DualField warm;
-  producer.snapshot(warm);
+  // A dual state to warm-start from: one fixed solve's final duals.
+  const DualField warm = Peer::solve_windowed(v1, params, opts).p;
 
-  ResidentTiledEngine reused = Peer::windowed(v1, params, opts);
-  reused.run(kPriorIterations);
-  reused.reset_v(v2, &warm);  // the dual reload restarts the clock
-  reused.run(params.iterations);
+  ResidentTiledEngine reused = Peer::windowed(33, 45, 1, params, opts);
+  (void)solve_on(reused, v1);  // a cold solve of other input first
+  const ChambolleResult got = solve_on(reused, v2, &warm);
 
-  ResidentTiledEngine fresh = Peer::windowed(v2, params, opts, &warm);
-  fresh.run(params.iterations);
-  expect_same_state(reused, fresh, "warm reload after a run");
+  const ChambolleResult fresh =
+      Peer::solve_windowed(v2, params, opts, nullptr, &warm);
+  expect_same_result(got, fresh, "warm solve after a solve");
 }
 
 TEST(EngineReuse, MixedSolveSequenceMatchesFreshChain) {
   const ChambolleParams params = default_params(6);
   const TiledSolverOptions opts = small_tiles();
-  // Interleave runs of different budgets with resets; after each reset the
-  // reused engine must track a fresh engine bit for bit.
-  ResidentTiledEngine reused =
-      Peer::windowed(random_v(30, 30, 71041), params, opts);
-  for (int round = 0; round < 3; ++round) {
+  // Interleave cold and warm solves of different inputs on one engine; every
+  // solve must track a fresh engine bit for bit.
+  ResidentTiledEngine reused = Peer::windowed(30, 30, 1, params, opts);
+  DualField duals;
+  for (int round = 0; round < 4; ++round) {
     const Matrix<float> v = random_v(30, 30, 71050 + round);
-    reused.run(round % 2 == 0 ? kPriorIterations : params.iterations);
-    reused.reset_v(v);
-    reused.reset_duals();
-    reused.run(params.iterations);
-
-    ResidentTiledEngine fresh = Peer::windowed(v, params, opts);
-    fresh.run(params.iterations);
-    expect_same_state(reused, fresh, "mixed sequence round");
+    const DualField* initial = round % 2 == 1 ? &duals : nullptr;
+    const ChambolleResult want =
+        Peer::solve_windowed(v, params, opts, nullptr, initial);
+    const ChambolleResult got = solve_on(reused, v, initial);
+    expect_same_result(got, want, "mixed sequence round");
+    duals = got.p;
   }
 }
 
@@ -112,16 +107,13 @@ TEST(EngineReuse, InjectedPoolMatchesDefaultPool) {
   TiledSolverOptions opts = small_tiles();
   const Matrix<float> v = random_v(39, 43, 71061);
 
-  ResidentTiledEngine on_default = Peer::windowed(v, params, opts);
-  on_default.run(params.iterations);
-
+  const ChambolleResult on_default = Peer::solve_windowed(v, params, opts);
   for (const int lanes : {1, 2, 5}) {
     parallel::ThreadPool pool(lanes);
     TiledSolverOptions with_pool = opts;
     with_pool.pool = &pool;
-    ResidentTiledEngine on_private = Peer::windowed(v, params, with_pool);
-    on_private.run(params.iterations);
-    expect_same_state(on_private, on_default, "injected pool, fixed run");
+    expect_same_result(Peer::solve_windowed(v, params, with_pool), on_default,
+                       "injected pool, fixed solve");
   }
 }
 

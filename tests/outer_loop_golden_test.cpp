@@ -103,14 +103,12 @@ Matrix<float> golden_solve(const Matrix<float>& v, const Tvl1Params& p,
       break;
   }
   if (engine == nullptr || engine->rows() != v.rows() ||
-      engine->cols() != v.cols()) {
-    engine = std::make_unique<ResidentTiledEngine>(v, p.chambolle, p.tiled);
-  } else {
-    engine->reset_v(v);
-    engine->reset_duals();
-  }
-  engine->run(p.chambolle.iterations);
-  return engine->result().u;
+      engine->cols() != v.cols())
+    engine = std::make_unique<ResidentTiledEngine>(v.rows(), v.cols(), 1,
+                                                   p.chambolle, p.tiled);
+  Matrix<float> u;
+  engine->solve(v, nullptr, u);
+  return u;
 }
 
 FlowField golden_flow(const Pyramid& p0, const Pyramid& p1,

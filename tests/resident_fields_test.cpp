@@ -2,14 +2,16 @@
 // same-shape fields co-scheduled on one EpochGraph) against one single-field
 // engine per field.  Fields exchange no data, so every field's bits must
 // equal its single-field solve at every lane count.  Also pins reuse after
-// an aborted run and reset_v()'s exception safety.  The suite name matches
+// an aborted solve and solve()'s exception safety.  The suite name matches
 // the CI TSan filter.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstring>
 #include <functional>
+#include <memory>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -57,36 +59,40 @@ void expect_memcmp_eq(const Matrix<float>& a, const Matrix<float>& b,
       << what;
 }
 
-// Field `field` of `pair` against the single-field engine `single`: the
-// resident duals and the recovered primal, bit for bit.
-void expect_field_eq(ResidentTiledEngine& pair, int field,
-                     ResidentTiledEngine& single, const std::string& what) {
-  DualField got, want;
-  pair.snapshot(got, field);
-  single.snapshot(want);
-  const std::string tag = what + " field " + std::to_string(field);
-  expect_memcmp_eq(got.px, want.px, tag + " px");
-  expect_memcmp_eq(got.py, want.py, tag + " py");
-  const ChambolleResult r = pair.result(field);
-  expect_memcmp_eq(r.u, single.result().u, tag + " u");
-  expect_memcmp_eq(r.p.px, want.px, tag + " result px");
+void expect_result_eq(const ChambolleResult& got, const ChambolleResult& want,
+                      const std::string& what) {
+  expect_memcmp_eq(got.u, want.u, what + " u");
+  expect_memcmp_eq(got.p.px, want.p.px, what + " px");
+  expect_memcmp_eq(got.p.py, want.p.py, what + " py");
 }
 
-// One K = 2 engine over (a, b) beside one single-field engine per field.
+// One K = 2 engine beside one single-field engine per field.
 struct Trio {
-  Trio(const Matrix<float>& a, const Matrix<float>& b,
-       const ChambolleParams& params, const TiledSolverOptions& opts)
-      : fields{&a, &b},
-        pair(Peer::windowed(fields, params, opts)),
-        one(Peer::windowed(a, params, opts)),
-        two(Peer::windowed(b, params, opts)) {}
+  Trio(const ChambolleParams& params, const TiledSolverOptions& opts)
+      : pair(Peer::windowed(kRows, kCols, 2, params, opts)),
+        one(Peer::windowed(kRows, kCols, 1, params, opts)),
+        two(Peer::windowed(kRows, kCols, 1, params, opts)) {}
 
-  void expect_eq(const std::string& what) {
-    expect_field_eq(pair, 0, one, what);
-    expect_field_eq(pair, 1, two, what);
+  /// Solves (a, b) from `initial` (one state per field, or none) on the
+  /// pair and on the single engines, and compares every output.
+  void expect_eq(const Matrix<float>& a, const Matrix<float>& b,
+                 const DualField* ia, const DualField* ib,
+                 const std::string& what) {
+    const Matrix<float>* const fields[] = {&a, &b};
+    const DualField* const initial[] = {ia, ib};
+    ChambolleResult got[2], want[2];
+    Matrix<float>* const us[] = {&got[0].u, &got[1].u};
+    DualField* const ps[] = {&got[0].p, &got[1].p};
+    pair.solve(fields,
+               ia != nullptr ? ResidentTiledEngine::DualFields(initial)
+                             : ResidentTiledEngine::DualFields(),
+               us, ps);
+    one.solve(a, ia, want[0].u, &want[0].p);
+    two.solve(b, ib, want[1].u, &want[1].p);
+    expect_result_eq(got[0], want[0], what + " field 0");
+    expect_result_eq(got[1], want[1], what + " field 1");
   }
 
-  const Matrix<float>* fields[2];
   ResidentTiledEngine pair;
   ResidentTiledEngine one, two;
 };
@@ -96,189 +102,200 @@ TEST(ResidentFields, RunMatchesSingleFieldEngines) {
   for (int lanes = 1; lanes <= 4; ++lanes) {
     parallel::ThreadPool pool(lanes);
     const std::string tag = "lanes " + std::to_string(lanes);
-    // run(a); run(b) on the pair against run(a + b) on each single engine;
-    // 4 + 7 iterations split into remainder passes of the merge depth 3.
-    Trio t(a, b, params_with(11), small_tiles(pool, lanes));
-    t.pair.run(4);
-    t.pair.run(7);
-    t.one.run(11);
-    t.two.run(11);
-    t.expect_eq(tag + " run(4); run(7)");
+    // 11 iterations split into remainder passes of the merge depth 3.
+    Trio t(params_with(11), small_tiles(pool, lanes));
+    t.expect_eq(a, b, nullptr, nullptr, tag);
     EXPECT_EQ(t.pair.fields(), 2);
     EXPECT_EQ(t.pair.stats().tiles, 2 * t.one.stats().tiles);
     EXPECT_EQ(t.pair.stats().halo_elements_per_pass,
               t.one.stats().halo_elements_per_pass +
                   t.two.stats().halo_elements_per_pass);
-    EXPECT_EQ(t.pair.stats().passes, 5);  // 2 + 3 passes of merge depth 3
+    EXPECT_EQ(t.pair.stats().passes, 4);  // 3 + 3 + 3 + 2 iterations
     EXPECT_EQ(t.pair.stats().halo_bytes_exchanged,
-              t.pair.stats().halo_elements_per_pass * sizeof(float) * 5u);
+              t.pair.stats().halo_elements_per_pass * sizeof(float) * 4u);
     EXPECT_EQ(t.pair.stats().element_iterations,
               t.one.stats().element_iterations +
                   t.two.stats().element_iterations);
 
-    // result_into() of both fields in one call, with and without the dual
-    // write-back.
-    Matrix<float> u0, u1;
-    DualField p0, p1;
+    // The u-only solve of both fields: no dual write-back, same primal.
+    const Matrix<float>* const fields[] = {&a, &b};
+    Matrix<float> u0, u1, want0, want1;
     Matrix<float>* const us[] = {&u0, &u1};
-    DualField* const ps[] = {&p0, &p1};
-    t.pair.result_into(us, ps);
-    expect_memcmp_eq(u0, t.one.result().u, tag + " result_into u0");
-    expect_memcmp_eq(u1, t.two.result().u, tag + " result_into u1");
-    expect_memcmp_eq(p1.py, t.two.result().p.py, tag + " result_into p1");
-    Matrix<float> v0, v1;
-    Matrix<float>* const vs[] = {&v0, &v1};
-    t.pair.result_into(vs);
-    expect_memcmp_eq(v0, u0, tag + " u-only result_into");
-    expect_memcmp_eq(v1, u1, tag + " u-only result_into");
+    t.pair.solve(fields, {}, us);
+    t.one.solve(a, nullptr, want0);
+    t.two.solve(b, nullptr, want1);
+    expect_memcmp_eq(u0, want0, tag + " u-only u0");
+    expect_memcmp_eq(u1, want1, tag + " u-only u1");
   }
 }
 
+// The name predates solve(): it now checks warm and cold solves on reused
+// engines, the two ways a solve starts.
 TEST(ResidentFields, WarmAndColdResetVMatchSingleFieldEngines) {
   const Matrix<float> a = random_v(9201), b = random_v(9202);
   const Matrix<float> a2 = random_v(9203), b2 = random_v(9204);
   for (int lanes = 1; lanes <= 4; ++lanes) {
     parallel::ThreadPool pool(lanes);
     const std::string tag = "lanes " + std::to_string(lanes);
-    Trio t(a, b, params_with(9), small_tiles(pool, lanes));
-    t.pair.run(9);
-    t.one.run(9);
-    t.two.run(9);
+    Trio t(params_with(9), small_tiles(pool, lanes));
+    t.expect_eq(a, b, nullptr, nullptr, tag + " cold");
 
-    // Warm: new inputs, resident duals kept.
-    const Matrix<float>* const warm[] = {&a2, &b2};
-    t.pair.reset_v(warm);
-    t.one.reset_v(a2);
-    t.two.reset_v(b2);
-    t.pair.run(6);
-    t.one.run(6);
-    t.two.run(6);
-    t.expect_eq(tag + " warm reset_v");
+    // Warm: duals from explicit states (two fresh solves', swapped).
+    const ChambolleResult d0 = Peer::solve_windowed(a, params_with(5),
+                                                    small_tiles(pool, lanes));
+    const ChambolleResult d1 = Peer::solve_windowed(b, params_with(5),
+                                                    small_tiles(pool, lanes));
+    t.expect_eq(a2, b2, &d1.p, &d0.p, tag + " warm");
 
-    // Cold: duals reloaded from explicit states (the fields swapped).
-    DualField d0, d1;
-    t.one.snapshot(d0);
-    t.two.snapshot(d1);
-    const DualField* const initial[] = {&d1, &d0};
-    t.pair.reset_v(t.fields, initial);
-    t.one.reset_v(a, &d1);
-    t.two.reset_v(b, &d0);
-    t.pair.run(5);
-    t.one.run(5);
-    t.two.run(5);
-    t.expect_eq(tag + " cold reset_v");
-
-    // Zeroed duals.
-    t.pair.reset_duals();
-    t.one.reset_duals();
-    t.two.reset_duals();
-    t.pair.run(7);
-    t.one.run(7);
-    t.two.run(7);
-    t.expect_eq(tag + " reset_duals");
+    // Cold again on the reused engines.
+    t.expect_eq(a2, b, nullptr, nullptr, tag + " cold after warm");
   }
 }
 
 TEST(ResidentFields, ReusedAfterABodyExceptionMatchesFreshEngines) {
-  // A kernel burst that throws mid-run aborts the whole graph with tiles of
-  // both fields at mixed epochs.  After a reload the engine must be
-  // indistinguishable from fresh ones.
+  // A kernel burst that throws mid-solve aborts the whole graph with tiles
+  // of both fields at mixed epochs.  No output may change — not even with
+  // the dual outputs aliasing the warm start — and the next solve must be
+  // indistinguishable from fresh engines'.  Many small tiles on 1-4 lanes,
+  // then a 3-strip plan on 3 lanes whose middle strip of field 0 throws in
+  // its last burst: every other node may finish its bursts then, so only
+  // the last epoch's join keeps field 1 from recovering.
   const Matrix<float> a = random_v(9501), b = random_v(9502);
   const Matrix<float> a2 = random_v(9503), b2 = random_v(9504);
+  const ChambolleParams params = params_with(8);  // 3 passes of merge 3
+  struct Case {
+    int lanes;
+    TiledSolverOptions opts;
+    std::function<bool(int, int, int)> fail;  // (field, tile, burst count)
+  };
+  std::vector<Case> cases;
+  std::vector<std::unique_ptr<parallel::ThreadPool>> pools;
   for (int lanes = 1; lanes <= 4; ++lanes) {
-    parallel::ThreadPool pool(lanes);
-    const std::string tag = "lanes " + std::to_string(lanes);
-    const TiledSolverOptions opts = small_tiles(pool, lanes);
+    pools.push_back(std::make_unique<parallel::ThreadPool>(lanes));
+    cases.push_back({lanes, small_tiles(*pools.back(), lanes),
+                     [](int, int, int n) { return n == 13; }});
+  }
+  pools.push_back(std::make_unique<parallel::ThreadPool>(3));
+  TiledSolverOptions strips = small_tiles(*pools.back(), 3);
+  strips.tile_rows = 17;  // 37 rows: profitable 14 + 11 + 12
+  strips.tile_cols = kCols;
+  cases.push_back({3, strips, [](int field, int tile, int n) {
+                     return field == 0 && tile == 1 && n == 2;
+                   }});
+
+  for (const Case& c : cases) {
+    const std::string tag = "lanes " + std::to_string(c.lanes) +
+                            (&c == &cases.back() ? " strips" : " tiles");
+    ResidentTiledEngine reused =
+        Peer::windowed(kRows, kCols, 2, params, c.opts);
+    if (&c == &cases.back()) {
+      ASSERT_EQ(reused.plan().tiles.size(), 3u) << tag;
+    }
+
+    // Shaped outputs with known contents, and duals that are both the warm
+    // start and the write-back (the serving layer's aliasing).
+    ChambolleResult out[2] = {Peer::solve_windowed(a2, params, c.opts),
+                              Peer::solve_windowed(b2, params, c.opts)};
+    const ChambolleResult before[2] = {out[0], out[1]};
     const Matrix<float>* const first[] = {&a, &b};
-    ResidentTiledEngine reused = Peer::windowed(first, params_with(8), opts);
-    std::atomic<int> bursts{0};
-    Peer::set_fault_hook(reused, [&](int, int) {
-      if (bursts.fetch_add(1) == 13) throw std::runtime_error("injected");
+    const DualField* const initial[] = {&out[0].p, &out[1].p};
+    Matrix<float>* const us[] = {&out[0].u, &out[1].u};
+    DualField* const ps[] = {&out[0].p, &out[1].p};
+    std::atomic<int> bursts{0}, middle{0};
+    Peer::set_fault_hook(reused, [&](int field, int tile) {
+      const int n = field == 0 && tile == 1 ? middle.fetch_add(1)
+                                            : bursts.fetch_add(1);
+      if (c.fail(field, tile, n)) throw std::runtime_error("injected");
     });
-    EXPECT_THROW(reused.run(30), std::runtime_error) << tag;
+    EXPECT_THROW(reused.solve(first, initial, us, ps), std::runtime_error)
+        << tag;
     Peer::set_fault_hook(reused, nullptr);
+    expect_result_eq(out[0], before[0], tag + " untouched field 0");
+    expect_result_eq(out[1], before[1], tag + " untouched field 1");
 
     const Matrix<float>* const next[] = {&a2, &b2};
-    reused.reset_v(next);
-    reused.reset_duals();
-    reused.run(8);
-    ResidentTiledEngine one = Peer::windowed(a2, params_with(8), opts);
-    ResidentTiledEngine two = Peer::windowed(b2, params_with(8), opts);
-    one.run(8);
-    two.run(8);
-    const std::string what = tag + " after fixed abort";
-    expect_field_eq(reused, 0, one, what);
-    expect_field_eq(reused, 1, two, what);
+    reused.solve(next, {}, us, ps);
+    ResidentTiledEngine one = Peer::windowed(kRows, kCols, 1, params, c.opts);
+    ResidentTiledEngine two = Peer::windowed(kRows, kCols, 1, params, c.opts);
+    ChambolleResult want[2];
+    one.solve(a2, nullptr, want[0].u, &want[0].p);
+    two.solve(b2, nullptr, want[1].u, &want[1].p);
+    expect_result_eq(out[0], want[0], tag + " after abort field 0");
+    expect_result_eq(out[1], want[1], tag + " after abort field 1");
   }
 }
 
+// The name predates solve(): a solve that throws on a bad argument must
+// leave its outputs and the engine as they were.
 TEST(ResidentFields, ThrowingResetVLeavesTheEngineUnchanged) {
-  // reset_v validates every argument before it touches anything: a call
-  // that throws must leave inputs, duals and the pass clock as they were.
   parallel::ThreadPool pool(3);
   const TiledSolverOptions opts = small_tiles(pool, 3);
   const Matrix<float> a = random_v(9601), b = random_v(9602);
   const Matrix<float> a2 = random_v(9603);
-  const Matrix<float>* const fields[] = {&a, &b};
-  ResidentTiledEngine pair = Peer::windowed(fields, params_with(7), opts);
-  ResidentTiledEngine single = Peer::windowed(a, params_with(7), opts);
-  pair.run(7);
-  single.run(7);
-  const ChambolleResult before0 = pair.result(0), before1 = pair.result(1);
-  const ChambolleResult before = single.result();
+  const ChambolleParams params = params_with(7);
+  ResidentTiledEngine pair = Peer::windowed(kRows, kCols, 2, params, opts);
+  ResidentTiledEngine single = Peer::windowed(kRows, kCols, 1, params, opts);
+  ChambolleResult out = Peer::solve_windowed(a, params, opts);
+  const ChambolleResult before = out;
 
   const DualField wrong_shape(kRows + 1, kCols);
   const DualField right_shape(kRows, kCols);
-  EXPECT_THROW(single.reset_v(a2, &wrong_shape), std::invalid_argument);
+  EXPECT_THROW(single.solve(a2, &wrong_shape, out.u, &out.p),
+               std::invalid_argument);
   const Matrix<float> wrong_v(kRows, kCols + 2);
-  EXPECT_THROW(single.reset_v(wrong_v), std::invalid_argument);
+  EXPECT_THROW(single.solve(wrong_v, nullptr, out.u, &out.p),
+               std::invalid_argument);
+  Matrix<float> other_u = out.u;
+  Matrix<float>* const us[] = {&out.u, &other_u};
   const Matrix<float>* const one_field[] = {&a2};
-  EXPECT_THROW(pair.reset_v(one_field), std::invalid_argument);
+  EXPECT_THROW(pair.solve(one_field, {}, us), std::invalid_argument);
   const Matrix<float>* const with_bad[] = {&a2, &wrong_v};
-  EXPECT_THROW(pair.reset_v(with_bad), std::invalid_argument);
+  EXPECT_THROW(pair.solve(with_bad, {}, us), std::invalid_argument);
   const Matrix<float>* const good[] = {&a2, &a2};
   const DualField* const bad_initial[] = {&right_shape, &wrong_shape};
-  EXPECT_THROW(pair.reset_v(good, bad_initial), std::invalid_argument);
+  EXPECT_THROW(pair.solve(good, bad_initial, us), std::invalid_argument);
+  expect_result_eq(out, before, "outputs");
+  expect_memcmp_eq(other_u, before.u, "second output");
 
-  const ChambolleResult after = single.result();
-  expect_memcmp_eq(after.u, before.u, "single u");
-  expect_memcmp_eq(after.p.px, before.p.px, "single px");
-  expect_memcmp_eq(pair.result(0).u, before0.u, "pair u0");
-  expect_memcmp_eq(pair.result(1).u, before1.u, "pair u1");
-  // The pass clock and the resident v survived too: continuing matches a
-  // solve that never saw the failed calls.
-  single.run(5);
-  ResidentTiledEngine fresh = Peer::windowed(a, params_with(12), opts);
-  fresh.run(12);
-  expect_memcmp_eq(single.result().u, fresh.result().u, "continued");
+  // The engines still solve like fresh ones.
+  ChambolleResult got;
+  single.solve(b, nullptr, got.u, &got.p);
+  expect_result_eq(got, Peer::solve_windowed(b, params, opts), "single");
+  pair.solve(good, {}, us);
+  expect_memcmp_eq(out.u, Peer::solve_windowed(a2, params, opts).u, "pair");
 }
 
 TEST(ResidentFields, ValidatesFieldsAndOutputs) {
   parallel::ThreadPool pool(2);
   const TiledSolverOptions opts = small_tiles(pool, 2);
+  EXPECT_THROW(ResidentTiledEngine(kRows, kCols, 0, params_with(4), opts),
+               std::invalid_argument);
   const Matrix<float> a = random_v(9701);
   const Matrix<float> other(kRows, kCols + 1);
+  ResidentTiledEngine pair =
+      Peer::windowed(kRows, kCols, 2, params_with(4), opts);
+  Matrix<float> u, w;
+  DualField p, q;
+  Matrix<float>* const us[] = {&u, &w};
   const Matrix<float>* const mismatched[] = {&a, &other};
-  EXPECT_THROW(ResidentTiledEngine(mismatched, params_with(4), opts),
-               std::invalid_argument);
+  EXPECT_THROW(pair.solve(mismatched, {}, us), std::invalid_argument);
   const Matrix<float>* const null_field[] = {&a, nullptr};
-  EXPECT_THROW(ResidentTiledEngine(null_field, params_with(4), opts),
-               std::invalid_argument);
-  EXPECT_THROW(ResidentTiledEngine(ResidentTiledEngine::Fields(),
-                                   params_with(4), opts),
+  EXPECT_THROW(pair.solve(null_field, {}, us), std::invalid_argument);
+  EXPECT_THROW(pair.solve(ResidentTiledEngine::Fields(), {}, us),
                std::invalid_argument);
 
   const Matrix<float>* const fields[] = {&a, &a};
-  ResidentTiledEngine pair = Peer::windowed(fields, params_with(4), opts);
-  pair.run(4);
-  Matrix<float> u;
-  DualField p;
-  EXPECT_THROW(pair.result_into(u, p), std::invalid_argument);  // K = 1 form
+  EXPECT_THROW(pair.solve(a, nullptr, u, &p), std::invalid_argument);  // K = 1
   Matrix<float>* const shared[] = {&u, &u};
-  EXPECT_THROW(pair.result_into(shared), std::invalid_argument);
-  EXPECT_THROW((void)pair.result(2), std::invalid_argument);
-  DualField snap;
-  EXPECT_THROW(pair.snapshot(snap, -1), std::invalid_argument);
+  EXPECT_THROW(pair.solve(fields, {}, shared), std::invalid_argument);
+  DualField* const shared_duals[] = {&p, &p};
+  EXPECT_THROW(pair.solve(fields, {}, us, shared_duals),
+               std::invalid_argument);
+  DualField* const null_duals[] = {&p, nullptr};
+  EXPECT_THROW(pair.solve(fields, {}, us, null_duals), std::invalid_argument);
+  DualField* const ps[] = {&p, &q};
+  pair.solve(fields, {}, us, ps);  // distinct outputs: fine
+  expect_memcmp_eq(u, w, "same input, same output");
 }
 
 }  // namespace

@@ -105,13 +105,13 @@ INSTANTIATE_TEST_SUITE_P(
 
 // The engine's own plan at every pyramid level of the benchmark workloads,
 // Table II's frame, lines and long thin strips, for 1-2 fields on 1-8
-// lanes: every field is the sequential reference, bit for bit.  (The suite
-// name matches the CI TSan filter.)
+// lanes: every field is the sequential reference, bit for bit.  Each engine
+// also solves with no iterations, cold and from explicit duals: the load
+// and recovery epochs alone.  (The suite name matches the CI TSan filter.)
 TEST(ResidentPlan, FixedPolicyMatchesReferenceOnEveryShape) {
   struct Shape {
     int rows, cols;
   };
-  const ChambolleParams params = params_with(6);
   TiledSolverOptions opt;
   opt.merge_iterations = 4;
   for (const Shape shape :
@@ -121,25 +121,49 @@ TEST(ResidentPlan, FixedPolicyMatchesReferenceOnEveryShape) {
         Shape{9, 9}, Shape{9, 4096}, Shape{4096, 9}}) {
     const Matrix<float> a = random_v(shape.rows, shape.cols, 4100);
     const Matrix<float> b = random_v(shape.rows, shape.cols, 4101);
-    const ChambolleResult ref[] = {solve(a, params), solve(b, params)};
     const Matrix<float>* const fields[] = {&a, &b};
-    for (int k = 1; k <= 2; ++k) {
-      for (int lanes = 1; lanes <= 8; ++lanes) {
-        SCOPED_TRACE(std::to_string(shape.rows) + "x" +
-                     std::to_string(shape.cols) + " fields " +
-                     std::to_string(k) + " lanes " + std::to_string(lanes));
-        opt.num_threads = lanes;
-        ResidentTiledEngine engine(
-            ResidentTiledEngine::Fields(fields, static_cast<std::size_t>(k)),
-            params, opt);
-        EXPECT_EQ(engine.stats().tiles,
-                  static_cast<std::size_t>(k) * engine.plan().tiles.size());
-        engine.run(params.iterations);
-        for (int f = 0; f < k; ++f) {
-          const ChambolleResult got = engine.result(f);
-          expect_memcmp_eq(got.u, ref[f].u, "u");
-          expect_memcmp_eq(got.p.px, ref[f].p.px, "px");
-          expect_memcmp_eq(got.p.py, ref[f].p.py, "py");
+    // Warm-start duals for the zero-iteration case: any dual field will do.
+    DualField warm_a, warm_b;
+    warm_a.px = random_v(shape.rows, shape.cols, 4102);
+    warm_a.py = random_v(shape.rows, shape.cols, 4103);
+    warm_b.px = random_v(shape.rows, shape.cols, 4104);
+    warm_b.py = random_v(shape.rows, shape.cols, 4105);
+    const DualField* const warm[] = {&warm_a, &warm_b};
+    for (const int iterations : {6, 0}) {
+      const ChambolleParams params = params_with(iterations);
+      const ChambolleResult cold_ref[] = {solve(a, params), solve(b, params)};
+      const ChambolleResult warm_ref[] = {solve(a, params, &warm_a),
+                                          solve(b, params, &warm_b)};
+      for (int k = 1; k <= 2; ++k) {
+        for (int lanes = 1; lanes <= 8; ++lanes) {
+          opt.num_threads = lanes;
+          ResidentTiledEngine engine(shape.rows, shape.cols, k, params, opt);
+          EXPECT_EQ(engine.stats().tiles,
+                    static_cast<std::size_t>(k) * engine.plan().tiles.size());
+          // Iterations run cold only; no iterations run cold and warm.
+          for (const bool warm_start : {false, true}) {
+            if (warm_start && iterations > 0) continue;
+            SCOPED_TRACE(std::to_string(shape.rows) + "x" +
+                         std::to_string(shape.cols) + " fields " +
+                         std::to_string(k) + " lanes " +
+                         std::to_string(lanes) + " iterations " +
+                         std::to_string(iterations) +
+                         (warm_start ? " warm" : " cold"));
+            ChambolleResult got[2];
+            Matrix<float>* const us[] = {&got[0].u, &got[1].u};
+            DualField* const ps[] = {&got[0].p, &got[1].p};
+            const auto n = static_cast<std::size_t>(k);
+            engine.solve(ResidentTiledEngine::Fields(fields, n),
+                         warm_start ? ResidentTiledEngine::DualFields(warm, n)
+                                    : ResidentTiledEngine::DualFields(),
+                         {us, n}, {ps, n});
+            const ChambolleResult* ref = warm_start ? warm_ref : cold_ref;
+            for (int f = 0; f < k; ++f) {
+              expect_memcmp_eq(got[f].u, ref[f].u, "u");
+              expect_memcmp_eq(got[f].p.px, ref[f].p.px, "px");
+              expect_memcmp_eq(got[f].p.py, ref[f].p.py, "py");
+            }
+          }
         }
       }
     }
@@ -162,45 +186,6 @@ TEST(ResidentSolver, MatchesReloadEngineBitExactly) {
   expect_memcmp_eq(res.u, reload.u, "u");
 }
 
-TEST(ResidentSolver, RunsAreComposable) {
-  // run(a); run(b) on resident buffers == one reference solve of a+b.
-  const Matrix<float> v = random_v(48, 48, 22);
-  TiledSolverOptions opt;
-  opt.tile_rows = 20;
-  opt.tile_cols = 20;
-  opt.merge_iterations = 2;
-  opt.num_threads = 2;
-
-  ResidentTiledEngine engine = Peer::windowed(v, params_with(12), opt);
-  engine.run(5);
-  engine.run(7);
-  const ChambolleResult split = engine.result();
-  const ChambolleResult ref = solve(v, params_with(12));
-  expect_memcmp_eq(split.p.px, ref.p.px, "px");
-  expect_memcmp_eq(split.p.py, ref.p.py, "py");
-}
-
-TEST(ResidentSolver, SnapshotObservesIntermediateStateWithoutDisturbingIt) {
-  const Matrix<float> v = random_v(40, 40, 23);
-  TiledSolverOptions opt;
-  opt.tile_rows = 18;
-  opt.tile_cols = 18;
-  opt.merge_iterations = 2;
-  opt.num_threads = 2;
-
-  ResidentTiledEngine engine = Peer::windowed(v, params_with(8), opt);
-  engine.run(4);
-  DualField mid;
-  engine.snapshot(mid);  // the on-demand telemetry write-back
-  const ChambolleResult ref4 = solve(v, params_with(4));
-  expect_memcmp_eq(mid.px, ref4.p.px, "px@4");
-  expect_memcmp_eq(mid.py, ref4.p.py, "py@4");
-
-  engine.run(4);  // snapshot must not have corrupted the resident state
-  const ChambolleResult ref8 = solve(v, params_with(8));
-  expect_memcmp_eq(engine.result().p.px, ref8.p.px, "px@8");
-}
-
 TEST(ResidentSolver, WarmStartFromInitialDuals) {
   const Matrix<float> v = random_v(44, 36, 24);
   const ChambolleParams first = params_with(6);
@@ -220,31 +205,8 @@ TEST(ResidentSolver, WarmStartFromInitialDuals) {
   expect_memcmp_eq(warm.u, ref.u, "u");
 }
 
-TEST(ResidentSolver, ResetVKeepsDualsResidentAcrossWarps) {
-  // The TV-L1 warp pattern: new v each inner solve, duals carried through
-  // the resident buffers.  Must equal reference solves chained by explicit
-  // initial duals.
-  const Matrix<float> v1 = random_v(52, 40, 25);
-  const Matrix<float> v2 = random_v(52, 40, 26);
-  TiledSolverOptions opt;
-  opt.tile_rows = 20;
-  opt.tile_cols = 18;
-  opt.merge_iterations = 3;
-  opt.num_threads = 2;
-
-  ResidentTiledEngine engine = Peer::windowed(v1, params_with(9), opt);
-  engine.run(9);
-  engine.reset_v(v2);  // duals stay resident
-  engine.run(9);
-  const ChambolleResult res = engine.result();
-
-  const ChambolleResult ref1 = solve(v1, params_with(9));
-  const ChambolleResult ref2 = solve(v2, params_with(9), &ref1.p);
-  expect_memcmp_eq(res.p.px, ref2.p.px, "px");
-  expect_memcmp_eq(res.p.py, ref2.p.py, "py");
-  expect_memcmp_eq(res.u, ref2.u, "u");
-}
-
+// A reused engine restarted from explicit zero duals is a cold start: the
+// epoch-0 load overwrites every buffer cell of the previous solve.
 TEST(ResidentSolver, ResetVWithInitialColdRestarts) {
   const Matrix<float> v1 = random_v(30, 30, 27);
   const Matrix<float> v2 = random_v(30, 30, 28);
@@ -254,13 +216,14 @@ TEST(ResidentSolver, ResetVWithInitialColdRestarts) {
   opt.merge_iterations = 2;
   opt.num_threads = 1;
 
-  ResidentTiledEngine engine = Peer::windowed(v1, params_with(6), opt);
-  engine.run(6);
+  ResidentTiledEngine engine = Peer::windowed(30, 30, 1, params_with(6), opt);
+  ChambolleResult first, second;
+  engine.solve(v1, nullptr, first.u, &first.p);
   const DualField zeros(30, 30);
-  engine.reset_v(v2, &zeros);
-  engine.run(6);
+  engine.solve(v2, &zeros, second.u, &second.p);
   const ChambolleResult ref = solve(v2, params_with(6));
-  expect_memcmp_eq(engine.result().p.px, ref.p.px, "px");
+  expect_memcmp_eq(second.p.px, ref.p.px, "px");
+  expect_memcmp_eq(second.u, ref.u, "u");
 }
 
 TEST(ResidentSolver, StatsReportHaloTrafficFarBelowFrameReload) {
@@ -301,16 +264,21 @@ TEST(ResidentSolver, ValidatesArguments) {
   const Matrix<float> v = random_v(32, 32, 31);
   TiledSolverOptions opt;
   opt.merge_iterations = 0;
-  EXPECT_THROW(ResidentTiledEngine(v, params_with(4), opt),
+  EXPECT_THROW(ResidentTiledEngine(32, 32, 1, params_with(4), opt),
                std::invalid_argument);
   opt = {};
-  DualField bad(8, 8);
-  EXPECT_THROW(ResidentTiledEngine(v, params_with(4), opt, &bad),
+  EXPECT_THROW(ResidentTiledEngine(32, 32, 0, params_with(4), opt),
                std::invalid_argument);
-  ResidentTiledEngine engine(v, params_with(4), opt);
-  EXPECT_THROW(engine.run(-1), std::invalid_argument);
+  ChambolleParams negative = params_with(4);
+  negative.iterations = -1;
+  EXPECT_THROW(ResidentTiledEngine(32, 32, 1, negative, opt),
+               std::invalid_argument);
+  ResidentTiledEngine engine(32, 32, 1, params_with(4), opt);
+  Matrix<float> u;
+  const DualField bad(8, 8);
+  EXPECT_THROW(engine.solve(v, &bad, u), std::invalid_argument);
   const Matrix<float> wrong(16, 16);
-  EXPECT_THROW(engine.reset_v(wrong), std::invalid_argument);
+  EXPECT_THROW(engine.solve(wrong, nullptr, u), std::invalid_argument);
 }
 
 // The engine reads neither tile_rows nor tile_cols, so the default 88x92
@@ -322,10 +290,10 @@ TEST(ResidentSolver, MergeDepthIsNotBoundByTheUnreadWindow) {
   opt.num_threads = 2;
   EXPECT_THROW(opt.validate(), std::invalid_argument);
   const ChambolleParams params = params_with(100);
-  ResidentTiledEngine engine(v, params, opt);
+  ResidentTiledEngine engine(v.rows(), v.cols(), 1, params, opt);
   EXPECT_EQ(engine.plan().tiles.size(), 2u);
-  engine.run(params.iterations);
-  const ChambolleResult got = engine.result();
+  ChambolleResult got;
+  engine.solve(v, nullptr, got.u, &got.p);
   const ChambolleResult ref = solve(v, params);
   expect_memcmp_eq(got.u, ref.u, "u");
   expect_memcmp_eq(got.p.px, ref.p.px, "px");

@@ -14,6 +14,7 @@
 #include <future>
 #include <limits>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "chambolle/engine_cache.hpp"
@@ -76,7 +77,7 @@ std::size_t planned_strips(int rows, int cols, const tvl1::Tvl1Params& p) {
 }
 
 // The serial truth for one Chambolle-mode stream: fresh engine per frame,
-// duals chained through snapshots, warm only while the resolution holds
+// duals chained from solve to solve, warm only while the resolution holds
 // (a switch restarts cold) — exactly the Session::submit contract.  It
 // runs on one lane, so one tile: a strip plan in the service is checked
 // against a plan without halos.
@@ -85,16 +86,16 @@ std::vector<Matrix<float>> serial_chain(
   TiledSolverOptions one_lane = p.tiled;
   one_lane.num_threads = 1;
   std::vector<Matrix<float>> out;
-  DualField duals;
+  DualField duals, next;
   bool has_duals = false;
   for (const Matrix<float>& v : frames) {
     const DualField* initial =
         has_duals && duals.px.same_shape(v) ? &duals : nullptr;
-    ResidentTiledEngine engine(v, p.chambolle, one_lane, initial);
-    engine.run(p.chambolle.iterations);
-    engine.snapshot(duals);
+    ResidentTiledEngine engine(v.rows(), v.cols(), 1, p.chambolle, one_lane);
+    out.emplace_back();
+    engine.solve(v, initial, out.back(), &next);
+    std::swap(duals, next);
     has_duals = true;
-    out.push_back(engine.result().u);
   }
   return out;
 }

@@ -376,6 +376,7 @@ TEST(OuterLoopStages, ParallelRecoveryMatchesSerialSnapshotAndRecovery) {
   // Two row chunks of the streaming passes.
   const Matrix<float> v = random_image(rng, 261, 301, -2.f, 2.f);
   const ChambolleParams params{0.25f, 0.0625f, 10};
+  const ChambolleResult want = solve(v, params);
   for (const auto& [tile_rows, tile_cols] : {std::pair{24, 20}, {40, 44},
                                              {261, 301}}) {
     for (int lanes = 1; lanes <= 4; ++lanes) {
@@ -387,23 +388,18 @@ TEST(OuterLoopStages, ParallelRecoveryMatchesSerialSnapshotAndRecovery) {
       opts.merge_iterations = 4;
       opts.pool = &pool;
       opts.num_threads = lanes;
-      ResidentTiledEngine engine = Peer::windowed(v, params, opts);
-      engine.run(params.iterations);
-
-      // The serial write-back + recovery result() used to run.
-      const ChambolleResult want = solve(v, params);
-      const ChambolleResult full = engine.result();
-      EXPECT_TRUE(same_bits(full.p.px, want.p.px));
-      EXPECT_TRUE(same_bits(full.p.py, want.p.py));
-      EXPECT_TRUE(same_bits(full.u, want.u));
+      ResidentTiledEngine engine =
+          Peer::windowed(v.rows(), v.cols(), 1, params, opts);
+      // The recovery epoch against the serial write-back + recovery.
       Matrix<float> u;
       DualField duals;
-      engine.result_into(u, duals);
+      engine.solve(v, nullptr, u, &duals);
       EXPECT_TRUE(same_bits(u, want.u));
       EXPECT_TRUE(same_bits(duals.px, want.p.px));
-      engine.run(2);  // the reused buffers follow the state
-      engine.result_into(u, duals);
-      EXPECT_TRUE(same_bits(u, engine.result().u));
+      EXPECT_TRUE(same_bits(duals.py, want.p.py));
+      // Into the shaped buffers again, u only.
+      engine.solve(v, nullptr, u);
+      EXPECT_TRUE(same_bits(u, want.u));
     }
   }
 }
@@ -422,12 +418,13 @@ TEST(OuterLoopStages, FixedBudgetSentinelResolvesToTheFixedSchedule) {
     opts.tile_cols = 24;
     opts.merge_iterations = merge;
     const ChambolleParams params{0.25f, 0.0625f, iterations};
-    ResidentTiledEngine engine = Peer::windowed(v, params, opts);
+    ResidentTiledEngine engine = Peer::windowed(40, 44, 1, params, opts);
     std::size_t buffer_elements = 0;
     for (const TileSpec& t : engine.plan().tiles)
       buffer_elements += t.buffer_elements();
+    Matrix<float> u;
     for (int run = 1; run <= 2; ++run) {
-      engine.run(iterations);
+      engine.solve(v, nullptr, u);
       EXPECT_EQ(engine.stats().passes,
                 run * ((iterations + merge - 1) / merge));
       EXPECT_EQ(engine.stats().element_iterations,

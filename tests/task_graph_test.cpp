@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace chambolle::parallel {
@@ -118,6 +120,28 @@ TEST(EpochGraph, ZeroPassesAndEmptyGraphAreNoOps) {
   });
 }
 
+TEST(EpochGraph, LastEpochWaitsForEveryNode) {
+  // The last epoch is a join: no node enters it before every node — not
+  // just its neighbors — has finished the epoch before.  Node 0 is slowed,
+  // so without the join the far end of the chain would run ahead of it by
+  // up to one epoch per hop and reach the last epoch first.
+  const int n = 8, passes = 5;
+  EpochGraph graph(chain(n));
+  std::vector<std::atomic<int>> done(static_cast<std::size_t>(n));
+  std::atomic<int> early{0}, last_runs{0};
+  graph.run(passes, 4, default_pool(), [&](int node, int e, int) {
+    if (node == 0) std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    if (e == passes - 1) {
+      last_runs.fetch_add(1);
+      for (const std::atomic<int>& d : done)
+        if (d.load() < passes - 1) early.fetch_add(1);
+    }
+    done[static_cast<std::size_t>(node)].store(e + 1);
+  });
+  EXPECT_EQ(last_runs.load(), n);
+  EXPECT_EQ(early.load(), 0);
+}
+
 TEST(EpochGraph, BodyExceptionAbortsAndPropagates) {
   const int n = 8;
   EpochGraph graph(chain(n));
@@ -128,6 +152,24 @@ TEST(EpochGraph, BodyExceptionAbortsAndPropagates) {
                     throw std::runtime_error("boom");
                               }),
       std::runtime_error);
+  // A throw while the other lanes wait at the last epoch's join: nodes
+  // without edges all reach the join and spin there until they see the
+  // abort.
+  EpochGraph free_nodes(
+      std::vector<std::vector<int>>(static_cast<std::size_t>(n)));
+  const int passes = 4;
+  std::atomic<int> last_runs{0};
+  EXPECT_THROW(free_nodes.run(passes, 4, default_pool(),
+                              [&](int node, int epoch, int) {
+                                if (epoch == passes - 1) last_runs.fetch_add(1);
+                                if (node == 0 && epoch == passes - 2) {
+                                  std::this_thread::sleep_for(
+                                      std::chrono::milliseconds(20));
+                                  throw std::runtime_error("boom at the join");
+                                }
+                              }),
+               std::runtime_error);
+  EXPECT_EQ(last_runs.load(), 0);
   // The graph (and the pool) must remain usable afterwards.
   std::atomic<int> total{0};
   graph.run(2, 2, default_pool(), [&](int, int, int) {

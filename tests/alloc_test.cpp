@@ -103,13 +103,10 @@ TEST(OuterLoopAllocations, SweepAllocatesNothingOnceItsOutputIsShaped) {
   }
 }
 
-TEST(OuterLoopAllocations, ResidentSolveAllocatesNothingOnceWarm) {
-  // The two solves the pipeline and the service make, on a 316 x 252 frame
-  // and three lanes: a TV-L1 inner solve (both flow components on one
-  // engine, primal out only) and a Chambolle-mode solve (one field, the
-  // session's duals both warm start and write-back).  The first solve
-  // sizes the outputs and the per-lane scratch; every later one reuses
-  // them.
+TEST(OuterLoopAllocations, ResidentRunAllocatesNothingOnceWarm) {
+  // A TV-L1 inner solve: the two flow components of a 316 x 252 frame on
+  // one engine, primal out only, three lanes.  The first solve sizes the
+  // outputs and the per-lane scratch; every later one reuses them.
   parallel::ThreadPool pool(3);
   Rng rng(3);
   const Matrix<float> v1 = random_image(rng, 252, 316, -1.f, 1.f);
@@ -118,20 +115,34 @@ TEST(OuterLoopAllocations, ResidentSolveAllocatesNothingOnceWarm) {
   TiledSolverOptions opts;
   opts.merge_iterations = 4;
   opts.pool = &pool;
-  const ChambolleParams params{0.25f, 0.0625f, 30};
-  ResidentTiledEngine pair(252, 316, 2, params, opts);
-  ResidentTiledEngine single(252, 316, 1, params, opts);
-  Matrix<float> u1, u2, u;
+  ResidentTiledEngine engine(252, 316, 2, ChambolleParams{0.25f, 0.0625f, 30},
+                             opts);
+  Matrix<float> u1, u2;
   Matrix<float>* const us[] = {&u1, &u2};
-  DualField duals;
-  pair.solve(inputs, {}, us);
-  single.solve(v1, nullptr, u, &duals);
+  engine.solve(inputs, {}, us);
   EXPECT_EQ(allocations_during([&] {
-              for (int k = 0; k < 5; ++k) pair.solve(inputs, {}, us);
+              for (int k = 0; k < 5; ++k) engine.solve(inputs, {}, us);
             }),
             0);
+}
+
+TEST(OuterLoopAllocations, ResidentResultIntoAllocatesNothingOnceShaped) {
+  // A Chambolle-mode solve: one field, the session's duals both warm start
+  // and write-back.  Once the first solve has shaped u and the duals, the
+  // recovery writes into them in place.
+  parallel::ThreadPool pool(3);
+  Rng rng(2);
+  const Matrix<float> v = random_image(rng, 252, 316, -1.f, 1.f);
+  TiledSolverOptions opts;
+  opts.merge_iterations = 4;
+  opts.pool = &pool;
+  ResidentTiledEngine engine(252, 316, 1, ChambolleParams{0.25f, 0.0625f, 8},
+                             opts);
+  Matrix<float> u;
+  DualField duals;
+  engine.solve(v, nullptr, u, &duals);
   EXPECT_EQ(allocations_during([&] {
-              for (int k = 0; k < 5; ++k) single.solve(v1, &duals, u, &duals);
+              for (int k = 0; k < 5; ++k) engine.solve(v, &duals, u, &duals);
             }),
             0);
 }
@@ -143,7 +154,7 @@ TEST(OuterLoopAllocations, ResidentSolveAllocatesNothingOnceWarm) {
 // and gradient buffers the outer loop reshapes at every level.  The four
 // per-level two-field engines stay in the session's EngineCache, so a frame
 // builds none; the 20 inner solves allocate nothing once their engine has
-// solved (ResidentSolveAllocatesNothingOnceWarm), and the pool allocates
+// solved (ResidentRunAllocatesNothingOnceWarm), and the pool allocates
 // nothing when the team width alternates between the one-tile and
 // three-strip levels.  The bound keeps the 11 % headroom it has had since
 // the 88 x 92 window's 1144; one engine build per frame (24 at a coarse

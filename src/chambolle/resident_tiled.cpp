@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "kernels/kernel.hpp"
-#include "kernels/strips.hpp"
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/profiler.hpp"
@@ -14,24 +13,23 @@
 
 namespace chambolle {
 
-/// The resident working set of one tile: the (px, py) dual window and the
-/// fixed input window, allocated once and owned by one lane for the whole
-/// solve, 12 B per buffer cell — the CPU analogue of a BRAM bank.
-struct ResidentTiledEngine::TileBuffers {
-  Matrix<float> px, py, v;
-};
-
-/// One directed halo-exchange edge, with the frame rectangle pre-resolved
-/// into source- and destination-local coordinates and a parity-double-
-/// buffered payload: slot[n & 1] carries the pass-n strip (px rows first,
-/// then py rows).  Publication/consumption is ordered by the EpochGraph's
+/// One outgoing halo payload of a strip, double-buffered by pass parity:
+/// slot[n & 1] carries `halo` of its pass-n profitable rows, px rows first,
+/// then py rows.  Publication/consumption is ordered by the EpochGraph's
 /// release/acquire epoch protocol; the skew bound (neighbors never more
 /// than one pass apart) keeps the two slots from colliding.
 struct ResidentTiledEngine::Mailbox {
-  HaloEdge edge;
-  int src_r0 = 0, src_c0 = 0;  // edge rect in src-buffer coordinates
-  int dst_r0 = 0, dst_c0 = 0;  // edge rect in dst-buffer coordinates
   std::vector<float> slot[2];
+};
+
+/// The resident working set of one strip: the (px, py) dual window and the
+/// fixed input window, allocated once and owned by one lane for the whole
+/// solve, 12 B per buffer cell — the CPU analogue of a BRAM bank — and its
+/// payloads for the strip above (its first `halo` profitable rows) and the
+/// strip below (its last), empty on a frame border.
+struct ResidentTiledEngine::TileBuffers {
+  Matrix<float> px, py, v;
+  Mailbox first, last;
 };
 
 namespace {
@@ -43,11 +41,20 @@ void shape(Matrix<float>& m, int rows, int cols) {
   if (m.rows() != rows || m.cols() != cols) m.resize(rows, cols);
 }
 
-/// Copies tile `s`'s profitable window of its buffer `buf` into the frame.
-void copy_profitable(const Matrix<float>& buf, const TileSpec& s,
-                     Matrix<float>& frame) {
-  kernels::copy_rect(buf, s.prof_row0 - s.buf_row0, s.prof_col0 - s.buf_col0,
-                     frame, s.prof_row0, s.prof_col0, s.prof_rows, s.prof_cols);
+/// Row r of a full-width matrix: whole rows are one contiguous range.
+float* row(Matrix<float>& m, int r) {
+  return m.data().data() + static_cast<std::size_t>(r) * m.cols();
+}
+const float* row(const Matrix<float>& m, int r) {
+  return m.data().data() + static_cast<std::size_t>(r) * m.cols();
+}
+
+/// Copies `rows` rows of `src` from row `src_r0` into `dst` from row
+/// `dst_r0`; both span the frame width.
+void copy_rows(const Matrix<float>& src, int src_r0, Matrix<float>& dst,
+               int dst_r0, int rows) {
+  std::copy_n(row(src, src_r0), static_cast<std::size_t>(rows) * src.cols(),
+              row(dst, dst_r0));
 }
 
 parallel::ThreadPool& pool_of(const TiledSolverOptions& options) {
@@ -80,65 +87,53 @@ ResidentTiledEngine::ResidentTiledEngine(int fields,
   if (plan_.halo != options_.merge_iterations)
     throw std::invalid_argument(
         "ResidentTiledEngine: plan does not fit the merge depth");
+  if (!is_strip_plan(plan_))
+    throw std::invalid_argument(
+        "ResidentTiledEngine: plan is not full-width strips of at least "
+        "the merge depth");
 
-  const int k = fields_;
   const int n = tiles_per_field();
+  const std::size_t payload = 2 * halo_elements();  // px and py
   // Sized in a node region, so the first touch of large strip buffers
   // (page faults, zeroing) runs on every lane rather than the constructing
-  // thread.  parallel_rows with one "row" per node, costed at a tile's
+  // thread.  parallel_rows with one "row" per node, costed at a strip's
   // share of the frame: the streaming chunk floor keeps every frame below
   // ~256 x 256 inline.
-  tiles_.resize(static_cast<std::size_t>(n * k));
+  tiles_.resize(static_cast<std::size_t>(n * fields_));
   parallel::parallel_rows(
       pool(), nodes(),
       std::max(1, plan_.frame_rows * plan_.frame_cols / n), lanes(),
       parallel::kStreamChunkCells, [&](int begin, int end) {
         for (int node = begin; node < end; ++node) {
-          const TileSpec& s = plan_.tiles[tile_of(node)];
+          const int t = tile_of(node);
+          const TileSpec& s = plan_.tiles[t];
           TileBuffers& b = tiles_[node];
           b.v.resize(s.buf_rows, s.buf_cols);
           b.px.resize(s.buf_rows, s.buf_cols);
           b.py.resize(s.buf_rows, s.buf_cols);
+          if (t > 0)
+            for (std::vector<float>& slot : b.first.slot) slot.resize(payload);
+          if (t + 1 < n)
+            for (std::vector<float>& slot : b.last.slot) slot.resize(payload);
         }
       });
 
-  const std::vector<HaloEdge> edges = make_halo_edges(plan_);
-  edges_per_field_ = edges.size();
-  in_edges_.assign(plan_.tiles.size(), {});
-  out_edges_.assign(plan_.tiles.size(), {});
-  for (std::size_t i = 0; i < edges.size(); ++i) {
-    out_edges_[edges[i].src].push_back(static_cast<int>(i));
-    in_edges_[edges[i].dst].push_back(static_cast<int>(i));
-  }
-  mail_.reserve(edges.size() * static_cast<std::size_t>(k));
-  for (int f = 0; f < k; ++f) {
-    for (const HaloEdge& e : edges) {
-      Mailbox m;
-      m.edge = e;
-      const TileSpec& s = plan_.tiles[e.src];
-      const TileSpec& d = plan_.tiles[e.dst];
-      m.src_r0 = e.row0 - s.buf_row0;
-      m.src_c0 = e.col0 - s.buf_col0;
-      m.dst_r0 = e.row0 - d.buf_row0;
-      m.dst_c0 = e.col0 - d.buf_col0;
-      m.slot[0].resize(2 * e.elements());
-      m.slot[1].resize(2 * e.elements());
-      mail_.push_back(std::move(m));
-    }
-  }
-  // The halo-edge relation is symmetric (tile_test asserts it), so the
-  // published adjacency doubles as the wait set: a tile waits exactly on
-  // the tiles it exchanges strips with.  Fields exchange nothing, so the
-  // graph is K disjoint copies of the tile graph.
+  // A strip trades halo rows with the strips directly above and below it,
+  // so those two are its wait set.  Fields exchange nothing, so the graph
+  // is K disjoint chains.
   std::vector<std::vector<int>> adjacency(tiles_.size());
-  for (int f = 0; f < k; ++f)
-    for (const HaloEdge& e : edges)
-      adjacency[node_of(f, e.src)].push_back(node_of(f, e.dst));
+  for (int node = 0; node < nodes(); ++node) {
+    const int t = tile_of(node);
+    if (t > 0) adjacency[node].push_back(node - 1);
+    if (t + 1 < n) adjacency[node].push_back(node + 1);
+  }
   graph_ = std::make_unique<parallel::EpochGraph>(std::move(adjacency));
 
   stats_.tiles = tiles_.size();
-  stats_.halo_elements_per_pass =
-      halo_exchange_elements(edges) * static_cast<std::size_t>(k);
+  // Each interior strip boundary carries one payload each way.
+  stats_.halo_elements_per_pass = 2 * payload *
+                                  static_cast<std::size_t>(n - 1) *
+                                  static_cast<std::size_t>(fields_);
   static telemetry::Counter& c_builds =
       telemetry::registry().counter("tiles.engine_builds");
   c_builds.add(1);
@@ -147,36 +142,40 @@ ResidentTiledEngine::ResidentTiledEngine(int fields,
 ResidentTiledEngine::~ResidentTiledEngine() = default;
 
 void ResidentTiledEngine::gather_halos(int node, int g) {
-  // The incoming rectangles partition the halo exactly, so after this loop
-  // the whole buffer holds the neighbors' post-pass-(g-1) state.
+  // The top halo rows are the last profitable rows of the strip above, the
+  // bottom ones the first profitable rows of the strip below, so these two
+  // copies refresh the whole halo with the post-pass-(g-1) state, which
+  // sits at parity (g-1).
   TileBuffers& b = tiles_[node];
-  const Mailbox* mail = mailboxes(field_of(node));
+  const int t = tile_of(node);
+  const std::size_t n = halo_elements();
   const telemetry::ProfScope prof(telemetry::LaneCause::kMailbox);
-  for (const int mi : in_edges_[tile_of(node)]) {
-    const Mailbox& m = mail[mi];
-    // The neighbor's post-pass-(g-1) strips sit at parity (g-1).
-    const float* strip = m.slot[(g - 1) & 1].data();
-    kernels::scatter_rect(strip, b.px, m.dst_r0, m.dst_c0, m.edge.rows,
-                          m.edge.cols);
-    kernels::scatter_rect(strip + m.edge.elements(), b.py, m.dst_r0, m.dst_c0,
-                          m.edge.rows, m.edge.cols);
-  }
+  const auto unpack = [&](const Mailbox& m, int r0) {
+    const float* in = m.slot[(g - 1) & 1].data();
+    std::copy_n(in, n, row(b.px, r0));
+    std::copy_n(in + n, n, row(b.py, r0));
+  };
+  if (t > 0) unpack(tiles_[node - 1].last, 0);
+  if (t + 1 < tiles_per_field())
+    unpack(tiles_[node + 1].first, b.px.rows() - plan_.halo);
 }
 
 void ResidentTiledEngine::publish_strips(int node, int g) {
-  // Profitable cells only, hence exact.  The final pass publishes too: the
-  // recovery epoch gathers its strips into the halo ring.
-  const TileBuffers& b = tiles_[node];
-  Mailbox* mail = mailboxes(field_of(node));
+  // Profitable rows only, hence exact.  The final pass publishes too: the
+  // recovery epoch gathers its rows into the halo.
+  TileBuffers& b = tiles_[node];
+  const int t = tile_of(node);
+  const TileSpec& s = plan_.tiles[t];
+  const int top = s.prof_row0 - s.buf_row0;  // the first profitable row
+  const std::size_t n = halo_elements();
   const telemetry::ProfScope prof(telemetry::LaneCause::kMailbox);
-  for (const int mi : out_edges_[tile_of(node)]) {
-    Mailbox& m = mail[mi];
-    float* strip = m.slot[g & 1].data();
-    kernels::gather_rect(b.px, m.src_r0, m.src_c0, m.edge.rows, m.edge.cols,
-                         strip);
-    kernels::gather_rect(b.py, m.src_r0, m.src_c0, m.edge.rows, m.edge.cols,
-                         strip + m.edge.elements());
-  }
+  const auto pack = [&](Mailbox& m, int r0) {
+    float* out = m.slot[g & 1].data();
+    std::copy_n(row(b.px, r0), n, out);
+    std::copy_n(row(b.py, r0), n, out + n);
+  };
+  if (t > 0) pack(b.first, top);
+  if (t + 1 < tiles_per_field()) pack(b.last, top + s.prof_rows - plan_.halo);
 }
 
 void ResidentTiledEngine::node_pass(int node, int g, int burst,
@@ -202,11 +201,6 @@ void ResidentTiledEngine::node_pass(int node, int g, int burst,
     telemetry::profiler_add_tile(t, kernel_seconds);
   }
   publish_strips(node, g);
-}
-
-ResidentTiledEngine::Mailbox* ResidentTiledEngine::mailboxes(int field) {
-  // data() + offset, not &mail_[...]: a one-tile plan has no mailboxes.
-  return mail_.data() + field * edges_per_field_;
 }
 
 parallel::ThreadPool& ResidentTiledEngine::pool() const {
@@ -252,38 +246,35 @@ void ResidentTiledEngine::load_node(int node, const Matrix<float>& v,
                                     const DualField* initial) {
   const TileSpec& s = plan_.tiles[tile_of(node)];
   TileBuffers& b = tiles_[node];
-  kernels::copy_rect(v, s.buf_row0, s.buf_col0, b.v, 0, 0, s.buf_rows,
-                     s.buf_cols);
+  copy_rows(v, s.buf_row0, b.v, 0, s.buf_rows);
   if (initial == nullptr) {  // Algorithm 1's cold start
     b.px.fill(0.f);
     b.py.fill(0.f);
     return;
   }
-  kernels::copy_rect(initial->px, s.buf_row0, s.buf_col0, b.px, 0, 0,
-                     s.buf_rows, s.buf_cols);
-  kernels::copy_rect(initial->py, s.buf_row0, s.buf_col0, b.py, 0, 0,
-                     s.buf_rows, s.buf_cols);
+  copy_rows(initial->px, s.buf_row0, b.px, 0, s.buf_rows);
+  copy_rows(initial->py, s.buf_row0, b.py, 0, s.buf_rows);
 }
 
 void ResidentTiledEngine::recover_node(int node, int passes, DualField* p,
                                        Matrix<float>& u) {
-  // The primal of a profitable cell reads its west and north neighbors,
-  // which sit in the halo ring — exact only right after a gather.  Refresh
-  // it from the neighbors' last published strips.  With no pass run, the
-  // whole buffer was just loaded from a frame and is exact.
+  // The primal of a profitable cell reads its north neighbor, which sits
+  // in the halo — exact only right after a gather.  Refresh it from the
+  // neighbors' last published rows.  With no pass run, the whole buffer
+  // was just loaded from a frame and is exact.
   if (passes > 0) gather_halos(node, passes);
   const TileSpec& s = plan_.tiles[tile_of(node)];
   const TileBuffers& b = tiles_[node];
+  const int top = s.prof_row0 - s.buf_row0;
   if (p != nullptr) {
-    copy_profitable(b.px, s, p->px);
-    copy_profitable(b.py, s, p->py);
+    copy_rows(b.px, top, p->px, s.prof_row0, s.prof_rows);
+    copy_rows(b.py, top, p->py, s.prof_row0, s.prof_rows);
   }
-  kernels::recover_u_rect(
+  kernels::recover_u_rows(
       b.v, b.px, b.py,
       RegionGeometry{s.buf_row0, s.buf_col0, plan_.frame_rows,
                      plan_.frame_cols},
-      params_.theta, s.prof_row0 - s.buf_row0, s.prof_col0 - s.buf_col0,
-      s.prof_rows, s.prof_cols, u, s.prof_row0, s.prof_col0);
+      params_.theta, top, s.prof_rows, u, s.prof_row0);
 }
 
 void ResidentTiledEngine::solve(Fields v, DualFields initial,
@@ -355,17 +346,13 @@ void ResidentTiledEngine::solve(const Matrix<float>& v,
 
 void ResidentTiledEngine::account(int passes, int iterations,
                                   const parallel::EpochGraph::RunStats& rs) {
-  std::uint64_t halo_floats = 0;
-  for (int node = 0; node < nodes(); ++node) {
-    const int t = tile_of(node);
-    std::size_t out_elems = 0;
-    for (const int mi : out_edges_[t])
-      out_elems += 2 * mail_[mi].edge.elements();
-    halo_floats += static_cast<std::uint64_t>(out_elems) *
-                   static_cast<std::uint64_t>(passes);
-    stats_.element_iterations += plan_.tiles[t].buffer_elements() *
-                                 static_cast<std::size_t>(iterations);
-  }
+  // Every pass publishes every payload once.
+  const std::uint64_t halo_floats =
+      static_cast<std::uint64_t>(stats_.halo_elements_per_pass) *
+      static_cast<std::uint64_t>(passes);
+  stats_.element_iterations += plan_.total_buffer_elements() *
+                               static_cast<std::size_t>(fields_) *
+                               static_cast<std::size_t>(iterations);
   stats_.passes += passes;
   stats_.stall_seconds += rs.stall_seconds;
   stats_.stall_spins += rs.stall_spins;

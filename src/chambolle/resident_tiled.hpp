@@ -7,41 +7,46 @@
 // a global barrier — two full frames of memory traffic per pass and a
 // full-fleet stall at each merge boundary.
 //
-// This engine restores residency.  Each tile's (v, px, py) buffers are
-// allocated once and PINNED to one worker lane; between passes, neighboring
-// tiles exchange only halo strips (width = the merge depth) through
-// per-edge mailboxes, and a tile starts pass n+1 as soon as its <= 8
-// neighbors have published their pass-n halos (EpochGraph,
-// parallel/task_graph.hpp) — no global barrier, no full-frame reload.  A
-// solve is one team region, as in the paper, where (v, px, py) are loaded
-// into BRAM once, iterated there and written out once: in its first epoch
-// each tile loads its own v and dual windows, and in its last epoch, a
-// join behind every tile's final pass, it refreshes its halo ring and
-// recovers its profitable u (and writes its profitable duals).  Steady-state
-// per-pass traffic drops from 2 frames to the halo perimeter.
+// This engine restores residency.  The frame is cut into full-width row
+// strips (plan_tiling, tile.hpp), as the paper's PE ladder walks a window
+// in row regions.  Each strip's (v, px, py) buffers are allocated once and
+// PINNED to one worker lane; between passes, a strip trades only halo rows
+// (as many as the merge depth) with the strips directly above and below
+// it, and starts pass n+1 as soon as those two have published their pass-n
+// rows (EpochGraph, parallel/task_graph.hpp) — no global barrier, no
+// full-frame reload.  A solve is one team region, as in the paper, where
+// (v, px, py) are loaded into BRAM once, iterated there and written out
+// once: in its first epoch each strip loads its own v and dual rows, and in
+// its last epoch, a join behind every strip's final pass, it refreshes its
+// halo rows and recovers its profitable u (and writes its profitable
+// duals).  Steady-state per-pass traffic drops from 2 frames to 4 halo
+// rows per strip boundary.
 //
-// Mailboxes are double-buffered by pass parity: a tile publishing pass n
-// writes slot n&1, a neighbor gathering for pass n+1 reads slot n&1.  The
-// scheduler bounds the epoch skew between neighbors to one pass, so a slot
-// is never overwritten before its reader consumed it; publication order
-// (strip writes, then a release store of the epoch, acquired before the
-// gather) makes the exchange race-free, verified under TSan.
+// Every strip keeps at least merge-depth profitable rows, so each halo row
+// is a profitable row of the adjacent strip: a strip publishes its first
+// and its last `halo` profitable rows into two mailboxes, and every copy
+// in and out of a buffer is one contiguous row range.  Mailboxes are
+// double-buffered by pass parity: a strip publishing pass n writes slot
+// n&1, a neighbor gathering for pass n+1 reads slot n&1.  The scheduler
+// bounds the epoch skew between neighbors to one pass, so a slot is never
+// overwritten before its reader consumed it; publication order (row
+// writes, then a release store of the epoch, acquired before the gather)
+// makes the exchange race-free, verified under TSan.
 //
 // Correctness is the same machine-checkable argument as the pass-based
-// solver, by induction over passes: at every pass start a tile buffer holds
-// the exact global state (profitable cells by the dependency-cone argument,
-// halo cells by the gather of neighbors' exact profitable strips), and the
-// per-element arithmetic is the shared fused kernel — so the result is
-// BIT-EXACT equal to the sequential reference (tests memcmp it).
+// solver, by induction over passes: at every pass start a strip buffer
+// holds the exact global state (profitable cells by the dependency-cone
+// argument, halo rows by the gather of neighbors' exact profitable rows),
+// and the per-element arithmetic is the shared fused kernel — so the
+// result is BIT-EXACT equal to the sequential reference (tests memcmp it).
 //
-// One engine solves K same-shape FIELDS on one tiling plan — the paper's
-// paired PE arrays, one per flow component, advancing together.  Every
-// graph node is a (field, tile) pair with its own buffers and mailboxes;
-// the EpochGraph is the disjoint union of K copies of the tile graph, so
-// one solve advances every field and a lane blocked on one field's neighbor
-// runs another field's tile.  Fields never exchange
-// data, so each field's bits equal a single-field solve; K = 1 is the
-// ordinary single-field engine.
+// One engine solves K same-shape FIELDS on one plan — the paper's paired
+// PE arrays, one per flow component, advancing together.  Every graph node
+// is a (field, strip) pair with its own buffers and mailboxes; the
+// EpochGraph is K disjoint chains of strips, so one solve advances every
+// field and a lane blocked on one field's neighbor runs another field's
+// strip.  Fields never exchange data, so each field's bits equal a
+// single-field solve; K = 1 is the ordinary single-field engine.
 #pragma once
 
 #include <cstddef>
@@ -148,6 +153,7 @@ class ResidentTiledEngine {
 
   /// The engine on an explicit `plan` of a rows x cols frame with halo
   /// options.merge_iterations; the public constructor passes the planner's.
+  /// Throws std::invalid_argument unless is_strip_plan(plan) (tile.hpp).
   ResidentTiledEngine(int fields, const ChambolleParams& params,
                       const TiledSolverOptions& options, TilingPlan plan);
 
@@ -161,40 +167,40 @@ class ResidentTiledEngine {
     return static_cast<int>(plan_.tiles.size());
   }
   [[nodiscard]] int nodes() const { return fields_ * tiles_per_field(); }
-  /// Graph node of (field, tile): field-major, so a lane's contiguous block
-  /// holds whole stretches of one field (EXPERIMENTS.md E15).
-  [[nodiscard]] int node_of(int field, int tile) const {
-    return field * tiles_per_field() + tile;
-  }
+  /// Graph nodes are field-major, node = field * tiles_per_field() + strip,
+  /// so a lane's contiguous block holds whole stretches of one field
+  /// (EXPERIMENTS.md E15), and a strip's neighbors are nodes node +- 1.
   [[nodiscard]] int field_of(int node) const {
     return node / tiles_per_field();
   }
   [[nodiscard]] int tile_of(int node) const {
     return node % tiles_per_field();
   }
-  /// Field `field`'s mailboxes, indexed by halo edge.
-  [[nodiscard]] Mailbox* mailboxes(int field);
+  /// Cells in `halo` full-width rows: one dual component of a payload.
+  [[nodiscard]] std::size_t halo_elements() const {
+    return static_cast<std::size_t>(plan_.halo) * plan_.frame_cols;
+  }
   /// Throws std::invalid_argument unless the arguments of solve() match
   /// this engine's field count and frame shape and no two fields share an
   /// output.
   void check_arguments(Fields v, DualFields initial,
                        std::span<Matrix<float>* const> u,
                        std::span<DualField* const> duals) const;
-  /// Epoch 0 of a solve on node: copies its v window and loads its dual
-  /// windows from `initial` (zeros when it is null), halo ring included.
+  /// Epoch 0 of a solve on node: copies its v rows and loads its dual rows
+  /// from `initial` (zeros when it is null), halo rows included.
   void load_node(int node, const Matrix<float>& v, const DualField* initial);
-  /// The last epoch of a solve on node: refreshes its halo ring from its
-  /// neighbors' pass-(passes-1) strips (after at least one pass), writes
-  /// its profitable duals into `p` (when non-null) and recovers its
-  /// profitable primal into `u`.
+  /// The last epoch of a solve on node: refreshes its halo rows from its
+  /// neighbors' pass-(passes-1) rows (after at least one pass), writes its
+  /// profitable duals into `p` (when non-null) and recovers its profitable
+  /// primal into `u`.
   void recover_node(int node, int passes, DualField* p, Matrix<float>& u);
-  /// Refreshes node's halo ring from its neighbors' pass-(g-1) strips.
+  /// Refreshes node's halo rows from its neighbors' pass-(g-1) rows.
   void gather_halos(int node, int g);
-  /// Publishes node's pass-g strips into the parity slot g & 1.
+  /// Publishes node's pass-g edge rows into the parity slot g & 1.
   void publish_strips(int node, int g);
   /// Pass g of a solve on node: the gather (after the first pass), a burst
   /// of `burst` fused iterations on node's buffers, timed for the profiler,
-  /// and the publish of its strips.
+  /// and the publish of its edge rows.
   void node_pass(int node, int g, int burst, Matrix<float>& scratch);
   /// Books one solve of `passes` passes and `iterations` iterations: the
   /// engine stats and the tiles.* telemetry.
@@ -205,12 +211,7 @@ class ResidentTiledEngine {
   TiledSolverOptions options_;
   TilingPlan plan_;
   int fields_ = 0;
-  std::vector<TileBuffers> tiles_;  ///< per node
-  /// Per field, then per halo edge: mail_[field * edges + e].
-  std::vector<Mailbox> mail_;
-  std::size_t edges_per_field_ = 0;
-  std::vector<std::vector<int>> in_edges_;   // per tile: halo-edge indices
-  std::vector<std::vector<int>> out_edges_;  // per tile: halo-edge indices
+  std::vector<TileBuffers> tiles_;  ///< per node, mailboxes included
   std::unique_ptr<parallel::EpochGraph> graph_;
   /// Per-lane kernel Term-row scratch, reused across solves; rebuilt only
   /// when lanes() grows past it.

@@ -58,30 +58,22 @@ double TilingPlan::redundancy() const {
   return static_cast<double>(total_buffer_elements()) / frame - 1.0;
 }
 
-std::vector<HaloEdge> make_halo_edges(const TilingPlan& plan) {
-  std::vector<HaloEdge> edges;
+bool is_strip_plan(const TilingPlan& plan) {
   const int n = static_cast<int>(plan.tiles.size());
-  for (int i = 0; i < n; ++i) {
-    const TileSpec& s = plan.tiles[i];
-    for (int j = 0; j < n; ++j) {
-      if (j == i) continue;
-      const TileSpec& d = plan.tiles[j];
-      // Overlap of src's profitable rectangle with dst's buffer rectangle.
-      const int r0 = std::max(s.prof_row0, d.buf_row0);
-      const int r1 = std::min(s.prof_row0 + s.prof_rows, d.buf_row0 + d.buf_rows);
-      const int c0 = std::max(s.prof_col0, d.buf_col0);
-      const int c1 = std::min(s.prof_col0 + s.prof_cols, d.buf_col0 + d.buf_cols);
-      if (r1 <= r0 || c1 <= c0) continue;
-      edges.push_back(HaloEdge{i, j, r0, c0, r1 - r0, c1 - c0});
-    }
+  const int min_rows = n > 1 ? std::max(plan.halo, 1) : 1;
+  int next = 0;  // the first frame row no strip covers yet
+  for (int t = 0; t < n; ++t) {
+    const TileSpec& s = plan.tiles[t];
+    const int above = t > 0 ? plan.halo : 0;
+    const int below = t + 1 < n ? plan.halo : 0;
+    if (s.buf_col0 != 0 || s.prof_col0 != 0 ||
+        s.buf_cols != plan.frame_cols || s.prof_cols != plan.frame_cols ||
+        s.prof_row0 != next || s.buf_row0 != next - above ||
+        s.buf_rows != above + s.prof_rows + below || s.prof_rows < min_rows)
+      return false;
+    next += s.prof_rows;
   }
-  return edges;
-}
-
-std::size_t halo_exchange_elements(const std::vector<HaloEdge>& edges) {
-  std::size_t s = 0;
-  for (const HaloEdge& e : edges) s += 2 * e.elements();  // px and py
-  return s;
+  return n > 0 && plan.frame_cols > 0 && next == plan.frame_rows;
 }
 
 TilingPlan make_tiling(int frame_rows, int frame_cols, int tile_rows,
@@ -139,7 +131,8 @@ TilingPlan plan_tiling(int frame_rows, int frame_cols, int fields, int lanes,
   for (int s = 2; s <= cap; ++s) {
     if (busiest(s) * best_s >= busiest(best_s) * s) continue;
     TilingPlan plan = strips_of(s);
-    if (static_cast<int>(plan.tiles.size()) != s) continue;
+    if (static_cast<int>(plan.tiles.size()) != s || !is_strip_plan(plan))
+      continue;
     best = std::move(plan);
     best_s = s;
   }

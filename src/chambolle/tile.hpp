@@ -51,39 +51,6 @@ struct TilingPlan {
   [[nodiscard]] double redundancy() const;
 };
 
-/// One directed halo-exchange edge of the resident-tile engine: after every
-/// merged pass, tile `src` sends the frame-coordinate rectangle
-/// [row0, row0+rows) x [col0, col0+cols) — the overlap of src's PROFITABLE
-/// area with dst's BUFFER — to tile `dst`, which scatters it into its halo
-/// cells.  Because profitable rectangles partition the frame, the incoming
-/// rectangles of each tile partition its halo ring exactly (asserted by
-/// tests/tile_test.cpp), so a gather refreshes every halo cell once and
-/// touches nothing else.
-struct HaloEdge {
-  int src = 0;  ///< tile index publishing the strip
-  int dst = 0;  ///< tile index consuming it
-  int row0 = 0;
-  int col0 = 0;
-  int rows = 0;
-  int cols = 0;
-
-  [[nodiscard]] std::size_t elements() const {
-    return static_cast<std::size_t>(rows) * cols;
-  }
-};
-
-/// Directed halo-exchange edges between all tile pairs of `plan`.  A grid
-/// tiling yields <= 8 in-edges per tile (the 4-/8-connected neighborhood);
-/// the relation is symmetric (i sends to j iff j sends to i) because buffers
-/// expand profitable areas by the same halo on every interior side.
-/// halo == 0 yields no edges.
-[[nodiscard]] std::vector<HaloEdge> make_halo_edges(const TilingPlan& plan);
-
-/// Total floats moved per pass by a halo exchange over `edges`, counting
-/// both dual components (px and py) per cell.
-[[nodiscard]] std::size_t halo_exchange_elements(
-    const std::vector<HaloEdge>& edges);
-
 /// Builds the tiling: tile buffers are at most tile_rows x tile_cols (the
 /// paper's windows are 88 x 92); `halo` is the profitable margin, equal to
 /// the number of merged iterations.  Requires tile dims > 2*halo so every
@@ -91,6 +58,14 @@ struct HaloEdge {
 /// otherwise.
 [[nodiscard]] TilingPlan make_tiling(int frame_rows, int frame_cols,
                                      int tile_rows, int tile_cols, int halo);
+
+/// True when `plan` is full-width strips, top to bottom, whose profitable
+/// rows partition the frame and whose buffers add `halo` rows on each side
+/// that is not a frame border, and which, when there is more than one, each
+/// keep at least `halo` profitable rows.  Then every halo row of a strip is
+/// a profitable row of the strip directly above or below it: the plans the
+/// resident engine runs.
+[[nodiscard]] bool is_strip_plan(const TilingPlan& plan);
 
 /// Frame cells per strip below which the resident engine stops splitting a
 /// field: under it a strip's halo exchange and scheduling cost more than the
@@ -103,11 +78,14 @@ inline constexpr long long kMinStripCells = 6000;
 /// minimize the busiest lane's share of the work, ceil(fields * S / lanes)
 /// / S field-loads, over the S the frame admits: at most one strip per
 /// kMinStripCells cells, and only cuts that make_tiling realizes as exactly
-/// S strips.  The strips' buffers are make_tiling's with tile rows
-/// ceil((rows + 2 * halo * (S - 1)) / S), so their heights differ by less
-/// than S rows.  One strip covers any frame of at least one cell, however
-/// small against the halo.  Throws std::invalid_argument on an empty frame,
-/// fields or lanes below 1, or a negative halo.
+/// S strips that is_strip_plan accepts: with more than one strip, each
+/// keeps at least `halo` profitable rows, so the engine trades halos with
+/// the strips directly above and below alone.  The strips' buffers are
+/// make_tiling's with tile rows ceil((rows + 2 * halo * (S - 1)) / S), so
+/// their heights differ by less than S rows.  One strip covers any frame of
+/// at least one cell, however small against the halo.  Throws
+/// std::invalid_argument on an empty frame, fields or lanes below 1, or a
+/// negative halo.
 [[nodiscard]] TilingPlan plan_tiling(int frame_rows, int frame_cols,
                                      int fields, int lanes, int halo);
 

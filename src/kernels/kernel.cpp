@@ -286,62 +286,31 @@ void recover_u_into(const Matrix<float>& v, const Matrix<float>& px,
                     const Matrix<float>& py, const RegionGeometry& geom,
                     float theta, Matrix<float>& out) {
   if (!out.same_shape(v)) out.resize(v.rows(), v.cols());
+  recover_u_rows(v, px, py, geom, theta, 0, v.rows(), out, 0);
+}
+
+void recover_u_rows(const Matrix<float>& v, const Matrix<float>& px,
+                    const Matrix<float>& py, const RegionGeometry& geom,
+                    float theta, int r0, int rows, Matrix<float>& out,
+                    int out_r0) {
   const int cols = v.cols();
-  if (cols == 0) return;
+  if (rows <= 0 || cols == 0) return;
   const KernelOps& k = ops();
   RecoverRowArgs a{};
   a.cols = cols;
   a.theta = theta;
   a.at_left = geom.col0 == 0;
   a.at_right = geom.col0 + cols == geom.frame_cols;
-  for (int r = 0; r < v.rows(); ++r) {
+  for (int r = r0; r < r0 + rows; ++r) {
     a.px = &px(r, 0);
     a.py = &py(r, 0);
     a.py_up = r > 0 ? &py(r - 1, 0) : nullptr;
     a.v = &v(r, 0);
-    a.u = &out(r, 0);
+    a.u = &out(out_r0 + r - r0, 0);
     const int ar = geom.row0 + r;
     a.at_top = ar == 0;
     a.at_bottom = ar == geom.frame_rows - 1;
     k.recover_row(a);
-  }
-}
-
-void recover_u_rect(const Matrix<float>& v, const Matrix<float>& px,
-                    const Matrix<float>& py, const RegionGeometry& geom,
-                    float theta, int r0, int c0, int rows, int cols,
-                    Matrix<float>& out, int out_r0, int out_c0) {
-  if (rows <= 0 || cols <= 0) return;
-  const KernelOps& k = ops();
-  // The row primitive takes the cell west of its first column as outside the
-  // window.  So a piece that does not start at the frame's left edge is swept
-  // from one column further west — its own west neighbor — into a stack row,
-  // and only the piece is copied out; pieces of at most kPiece columns keep
-  // that row small.
-  constexpr int kPiece = 256;
-  float row[kPiece + 1];
-  RecoverRowArgs a{};
-  a.theta = theta;
-  a.u = row;
-  for (int r = r0; r < r0 + rows; ++r) {
-    const int ar = geom.row0 + r;
-    a.at_top = ar == 0;
-    a.at_bottom = ar == geom.frame_rows - 1;
-    for (int c = c0; c < c0 + cols; c += kPiece) {
-      const int w = std::min(kPiece, c0 + cols - c);
-      const int west = geom.col0 + c > 0 ? 1 : 0;
-      const int first = c - west;
-      a.cols = w + west;
-      a.at_left = west == 0;
-      a.at_right = geom.col0 + c + w == geom.frame_cols;
-      a.px = &px(r, first);
-      a.py = &py(r, first);
-      a.py_up = r > 0 ? &py(r - 1, first) : nullptr;
-      a.v = &v(r, first);
-      k.recover_row(a);
-      std::copy(row + west, row + west + w,
-                &out(out_r0 + r - r0, out_c0 + c - c0));
-    }
   }
 }
 

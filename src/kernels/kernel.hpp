@@ -179,16 +179,16 @@ void recover_u_into(const Matrix<float>& v, const Matrix<float>& px,
                     const Matrix<float>& py, const RegionGeometry& geom,
                     float theta, Matrix<float>& out);
 
-/// recover_u_into restricted to the window rectangle [r0, r0 + rows) x
-/// [c0, c0 + cols) — a tile's profitable rectangle inside its buffer —
-/// written to `out` at (out_r0, out_c0).  The cells above and left of the
-/// rectangle are read as its neighbors wherever the frame (geom) has them,
-/// so the window must hold them (a tile buffer's halo ring does); with those
-/// cells exact the output equals the whole-frame recovery bit for bit.
-void recover_u_rect(const Matrix<float>& v, const Matrix<float>& px,
+/// recover_u_into restricted to the window rows [r0, r0 + rows) — a
+/// strip's profitable rows inside its buffer — written to `out` from row
+/// `out_r0`; `out` is as wide as the window.  The row above r0 is read as
+/// its neighbor wherever the frame (geom) has one, so the window must hold
+/// it (a strip buffer's halo rows do); with that row exact the output
+/// equals the whole-frame recovery bit for bit.
+void recover_u_rows(const Matrix<float>& v, const Matrix<float>& px,
                     const Matrix<float>& py, const RegionGeometry& geom,
-                    float theta, int r0, int c0, int rows, int cols,
-                    Matrix<float>& out, int out_r0, int out_c0);
+                    float theta, int r0, int rows, Matrix<float>& out,
+                    int out_r0);
 
 }  // namespace kernels
 }  // namespace chambolle

@@ -4,8 +4,10 @@
 // rendezvous: no tile starts pass n+1 until every tile finished pass n, so
 // one slow tile stalls the whole fleet.  The dependency structure of a
 // sliding-window sweep is far weaker than that — a tile's pass n+1 reads
-// only the pass-n halos of its <= 8 grid neighbors (cf. the interface-data
-// exchange of domain-decomposition TV solvers, Hilb & Langer 2022).
+// only the pass-n halos of the tiles next to it; the resident engine's
+// full-width strips read only the strips directly above and below (cf. the
+// interface-data exchange of domain-decomposition TV solvers, Hilb &
+// Langer 2022).  The graph itself takes any adjacency.
 //
 // EpochGraph schedules exactly that relaxation.  Nodes carry an epoch
 // counter (= passes completed); a node may run pass e as soon as all its
@@ -72,8 +74,8 @@ class EpochGraph {
   [[nodiscard]] int nodes() const { return static_cast<int>(adj_.size()); }
 
   /// The lane a node is pinned to when running on `lanes` lanes: contiguous
-  /// blocks, so grid-adjacent nodes usually share a lane and cross-lane
-  /// waits happen only at block seams.
+  /// blocks, so adjacent nodes usually share a lane and cross-lane waits
+  /// happen only at block seams.
   [[nodiscard]] int owner(int node, int lanes) const;
 
  private:

@@ -39,10 +39,10 @@ ChambolleParams default_params(int iterations = 8) {
   return p;
 }
 
-TiledSolverOptions small_tiles() {
+// Full-width strips of tile_rows buffer rows: several per lane.
+TiledSolverOptions thin_strips() {
   TiledSolverOptions o;
   o.tile_rows = 12;
-  o.tile_cols = 14;
   o.merge_iterations = 3;
   o.num_threads = 3;
   return o;
@@ -65,34 +65,37 @@ void expect_same_result(const ChambolleResult& got,
 
 TEST(EngineReuse, WarmReloadMatchesFreshWithInitial) {
   const ChambolleParams params = default_params();
-  const TiledSolverOptions opts = small_tiles();
+  const TiledSolverOptions opts = thin_strips();
   const Matrix<float> v1 = random_v(33, 45, 71021);
   const Matrix<float> v2 = random_v(33, 45, 71022);
 
   // A dual state to warm-start from: one fixed solve's final duals.
-  const DualField warm = Peer::solve_windowed(v1, params, opts).p;
+  const DualField warm =
+      Peer::solve_strips(v1, opts.tile_rows, params, opts).p;
 
-  ResidentTiledEngine reused = Peer::windowed(33, 45, 1, params, opts);
+  ResidentTiledEngine reused =
+      Peer::strips(33, 45, opts.tile_rows, 1, params, opts);
   (void)solve_on(reused, v1);  // a cold solve of other input first
   const ChambolleResult got = solve_on(reused, v2, &warm);
 
   const ChambolleResult fresh =
-      Peer::solve_windowed(v2, params, opts, nullptr, &warm);
+      Peer::solve_strips(v2, opts.tile_rows, params, opts, nullptr, &warm);
   expect_same_result(got, fresh, "warm solve after a solve");
 }
 
 TEST(EngineReuse, MixedSolveSequenceMatchesFreshChain) {
   const ChambolleParams params = default_params(6);
-  const TiledSolverOptions opts = small_tiles();
+  const TiledSolverOptions opts = thin_strips();
   // Interleave cold and warm solves of different inputs on one engine; every
   // solve must track a fresh engine bit for bit.
-  ResidentTiledEngine reused = Peer::windowed(30, 30, 1, params, opts);
+  ResidentTiledEngine reused =
+      Peer::strips(30, 30, opts.tile_rows, 1, params, opts);
   DualField duals;
   for (int round = 0; round < 4; ++round) {
     const Matrix<float> v = random_v(30, 30, 71050 + round);
     const DualField* initial = round % 2 == 1 ? &duals : nullptr;
     const ChambolleResult want =
-        Peer::solve_windowed(v, params, opts, nullptr, initial);
+        Peer::solve_strips(v, opts.tile_rows, params, opts, nullptr, initial);
     const ChambolleResult got = solve_on(reused, v, initial);
     expect_same_result(got, want, "mixed sequence round");
     duals = got.p;
@@ -104,15 +107,17 @@ TEST(EngineReuse, MixedSolveSequenceMatchesFreshChain) {
 // serving fleet give every engine a private pool without changing results.
 TEST(EngineReuse, InjectedPoolMatchesDefaultPool) {
   const ChambolleParams params = default_params();
-  TiledSolverOptions opts = small_tiles();
+  TiledSolverOptions opts = thin_strips();
   const Matrix<float> v = random_v(39, 43, 71061);
 
-  const ChambolleResult on_default = Peer::solve_windowed(v, params, opts);
+  const ChambolleResult on_default =
+      Peer::solve_strips(v, opts.tile_rows, params, opts);
   for (const int lanes : {1, 2, 5}) {
     parallel::ThreadPool pool(lanes);
     TiledSolverOptions with_pool = opts;
     with_pool.pool = &pool;
-    expect_same_result(Peer::solve_windowed(v, params, with_pool), on_default,
+    expect_same_result(
+        Peer::solve_strips(v, opts.tile_rows, params, with_pool), on_default,
                        "injected pool, fixed solve");
   }
 }

@@ -148,7 +148,7 @@ TEST(FixedSolver, IterationsComposeExactly) {
 }
 
 TEST(FixedSolver, RegionSemanticsMatchFloatSolver) {
-  // The windowed fixed iteration honours the same profitable-element
+  // The fixed iteration on a window honours the same profitable-element
   // guarantee: a window with a sufficient halo reproduces the full-frame
   // fixed solve on its profitable core.
   Rng rng(29);

@@ -1,12 +1,13 @@
 // harness_params.cpp — structured-input fuzzing of the parameter and
 // tile-plan validators.
 //
-// Raw bytes are decoded into ChambolleParams / Tvl1Params / make_tiling
-// requests.  The contract under test: validate() either throws or leaves
-// behind an object whose documented invariants hold (finite positive
-// parameters, stability bound satisfied, profitable rectangles partitioning
-// the frame).  Historically NaN parameters sailed through the `<= 0` sign
-// checks — this harness is what forces and now guards that fix.
+// Raw bytes are decoded into ChambolleParams / Tvl1Params / make_tiling /
+// plan_tiling requests.  The contract under test: validate() either throws
+// or leaves behind an object whose documented invariants hold (finite
+// positive parameters, stability bound satisfied, profitable rectangles
+// partitioning the frame, strips thick enough for their halos).
+// Historically NaN parameters sailed through the `<= 0` sign checks — this
+// harness is what forces and now guards that fix.
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -102,21 +103,16 @@ void check_tvl1_params(ByteReader& r) {
   if (p.pyramid_levels < 1 || p.warps < 1) std::abort();
 }
 
-void check_tiling(ByteReader& r) {
-  // Geometry is drawn bounded — the harness probes the plan logic, not the
-  // allocator (reject-by-cap for giant frames is read_flo/read_pgm's job).
-  const int frame_rows = r.bounded(-4, 300);
-  const int frame_cols = r.bounded(-4, 300);
-  const int tile_rows = r.bounded(-2, 64);
-  const int tile_cols = r.bounded(-2, 64);
-  const int halo = r.bounded(-2, 12);
+// make_tiling's accepted plans must tile the frame exactly and stay in
+// bounds.
+void check_window_plan(int frame_rows, int frame_cols, int tile_rows,
+                       int tile_cols, int halo) {
   TilingPlan plan;
   try {
     plan = make_tiling(frame_rows, frame_cols, tile_rows, tile_cols, halo);
   } catch (const std::exception&) {
     return;
   }
-  // Accepted plans must tile the frame exactly and stay in bounds.
   if (plan.total_profitable_elements() !=
       static_cast<std::size_t>(frame_rows) *
           static_cast<std::size_t>(frame_cols))
@@ -132,13 +128,50 @@ void check_tiling(ByteReader& r) {
         t.prof_col0 + t.prof_cols > t.buf_col0 + t.buf_cols)
       std::abort();
   }
-  // Halo edges of an accepted plan must address cells inside the frame.
-  for (const HaloEdge& e : make_halo_edges(plan)) {
-    if (e.rows <= 0 || e.cols <= 0) std::abort();
-    if (e.row0 < 0 || e.col0 < 0 || e.row0 + e.rows > frame_rows ||
-        e.col0 + e.cols > frame_cols)
-      std::abort();
+}
+
+// plan_tiling's accepted plans must be full-width strips, in bounds, whose
+// profitable rows partition the frame top to bottom, each keeping at least
+// `halo` of them when there is more than one: what lets the resident
+// engine trade halos with the adjacent strips alone.
+void check_strip_plan(int frame_rows, int frame_cols, int fields, int lanes,
+                      int halo) {
+  TilingPlan plan;
+  try {
+    plan = plan_tiling(frame_rows, frame_cols, fields, lanes, halo);
+  } catch (const std::exception&) {
+    return;
   }
+  if (plan.tiles.empty()) std::abort();
+  int next = 0;  // the first frame row no strip covers yet
+  for (const TileSpec& t : plan.tiles) {
+    if (t.buf_col0 != 0 || t.prof_col0 != 0 || t.buf_cols != frame_cols ||
+        t.prof_cols != frame_cols)
+      std::abort();
+    if (t.prof_row0 != next || t.prof_rows <= 0 || t.buf_row0 < 0 ||
+        t.buf_row0 > t.prof_row0 ||
+        t.prof_row0 + t.prof_rows > t.buf_row0 + t.buf_rows ||
+        t.buf_row0 + t.buf_rows > frame_rows)
+      std::abort();
+    if (plan.tiles.size() > 1 && t.prof_rows < halo) std::abort();
+    next += t.prof_rows;
+  }
+  if (next != frame_rows) std::abort();
+}
+
+void check_tiling(ByteReader& r) {
+  // Geometry is drawn bounded — the harness probes the plan logic, not the
+  // allocator (reject-by-cap for giant frames is read_flo/read_pgm's job).
+  const int frame_rows = r.bounded(-4, 300);
+  const int frame_cols = r.bounded(-4, 300);
+  const int tile_rows = r.bounded(-2, 64);
+  const int tile_cols = r.bounded(-2, 64);
+  const int halo = r.bounded(-2, 12);
+  check_window_plan(frame_rows, frame_cols, tile_rows, tile_cols, halo);
+  // At most 16 lanes, so a draw tries at most 16 strip cuts.
+  const int fields = r.bounded(-1, 4);
+  const int lanes = r.bounded(-1, 16);
+  check_strip_plan(frame_rows, frame_cols, fields, lanes, halo);
 }
 
 }  // namespace

@@ -161,14 +161,12 @@ TEST(ProfilerResident, SolveAttributesLaneWallTime) {
   ChambolleParams params;
   params.iterations = 40;
   TiledSolverOptions options;
-  options.tile_rows = 32;
-  options.tile_cols = 32;
   options.merge_iterations = 4;
   options.num_threads = 4;
   const int lanes = parallel::default_pool().lanes_for(options.num_threads);
 
   tel::Profiler::instance().begin(lanes);
-  const ChambolleResult result = Peer::solve_windowed(v, params, options);
+  const ChambolleResult result = Peer::solve_strips(v, 32, params, options);
   const tel::UtilizationReport report = tel::Profiler::instance().end();
   ASSERT_GT(result.u.size(), 0u);
 
@@ -187,10 +185,10 @@ TEST(ProfilerResident, SolveAttributesLaneWallTime) {
   EXPECT_LE(report.busy_fraction(), 1.0 + 1e-9);
   EXPECT_GE(report.imbalance_ratio(), 1.0 - 1e-9);
 
-  // Per-tile pass timings: cutting 128 into 32-cell buffers overlapped by
-  // the 4-cell merge halo yields 5 cuts per axis (25 tiles), each run
+  // Per-strip pass timings: cutting 128 rows into 32-row buffers
+  // overlapped by the 4-row merge halo yields 5 strips, each run
   // ceil(40 / 4) = 10 passes.
-  ASSERT_EQ(report.tiles.size(), 25u);
+  ASSERT_EQ(report.tiles.size(), 5u);
   for (const tel::TileTiming& t : report.tiles) {
     EXPECT_EQ(t.passes, 10u);
     EXPECT_GT(t.seconds, 0.0);
@@ -203,8 +201,8 @@ TEST(ProfilerResident, SolveAttributesLaneWallTime) {
   EXPECT_NE(table.find("all"), std::string::npos);
 }
 
-// A deliberately imbalanced grid: 3 equal tiles over 2 lanes pins tile 0 to
-// lane 0 and tiles {1, 2} to lane 1 (contiguous block ownership), so lane 1
+// A deliberately imbalanced cut: 3 equal strips over 2 lanes pins strip 0
+// to lane 0 and strips {1, 2} to lane 1 (contiguous block ownership), so lane 1
 // runs twice the kernel bursts.  The imbalance is asserted on counted
 // bursts, not kernel seconds, so a loaded host cannot flip it; the exact
 // counts also pin the engine's lane pinning (no burst runs off its owner's
@@ -220,21 +218,19 @@ TEST(ProfilerResident, ImbalancedTileGridIsVisible) {
   params.iterations = 48;
   TiledSolverOptions options;
   // 64-row buffers overlapped by the 4-row merge halo cut a 172-row frame
-  // into exactly 3 tiles in one column (profitable rows 60 + 56 + 56).
-  options.tile_rows = 64;
-  options.tile_cols = 64;
+  // into exactly 3 strips (profitable rows 60 + 56 + 56).
   options.merge_iterations = 4;
   options.num_threads = 2;
 
   tel::Profiler::instance().begin(2);
-  (void)Peer::solve_windowed(v, params, options);
+  (void)Peer::solve_strips(v, 64, params, options);
   const tel::UtilizationReport report = tel::Profiler::instance().end();
 
   ASSERT_EQ(report.tiles.size(), 3u);
   ASSERT_EQ(report.lanes.size(), 2u);
   const int kernel = static_cast<int>(tel::LaneCause::kKernel);
   EXPECT_GT(report.lanes[0].seconds[kernel], 0.0);
-  // 48 iterations / merge 4 = 12 passes per tile; lane 1 owns two tiles.
+  // 48 iterations / merge 4 = 12 passes per strip; lane 1 owns two.
   EXPECT_EQ(report.lanes[0].events[kernel], 12u);
   EXPECT_EQ(report.lanes[1].events[kernel], 24u);
   EXPECT_LT(report.imbalance_ratio(), 2.0 + 1e-9);  // max/mean <= lanes

@@ -39,16 +39,27 @@ ChambolleParams params_with(int iterations) {
   return p;
 }
 
-// Many small tiles, so each field's graph has interior, edge and corner
-// nodes and lanes really interleave the two fields.
-TiledSolverOptions small_tiles(parallel::ThreadPool& pool, int lanes) {
+// Six thin strips (profitable rows 9 + 6 + 6 + 6 + 6 + 4), so each
+// field's chain has interior and end nodes and lanes really interleave the
+// two fields.
+TiledSolverOptions thin_strips(parallel::ThreadPool& pool, int lanes) {
   TiledSolverOptions o;
   o.tile_rows = 12;
-  o.tile_cols = 14;
   o.merge_iterations = 3;
   o.num_threads = lanes;
   o.pool = &pool;
   return o;
+}
+
+// An engine, or one solve, on full-width strips of o.tile_rows buffer rows.
+ResidentTiledEngine strips(int fields, const ChambolleParams& params,
+                           const TiledSolverOptions& o) {
+  return Peer::strips(kRows, kCols, o.tile_rows, fields, params, o);
+}
+ChambolleResult solve_strips(const Matrix<float>& v,
+                             const ChambolleParams& params,
+                             const TiledSolverOptions& o) {
+  return Peer::solve_strips(v, o.tile_rows, params, o);
 }
 
 void expect_memcmp_eq(const Matrix<float>& a, const Matrix<float>& b,
@@ -69,9 +80,9 @@ void expect_result_eq(const ChambolleResult& got, const ChambolleResult& want,
 // One K = 2 engine beside one single-field engine per field.
 struct Trio {
   Trio(const ChambolleParams& params, const TiledSolverOptions& opts)
-      : pair(Peer::windowed(kRows, kCols, 2, params, opts)),
-        one(Peer::windowed(kRows, kCols, 1, params, opts)),
-        two(Peer::windowed(kRows, kCols, 1, params, opts)) {}
+      : pair(strips(2, params, opts)),
+        one(strips(1, params, opts)),
+        two(strips(1, params, opts)) {}
 
   /// Solves (a, b) from `initial` (one state per field, or none) on the
   /// pair and on the single engines, and compares every output.
@@ -103,7 +114,7 @@ TEST(ResidentFields, RunMatchesSingleFieldEngines) {
     parallel::ThreadPool pool(lanes);
     const std::string tag = "lanes " + std::to_string(lanes);
     // 11 iterations split into remainder passes of the merge depth 3.
-    Trio t(params_with(11), small_tiles(pool, lanes));
+    Trio t(params_with(11), thin_strips(pool, lanes));
     t.expect_eq(a, b, nullptr, nullptr, tag);
     EXPECT_EQ(t.pair.fields(), 2);
     EXPECT_EQ(t.pair.stats().tiles, 2 * t.one.stats().tiles);
@@ -137,14 +148,14 @@ TEST(ResidentFields, WarmAndColdResetVMatchSingleFieldEngines) {
   for (int lanes = 1; lanes <= 4; ++lanes) {
     parallel::ThreadPool pool(lanes);
     const std::string tag = "lanes " + std::to_string(lanes);
-    Trio t(params_with(9), small_tiles(pool, lanes));
+    Trio t(params_with(9), thin_strips(pool, lanes));
     t.expect_eq(a, b, nullptr, nullptr, tag + " cold");
 
     // Warm: duals from explicit states (two fresh solves', swapped).
-    const ChambolleResult d0 = Peer::solve_windowed(a, params_with(5),
-                                                    small_tiles(pool, lanes));
-    const ChambolleResult d1 = Peer::solve_windowed(b, params_with(5),
-                                                    small_tiles(pool, lanes));
+    const ChambolleResult d0 = solve_strips(a, params_with(5),
+                                                    thin_strips(pool, lanes));
+    const ChambolleResult d1 = solve_strips(b, params_with(5),
+                                                    thin_strips(pool, lanes));
     t.expect_eq(a2, b2, &d1.p, &d0.p, tag + " warm");
 
     // Cold again on the reused engines.
@@ -156,7 +167,7 @@ TEST(ResidentFields, ReusedAfterABodyExceptionMatchesFreshEngines) {
   // A kernel burst that throws mid-solve aborts the whole graph with tiles
   // of both fields at mixed epochs.  No output may change — not even with
   // the dual outputs aliasing the warm start — and the next solve must be
-  // indistinguishable from fresh engines'.  Many small tiles on 1-4 lanes,
+  // indistinguishable from fresh engines'.  Six thin strips on 1-4 lanes,
   // then a 3-strip plan on 3 lanes whose middle strip of field 0 throws in
   // its last burst: every other node may finish its bursts then, so only
   // the last epoch's join keeps field 1 from recovering.
@@ -172,30 +183,28 @@ TEST(ResidentFields, ReusedAfterABodyExceptionMatchesFreshEngines) {
   std::vector<std::unique_ptr<parallel::ThreadPool>> pools;
   for (int lanes = 1; lanes <= 4; ++lanes) {
     pools.push_back(std::make_unique<parallel::ThreadPool>(lanes));
-    cases.push_back({lanes, small_tiles(*pools.back(), lanes),
+    cases.push_back({lanes, thin_strips(*pools.back(), lanes),
                      [](int, int, int n) { return n == 13; }});
   }
   pools.push_back(std::make_unique<parallel::ThreadPool>(3));
-  TiledSolverOptions strips = small_tiles(*pools.back(), 3);
-  strips.tile_rows = 17;  // 37 rows: profitable 14 + 11 + 12
-  strips.tile_cols = kCols;
-  cases.push_back({3, strips, [](int field, int tile, int n) {
+  TiledSolverOptions three = thin_strips(*pools.back(), 3);
+  three.tile_rows = 17;  // 37 rows: profitable 14 + 11 + 12
+  cases.push_back({3, three, [](int field, int tile, int n) {
                      return field == 0 && tile == 1 && n == 2;
                    }});
 
   for (const Case& c : cases) {
-    const std::string tag = "lanes " + std::to_string(c.lanes) +
-                            (&c == &cases.back() ? " strips" : " tiles");
-    ResidentTiledEngine reused =
-        Peer::windowed(kRows, kCols, 2, params, c.opts);
-    if (&c == &cases.back()) {
-      ASSERT_EQ(reused.plan().tiles.size(), 3u) << tag;
-    }
+    const std::string tag =
+        "lanes " + std::to_string(c.lanes) +
+        (&c == &cases.back() ? " three strips" : " six strips");
+    ResidentTiledEngine reused = strips(2, params, c.opts);
+    ASSERT_EQ(reused.plan().tiles.size(), &c == &cases.back() ? 3u : 6u)
+        << tag;
 
     // Shaped outputs with known contents, and duals that are both the warm
     // start and the write-back (the serving layer's aliasing).
-    ChambolleResult out[2] = {Peer::solve_windowed(a2, params, c.opts),
-                              Peer::solve_windowed(b2, params, c.opts)};
+    ChambolleResult out[2] = {solve_strips(a2, params, c.opts),
+                              solve_strips(b2, params, c.opts)};
     const ChambolleResult before[2] = {out[0], out[1]};
     const Matrix<float>* const first[] = {&a, &b};
     const DualField* const initial[] = {&out[0].p, &out[1].p};
@@ -215,8 +224,8 @@ TEST(ResidentFields, ReusedAfterABodyExceptionMatchesFreshEngines) {
 
     const Matrix<float>* const next[] = {&a2, &b2};
     reused.solve(next, {}, us, ps);
-    ResidentTiledEngine one = Peer::windowed(kRows, kCols, 1, params, c.opts);
-    ResidentTiledEngine two = Peer::windowed(kRows, kCols, 1, params, c.opts);
+    ResidentTiledEngine one = strips(1, params, c.opts);
+    ResidentTiledEngine two = strips(1, params, c.opts);
     ChambolleResult want[2];
     one.solve(a2, nullptr, want[0].u, &want[0].p);
     two.solve(b2, nullptr, want[1].u, &want[1].p);
@@ -229,13 +238,13 @@ TEST(ResidentFields, ReusedAfterABodyExceptionMatchesFreshEngines) {
 // leave its outputs and the engine as they were.
 TEST(ResidentFields, ThrowingResetVLeavesTheEngineUnchanged) {
   parallel::ThreadPool pool(3);
-  const TiledSolverOptions opts = small_tiles(pool, 3);
+  const TiledSolverOptions opts = thin_strips(pool, 3);
   const Matrix<float> a = random_v(9601), b = random_v(9602);
   const Matrix<float> a2 = random_v(9603);
   const ChambolleParams params = params_with(7);
-  ResidentTiledEngine pair = Peer::windowed(kRows, kCols, 2, params, opts);
-  ResidentTiledEngine single = Peer::windowed(kRows, kCols, 1, params, opts);
-  ChambolleResult out = Peer::solve_windowed(a, params, opts);
+  ResidentTiledEngine pair = strips(2, params, opts);
+  ResidentTiledEngine single = strips(1, params, opts);
+  ChambolleResult out = solve_strips(a, params, opts);
   const ChambolleResult before = out;
 
   const DualField wrong_shape(kRows + 1, kCols);
@@ -260,20 +269,19 @@ TEST(ResidentFields, ThrowingResetVLeavesTheEngineUnchanged) {
   // The engines still solve like fresh ones.
   ChambolleResult got;
   single.solve(b, nullptr, got.u, &got.p);
-  expect_result_eq(got, Peer::solve_windowed(b, params, opts), "single");
+  expect_result_eq(got, solve_strips(b, params, opts), "single");
   pair.solve(good, {}, us);
-  expect_memcmp_eq(out.u, Peer::solve_windowed(a2, params, opts).u, "pair");
+  expect_memcmp_eq(out.u, solve_strips(a2, params, opts).u, "pair");
 }
 
 TEST(ResidentFields, ValidatesFieldsAndOutputs) {
   parallel::ThreadPool pool(2);
-  const TiledSolverOptions opts = small_tiles(pool, 2);
+  const TiledSolverOptions opts = thin_strips(pool, 2);
   EXPECT_THROW(ResidentTiledEngine(kRows, kCols, 0, params_with(4), opts),
                std::invalid_argument);
   const Matrix<float> a = random_v(9701);
   const Matrix<float> other(kRows, kCols + 1);
-  ResidentTiledEngine pair =
-      Peer::windowed(kRows, kCols, 2, params_with(4), opts);
+  ResidentTiledEngine pair = strips(2, params_with(4), opts);
   Matrix<float> u, w;
   DualField p, q;
   Matrix<float>* const us[] = {&u, &w};

@@ -37,10 +37,12 @@ void expect_memcmp_eq(const Matrix<float>& a, const Matrix<float>& b,
 
 // Bit-exactness of the resident halo-exchange engine against the sequential
 // reference, across the geometry/edge-case matrix: frame smaller than one
-// tile, tile dims exactly 2*halo+1, non-divisible frame/tile ratios,
-// one-axis tilings, degenerate 1x1 frames — at several thread counts, so the
-// point-to-point scheduler's orderings are exercised.  Every case runs on
-// its explicit window and on the engine's own plan (plan_tiling).
+// strip, strips exactly 3 * halo rows, non-divisible frame/strip ratios,
+// tall and flat frames, degenerate 1x1 frames — at several thread counts,
+// so the point-to-point scheduler's orderings are exercised.  Every case
+// runs on full-width strips of tile_rows buffer rows and on the engine's
+// own plan (plan_tiling).  tile_cols is unread, as strips span the frame;
+// it stays so each case keeps its parameter bytes, which name it in ctest.
 struct ResidentCase {
   int rows, cols, tile_rows, tile_cols, merge, iterations, threads;
 };
@@ -61,11 +63,11 @@ TEST_P(ResidentEqualsReference, BitExactOnAllElements) {
   opt.merge_iterations = tc.merge;
   opt.num_threads = tc.threads;
   for (const bool planned : {false, true}) {
-    SCOPED_TRACE(planned ? "planned" : "window");
+    SCOPED_TRACE(planned ? "planned" : "strips");
     ResidentTiledStats stats;
     const ChambolleResult res =
         planned ? solve_resident(v, params, opt, &stats)
-                : Peer::solve_windowed(v, params, opt, &stats);
+                : Peer::solve_strips(v, tc.tile_rows, params, opt, &stats);
 
     expect_memcmp_eq(res.u, ref.u, "u");
     expect_memcmp_eq(res.p.px, ref.p.px, "px");
@@ -77,30 +79,30 @@ TEST_P(ResidentEqualsReference, BitExactOnAllElements) {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, ResidentEqualsReference,
     ::testing::Values(
-        // Frame smaller than one tile: single resident tile, no exchange.
+        // Frame smaller than one strip: single resident strip, no exchange.
         ResidentCase{32, 32, 88, 92, 4, 20, 1},
-        // Tile dims exactly 2*halo+1 — the minimum legal window, a 1-cell
-        // profitable core in the interior.
-        ResidentCase{24, 24, 9, 9, 4, 12, 2},
+        // Strips exactly 3 * halo rows — the thinnest legal strip, whose
+        // interior strips keep exactly halo profitable rows.
+        ResidentCase{24, 24, 12, 9, 4, 12, 2},
         ResidentCase{20, 20, 3, 3, 1, 7, 2},
-        // Multi-tile, several merge depths and thread counts.
+        // Multi-strip, several merge depths and thread counts.
         ResidentCase{64, 64, 24, 28, 4, 16, 1},
         ResidentCase{64, 64, 24, 28, 4, 16, 4},
         ResidentCase{64, 64, 24, 28, 1, 7, 2},
-        ResidentCase{50, 70, 20, 22, 8, 24, 3},
+        ResidentCase{50, 70, 24, 22, 8, 24, 3},
         ResidentCase{97, 53, 30, 26, 5, 13, 2},  // iterations % merge != 0
-        // Frame slightly larger than one tile (paper's window size).
+        // Frame slightly taller than one strip (paper's window size).
         ResidentCase{90, 94, 88, 92, 4, 12, 2},
-        // One-axis tilings (tall / flat frames).
+        // Tall and flat frames.
         ResidentCase{128, 16, 40, 16, 6, 18, 2},
         ResidentCase{16, 128, 16, 40, 6, 18, 2},
         // Degenerate frame: a single pixel, still a multi-threaded request.
         ResidentCase{1, 1, 88, 92, 2, 9, 2},
-        // Non-divisible frame/tile ratios everywhere.
+        // Non-divisible frame/strip ratios.
         ResidentCase{61, 45, 16, 16, 2, 10, 3},
-        // Tile exactly equal to the frame.
+        // Strip exactly equal to the frame.
         ResidentCase{40, 44, 40, 44, 3, 12, 2},
-        // More tiles than a typical lane count: scheduler pinning blocks.
+        // More strips than a typical lane count: scheduler pinning blocks.
         ResidentCase{96, 96, 20, 20, 3, 9, 4}));
 
 // The engine's own plan at every pyramid level of the benchmark workloads,
@@ -118,7 +120,8 @@ TEST(ResidentPlan, FixedPolicyMatchesReferenceOnEveryShape) {
        {Shape{252, 316}, Shape{126, 158}, Shape{63, 79}, Shape{32, 40},
         Shape{768, 1024}, Shape{128, 128}, Shape{192, 256}, Shape{120, 160},
         Shape{60, 80}, Shape{1, 4096}, Shape{4096, 1}, Shape{1, 1},
-        Shape{9, 9}, Shape{9, 4096}, Shape{4096, 9}}) {
+        Shape{9, 9}, Shape{9, 4096}, Shape{4096, 9}, Shape{17, 1060},
+       Shape{20, 1000}}) {
     const Matrix<float> a = random_v(shape.rows, shape.cols, 4100);
     const Matrix<float> b = random_v(shape.rows, shape.cols, 4101);
     const Matrix<float>* const fields[] = {&a, &b};
@@ -180,7 +183,7 @@ TEST(ResidentSolver, MatchesReloadEngineBitExactly) {
   opt.num_threads = 2;
 
   const ChambolleResult reload = solve_tiled(v, params, opt);
-  const ChambolleResult res = Peer::solve_windowed(v, params, opt);
+  const ChambolleResult res = Peer::solve_strips(v, opt.tile_rows, params, opt);
   expect_memcmp_eq(res.p.px, reload.p.px, "px");
   expect_memcmp_eq(res.p.py, reload.p.py, "py");
   expect_memcmp_eq(res.u, reload.u, "u");
@@ -198,7 +201,8 @@ TEST(ResidentSolver, WarmStartFromInitialDuals) {
   opt.num_threads = 2;
   ResidentTiledStats stats;
   const ChambolleResult warm =
-      Peer::solve_windowed(v, params_with(5), opt, &stats, &stage1.p);
+      Peer::solve_strips(v, opt.tile_rows, params_with(5), opt, &stats,
+                         &stage1.p);
   const ChambolleResult ref = solve(v, params_with(5), &stage1.p);
   expect_memcmp_eq(warm.p.px, ref.p.px, "px");
   expect_memcmp_eq(warm.p.py, ref.p.py, "py");
@@ -216,7 +220,8 @@ TEST(ResidentSolver, ResetVWithInitialColdRestarts) {
   opt.merge_iterations = 2;
   opt.num_threads = 1;
 
-  ResidentTiledEngine engine = Peer::windowed(30, 30, 1, params_with(6), opt);
+  ResidentTiledEngine engine =
+      Peer::strips(30, 30, opt.tile_rows, 1, params_with(6), opt);
   ChambolleResult first, second;
   engine.solve(v1, nullptr, first.u, &first.p);
   const DualField zeros(30, 30);
@@ -234,7 +239,7 @@ TEST(ResidentSolver, StatsReportHaloTrafficFarBelowFrameReload) {
   opt.merge_iterations = 4;
   opt.num_threads = 1;
   ResidentTiledStats stats;
-  (void)Peer::solve_windowed(v, params_with(16), opt, &stats);
+  (void)Peer::solve_strips(v, opt.tile_rows, params_with(16), opt, &stats);
 
   EXPECT_EQ(stats.passes, 4);
   EXPECT_GT(stats.tiles, 1u);
@@ -281,6 +286,35 @@ TEST(ResidentSolver, ValidatesArguments) {
   EXPECT_THROW(engine.solve(wrong, nullptr, u), std::invalid_argument);
 }
 
+// The engine runs full-width strips that trade halos with the strips above
+// and below only: a 2-D window, and a strip cut so thin that a halo would
+// reach past its neighbor, are plans it rejects.  3 * merge rows is the
+// thinnest strip it takes.
+TEST(ResidentSolver, RejectsWindowsAndStripsThinnerThanTheMergeDepth) {
+  TiledSolverOptions opt;
+  opt.merge_iterations = 4;
+  const ChambolleParams params = params_with(8);
+  EXPECT_THROW(
+      (void)Peer::on_plan(1, params, opt, make_tiling(64, 64, 24, 28, 4)),
+      std::invalid_argument);
+  // 11-row buffers over a 30-row frame: profitable rows 7 + 3 + ..., the
+  // second strip thinner than the 4-row halo.
+  ASSERT_LT(make_tiling(30, 30, 11, 30, 4).tiles[1].prof_rows, 4);
+  EXPECT_THROW((void)Peer::strips(30, 30, 11, 1, params, opt),
+               std::invalid_argument);
+  EXPECT_THROW((void)Peer::strips(30, 30, 11, 2, params, opt),
+               std::invalid_argument);
+  const Matrix<float> v = random_v(30, 30, 34);
+  ResidentTiledEngine engine = Peer::strips(30, 30, 12, 1, params, opt);
+  EXPECT_GT(engine.plan().tiles.size(), 2u);
+  ChambolleResult got;
+  engine.solve(v, nullptr, got.u, &got.p);
+  const ChambolleResult ref = solve(v, params);
+  expect_memcmp_eq(got.u, ref.u, "u");
+  expect_memcmp_eq(got.p.px, ref.p.px, "px");
+  expect_memcmp_eq(got.p.py, ref.p.py, "py");
+}
+
 // The engine reads neither tile_rows nor tile_cols, so the default 88x92
 // window, which caps solve_tiled's merge depth at 43, must not cap it.
 TEST(ResidentSolver, MergeDepthIsNotBoundByTheUnreadWindow) {
@@ -308,9 +342,11 @@ TEST(ResidentSolver, ThreadCountDoesNotChangeResult) {
   opt.merge_iterations = 3;
 
   opt.num_threads = 1;
-  const ChambolleResult a = Peer::solve_windowed(v, params_with(12), opt);
+  const ChambolleResult a =
+      Peer::solve_strips(v, opt.tile_rows, params_with(12), opt);
   opt.num_threads = 8;
-  const ChambolleResult b = Peer::solve_windowed(v, params_with(12), opt);
+  const ChambolleResult b =
+      Peer::solve_strips(v, opt.tile_rows, params_with(12), opt);
   expect_memcmp_eq(a.u, b.u, "u");
   expect_memcmp_eq(a.p.px, b.p.px, "px");
 }

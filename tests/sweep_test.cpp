@@ -377,19 +377,16 @@ TEST(OuterLoopStages, ParallelRecoveryMatchesSerialSnapshotAndRecovery) {
   const Matrix<float> v = random_image(rng, 261, 301, -2.f, 2.f);
   const ChambolleParams params{0.25f, 0.0625f, 10};
   const ChambolleResult want = solve(v, params);
-  for (const auto& [tile_rows, tile_cols] : {std::pair{24, 20}, {40, 44},
-                                             {261, 301}}) {
+  for (const int strip_rows : {24, 40, 261}) {
     for (int lanes = 1; lanes <= 4; ++lanes) {
-      SCOPED_TRACE(std::to_string(tile_rows) + "x" + std::to_string(tile_cols) +
-                   " lanes=" + std::to_string(lanes));
+      SCOPED_TRACE(std::to_string(strip_rows) +
+                   " rows lanes=" + std::to_string(lanes));
       TiledSolverOptions opts;
-      opts.tile_rows = tile_rows;
-      opts.tile_cols = tile_cols;
       opts.merge_iterations = 4;
       opts.pool = &pool;
       opts.num_threads = lanes;
       ResidentTiledEngine engine =
-          Peer::windowed(v.rows(), v.cols(), 1, params, opts);
+          Peer::strips(v.rows(), v.cols(), strip_rows, 1, params, opts);
       // The recovery epoch against the serial write-back + recovery.
       Matrix<float> u;
       DualField duals;
@@ -414,11 +411,9 @@ TEST(OuterLoopStages, FixedBudgetSentinelResolvesToTheFixedSchedule) {
        {std::pair{30, 4}, {28, 4}, {1, 4}, {5, 1}}) {
     SCOPED_TRACE(std::to_string(iterations) + "/" + std::to_string(merge));
     TiledSolverOptions opts;
-    opts.tile_rows = 20;
-    opts.tile_cols = 24;
     opts.merge_iterations = merge;
     const ChambolleParams params{0.25f, 0.0625f, iterations};
-    ResidentTiledEngine engine = Peer::windowed(40, 44, 1, params, opts);
+    ResidentTiledEngine engine = Peer::strips(40, 44, 20, 1, params, opts);
     std::size_t buffer_elements = 0;
     for (const TileSpec& t : engine.plan().tiles)
       buffer_elements += t.buffer_elements();

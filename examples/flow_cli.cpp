@@ -6,27 +6,25 @@
 // Usage:
 //   flow_cli [<frame0.pgm> <frame1.pgm> <flow_out.ppm>]
 //            [--levels N] [--warps N] [--iters N] [--lambda X]
-//            [--solver ref|tiled|resident|fixed|accel] [--threads N]
-//            [--tile RxC] [--merge K] [--median]
-//            [--kernel auto|scalar|sse2|neon|avx2|avx512|fixed-simd|fixed-scalar]
+//            [--solver ref|resident|accel] [--threads N] [--merge K]
+//            [--median] [--kernel auto|scalar|sse2|neon|avx2|avx512]
 //            [--warp warped.pgm] [--trace trace.json] [--metrics metrics.json]
 //            [--metrics-prom metrics.prom] [--profile profile.json]
 //            [--flight-dump flight.json] [--no-flight]
 //
-// --threads N sizes the process-wide worker pool (and the tiled solver's
-// team); 0 or omitted uses the hardware concurrency.
+// --solver picks the inner Chambolle solver: `ref` (the sequential float
+// reference, the default), `resident` (the resident-tile engine, bit-identical
+// to ref) or `accel` (the cycle-level fixed-point FPGA model).
 //
-// --tile RxC sets the sliding window of the `tiled` solver (default: the
-// paper's 88x92; dims must exceed 2*K).  The `resident` solver plans its own
-// tiling — balanced full-width strips, about one per lane — and ignores it.
-// --merge K sets the merge depth of both (default 4).
+// --threads N sizes the process-wide worker pool (and the resident engine's
+// lanes); 0 or omitted uses the hardware concurrency.  The resident engine
+// plans its own tiling — balanced full-width strips, about one per lane;
+// --merge K sets its merge depth (default 4).
 //
-// --kernel pins the SIMD iteration-kernel backend (default: best the CPU
-// supports, also overridable with CHAMBOLLE_KERNEL); every backend produces
-// bit-identical output, so this is a measurement knob, not a quality one.
-// The fixed-simd/fixed-scalar values pin the FIXED-POINT kernel instead
-// (used by --solver fixed; also overridable with CHAMBOLLE_FIXED_KERNEL),
-// which is likewise bit-identical across backends.  See docs/kernels.md.
+// --kernel pins the SIMD iteration-kernel backend of the float solvers
+// (default: best the CPU supports, also overridable with CHAMBOLLE_KERNEL);
+// every backend produces bit-identical output, so this is a measurement
+// knob, not a quality one.  See docs/kernels.md.
 //
 // With no positional arguments, runs a self-demo on generated frames (an
 // optional bare argument names the output directory, default /tmp).  The
@@ -53,7 +51,6 @@
 #include "common/stopwatch.hpp"
 #include "hw/accelerator.hpp"
 #include "kernels/kernel.hpp"
-#include "kernels/kernel_fixed_simd.hpp"
 #include "parallel/thread_pool.hpp"
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/json_util.hpp"
@@ -76,10 +73,9 @@ int usage() {
       stderr,
       "usage: flow_cli [<frame0.pgm> <frame1.pgm> <flow_out.ppm>]\n"
       "               [--levels N] [--warps N] [--iters N] [--lambda X]\n"
-      "               [--solver ref|tiled|resident|fixed|accel] [--threads N]\n"
-      "               [--tile RxC (tiled solver only)] [--merge K]\n"
-      "               [--median] [--kernel auto|scalar|sse2|neon|avx2|avx512|\n"
-      "                           fixed-simd|fixed-scalar]\n"
+      "               [--solver ref|resident|accel] [--threads N]\n"
+      "               [--merge K] [--median]\n"
+      "               [--kernel auto|scalar|sse2|neon|avx2|avx512]\n"
       "               [--warp out.pgm] [--trace trace.json]\n"
       "               [--metrics metrics.json] [--metrics-prom out.prom]\n"
       "               [--profile profile.json] [--flight-dump flight.json]\n"
@@ -154,31 +150,12 @@ int main(int argc, char** argv) {
       solver_given = true;
       if (std::strcmp(n, "ref") == 0)
         params.solver = tvl1::InnerSolver::kReference;
-      else if (std::strcmp(n, "tiled") == 0)
-        params.solver = tvl1::InnerSolver::kTiled;
       else if (std::strcmp(n, "resident") == 0)
         params.solver = tvl1::InnerSolver::kResident;
-      else if (std::strcmp(n, "fixed") == 0)
-        params.solver = tvl1::InnerSolver::kFixed;
       else if (std::strcmp(n, "accel") == 0)
         use_accel = true;
       else
         return usage();
-    } else if (arg == "--tile") {
-      const char* n = next();
-      if (!n) return usage();
-      // "RxC" split by hand so each half goes through the checked parser
-      // (sscanf would accept "8x9garbage").
-      const char* x = std::strchr(n, 'x');
-      if (!x) {
-        std::fprintf(stderr, "flow_cli: --tile expects RxC, got '%s'\n", n);
-        return 2;
-      }
-      const std::string rows_str(n, x);
-      if (!flag_int("--tile rows", rows_str.c_str(), 1, 1 << 15,
-                    params.tiled.tile_rows) ||
-          !flag_int("--tile cols", x + 1, 1, 1 << 15, params.tiled.tile_cols))
-        return 2;
     } else if (arg == "--merge") {
       const char* n = next();
       if (!n) return usage();
@@ -189,8 +166,8 @@ int main(int argc, char** argv) {
       if (!n) return usage();
       int threads = 0;
       if (!flag_int("--threads", n, 0, 1024, threads)) return 2;
-      // Sizes the process-wide resident pool; the tiled solver inherits the
-      // width through its num_threads = 0 (auto) default.
+      // Sizes the process-wide resident pool; the resident engine inherits
+      // the width through its num_threads = 0 (auto) default.
       parallel::set_default_pool_threads(threads);
     } else if (arg == "--kernel") {
       const char* n = next();
@@ -198,11 +175,6 @@ int main(int argc, char** argv) {
       try {
         if (std::strcmp(n, "auto") == 0) {
           kernels::reset_backend();
-          kernels::fixed::reset_backend();
-        } else if (std::strcmp(n, "fixed-simd") == 0) {
-          kernels::fixed::force_backend(kernels::fixed::Backend::kSimd);
-        } else if (std::strcmp(n, "fixed-scalar") == 0) {
-          kernels::fixed::force_backend(kernels::fixed::Backend::kScalar);
         } else {
           // Hard-rejects unknown or unavailable names with the list of
           // compiled-in backends.
@@ -316,13 +288,9 @@ int main(int argc, char** argv) {
     else
       std::printf("  time            : %.1f ms (%.0f%% in Chambolle)\n", ms,
                   100.0 * stats.chambolle_fraction());
-    if (!use_accel && params.solver != tvl1::InnerSolver::kFixed)
+    if (!use_accel)
       std::printf("  kernel backend  : %s\n",
                   kernels::backend_name(kernels::active_backend()));
-    else if (!use_accel)
-      std::printf("  kernel backend  : fixed-%s\n",
-                  kernels::fixed::backend_name(
-                      kernels::fixed::active_backend()));
     std::printf("  max |flow|      : %.2f px\n", max_flow_magnitude(flow));
     std::printf("  wrote           : %s\n", out_flow.c_str());
 

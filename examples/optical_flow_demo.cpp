@@ -1,7 +1,8 @@
 // optical_flow_demo — computes TV-L1 flow on three synthetic scenes
-// (translation, rotation, zoom) with each inner-solver backend, writes
-// Middlebury-style flow visualizations as PPM files, and prints an accuracy
-// and timing summary.
+// (translation, rotation, zoom) with each inner-solver backend (the float
+// reference, the resident-tile engine and the fixed-point accelerator model),
+// writes Middlebury-style flow visualizations as PPM files, and prints an
+// accuracy and timing summary.
 //
 // Usage: optical_flow_demo [output_dir]   (default: current directory)
 #include <cstdio>
@@ -12,6 +13,8 @@
 #include "common/image_io.hpp"
 #include "common/stopwatch.hpp"
 #include "common/text_table.hpp"
+#include "hw/accelerator.hpp"
+#include "tvl1/accel_backend.hpp"
 #include "tvl1/tvl1.hpp"
 #include "workloads/metrics.hpp"
 #include "workloads/synthetic.hpp"
@@ -25,14 +28,30 @@ struct Scene {
   workloads::FlowWorkload wl;
 };
 
-const char* solver_name(tvl1::InnerSolver s) {
-  switch (s) {
-    case tvl1::InnerSolver::kReference: return "reference";
-    case tvl1::InnerSolver::kTiled: return "tiled";
-    case tvl1::InnerSolver::kResident: return "resident";
-    case tvl1::InnerSolver::kFixed: return "fixed-point";
+enum class Backend { kReference, kResident, kAccelerated };
+
+const char* backend_name(Backend b) {
+  switch (b) {
+    case Backend::kReference: return "reference";
+    case Backend::kResident: return "resident";
+    case Backend::kAccelerated: return "fixed-point accel";
   }
   return "?";
+}
+
+FlowField compute(Backend b, const workloads::FlowWorkload& wl) {
+  tvl1::Tvl1Params params;
+  params.pyramid_levels = 3;
+  params.warps = 5;
+  params.chambolle.iterations = 30;
+  params.tiled.merge_iterations = 5;
+  if (b == Backend::kAccelerated) {
+    hw::ChambolleAccelerator accel;
+    return tvl1::compute_flow_accelerated(wl.frame0, wl.frame1, params, accel);
+  }
+  params.solver = b == Backend::kResident ? tvl1::InnerSolver::kResident
+                                          : tvl1::InnerSolver::kReference;
+  return tvl1::compute_flow(wl.frame0, wl.frame1, params);
 }
 
 }  // namespace
@@ -50,24 +69,13 @@ int main(int argc, char** argv) {
   TextTable table({"Scene", "Solver", "AEE (px)", "AAE (deg)", "Time (ms)"});
 
   for (const Scene& scene : scenes) {
-    for (const tvl1::InnerSolver solver :
-         {tvl1::InnerSolver::kReference, tvl1::InnerSolver::kTiled,
-          tvl1::InnerSolver::kFixed}) {
-      tvl1::Tvl1Params params;
-      params.pyramid_levels = 3;
-      params.warps = 5;
-      params.chambolle.iterations = 30;
-      params.solver = solver;
-      params.tiled.tile_rows = 48;
-      params.tiled.tile_cols = 48;
-      params.tiled.merge_iterations = 5;
-
+    for (const Backend backend :
+         {Backend::kReference, Backend::kResident, Backend::kAccelerated}) {
       const Stopwatch clock;
-      const FlowField flow =
-          tvl1::compute_flow(scene.wl.frame0, scene.wl.frame1, params);
+      const FlowField flow = compute(backend, scene.wl);
       const double ms = clock.milliseconds();
 
-      table.add_row({scene.name, solver_name(solver),
+      table.add_row({scene.name, backend_name(backend),
                      TextTable::num(workloads::interior_endpoint_error(
                                         flow, scene.wl.ground_truth, 8),
                                     3),
@@ -76,7 +84,7 @@ int main(int argc, char** argv) {
                                     2),
                      TextTable::num(ms, 1)});
 
-      if (solver == tvl1::InnerSolver::kReference) {
+      if (backend == Backend::kReference) {
         const std::string path = out_dir + "/flow_" + scene.name + ".ppm";
         io::write_ppm(path, colorize_flow(flow));
         std::printf("wrote %s\n", path.c_str());

@@ -73,7 +73,7 @@ void solve_into(const Matrix<float>& v, const ChambolleParams& params,
 /// Solves both components of a flow field (the hardware runs them on separate
 /// PE arrays; here they are sequential but independent).  Optional initial
 /// duals warm-start the per-component solves (temporal coherence across
-/// frames, the same path video_runner's carry uses); optional final duals
+/// frames, as bench/warm_start studies); optional final duals
 /// receive the end state so the next frame can warm-start from it.
 [[nodiscard]] FlowField solve_flow(const FlowField& v,
                                    const ChambolleParams& params,

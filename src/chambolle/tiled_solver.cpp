@@ -55,8 +55,9 @@ void run_pass(const Matrix<float>& px, const Matrix<float>& py,
               Matrix<float>& px_out, Matrix<float>& py_out,
               const Matrix<float>& v, const TilingPlan& plan,
               const ChambolleParams& params, int iterations_this_pass,
-              int lanes, parallel::PerLane<Matrix<float>>& scratch) {
-  parallel::default_pool().parallel_for(
+              parallel::ThreadPool& pool, int lanes,
+              parallel::PerLane<Matrix<float>>& scratch) {
+  pool.parallel_for(
       plan.tiles.size(), lanes,
       [&](std::size_t begin, std::size_t end, int lane) {
         Matrix<float>& s = scratch[lane];
@@ -88,10 +89,11 @@ void run_tiled_pass(const Matrix<float>& px, const Matrix<float>& py,
                     const ChambolleParams& params, int iterations_this_pass,
                     int num_threads) {
   check_pass_args(px, py, px_out, py_out, v, plan, iterations_this_pass);
-  const int lanes = parallel::default_pool().lanes_for(num_threads);
+  parallel::ThreadPool& pool = parallel::default_pool();
+  const int lanes = pool.lanes_for(num_threads);
   parallel::PerLane<Matrix<float>> scratch(lanes);
   run_pass(px, py, px_out, py_out, v, plan, params, iterations_this_pass,
-           lanes, scratch);
+           pool, lanes, scratch);
 }
 
 ChambolleResult solve_tiled(const Matrix<float>& v,
@@ -108,7 +110,10 @@ ChambolleResult solve_tiled(const Matrix<float>& v,
 
   Matrix<float> px(rows, cols), py(rows, cols);
   Matrix<float> px_next(rows, cols), py_next(rows, cols);
-  const int lanes = parallel::default_pool().lanes_for(options.num_threads);
+  parallel::ThreadPool& pool = options.pool != nullptr
+                                   ? *options.pool
+                                   : parallel::default_pool();
+  const int lanes = pool.lanes_for(options.num_threads);
   parallel::PerLane<Matrix<float>> scratch(lanes);
 
   int remaining = params.iterations;
@@ -118,7 +123,8 @@ ChambolleResult solve_tiled(const Matrix<float>& v,
     const int k = std::min(remaining, options.merge_iterations);
     const telemetry::TraceSpan pass_span("chambolle.tiled.pass");
     check_pass_args(px, py, px_next, py_next, v, plan, k);
-    run_pass(px, py, px_next, py_next, v, plan, params, k, lanes, scratch);
+    run_pass(px, py, px_next, py_next, v, plan, params, k, pool, lanes,
+             scratch);
     std::swap(px, px_next);
     std::swap(py, py_next);
     remaining -= k;

@@ -22,9 +22,9 @@
 namespace chambolle {
 
 struct TiledSolverOptions {
-  /// Sliding-window buffer size of solve_tiled and the TV-L1 kTiled inner
-  /// solver; the paper's hardware uses 88 x 92.  The resident engine plans
-  /// its own tiling (plan_tiling) and ignores these two.
+  /// Sliding-window buffer size of solve_tiled; the paper's hardware uses
+  /// 88 x 92.  The resident engine plans its own tiling (plan_tiling) and
+  /// ignores these two.
   int tile_rows = 88;
   int tile_cols = 92;
   /// Iterations merged per pass (K); the halo/profitable margin equals K.
@@ -44,7 +44,7 @@ struct TiledSolverOptions {
   /// resident engine checks.
   void validate_schedule() const;
   /// validate_schedule(), and the window must exceed twice the merge depth
-  /// (solve_tiled, kTiled).
+  /// (solve_tiled).
   void validate() const;
 };
 

@@ -31,9 +31,9 @@ const char* to_string(ReplyStatus s) {
 void FlowServiceOptions::validate() const {
   params.validate();
   // Chambolle-mode requests always go through the tiled resident engine,
-  // even when params.solver picks another backend for flow mode — so the
+  // even when params.solver picks the reference for flow mode — so the
   // options that engine reads must be valid regardless of the solver choice
-  // (which Tvl1Params::validate only enforces for kTiled/kResident).
+  // (which Tvl1Params::validate only enforces for kResident).
   params.tiled.validate_schedule();
   if (slots < 1) throw std::invalid_argument("FlowServiceOptions: slots < 1");
   if (lanes_per_slot < 0)
@@ -59,14 +59,8 @@ struct FlowService::Request {
 };
 
 struct FlowService::SessionState {
-  explicit SessionState(std::uint64_t id_, const tvl1::Tvl1Params& params,
-                        telemetry::ScopedMetrics scope)
-      : id(id_),
-        flow(params),
-        m_admitted(&scope.counter("admitted")),
-        m_completed(&scope.counter("completed")),
-        m_shed(&scope.counter("shed")),
-        m_latency(&scope.histogram("latency_ms")) {}
+  SessionState(std::uint64_t id_, const tvl1::Tvl1Params& params)
+      : id(id_), flow(params) {}
 
   const std::uint64_t id;
 
@@ -81,13 +75,6 @@ struct FlowService::SessionState {
   DualField duals;
   bool has_duals = false;
   tvl1::FlowSession flow;  ///< flow-mode pyramid cache
-
-  // Per-session scoped telemetry (serving.session.<id>.*), env-gated like
-  // all registry metrics; hoisted once at open_session.
-  telemetry::Counter* m_admitted;
-  telemetry::Counter* m_completed;
-  telemetry::Counter* m_shed;
-  telemetry::Histogram* m_latency;
 };
 
 struct FlowService::Slot {
@@ -178,9 +165,7 @@ FlowService::~FlowService() {
 std::shared_ptr<FlowService::Session> FlowService::open_session() {
   std::lock_guard<std::mutex> lk(mu_);
   const std::uint64_t id = static_cast<std::uint64_t>(sessions_.size());
-  auto state = std::make_unique<SessionState>(
-      id, options_.params,
-      telemetry::ScopedMetrics("serving.session." + std::to_string(id)));
+  auto state = std::make_unique<SessionState>(id, options_.params);
   SessionState* raw = state.get();
   sessions_.push_back(std::move(state));
   global_metrics().sessions_opened.add(1);
@@ -203,7 +188,6 @@ std::future<Reply> FlowService::enqueue(SessionState& s, int kind,
   if (s.fifo.size() >= options_.queue_capacity) {
     shed_queue_full_.fetch_add(1, std::memory_order_relaxed);
     global_metrics().shed_queue_full.add(1);
-    s.m_shed->add(1);
     immediate.status = ReplyStatus::kShedQueueFull;
     promise.set_value(std::move(immediate));
     return future;
@@ -218,7 +202,6 @@ std::future<Reply> FlowService::enqueue(SessionState& s, int kind,
   admitted_.fetch_add(1, std::memory_order_relaxed);
   global_metrics().admitted.add(1);
   global_metrics().queue_depth.set(static_cast<double>(queue_depth_));
-  s.m_admitted->add(1);
   if (!s.bound && !s.in_runnable) {
     runnable_.push_back(&s);
     s.in_runnable = true;
@@ -292,7 +275,6 @@ void FlowService::process(Slot& slot, SessionState& s, Request& req) {
     // so the stream continues as if this frame was never submitted.
     shed_deadline_.fetch_add(1, std::memory_order_relaxed);
     global_metrics().shed_deadline.add(1);
-    s.m_shed->add(1);
     reply.status = ReplyStatus::kShedDeadline;
     req.promise.set_value(std::move(reply));
     return;
@@ -342,8 +324,6 @@ void FlowService::process(Slot& slot, SessionState& s, Request& req) {
   global_metrics().completed.add(1);
   global_metrics().latency_ms.observe(total_ms);
   global_metrics().solve_ms.observe(reply.solve_ms);
-  s.m_completed->add(1);
-  s.m_latency->observe(total_ms);
   req.promise.set_value(std::move(reply));
 }
 

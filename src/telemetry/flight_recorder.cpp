@@ -182,11 +182,7 @@ extern "C" void chambolle_flight_crash_handler(int sig) {
 }  // namespace
 
 void set_flight_recorder_enabled(bool on) {
-#ifdef CHAMBOLLE_TELEMETRY_DISABLED
-  (void)on;
-#else
   detail::g_flight_enabled.store(on ? 1 : 0, std::memory_order_relaxed);
-#endif
 }
 
 void flight_mark(const char* name, double value) {

@@ -45,14 +45,10 @@ int flight_init_from_env();
 /// True when the recorder is collecting.  Defaults to ON; CHAMBOLLE_FLIGHT=0
 /// (or "off"/"false") disables, set_flight_recorder_enabled() overrides.
 inline bool flight_recorder_enabled() {
-#ifdef CHAMBOLLE_TELEMETRY_DISABLED
-  return false;
-#else
   const int v = detail::g_flight_enabled.load(std::memory_order_relaxed);
   if (v >= 0) [[likely]]
     return v == 1;
   return detail::flight_init_from_env() == 1;
-#endif
 }
 
 void set_flight_recorder_enabled(bool on);

@@ -17,7 +17,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "telemetry/telemetry.hpp"
@@ -161,43 +160,5 @@ class MetricRegistry {
 [[nodiscard]] inline MetricRegistry& registry() {
   return MetricRegistry::instance();
 }
-
-/// Prefix-scoped view of a registry: every metric name is rewritten to
-/// "<prefix>.<name>" at registration.  This is how concurrent streams get
-/// non-interleaved metrics without a registry per stream — the serving layer
-/// hands each session a ScopedMetrics("serving.session.<id>") while the
-/// unscoped names keep the process-wide aggregate.  Cheap to copy; holds no
-/// state beyond the prefix and the registry pointer.  The usual hoisting
-/// advice applies: resolve counter()/gauge()/histogram() once, keep the
-/// reference.
-class ScopedMetrics {
- public:
-  /// An empty prefix degenerates to the plain registry (names unchanged).
-  explicit ScopedMetrics(std::string prefix,
-                         MetricRegistry& reg = registry())
-      : prefix_(std::move(prefix)), registry_(&reg) {}
-
-  [[nodiscard]] Counter& counter(const std::string& name) const {
-    return registry_->counter(scoped(name));
-  }
-  [[nodiscard]] Gauge& gauge(const std::string& name) const {
-    return registry_->gauge(scoped(name));
-  }
-  [[nodiscard]] Histogram& histogram(
-      const std::string& name,
-      std::vector<double> upper_bounds = default_ms_bounds()) const {
-    return registry_->histogram(scoped(name), std::move(upper_bounds));
-  }
-
-  [[nodiscard]] const std::string& prefix() const { return prefix_; }
-  /// The full name `name` resolves to under this scope.
-  [[nodiscard]] std::string scoped(const std::string& name) const {
-    return prefix_.empty() ? name : prefix_ + "." + name;
-  }
-
- private:
-  std::string prefix_;
-  MetricRegistry* registry_;
-};
 
 }  // namespace chambolle::telemetry

@@ -187,17 +187,8 @@ Profiler& Profiler::instance() {
   return *p;
 }
 
-namespace {
-// Raw session flag, independent of the CHAMBOLLE_TELEMETRY_DISABLED constant
-// fold: in disabled builds sessions still begin/end (returning an all-idle
-// report) while every record path compiles to nothing.
-bool session_active() {
-  return detail::g_profiler_active.load(std::memory_order_acquire) != 0;
-}
-}  // namespace
-
 void Profiler::begin(int lanes, int max_tiles) {
-  if (session_active())
+  if (profiler_active())
     throw std::logic_error("Profiler::begin: a session is already active");
   if (lanes < 1) lanes = 1;
   if (max_tiles < 0) max_tiles = 0;
@@ -213,7 +204,7 @@ void Profiler::begin(int lanes, int max_tiles) {
 }
 
 UtilizationReport Profiler::end() {
-  if (!session_active())
+  if (!profiler_active())
     throw std::logic_error("Profiler::end: no active session");
   const std::uint64_t end_ns = detail::trace_now_ns();
   detail::g_profiler_active.store(0, std::memory_order_release);

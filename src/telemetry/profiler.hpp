@@ -63,11 +63,7 @@ extern std::atomic<int> g_profiler_active;  ///< 1 while a session runs
 /// True while a profiling session is active.  The one-load fast path every
 /// instrumentation point checks first.
 inline bool profiler_active() {
-#ifdef CHAMBOLLE_TELEMETRY_DISABLED
-  return false;
-#else
   return detail::g_profiler_active.load(std::memory_order_acquire) != 0;
-#endif
 }
 
 /// Thread -> lane mapping.  The ThreadPool sets the calling thread's lane id

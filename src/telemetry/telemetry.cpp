@@ -26,11 +26,7 @@ int init_from_env() {
 }  // namespace detail
 
 void set_enabled(bool on) {
-#ifdef CHAMBOLLE_TELEMETRY_DISABLED
-  (void)on;
-#else
   detail::g_enabled.store(on ? 1 : 0, std::memory_order_relaxed);
-#endif
 }
 
 }  // namespace chambolle::telemetry

@@ -8,8 +8,6 @@
 //
 // The disabled fast path is a single relaxed atomic load and branch, so
 // instrumented hot loops cost (almost) nothing when observability is off.
-// Building with -DCHAMBOLLE_ENABLE_TELEMETRY=OFF (CMake option) defines
-// CHAMBOLLE_TELEMETRY_DISABLED and compiles the layer down to constants.
 #pragma once
 
 #include <atomic>
@@ -24,18 +22,13 @@ int init_from_env();
 
 /// True when telemetry collection is on.  O(1), safe from any thread.
 inline bool enabled() {
-#ifdef CHAMBOLLE_TELEMETRY_DISABLED
-  return false;
-#else
   const int v = detail::g_enabled.load(std::memory_order_relaxed);
   if (v >= 0) [[likely]]
     return v == 1;
   return detail::init_from_env() == 1;
-#endif
 }
 
-/// Programmatic override of the env-var default.  A no-op in
-/// CHAMBOLLE_TELEMETRY_DISABLED builds.
+/// Programmatic override of the env-var default.
 void set_enabled(bool on);
 
 }  // namespace chambolle::telemetry

@@ -3,6 +3,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "common/validation.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 #include "tvl1/outer_loop.hpp"
@@ -18,6 +19,8 @@ FlowField compute_flow_accelerated(const Image& i0, const Image& i1,
     throw std::invalid_argument("compute_flow_accelerated: shape mismatch");
   if (i0.rows() < 2 || i0.cols() < 2)
     throw std::invalid_argument("compute_flow_accelerated: frames >= 2x2");
+  require_finite(i0, "compute_flow_accelerated: frame0");
+  require_finite(i1, "compute_flow_accelerated: frame1");
 
   const telemetry::TraceSpan flow_span("tvl1.compute_flow_accelerated");
   std::uint64_t device_cycles = 0;
@@ -26,7 +29,7 @@ FlowField compute_flow_accelerated(const Image& i0, const Image& i1,
   const auto [p0, p1] =
       build_pyramids(i0, i1, params.pyramid_levels, pool_for(params));
   FlowField u = coarse_to_fine(
-      p0, p1, params, [&](const FlowField& v, int, int, FlowField& flow) {
+      p0, p1, params, [&](const FlowField& v, FlowField& flow) {
         auto result = [&] {
           const telemetry::TraceSpan span("tvl1.chambolle_inner");
           return accelerator.solve(v, params.chambolle);

@@ -30,8 +30,10 @@ struct AccelTvl1Stats {
 /// Computes TV-L1 optical flow using a ChambolleAccelerator for every inner
 /// solve.  `params.solver` is ignored (the accelerator is the solver);
 /// everything else (pyramid, warps, lambda, theta, iterations) applies.
-/// Numerically identical to InnerSolver::kFixed up to the identical
-/// fixed-point datapath (asserted by tests).
+/// Frames are screened like compute_flow's (same shape, at least 2x2, every
+/// pixel finite).  Bit-identical to the outer loop with solve_fixed per
+/// component: the accelerator runs the same fixed-point datapath (asserted
+/// by tests).
 [[nodiscard]] FlowField compute_flow_accelerated(
     const Image& i0, const Image& i1, const Tvl1Params& params,
     hw::ChambolleAccelerator& accelerator, AccelTvl1Stats* stats = nullptr);

@@ -1,8 +1,9 @@
 // outer_loop.hpp — the coarse-to-fine TV-L1 outer loop shared by every flow
-// pipeline (compute_flow / FlowSession, compute_flow_accelerated, run_video).
+// pipeline (compute_flow / FlowSession and compute_flow_accelerated).
 //
 // The pipelines differ only in how they solve the inner Chambolle problem
-// for a support field v; the loop around it — pyramid levels, flow
+// for a support field v (the reference solver or the resident engine, or
+// the fixed-point hardware model); the loop around it — pyramid levels, flow
 // upsampling, per-level source gradients, the fused warp -> threshold sweep,
 // median filtering — is this one definition.  Every stage of it runs on the
 // pipeline's pool (pool_for) with the pipeline's lane count, row-chunked
@@ -36,8 +37,8 @@ namespace chambolle::tvl1 {
     const Image& i0, const Image& i1, int levels, parallel::ThreadPool& pool);
 
 /// Runs the outer loop over the pyramids' common levels and returns the
-/// finest-level flow.  Per warp, inner_solve(v, level, warp, u) must replace
-/// u (same shape) with the inner solve's primal for the support field v.
+/// finest-level flow.  Per warp, inner_solve(v, u) must replace u (same
+/// shape) with the inner solve's primal for the support field v.
 template <typename InnerSolve>
 [[nodiscard]] FlowField coarse_to_fine(const Pyramid& p0, const Pyramid& p1,
                                        const Tvl1Params& params,
@@ -70,7 +71,7 @@ template <typename InnerSolve>
         warp_threshold_into(l0, l1, grad, u, params.lambda,
                             params.chambolle.theta, v, pool, lanes);
       }
-      inner_solve(std::as_const(v), level, w, u);
+      inner_solve(std::as_const(v), u);
       if (params.median_filtering) {
         const telemetry::TraceSpan span("tvl1.median_filter");
         u = median_filter_flow(u);

@@ -3,8 +3,8 @@
 #include <cmath>
 #include <optional>
 #include <stdexcept>
+#include <utility>
 
-#include "chambolle/fixed_solver.hpp"
 #include "chambolle/resident_tiled.hpp"
 #include "chambolle/solver.hpp"
 #include "common/stopwatch.hpp"
@@ -17,55 +17,10 @@
 namespace chambolle::tvl1 {
 namespace {
 
-// One Chambolle solve of a single component through a per-component
-// backend (every solver but kResident, which solves both components at
-// once: resident_solve).  `out` receives the primal result; `scratch`
-// persists across warps so the reference path reuses its dual-field and
-// output buffers instead of allocating per frame (solve_into + the
-// preallocated recover_u_into path).  Returns the inner-iteration count
-// this solve contributed to the stats.
-long long component_solve(const Matrix<float>& v, const Tvl1Params& params,
-                          Matrix<float>& out, ChambolleResult& scratch) {
-  switch (params.solver) {
-    case InnerSolver::kReference:
-      solve_into(v, params.chambolle, scratch);
-      // Hand the result out and keep the previous output buffer (same shape
-      // at this pyramid level) as next warp's recover_u_into destination.
-      std::swap(out, scratch.u);
-      return params.chambolle.iterations;
-    case InnerSolver::kTiled:
-      out = solve_tiled(v, params.chambolle, params.tiled).u;
-      return params.chambolle.iterations;
-    case InnerSolver::kFixed:
-      // The 13-bit Q5.8 v-format spans [-16,16); flow components at any
-      // pyramid level stay well inside it for the supported image sizes.
-      out = solve_fixed(v, params.chambolle).u;
-      return params.chambolle.iterations;
-    case InnerSolver::kResident:
-      break;
-  }
-  throw std::logic_error("component_solve: unknown solver");
-}
-
-// Both components' Chambolle solves through the resident engine: u1 and u2
-// are two fields of one engine, so one solve advances both and a lane
-// blocked on one component's neighbor runs the other's tiles.  `engines`
-// keeps one engine per level shape, so a warp only streams v in from cold
-// duals and u out.  Returns the inner-iteration count both solves
-// contributed to the stats.
-long long resident_solve(const FlowField& v, const Tvl1Params& params,
-                         FlowField& flow, EngineCache& engines) {
-  const Matrix<float>* const fields[] = {&v.u1, &v.u2};
-  Matrix<float>* const u[] = {&flow.u1, &flow.u2};
-  engines.engine(v.u1.rows(), v.u1.cols(), 2).solve(fields, {}, u);
-  return 2LL * params.chambolle.iterations;
-}
-
-// The coarse-to-fine loop shared by both compute_flow overloads and
-// FlowSession; kResident solves take their engines from `engines`.  The
-// caller owns `total_clock` so the image overload's stats keep covering the
-// pyramid builds (as they always did), while the pyramid overload's stats
-// cover only the work it actually performs.
+// The coarse-to-fine loop shared by compute_flow and FlowSession; kResident
+// solves take their engines from `engines`.  The caller owns `total_clock`,
+// so compute_flow's stats cover its pyramid builds and FlowSession's cover
+// only the flow (its pyramid is built before the clock starts).
 FlowField flow_from_pyramids(const Pyramid& p0, const Pyramid& p1,
                              const Tvl1Params& params, EngineCache& engines,
                              Tvl1Stats* stats, Stopwatch& total_clock) {
@@ -78,19 +33,29 @@ FlowField flow_from_pyramids(const Pyramid& p0, const Pyramid& p1,
   // of the pyramid loop stops allocating fresh frames per warp.
   ChambolleResult inner_scratch;
   FlowField u = coarse_to_fine(
-      p0, p1, params, [&](const FlowField& v, int, int, FlowField& flow) {
+      p0, p1, params, [&](const FlowField& v, FlowField& flow) {
         total_clock.lap();  // the outer-loop stages are not inner time
         {
           const telemetry::TraceSpan span("tvl1.chambolle_inner");
           if (params.solver == InnerSolver::kResident) {
-            inner_iters += resident_solve(v, params, flow, engines);
+            // u1 and u2 are two fields of one engine, so one solve advances
+            // both and a lane blocked on one component's neighbor runs the
+            // other's tiles.  `engines` keeps one engine per level shape, so
+            // a warp only streams v in from cold duals and u out.
+            const Matrix<float>* const fields[] = {&v.u1, &v.u2};
+            Matrix<float>* const out[] = {&flow.u1, &flow.u2};
+            engines.engine(v.rows(), v.cols(), 2).solve(fields, {}, out);
           } else {
-            inner_iters +=
-                component_solve(v.u1, params, flow.u1, inner_scratch);
-            inner_iters +=
-                component_solve(v.u2, params, flow.u2, inner_scratch);
+            // Each swap hands the result out and keeps the previous output
+            // buffer (same shape at this level) as the next solve's
+            // recover_u_into destination.
+            solve_into(v.u1, params.chambolle, inner_scratch);
+            std::swap(flow.u1, inner_scratch.u);
+            solve_into(v.u2, params.chambolle, inner_scratch);
+            std::swap(flow.u2, inner_scratch.u);
           }
         }
+        inner_iters += 2LL * params.chambolle.iterations;
         chambolle_seconds += total_clock.lap();
       });
 
@@ -125,7 +90,6 @@ void Tvl1Params::validate() const {
     throw std::invalid_argument("Tvl1Params: pyramid_levels < 1");
   if (warps < 1) throw std::invalid_argument("Tvl1Params: warps < 1");
   chambolle.validate();
-  if (solver == InnerSolver::kTiled) tiled.validate();
   if (solver == InnerSolver::kResident) tiled.validate_schedule();
 }
 
@@ -148,20 +112,6 @@ FlowField compute_flow(const Image& i0, const Image& i1,
   // session's pool (frame-rate service work, not worth a spawn).
   const auto [p0, p1] =
       build_pyramids(i0, i1, params.pyramid_levels, pool_for(params));
-  EngineCache engines(params.chambolle, params.tiled);
-  return flow_from_pyramids(p0, p1, params, engines, stats, total_clock);
-}
-
-FlowField compute_flow(const Pyramid& p0, const Pyramid& p1,
-                       const Tvl1Params& params, Tvl1Stats* stats) {
-  params.validate();
-  if (p0.levels() < 1 || p1.levels() < 1)
-    throw std::invalid_argument("compute_flow: empty pyramid");
-  if (!p0.level(0).same_shape(p1.level(0)))
-    throw std::invalid_argument("compute_flow: pyramid base shape mismatch");
-
-  const telemetry::TraceSpan flow_span("tvl1.compute_flow");
-  Stopwatch total_clock;
   EngineCache engines(params.chambolle, params.tiled);
   return flow_from_pyramids(p0, p1, params, engines, stats, total_clock);
 }

@@ -3,9 +3,10 @@
 //
 // Structure: coarse-to-fine pyramid; per level, several warping iterations;
 // per warp, a thresholding step producing the support field v followed by a
-// Chambolle solve producing u from v (Section II-A).  The inner solver is
-// pluggable: the sequential float reference, the tiled parallel solver
-// (Section III), or the bit-accurate fixed-point model of the hardware.
+// Chambolle solve producing u from v (Section II-A).  The inner solver is the
+// sequential float reference or the resident-tile engine (Section III's loop
+// decomposition, bit-identical to the reference); compute_flow_accelerated
+// (accel_backend.hpp) runs the same loop on the fixed-point hardware model.
 #pragma once
 
 #include <optional>
@@ -20,9 +21,7 @@ namespace chambolle::tvl1 {
 
 enum class InnerSolver {
   kReference,  ///< sequential full-frame float solver
-  kTiled,      ///< loop-decomposition + sliding-window parallel solver
   kResident,   ///< resident-tile engine with halo exchange (no reloads)
-  kFixed,      ///< bit-accurate fixed-point model of the FPGA datapath
 };
 
 struct Tvl1Params {
@@ -36,7 +35,8 @@ struct Tvl1Params {
   /// Inner Chambolle configuration (theta, tau, iterations per warp).
   ChambolleParams chambolle{0.25f, 0.0625f, 30};
   InnerSolver solver = InnerSolver::kReference;
-  /// Tiled-solver options, used when solver == kTiled or kResident.
+  /// Resident-engine options (merge depth), read when solver == kResident;
+  /// num_threads and pool also place the outer loop's stages (pool_for).
   TiledSolverOptions tiled{};
   /// Median-filter the flow between warps (Wedel et al. 2009 refinement;
   /// false reproduces the paper's pipeline).
@@ -64,20 +64,10 @@ struct Tvl1Stats {
                                      const Tvl1Params& params,
                                      Tvl1Stats* stats = nullptr);
 
-/// Pyramid-reusing form: identical numerics to compute_flow(i0, i1, ...)
-/// when the pyramids were built from the NORMALIZED frames (intensities
-/// divided by 255, as compute_flow does internally) with
-/// params.pyramid_levels levels.  This is the streaming hot path: in a
-/// video session every interior frame is frame1 of one pair and frame0 of
-/// the next, so caching its pyramid halves the per-pair pyramid work —
-/// FlowSession below does exactly that.
-[[nodiscard]] FlowField compute_flow(const Pyramid& p0, const Pyramid& p1,
-                                     const Tvl1Params& params,
-                                     Tvl1Stats* stats = nullptr);
-
 /// Per-stream flow state for a video session: feeds frames one at a time
 /// and keeps the previous frame's pyramid cached across calls, so the
-/// steady state builds one pyramid per frame instead of two per pair.
+/// steady state builds one pyramid per frame instead of two per pair: every
+/// interior frame is frame1 of one pair and frame0 of the next.
 /// kResident solves take their per-level engines from an EngineCache, so
 /// after the first flow a frame builds none.  This is the per-session
 /// object the serving layer (src/serving/) checks out onto fleet slots.

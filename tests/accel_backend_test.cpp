@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "chambolle/fixed_solver.hpp"
+#include "tvl1/outer_loop.hpp"
 #include "workloads/metrics.hpp"
 #include "workloads/synthetic.hpp"
 
@@ -26,16 +28,22 @@ hw::ArchConfig small_config() {
 
 TEST(AccelBackend, MatchesTheFixedPointSoftwareBackendExactly) {
   // Accelerator == software fixed solver elementwise, so the whole pipeline
-  // must agree bit-for-bit with InnerSolver::kFixed.
+  // must agree bit-for-bit with the outer loop running solve_fixed on each
+  // component.
   const auto wl = workloads::translating_scene(48, 48, 1.f, -0.5f, 111);
-  Tvl1Params params = fast_params();
+  const Tvl1Params params = fast_params();
 
   hw::ChambolleAccelerator accel(small_config());
   const FlowField a =
       compute_flow_accelerated(wl.frame0, wl.frame1, params, accel);
 
-  params.solver = InnerSolver::kFixed;
-  const FlowField b = compute_flow(wl.frame0, wl.frame1, params);
+  const auto [p0, p1] = build_pyramids(wl.frame0, wl.frame1,
+                                       params.pyramid_levels, pool_for(params));
+  const FlowField b =
+      coarse_to_fine(p0, p1, params, [&](const FlowField& v, FlowField& u) {
+        u.u1 = solve_fixed(v.u1, params.chambolle).u;
+        u.u2 = solve_fixed(v.u2, params.chambolle).u;
+      });
 
   EXPECT_EQ(a.u1, b.u1);
   EXPECT_EQ(a.u2, b.u2);

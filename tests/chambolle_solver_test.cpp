@@ -192,7 +192,7 @@ TEST(ChambolleSolver, SolveFlowHandlesBothComponents) {
 
 TEST(ChambolleSolver, SolveFlowWarmStartMatchesComponentSolves) {
   // solve_flow's optional initial/final duals must behave exactly like the
-  // per-component solve() warm-start path (the video_runner carry).
+  // per-component solve() warm-start path.
   Rng rng(21);
   FlowField v(8, 10);
   v.u1 = random_image(rng, 8, 10, -1.f, 1.f);

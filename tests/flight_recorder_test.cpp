@@ -23,17 +23,6 @@ namespace {
 namespace tel = telemetry;
 namespace fs = std::filesystem;
 
-constexpr bool kTelemetryCompiledIn =
-#ifdef CHAMBOLLE_TELEMETRY_DISABLED
-    false;
-#else
-    true;
-#endif
-
-#define SKIP_IF_COMPILED_OUT()                                 \
-  if (!kTelemetryCompiledIn)                                   \
-  GTEST_SKIP() << "telemetry compiled out (CHAMBOLLE_ENABLE_TELEMETRY=OFF)"
-
 /// Forces the recorder on (it defaults on, but an earlier test or the
 /// environment may have toggled it) and restores the prior state on exit.
 class ScopedFlight {
@@ -59,7 +48,6 @@ fs::path temp_file(const char* name) {
 }
 
 TEST(FlightRecorder, MarkRoundTripsThroughJson) {
-  SKIP_IF_COMPILED_OUT();
   const ScopedFlight f(true);
   tel::clear_flight_record();
   tel::flight_mark("test.flight.mark", 42.0);
@@ -80,7 +68,6 @@ TEST(FlightRecorder, MarkRoundTripsThroughJson) {
 }
 
 TEST(FlightRecorder, SpanMirrorCarriesDuration) {
-  SKIP_IF_COMPILED_OUT();
   const ScopedFlight f(true);
   tel::clear_flight_record();
   tel::flight_span("test.flight.span", /*start_ns=*/1'000'000,
@@ -103,7 +90,6 @@ TEST(FlightRecorder, DisabledPathDropsEvents) {
 }
 
 TEST(FlightRecorder, RingIsBoundedAndKeepsNewest) {
-  SKIP_IF_COMPILED_OUT();
   const ScopedFlight f(true);
   tel::clear_flight_record();
   char name[32];
@@ -125,7 +111,6 @@ TEST(FlightRecorder, RingIsBoundedAndKeepsNewest) {
 }
 
 TEST(FlightRecorder, HostileNamesStayWellFormed) {
-  SKIP_IF_COMPILED_OUT();
   const ScopedFlight f(true);
   tel::clear_flight_record();
   const char* hostile[] = {
@@ -142,9 +127,7 @@ TEST(FlightRecorder, HostileNamesStayWellFormed) {
 }
 
 TEST(FlightRecorder, CrashDumpWriterProducesParseableJson) {
-  // Runs in every build flavor: with telemetry compiled out the rings are
-  // empty but the writer must still emit a valid document.
-  if (kTelemetryCompiledIn) {
+  {
     const ScopedFlight f(true);
     tel::flight_mark("test.crashdump.mark", 7.0);
   }
@@ -153,8 +136,7 @@ TEST(FlightRecorder, CrashDumpWriterProducesParseableJson) {
   const std::string json = slurp(path);
   ASSERT_TRUE(tel::json_well_formed(json));
   EXPECT_NE(json.find("\"crash\":true"), std::string::npos);
-  if (kTelemetryCompiledIn)
-    EXPECT_NE(json.find("test.crashdump.mark"), std::string::npos);
+  EXPECT_NE(json.find("test.crashdump.mark"), std::string::npos);
   fs::remove(path);
   EXPECT_FALSE(tel::flight_crash_dump("/nonexistent-dir/flight.json"));
 }
@@ -173,7 +155,6 @@ TEST(FlightRecorder, CrashDumpWriterProducesParseableJson) {
 #endif
 #ifndef CHB_SKIP_CRASH_DEATH_TEST
 TEST(FlightRecorderDeathTest, HandlerDumpsOnSegv) {
-  SKIP_IF_COMPILED_OUT();
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   const fs::path path = temp_file("chb_flight_segv.json");
   fs::remove(path);

@@ -13,10 +13,8 @@
 #include <string>
 #include <vector>
 
-#include "chambolle/fixed_solver.hpp"
 #include "chambolle/resident_tiled.hpp"
 #include "chambolle/solver.hpp"
-#include "chambolle/tiled_solver.hpp"
 #include "hw/accelerator.hpp"
 #include "parallel/thread_pool.hpp"
 #include "tvl1/accel_backend.hpp"
@@ -24,7 +22,6 @@
 #include "tvl1/pyramid.hpp"
 #include "tvl1/threshold.hpp"
 #include "tvl1/tvl1.hpp"
-#include "tvl1/video_runner.hpp"
 #include "tvl1/warp.hpp"
 #include "workloads/sequence.hpp"
 #include "workloads/synthetic.hpp"
@@ -64,7 +61,7 @@ FlowField golden_upsample(const FlowField& flow, int rows, int cols) {
 }
 
 // The serial outer loop as it ran before the fused sweep: per warp, copy
-// u0, warp I1 with gradients, threshold, solve(v, level, warp, u).
+// u0, warp I1 with gradients, threshold, solve(v, u).
 template <typename Solve>
 FlowField golden_loop(const Pyramid& p0, const Pyramid& p1,
                       const Tvl1Params& params, Solve&& solve) {
@@ -81,7 +78,7 @@ FlowField golden_loop(const Pyramid& p0, const Pyramid& p1,
       const ThresholdInputs in{l0, wr.warped, wr.grad, u0,
                                u,  params.lambda, params.chambolle.theta};
       const FlowField v = threshold_step(in);
-      solve(v, level, w, u);
+      solve(v, u);
       if (params.median_filtering) u = median_filter_flow(u);
     }
   }
@@ -92,16 +89,7 @@ FlowField golden_loop(const Pyramid& p0, const Pyramid& p1,
 // sentinel resolved by the formula the pipeline used to inline.
 Matrix<float> golden_solve(const Matrix<float>& v, const Tvl1Params& p,
                            std::unique_ptr<ResidentTiledEngine>& engine) {
-  switch (p.solver) {
-    case InnerSolver::kReference:
-      return solve(v, p.chambolle).u;
-    case InnerSolver::kTiled:
-      return solve_tiled(v, p.chambolle, p.tiled).u;
-    case InnerSolver::kFixed:
-      return solve_fixed(v, p.chambolle).u;
-    case InnerSolver::kResident:
-      break;
-  }
+  if (p.solver == InnerSolver::kReference) return solve(v, p.chambolle).u;
   if (engine == nullptr || engine->rows() != v.rows() ||
       engine->cols() != v.cols())
     engine = std::make_unique<ResidentTiledEngine>(v.rows(), v.cols(), 1,
@@ -114,11 +102,10 @@ Matrix<float> golden_solve(const Matrix<float>& v, const Tvl1Params& p,
 FlowField golden_flow(const Pyramid& p0, const Pyramid& p1,
                       const Tvl1Params& p) {
   std::unique_ptr<ResidentTiledEngine> e1, e2;
-  return golden_loop(p0, p1, p,
-                     [&](const FlowField& v, int, int, FlowField& u) {
-                       u.u1 = golden_solve(v.u1, p, e1);
-                       u.u2 = golden_solve(v.u2, p, e2);
-                     });
+  return golden_loop(p0, p1, p, [&](const FlowField& v, FlowField& u) {
+    u.u1 = golden_solve(v.u1, p, e1);
+    u.u2 = golden_solve(v.u2, p, e2);
+  });
 }
 
 FlowField golden_flow(const Image& i0, const Image& i1, const Tvl1Params& p) {
@@ -156,10 +143,6 @@ std::vector<Case> cases() {
   p.median_filtering = true;
   out.push_back({"reference+median", p});
   p = base_params();
-  p.solver = InnerSolver::kTiled;
-  out.push_back({"tiled", p});
-  p.solver = InnerSolver::kFixed;
-  out.push_back({"fixed", p});
   p.solver = InnerSolver::kResident;
   out.push_back({"resident", p});
   return out;
@@ -188,9 +171,6 @@ TEST(Tvl1Golden, FlowSessionMatchesSerialLoopAtEveryLaneCount) {
   const workloads::VideoSequence seq = workloads::make_sequence(kRows, kCols, sp);
   parallel::ThreadPool pool(4);
   for (Case c : cases()) {
-    if (c.params.solver != InnerSolver::kResident &&
-        c.params.solver != InnerSolver::kReference)
-      continue;
     std::vector<FlowField> want;
     for (std::size_t f = 1; f < seq.frames.size(); ++f)
       want.push_back(golden_flow(seq.frames[f - 1], seq.frames[f], c.params));
@@ -229,10 +209,9 @@ TEST(Tvl1Golden, AcceleratedFlowMatchesSerialLoopAtEveryLaneCount) {
     hw::ChambolleAccelerator accel(small_arch());
     const Pyramid p0(golden_normalize(wl.frame0), p.pyramid_levels);
     const Pyramid p1(golden_normalize(wl.frame1), p.pyramid_levels);
-    return golden_loop(p0, p1, p,
-                       [&](const FlowField& v, int, int, FlowField& u) {
-                         u = accel.solve(v, p.chambolle).u;
-                       });
+    return golden_loop(p0, p1, p, [&](const FlowField& v, FlowField& u) {
+      u = accel.solve(v, p.chambolle).u;
+    });
   }();
   parallel::ThreadPool pool(4);
   for (int lanes = 1; lanes <= 4; ++lanes) {
@@ -242,61 +221,6 @@ TEST(Tvl1Golden, AcceleratedFlowMatchesSerialLoopAtEveryLaneCount) {
     hw::ChambolleAccelerator accel(small_arch());
     expect_same_flow(compute_flow_accelerated(wl.frame0, wl.frame1, p, accel),
                      want, "compute_flow_accelerated");
-  }
-}
-
-TEST(Tvl1Golden, RunVideoMatchesSerialLoopAtEveryLaneCount) {
-  workloads::SequenceParams sp;
-  sp.frames = 3;
-  sp.rate_x = 1.f;
-  sp.rate_y = 0.5f;
-  const workloads::VideoSequence seq = workloads::make_sequence(72, 96, sp);
-  VideoRunnerOptions o;
-  o.tvl1.pyramid_levels = 3;
-  o.tvl1.warps = 2;
-  o.tvl1.chambolle.iterations = 8;
-  o.arch = small_arch();
-
-  // The pre-sweep run_video loop: the first finest-level solve of a pair
-  // warm-starts from the previous pair's final duals.
-  std::vector<FlowField> want;
-  {
-    hw::ChambolleAccelerator accel(o.arch);
-    FlowField carry_u1, carry_u2;
-    bool carry_valid = false;
-    for (std::size_t f = 0; f + 1 < seq.frames.size(); ++f) {
-      const Pyramid p0(golden_normalize(seq.frames[f]), o.tvl1.pyramid_levels);
-      const Pyramid p1(golden_normalize(seq.frames[f + 1]),
-                       o.tvl1.pyramid_levels);
-      want.push_back(golden_loop(
-          p0, p1, o.tvl1, [&](const FlowField& v, int level, int w, FlowField& u) {
-            hw::AcceleratorInitialDual init;
-            if (level == 0 && w == 0 && carry_valid) {
-              init.u1_px = &carry_u1.u1;
-              init.u1_py = &carry_u1.u2;
-              init.u2_px = &carry_u2.u1;
-              init.u2_py = &carry_u2.u2;
-            }
-            const auto solved = accel.solve(v, o.tvl1.chambolle, init);
-            u = solved.u;
-            if (level == 0 && w == o.tvl1.warps - 1) {
-              carry_u1 = solved.dual_u1;
-              carry_u2 = solved.dual_u2;
-              carry_valid = true;
-            }
-          }));
-    }
-  }
-  parallel::ThreadPool pool(4);
-  for (int lanes = 1; lanes <= 4; ++lanes) {
-    SCOPED_TRACE("lanes=" + std::to_string(lanes));
-    o.tvl1.tiled.pool = &pool;
-    o.tvl1.tiled.num_threads = lanes;
-    const VideoRunnerResult got = run_video(seq.frames, o);
-    ASSERT_EQ(got.flows.size(), want.size());
-    for (std::size_t f = 0; f < want.size(); ++f)
-      expect_same_flow(got.flows[f], want[f],
-                       "run_video pair " + std::to_string(f));
   }
 }
 

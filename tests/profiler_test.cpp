@@ -29,20 +29,6 @@ using Peer = ResidentTiledEngineTestPeer;
 
 namespace tel = telemetry;
 
-/// False when the library was built with -DCHAMBOLLE_ENABLE_TELEMETRY=OFF;
-/// record-path tests skip themselves (sessions still begin/end, but every
-/// recorder folds to nothing, so reports are all-idle).
-constexpr bool kTelemetryCompiledIn =
-#ifdef CHAMBOLLE_TELEMETRY_DISABLED
-    false;
-#else
-    true;
-#endif
-
-#define SKIP_IF_COMPILED_OUT()                                 \
-  if (!kTelemetryCompiledIn)                                   \
-  GTEST_SKIP() << "telemetry compiled out (CHAMBOLLE_ENABLE_TELEMETRY=OFF)"
-
 /// Ends any session a failed assertion left behind so tests stay isolated.
 struct SessionGuard {
   ~SessionGuard() { tel::Profiler::instance().cancel(); }
@@ -96,7 +82,6 @@ TEST(ProfilerSession, SetLaneNestsAndRestores) {
 }
 
 TEST(ProfilerSession, ManualAttributionRoundTrip) {
-  SKIP_IF_COMPILED_OUT();
   const SessionGuard guard;
   tel::Profiler::instance().begin(2, /*max_tiles=*/8);
   const int prev = tel::profiler_set_lane(0);
@@ -154,7 +139,6 @@ TEST(ProfilerSession, IdleIsTheResidualAndTotalEqualsWall) {
 // five-way partition, so this is really a check that attributed <= wall and
 // the instrumentation double-counts nothing).
 TEST(ProfilerResident, SolveAttributesLaneWallTime) {
-  SKIP_IF_COMPILED_OUT();
   const SessionGuard guard;
   Rng rng(11);
   const Matrix<float> v = random_image(rng, 128, 128, -1.f, 1.f);
@@ -208,7 +192,6 @@ TEST(ProfilerResident, SolveAttributesLaneWallTime) {
 // counts also pin the engine's lane pinning (no burst runs off its owner's
 // lane).
 TEST(ProfilerResident, ImbalancedTileGridIsVisible) {
-  SKIP_IF_COMPILED_OUT();
   if (parallel::default_pool().lanes_for(2) < 2)
     GTEST_SKIP() << "needs a 2-lane pool";
   const SessionGuard guard;

@@ -544,21 +544,5 @@ TEST(FlowSessionTest, ShapeChangeMidStreamThrows) {
   EXPECT_FALSE(session.push_frame(random_image(rng, 22, 20)).has_value());
 }
 
-// Per-session metric scoping: a ScopedMetrics prefix must resolve to the
-// same underlying registry objects as the fully qualified name, so the
-// process-wide snapshot sees every session without interleaving them.
-TEST(ScopedMetricsTest, PrefixResolvesIntoSharedRegistry) {
-  telemetry::ScopedMetrics scope("serving.session.test42");
-  EXPECT_EQ(scope.scoped("admitted"), "serving.session.test42.admitted");
-  telemetry::Counter& scoped = scope.counter("admitted");
-  telemetry::Counter& direct =
-      telemetry::registry().counter("serving.session.test42.admitted");
-  EXPECT_EQ(&scoped, &direct);
-
-  telemetry::ScopedMetrics empty("");
-  EXPECT_EQ(&empty.counter("serving.admitted"),
-            &telemetry::registry().counter("serving.admitted"));
-}
-
 }  // namespace
 }  // namespace chambolle

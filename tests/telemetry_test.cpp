@@ -39,19 +39,6 @@ namespace {
 
 using telemetry::registry;
 
-/// False when the library was built with -DCHAMBOLLE_ENABLE_TELEMETRY=OFF;
-/// enabled-path tests skip themselves in that configuration.
-constexpr bool kTelemetryCompiledIn =
-#ifdef CHAMBOLLE_TELEMETRY_DISABLED
-    false;
-#else
-    true;
-#endif
-
-#define SKIP_IF_COMPILED_OUT()                                 \
-  if (!kTelemetryCompiledIn)                                   \
-  GTEST_SKIP() << "telemetry compiled out (CHAMBOLLE_ENABLE_TELEMETRY=OFF)"
-
 /// Restores the telemetry enabled state on scope exit so tests do not leak
 /// the toggle into unrelated tests in the same binary.
 class ScopedTelemetry {
@@ -230,7 +217,6 @@ class JsonParser {
 // Metric registry semantics.
 
 TEST(MetricRegistry, CounterAccumulatesWhenEnabled) {
-  SKIP_IF_COMPILED_OUT();
   const ScopedTelemetry t(true);
   auto& c = registry().counter("test.counter.accumulates");
   const std::uint64_t before = c.value();
@@ -252,7 +238,6 @@ TEST(MetricRegistry, KindCollisionThrows) {
 }
 
 TEST(MetricRegistry, GaugeLastValueWins) {
-  SKIP_IF_COMPILED_OUT();
   const ScopedTelemetry t(true);
   auto& g = registry().gauge("test.gauge.lastwins");
   g.set(1.5);
@@ -261,7 +246,6 @@ TEST(MetricRegistry, GaugeLastValueWins) {
 }
 
 TEST(MetricRegistry, HistogramBucketSemantics) {
-  SKIP_IF_COMPILED_OUT();
   const ScopedTelemetry t(true);
   auto& h = registry().histogram("test.histo.buckets", {1.0, 10.0, 100.0});
   h.observe(0.5);    // bucket 0 (<= 1)
@@ -282,7 +266,6 @@ TEST(MetricRegistry, HistogramRejectsNonIncreasingBounds) {
 }
 
 TEST(MetricRegistry, HistogramQuantilesInterpolateWithinBuckets) {
-  SKIP_IF_COMPILED_OUT();
   const ScopedTelemetry t(true);
   auto& h = registry().histogram("test.histo.quantiles", {10.0, 20.0, 40.0});
   for (int i = 0; i < 10; ++i) h.observe(5.0);   // bucket (-inf, 10]
@@ -322,7 +305,6 @@ TEST(MetricRegistry, HistogramRejectsNonFiniteBoundsAndDropsNonFiniteObs) {
   EXPECT_THROW(registry().histogram("test.histo.ninfbound", {-inf, 1.0}),
                std::invalid_argument);
 
-  SKIP_IF_COMPILED_OUT();
   const ScopedTelemetry t(true);
   auto& h = registry().histogram("test.histo.nonfinite.obs", {1.0, 10.0});
   h.observe(nan);
@@ -342,7 +324,6 @@ TEST(MetricRegistry, HistogramRejectsNonFiniteBoundsAndDropsNonFiniteObs) {
 }
 
 TEST(MetricRegistry, SnapshotCarriesHistogramQuantiles) {
-  SKIP_IF_COMPILED_OUT();
   const ScopedTelemetry t(true);
   auto& h = registry().histogram("test.histo.snapshot.quantiles", {1.0, 8.0});
   h.observe(0.5);
@@ -375,7 +356,6 @@ TEST(Prometheus, MetricNameSanitization) {
 }
 
 TEST(Prometheus, ExpositionFormat) {
-  SKIP_IF_COMPILED_OUT();
   const ScopedTelemetry t(true);
   registry().counter("test.prom.counter").add(3);
   registry().gauge("test.prom.gauge").set(2.5);
@@ -450,7 +430,6 @@ TEST(JsonHardening, ValidatorAcceptsAndRejects) {
 }
 
 TEST(JsonHardening, HostileMetricNamesSurviveEveryExporter) {
-  SKIP_IF_COMPILED_OUT();
   const ScopedTelemetry t(true);
   // Deterministic fuzz sweep: names covering every escape class (quotes,
   // backslashes, control chars, DEL, high bytes, separators) plus seeded
@@ -503,7 +482,6 @@ TEST(MetricRegistry, DisabledUpdatesAreNoOps) {
 }
 
 TEST(MetricRegistry, SnapshotIsValidJsonAndContainsValues) {
-  SKIP_IF_COMPILED_OUT();
   const ScopedTelemetry t(true);
   registry().counter("test.snapshot.counter").add(5);
   registry().gauge("test.snapshot.gauge").set(2.5);
@@ -528,7 +506,6 @@ TEST(MetricRegistry, SnapshotIsValidJsonAndContainsValues) {
 }
 
 TEST(MetricRegistry, CounterThreadSafetySmoke) {
-  SKIP_IF_COMPILED_OUT();
   const ScopedTelemetry t(true);
   auto& c = registry().counter("test.threads.counter");
   const std::uint64_t before = c.value();
@@ -557,7 +534,6 @@ TEST(TraceSpan, DisabledSpanIsInert) {
 }
 
 TEST(TraceSpan, NestedSpansRecordDepthAndContainment) {
-  SKIP_IF_COMPILED_OUT();
   const ScopedTelemetry t(true);
   telemetry::clear_trace();
   {
@@ -603,7 +579,6 @@ TEST(TraceSpan, NestedSpansRecordDepthAndContainment) {
 }
 
 TEST(TraceSpan, SpansFromWorkerThreadsCarryDistinctTids) {
-  SKIP_IF_COMPILED_OUT();
   const ScopedTelemetry t(true);
   telemetry::clear_trace();
   constexpr int kThreads = 4;
@@ -673,7 +648,6 @@ TEST(BenchReport, JsonHasStableSchema) {
 // End-to-end integration: run by ctest once with CHAMBOLLE_TELEMETRY=1.
 
 TEST(TelemetryIntegration, PipelineProducesMetricsAndNestedTrace) {
-  SKIP_IF_COMPILED_OUT();
   const char* env = std::getenv("CHAMBOLLE_TELEMETRY");
   const bool env_enabled = env != nullptr && std::string(env) == "1";
   const ScopedTelemetry t(true);

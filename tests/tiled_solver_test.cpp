@@ -93,6 +93,26 @@ TEST(TiledSolver, ExecutionEngineDoesNotChangeResult) {
   }
 }
 
+TEST(TiledSolver, RunsOnTheOptionsPool) {
+  // Every merged pass is one region on TiledSolverOptions::pool; the shared
+  // default pool sees none of them.
+  const Matrix<float> v = random_v(64, 64, 12);
+  parallel::ThreadPool pool(2);
+  TiledSolverOptions opt;
+  opt.tile_rows = 24;
+  opt.tile_cols = 24;
+  opt.merge_iterations = 3;
+  opt.pool = &pool;
+  const std::uint64_t own0 = pool.tasks();
+  const std::uint64_t shared0 = parallel::default_pool().tasks();
+  TiledSolverStats stats;
+  const ChambolleResult got = solve_tiled(v, params_with(10), opt, &stats);
+  EXPECT_EQ(stats.passes, 4);
+  EXPECT_EQ(pool.tasks() - own0, static_cast<std::uint64_t>(stats.passes));
+  EXPECT_EQ(parallel::default_pool().tasks(), shared0);
+  EXPECT_EQ(got.u, solve(v, params_with(10)).u);
+}
+
 TEST(TiledSolver, StatsAccountRedundantWork) {
   const Matrix<float> v = random_v(64, 64, 5);
   TiledSolverOptions opt;

@@ -4,6 +4,7 @@
 
 #include "common/flow_color.hpp"
 #include "telemetry/metrics.hpp"
+#include "tvl1/accel_backend.hpp"
 #include "workloads/metrics.hpp"
 #include "workloads/synthetic.hpp"
 
@@ -93,21 +94,6 @@ TEST(Tvl1, StatsReportChambolleDominance) {
             2LL * 60 * p.warps * p.pyramid_levels);
 }
 
-TEST(Tvl1, TiledBackendMatchesReferenceExactly) {
-  // The tiled inner solver is bit-exact, so the whole pipeline must be too.
-  const auto wl = workloads::translating_scene(48, 48, 1.5f, 0.5f, 31);
-  Tvl1Params ref = fast_params();
-  Tvl1Params tiled = fast_params();
-  tiled.solver = InnerSolver::kTiled;
-  tiled.tiled.tile_rows = 24;
-  tiled.tiled.tile_cols = 24;
-  tiled.tiled.merge_iterations = 5;
-  const FlowField a = compute_flow(wl.frame0, wl.frame1, ref);
-  const FlowField b = compute_flow(wl.frame0, wl.frame1, tiled);
-  EXPECT_EQ(a.u1, b.u1);
-  EXPECT_EQ(a.u2, b.u2);
-}
-
 TEST(Tvl1, ResidentBackendMatchesReferenceExactly) {
   // Default (cold per-warp duals): the resident engine must be bit-exact
   // through the whole pyramid, warps and levels included.
@@ -171,11 +157,11 @@ TEST(Tvl1, ResidentSolvesBothComponentsOnOneEnginePerLevel) {
 
 TEST(Tvl1, FixedBackendStaysCloseToReference) {
   const auto wl = workloads::translating_scene(48, 48, 1.f, -1.f, 37);
-  Tvl1Params ref = fast_params();
-  Tvl1Params fixed = fast_params();
-  fixed.solver = InnerSolver::kFixed;
-  const FlowField a = compute_flow(wl.frame0, wl.frame1, ref);
-  const FlowField b = compute_flow(wl.frame0, wl.frame1, fixed);
+  const Tvl1Params params = fast_params();
+  hw::ChambolleAccelerator accel{hw::ArchConfig{}};
+  const FlowField a = compute_flow(wl.frame0, wl.frame1, params);
+  const FlowField b =
+      compute_flow_accelerated(wl.frame0, wl.frame1, params, accel);
   // The fixed-point datapath quantizes to 1/256: the flows agree closely.
   EXPECT_LT(max_abs_diff(a.u1, b.u1), 0.35);
   EXPECT_LT(max_abs_diff(a.u2, b.u2), 0.35);

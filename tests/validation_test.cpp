@@ -6,8 +6,8 @@
 #include <vector>
 
 #include "chambolle/solver.hpp"
+#include "tvl1/accel_backend.hpp"
 #include "tvl1/tvl1.hpp"
-#include "tvl1/video_runner.hpp"
 #include "workloads/synthetic.hpp"
 
 namespace chambolle {
@@ -59,21 +59,21 @@ TEST(Validation, SolveFlowRejectsNonFiniteComponents) {
   EXPECT_THROW((void)solve_flow(v, params), std::invalid_argument);
 }
 
-TEST(Validation, RunVideoRejectsPoisonedFrame) {
-  std::vector<Image> frames;
-  for (int i = 0; i < 3; ++i)
-    frames.push_back(workloads::smooth_texture(16, 16, i + 1));
-  tvl1::VideoRunnerOptions options;
-  options.tvl1.pyramid_levels = 2;
-  options.tvl1.warps = 1;
-  options.tvl1.chambolle.iterations = 3;
-  frames[2](0, 0) = std::numeric_limits<float>::quiet_NaN();
+TEST(Validation, AcceleratedFlowRejectsPoisonedFrame) {
+  const Image frame0 = workloads::smooth_texture(16, 16, 1);
+  Image frame1 = workloads::smooth_texture(16, 16, 2);
+  tvl1::Tvl1Params params;
+  params.pyramid_levels = 2;
+  params.warps = 1;
+  params.chambolle.iterations = 3;
+  hw::ChambolleAccelerator accel{hw::ArchConfig{}};
+  frame1(0, 0) = std::numeric_limits<float>::quiet_NaN();
   try {
-    (void)tvl1::run_video(frames, options);
+    (void)tvl1::compute_flow_accelerated(frame0, frame1, params, accel);
     FAIL() << "expected throw";
   } catch (const std::invalid_argument& e) {
-    // The message names the frame index so a video pipeline can locate it.
-    EXPECT_NE(std::string(e.what()).find("frame 2"), std::string::npos);
+    // The message names the frame so a video pipeline can locate it.
+    EXPECT_NE(std::string(e.what()).find("frame1"), std::string::npos);
   }
 }
 

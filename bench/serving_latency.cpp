@@ -15,9 +15,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/parse.hpp"
 #include "common/rng.hpp"
 #include "common/stopwatch.hpp"
 #include "common/text_table.hpp"
@@ -28,10 +30,12 @@ namespace {
 
 using namespace chambolle;
 
-int env_int(const char* name, int fallback) {
+// An integer environment override in [min, max], or `fallback` when unset;
+// nullopt when set to anything else.
+std::optional<int> env_int(const char* name, int fallback, int min, int max) {
   const char* s = std::getenv(name);
   if (s == nullptr || *s == '\0') return fallback;
-  return std::atoi(s);
+  return parse_int(s, min, max);
 }
 
 tvl1::Tvl1Params bench_params() {
@@ -98,7 +102,17 @@ LoadResult run_overload(int sessions, int rounds) {
 }  // namespace
 
 int main() {
-  const int sessions = env_int("CHB_SERVING_SESSIONS", 6);
+  constexpr int kMaxSessions = 1024;
+  const std::optional<int> parsed =
+      env_int("CHB_SERVING_SESSIONS", 6, 1, kMaxSessions);
+  if (!parsed) {
+    std::fprintf(stderr,
+                 "serving_latency: CHB_SERVING_SESSIONS expects an integer "
+                 "in [1, %d]\n",
+                 kMaxSessions);
+    return 2;
+  }
+  const int sessions = *parsed;
   const int rounds = 20;
 
   Stopwatch wall;

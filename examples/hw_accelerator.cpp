@@ -3,12 +3,14 @@
 // per-frame cycle budget, memory traffic and the projected frame rate at the
 // paper's 221 MHz clock, together with the resource footprint (Table I).
 //
-// Usage: hw_accelerator [frame_size] [iterations]   (defaults: 128 50)
+// Usage: hw_accelerator [frame_size] [iterations]   (defaults: 128 50;
+// frame_size 8..1024, iterations 1..10000)
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
+#include <optional>
 
 #include "chambolle/fixed_solver.hpp"
+#include "common/parse.hpp"
 #include "common/rng.hpp"
 #include "common/text_table.hpp"
 #include "hw/accelerator.hpp"
@@ -18,12 +20,19 @@
 
 int main(int argc, char** argv) {
   using namespace chambolle;
-  const int n = argc > 1 ? std::atoi(argv[1]) : 128;
-  const int iterations = argc > 2 ? std::atoi(argv[2]) : 50;
-  if (n < 8 || iterations < 1) {
-    std::fprintf(stderr, "usage: hw_accelerator [frame_size>=8] [iters>=1]\n");
+  // 1024 is Table II's largest frame side.
+  const std::optional<int> size_arg =
+      argc > 1 ? parse_int(argv[1], 8, 1024) : 128;
+  const std::optional<int> iterations_arg =
+      argc > 2 ? parse_int(argv[2], 1, 10000) : 50;
+  if (!size_arg || !iterations_arg) {
+    std::fprintf(stderr,
+                 "usage: hw_accelerator [frame_size 8..1024] "
+                 "[iterations 1..10000]\n");
     return 2;
   }
+  const int n = *size_arg;
+  const int iterations = *iterations_arg;
 
   Rng rng(7);
   FlowField v(n, n);

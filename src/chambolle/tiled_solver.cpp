@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "chambolle/tile.hpp"
 #include "parallel/thread_pool.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/profiler.hpp"
@@ -38,35 +39,6 @@ void process_tile(const TileSpec& t, const Matrix<float>& px,
     }
 }
 
-void check_pass_args(const Matrix<float>& px, const Matrix<float>& py,
-                     const Matrix<float>& px_out, const Matrix<float>& py_out,
-                     const Matrix<float>& v, const TilingPlan& plan,
-                     int iterations_this_pass) {
-  if (iterations_this_pass <= 0 || iterations_this_pass > plan.halo)
-    throw std::invalid_argument("run_tiled_pass: iterations exceed halo");
-  if (!px.same_shape(py) || !px.same_shape(v) || !px_out.same_shape(px) ||
-      !py_out.same_shape(py))
-    throw std::invalid_argument("run_tiled_pass: shape mismatch");
-}
-
-// One merged pass with caller-owned per-lane scratch, so a multi-pass solve
-// reuses both the resident workers AND their scratch buffers.
-void run_pass(const Matrix<float>& px, const Matrix<float>& py,
-              Matrix<float>& px_out, Matrix<float>& py_out,
-              const Matrix<float>& v, const TilingPlan& plan,
-              const ChambolleParams& params, int iterations_this_pass,
-              parallel::ThreadPool& pool, int lanes,
-              parallel::PerLane<Matrix<float>>& scratch) {
-  pool.parallel_for(
-      plan.tiles.size(), lanes,
-      [&](std::size_t begin, std::size_t end, int lane) {
-        Matrix<float>& s = scratch[lane];
-        for (std::size_t i = begin; i < end; ++i)
-          process_tile(plan.tiles[i], px, py, px_out, py_out, v, plan, params,
-                       iterations_this_pass, s);
-      });
-}
-
 }  // namespace
 
 void TiledSolverOptions::validate_schedule() const {
@@ -81,19 +53,6 @@ void TiledSolverOptions::validate() const {
   if (tile_rows <= 2 * merge_iterations || tile_cols <= 2 * merge_iterations)
     throw std::invalid_argument(
         "TiledSolverOptions: tile must exceed twice the merge depth");
-}
-
-void run_tiled_pass(const Matrix<float>& px, const Matrix<float>& py,
-                    Matrix<float>& px_out, Matrix<float>& py_out,
-                    const Matrix<float>& v, const TilingPlan& plan,
-                    const ChambolleParams& params, int iterations_this_pass,
-                    int num_threads) {
-  check_pass_args(px, py, px_out, py_out, v, plan, iterations_this_pass);
-  parallel::ThreadPool& pool = parallel::default_pool();
-  const int lanes = pool.lanes_for(num_threads);
-  parallel::PerLane<Matrix<float>> scratch(lanes);
-  run_pass(px, py, px_out, py_out, v, plan, params, iterations_this_pass,
-           pool, lanes, scratch);
 }
 
 ChambolleResult solve_tiled(const Matrix<float>& v,
@@ -122,9 +81,13 @@ ChambolleResult solve_tiled(const Matrix<float>& v,
   while (remaining > 0) {
     const int k = std::min(remaining, options.merge_iterations);
     const telemetry::TraceSpan pass_span("chambolle.tiled.pass");
-    check_pass_args(px, py, px_next, py_next, v, plan, k);
-    run_pass(px, py, px_next, py_next, v, plan, params, k, pool, lanes,
-             scratch);
+    pool.parallel_for(
+        plan.tiles.size(), lanes,
+        [&](std::size_t begin, std::size_t end, int lane) {
+          for (std::size_t i = begin; i < end; ++i)
+            process_tile(plan.tiles[i], px, py, px_next, py_next, v, plan,
+                         params, k, scratch[lane]);
+        });
     std::swap(px, px_next);
     std::swap(py, py_next);
     remaining -= k;

@@ -15,7 +15,6 @@
 
 #include "chambolle/params.hpp"
 #include "chambolle/solver.hpp"
-#include "chambolle/tile.hpp"
 #include "common/image.hpp"
 #include "parallel/thread_pool.hpp"
 
@@ -71,14 +70,5 @@ struct TiledSolverStats {
                                           const ChambolleParams& params,
                                           const TiledSolverOptions& options,
                                           TiledSolverStats* stats = nullptr);
-
-/// Runs one merged pass over all tiles of `plan`: reads (px, py) and writes
-/// the updated state into (px_out, py_out).  Exposed separately so tests can
-/// exercise individual passes.  `iterations_this_pass` must be <= plan.halo.
-void run_tiled_pass(const Matrix<float>& px, const Matrix<float>& py,
-                    Matrix<float>& px_out, Matrix<float>& py_out,
-                    const Matrix<float>& v, const TilingPlan& plan,
-                    const ChambolleParams& params, int iterations_this_pass,
-                    int num_threads);
 
 }  // namespace chambolle

@@ -169,29 +169,6 @@ TEST(TiledSolver, OptionValidation) {
   EXPECT_THROW(opt.validate(), std::invalid_argument);
 }
 
-TEST(TiledSolver, RunTiledPassRejectsIterationsBeyondHalo) {
-  const Matrix<float> v = random_v(32, 32, 8);
-  Matrix<float> px(32, 32), py(32, 32), pxo(32, 32), pyo(32, 32);
-  const TilingPlan plan = make_tiling(32, 32, 16, 16, 2);
-  EXPECT_THROW(run_tiled_pass(px, py, pxo, pyo, v, plan, params_with(10), 3, 1),
-               std::invalid_argument);
-}
-
-TEST(TiledSolver, PassesAreComposable) {
-  // Two explicit 2-iteration passes == one 4-iteration reference run.
-  const Matrix<float> v = random_v(48, 48, 9);
-  const ChambolleParams params = params_with(0);
-  const TilingPlan plan = make_tiling(48, 48, 20, 20, 2);
-
-  Matrix<float> px(48, 48), py(48, 48), pxo(48, 48), pyo(48, 48);
-  run_tiled_pass(px, py, pxo, pyo, v, plan, params, 2, 2);
-  run_tiled_pass(pxo, pyo, px, py, v, plan, params, 2, 2);
-
-  const ChambolleResult ref = solve(v, params_with(4));
-  EXPECT_EQ(px, ref.p.px);
-  EXPECT_EQ(py, ref.p.py);
-}
-
 TEST(TiledSolver, ThreadCountDoesNotChangeResult) {
   const Matrix<float> v = random_v(80, 60, 10);
   TiledSolverOptions opt;
